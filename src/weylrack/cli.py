@@ -63,7 +63,7 @@ def _class_and_char(args):
         group = _group(args)
         cls = ConjugacyClass(group, group.parse(args.element))
         cs = cls.coset_system()
-    cent = cs.cls.centralizer()
+    cent = cs.centralizer
     chi = {"sgn-sgn": chi_sgn_sgn, "eps-sgn": chi_eps_sgn}[args.char](cent)
     return cs, chi
 
@@ -143,13 +143,7 @@ def cmd_nichols_dim(args) -> int:
 
     cs, chi = _class_and_char(args)
     braiding = build_yd_module(cs, chi).braiding()
-    result = nichols_graded_dim(braiding, args.max_degree)
-    payload = {
-        "dims": result.dims,
-        "exact": result.exact,
-        "method": result.method,
-        "truncated_at": result.truncated_at,
-    }
+    payload = nichols_graded_dim(braiding, args.max_degree).to_json()
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -172,12 +166,7 @@ def cmd_hilbert(args) -> int:
         pres = a_algebra_presentation(
             args.n, lookup("alpha"), lookup("beta"), lookup("gamma"), lookup("lambda")
         )
-    data = hilbert_series(pres, args.cap)
-    payload = {
-        "dims": data.dims,
-        "terminated": data.terminated,
-        "basis_size": data.basis_size,
-    }
+    payload = hilbert_series(pres, args.cap).to_json()
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 

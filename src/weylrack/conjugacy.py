@@ -43,6 +43,7 @@ class ConjugacyClass:
         self.elements = [rep] + rest
         self.index = {t: i for i, t in enumerate(self.elements)}
         self.class_key = rep.signed_cycle_type()
+        self._centralizer = None
 
     @property
     def size(self) -> int:
@@ -58,19 +59,13 @@ class ConjugacyClass:
         return x in self.index
 
     def centralizer(self) -> "Centralizer":
-        return Centralizer(self)
+        """G^rep, built on first use and shared by every later caller."""
+        if self._centralizer is None:
+            self._centralizer = Centralizer(self)
+        return self._centralizer
 
     def coset_system(self) -> "CosetSystem":
         return CosetSystem(self)
-
-    def to_json(self) -> dict:
-        return {
-            "group": repr(self.group),
-            "representative": self.rep.format(),
-            "class_key": list(self.class_key),
-            "size": self.size,
-            "elements": [t.format() for t in self.elements],
-        }
 
     def __repr__(self) -> str:
         return f"ConjugacyClass({self.group!r}, {self.rep.format()!r}, size={self.size})"
@@ -93,10 +88,6 @@ def _orbit_with_transversal(group: GroupContext, rep: SignedPermutation) -> dict
                     new_frontier.append(u)
         frontier = new_frontier
     return transversal
-
-
-def conjugacy_class(group: GroupContext, rep: SignedPermutation) -> ConjugacyClass:
-    return ConjugacyClass(group, rep)
 
 
 class Centralizer:
@@ -145,14 +136,6 @@ class Centralizer:
     def __contains__(self, x) -> bool:
         return x in self.element_set
 
-    def to_json(self) -> dict:
-        return {
-            "group": repr(self.group),
-            "base": self.base.format(),
-            "order": self.order,
-            "elements": [g.format() for g in self.elements],
-        }
-
 
 def _schreier_generators(cls: ConjugacyClass):
     """Yield Schreier generators of the stabilizer of rep, lazily."""
@@ -167,7 +150,7 @@ def _schreier_generators(cls: ConjugacyClass):
 
 
 def centralizer(group: GroupContext, s: SignedPermutation) -> Centralizer:
-    return Centralizer(ConjugacyClass(group, s))
+    return ConjugacyClass(group, s).centralizer()
 
 
 class CosetSystem:
@@ -213,26 +196,6 @@ class CosetSystem:
         j = self._index_of[t_j]
         gamma = self.reps[j].inverse() * h * self.reps[i]
         return j, gamma
-
-    def zeta_right(self, i: int, u: SignedPermutation) -> tuple:
-        """Solve g_i^-1 u = gamma g_j^-1 with gamma in G^s; returns (j, gamma).
-
-        This is the coset map attached to the right coset decomposition
-        G = U G^s g_j^-1; it satisfies zeta_right(i, h^-1) = gamma^-1 when
-        h g_i = g_j gamma.
-        """
-        j, gamma_inv = self.zeta(i, u.inverse())
-        return j, gamma_inv.inverse()
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.cls.rep.format(),
-            "reps": [g.format() for g in self.reps],
-        }
-
-
-def coset_system(cls: ConjugacyClass) -> CosetSystem:
-    return CosetSystem(cls)
 
 
 def transposition_preset(n: int) -> CosetSystem:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +43,21 @@ def _polydiv_exact(num: list, den) -> list:
     if any(num[: len(den) - 1]):
         raise ArithmeticError("non-exact polynomial division")
     return out
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(N: int) -> tuple:
+    """Normalized traces Tr(zeta_N^k) / phi(N) for k < phi(N).
+
+    zeta_N^k is a primitive M-th root of unity, M = N / gcd(k, N).  The
+    primitive M-th roots sum to mu(M), which is minus the subleading
+    coefficient of Phi_M, so the normalized trace is mu(M) / phi(M).
+    """
+    out = []
+    for k in range(len(cyclotomic_polynomial(N)) - 1):
+        phi_M = cyclotomic_polynomial(N // gcd(k, N))
+        out.append(Fraction(-phi_M[-2], len(phi_M) - 1))
+    return tuple(out)
 
 
 def _reduce_mod_phi(coeffs: list, N: int) -> tuple:
@@ -217,11 +232,15 @@ class Cyclo:
         return a.coeffs == b.coeffs
 
     def __hash__(self) -> int:
+        # Equal values may carry different conductors, so hash the
+        # normalized trace, which does not depend on the conductor and is
+        # the number itself on rationals.
         if self._hash is None:
             if self.is_rational():
                 h = hash(self.coeffs[0])
             else:
-                h = hash((self.N, self.coeffs))
+                weights = _trace_weights(self.N)
+                h = hash(sum(c * w for c, w in zip(self.coeffs, weights)))
             object.__setattr__(self, "_hash", h)
         return self._hash
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Permutation:

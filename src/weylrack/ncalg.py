@@ -51,15 +51,6 @@ class NCPresentation:
             raise ValueError("relations must be homogeneous of degree <= 2")
         self.relations.append(poly)
 
-    def to_json(self) -> dict:
-        return {
-            "generators": [str(g) for g in self.generators],
-            "relations": [
-                {" ".join(str(self.generators[i]) for i in m): [v.numerator, v.denominator] for m, v in rel.items()}
-                for rel in self.relations
-            ],
-        }
-
 
 def _pair_index(n: int):
     """Generator bookkeeping for the ordered-pair form: all (i,j), i != j,

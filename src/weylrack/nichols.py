@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import numpy as np
 
 from .cyclotomic import Cyclo
-from .groups import BudgetExceeded
 from .linalg import (
     DEFAULT_PRIMES,
     nullspace_rational,
@@ -134,7 +134,7 @@ def nichols_graded_dim(
         conductor = 1
         for col in cols.values():
             for v in col.values():
-                conductor = max(conductor, v.N)
+                conductor = lcm(conductor, v.N)
         if conductor == 1:
             int_cols = {
                 c: {r: _as_int(v) for r, v in col.items()} for c, col in cols.items()
@@ -287,19 +287,14 @@ def _pair_index_map(n: int) -> dict:
     return {p: i for i, p in enumerate(pairs)}
 
 
-def zeta_cocycle(cs, i: int, g) -> tuple:
-    """(j, zeta_i(g)) with g^-1 g_i = g_j zeta_i(g) in the coset system."""
-    j, gamma = cs.zeta(i, g.inverse())
-    return j, gamma
-
-
 def transposition_zeta(cs, pair_a: tuple, pair_b: tuple):
-    """zeta_{pair_a}(t_{pair_b}) for the transposition preset."""
+    """zeta_{pair_a}(t_{pair_b}) for the transposition preset: the gamma
+    with t_b^-1 g_a = g_j gamma in the coset system."""
     n = cs.cls.group.n
     idx = _pair_index_map(n)
     i = idx[tuple(sorted(pair_a))]
     t_b = cs.cls.elements[idx[tuple(sorted(pair_b))]]
-    _, gamma = zeta_cocycle(cs, i, t_b)
+    _, gamma = cs.zeta(i, t_b.inverse())
     return gamma
 
 

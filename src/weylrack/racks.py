@@ -14,7 +14,7 @@ certificate is always reported as inconclusive, never as "not of type D".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from itertools import product
 
 from .conjugacy import ConjugacyClass
@@ -56,16 +56,10 @@ def sq_signed_commuting(x: SignedPermutation, y: SignedPermutation) -> tuple:
     c = a + tau mu.a + tau mu^2.a + mu.a + tau.b + tau^2 mu.b + tau mu.b,
     and lambda = mu.
     """
-    a, tau = x.sign, x.perm
-    b, mu = y.sign, y.perm
+    tau, mu = x.perm, y.perm
     if not tau.commutes_with(mu):
         raise ValueError("permutation parts do not commute")
-    tm = tau * mu
-    c = a
-    for p in (tm, tm * mu, mu):
-        c = _xor(c, p.act_on_signs(a))
-    for p in (tau, tau * tm, tm):
-        c = _xor(c, p.act_on_signs(b))
+    c = _xor(_xor(collapse_lhs(x.sign, tau, mu), collapse_rhs(y.sign, tau, mu)), y.sign)
     return c, mu
 
 
@@ -210,6 +204,23 @@ class TypeDCertificate:
         return payload
 
 
+def make_certificate(
+    rack: FiniteRack, R, S, r, s, strategy: str, notes: tuple
+) -> TypeDCertificate:
+    """The certificate with subracks R, S and witness pair (r, s), all
+    given as rack elements; stored as sorted indices into the rack."""
+    idx = rack.index
+    return TypeDCertificate(
+        rack,
+        tuple(sorted(idx[x] for x in R)),
+        tuple(sorted(idx[x] for x in S)),
+        idx[r],
+        idx[s],
+        strategy,
+        notes,
+    )
+
+
 @dataclass
 class CertificateCheck:
     ok: bool
@@ -217,6 +228,26 @@ class CertificateCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _closure_failures(rack: FiniteRack, R: list, S: list):
+    """Yield a message for every pair that breaks subrack or cross
+    closure of R and S; lazily, so a yes/no caller stops at the first."""
+    Rset, Sset = set(R), set(S)
+    for x in R:
+        for y in R:
+            if rack.op(x, y) not in Rset:
+                yield f"R not closed: {x} |> {y}"
+    for x in S:
+        for y in S:
+            if rack.op(x, y) not in Sset:
+                yield f"S not closed: {x} |> {y}"
+    for x in R:
+        for y in S:
+            if rack.op(x, y) not in Sset:
+                yield f"cross closure fails: {x} |> {y} not in S"
+            if rack.op(y, x) not in Rset:
+                yield f"cross closure fails: {y} |> {x} not in R"
 
 
 def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateCheck:
@@ -233,21 +264,7 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
     S = [rack.elements[i] for i in cert.S]
     if set(cert.R) & set(cert.S):
         failures.append(f"R and S overlap: {sorted(set(cert.R) & set(cert.S))}")
-    Rset, Sset = set(R), set(S)
-    for x in R:
-        for y in R:
-            if rack.op(x, y) not in Rset:
-                failures.append(f"R not closed: {x} |> {y}")
-    for x in S:
-        for y in S:
-            if rack.op(x, y) not in Sset:
-                failures.append(f"S not closed: {x} |> {y}")
-    for x in R:
-        for y in S:
-            if rack.op(x, y) not in Sset:
-                failures.append(f"cross closure fails: {x} |> {y} not in S")
-            if rack.op(y, x) not in Rset:
-                failures.append(f"cross closure fails: {y} |> {x} not in R")
+    failures.extend(_closure_failures(rack, R, S))
     if cert.r not in set(cert.R):
         failures.append("r must lie in R")
     if cert.s not in set(cert.S):
@@ -257,6 +274,25 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
         if rack.sq(r, s) == s:
             failures.append(f"sq({r}, {s}) == {s}")
     return CertificateCheck(not failures, failures)
+
+
+# -- the subsets the closed-form constructions split along -----------------
+
+
+def perm_cosets(cls: ConjugacyClass) -> dict:
+    """Class elements grouped by permutation part, in class order: the
+    class meets the sign-vector coset Z_2^n x| {tau} in perm_cosets[tau]."""
+    groups: dict = {}
+    for x in cls.elements:
+        groups.setdefault(x.perm, []).append(x)
+    return groups
+
+
+def fixed_point_split(cls: ConjugacyClass, f: int) -> tuple:
+    """(R, S): the class elements fixing the 0-based point f, split by
+    their sign bit at f (R positive, S negative), in class order."""
+    fixing = [x for x in cls.elements if x.perm(f) == f]
+    return [x for x in fixing if not x.sign[f]], [x for x in fixing if x.sign[f]]
 
 
 # -- search ----------------------------------------------------------------
@@ -284,7 +320,8 @@ class SearchResult:
         return self.certificate is not None
 
 
-# shared cache of S_n-rack search results, keyed by (n, cycle type)
+# shared cache of S_n-rack search results, keyed by (n, cycle type) and the
+# full search config, since the config decides which certificate is found
 _SN_CACHE: dict = {}
 
 
@@ -327,13 +364,6 @@ def _class_rack(rack: FiniteRack) -> ConjugacyClass:
     return rack.source
 
 
-def _perm_groups(cls: ConjugacyClass) -> dict:
-    groups: dict = {}
-    for x in cls.elements:
-        groups.setdefault(x.perm, []).append(x)
-    return groups
-
-
 def _strategy_commuting_pair(rack: FiniteRack, config: SearchConfig):
     """R and S cut out by two distinct commuting permutation parts.
 
@@ -348,7 +378,7 @@ def _strategy_commuting_pair(rack: FiniteRack, config: SearchConfig):
     tau0 = cls.rep.perm
     if tau0.is_identity():
         return None
-    groups = _perm_groups(cls)
+    groups = perm_cosets(cls)
     # candidate partners: powers of tau0 first, then every commuting
     # permutation part in the class
     candidates = []
@@ -372,19 +402,11 @@ def _strategy_commuting_pair(rack: FiniteRack, config: SearchConfig):
         witness = _commuting_witness(R, S, tau0, mu)
         if witness is None:
             continue
-        r, s = witness
-        return TypeDCertificate(
-            rack,
-            tuple(sorted(rack.index[x] for x in R)),
-            tuple(sorted(rack.index[x] for x in S)),
-            rack.index[r],
-            rack.index[s],
-            strategy="commuting-perm-pair",
-            notes=(
-                "R and S are the class intersected with the sign-vector "
-                f"cosets of {tau0} and {mu}",
-            ),
+        note = (
+            "R and S are the class intersected with the sign-vector "
+            f"cosets of {tau0} and {mu}"
         )
+        return make_certificate(rack, R, S, *witness, "commuting-perm-pair", (note,))
     return None
 
 
@@ -411,15 +433,15 @@ def _strategy_fixed_point_split(rack: FiniteRack, config: SearchConfig):
     key = cls.class_key
     if (1, 0) not in key or (1, 1) not in key:
         return None
-    tau0 = cls.rep.perm
-    fixed = tau0.fixed_points()
+    fixed = cls.rep.perm.fixed_points()
     if not fixed:
         return None
     f = max(fixed)
-    R = [x for x in cls.elements if x.perm(f) == f and x.sign[f] == 0]
-    S = [x for x in cls.elements if x.perm(f) == f and x.sign[f] == 1]
+    R, S = fixed_point_split(cls, f)
     if not R or not S:
         return None
+    strategy = "fixed-point-sign-split"
+    notes = (f"split on the sign bit at fixed point {f + 1}",)
     # look for a witness at the level of permutation parts first
     perms_R: dict = {}
     for x in R:
@@ -430,15 +452,7 @@ def _strategy_fixed_point_split(rack: FiniteRack, config: SearchConfig):
     for xi, r in perms_R.items():
         for lam, s in perms_S.items():
             if sq(xi, lam) != lam:
-                return TypeDCertificate(
-                    rack,
-                    tuple(sorted(rack.index[x] for x in R)),
-                    tuple(sorted(rack.index[x] for x in S)),
-                    rack.index[r],
-                    rack.index[s],
-                    strategy="fixed-point-sign-split",
-                    notes=(f"split on the sign bit at fixed point {f + 1}",),
-                )
+                return make_certificate(rack, R, S, r, s, strategy, notes)
     # fall back to a direct scan over element pairs
     budget = config.max_witness_pairs
     for r in R:
@@ -447,15 +461,7 @@ def _strategy_fixed_point_split(rack: FiniteRack, config: SearchConfig):
             if budget < 0:
                 return None
             if sq(r, s) != s:
-                return TypeDCertificate(
-                    rack,
-                    tuple(sorted(rack.index[x] for x in R)),
-                    tuple(sorted(rack.index[x] for x in S)),
-                    rack.index[r],
-                    rack.index[s],
-                    strategy="fixed-point-sign-split",
-                    notes=(f"split on the sign bit at fixed point {f + 1}",),
-                )
+                return make_certificate(rack, R, S, r, s, strategy, notes)
     return None
 
 
@@ -467,12 +473,11 @@ def _strategy_pullback(rack: FiniteRack, config: SearchConfig):
     if tau0.is_identity():
         return None
     n = cls.group.n
-    key = (n, tau0.cycle_type())
+    key = (n, tau0.cycle_type(), astuple(config))
     if key not in _SN_CACHE:
         target = ConjugacyClass(Sn(n), SignedPermutation.from_perm(tau0))
         target_rack = FiniteRack.from_class(target)
-        sub = SearchConfig(**vars(config))
-        sub.use_pullback = False
+        sub = replace(config, use_pullback=False)
         _SN_CACHE[key] = (target_rack, find_type_d_certificate(target_rack, sub))
     target_rack, result = _SN_CACHE[key]
     if not result:
@@ -482,22 +487,15 @@ def _strategy_pullback(rack: FiniteRack, config: SearchConfig):
     perms_S = {target_rack.elements[i].perm for i in down.S}
     perm_r = target_rack.elements[down.r].perm
     perm_s = target_rack.elements[down.s].perm
-    R = [i for i, x in enumerate(rack.elements) if x.perm in perms_R]
-    S = [i for i, x in enumerate(rack.elements) if x.perm in perms_S]
-    r = next(i for i in R if rack.elements[i].perm == perm_r)
-    s = next(i for i in S if rack.elements[i].perm == perm_s)
-    return TypeDCertificate(
-        rack,
-        tuple(R),
-        tuple(S),
-        r,
-        s,
-        strategy="projection-pullback",
-        notes=(
-            f"pulled back along pi from the S_{n} class of {tau0} "
-            f"(downstairs strategy: {down.strategy})",
-        ),
+    R = [x for x in rack.elements if x.perm in perms_R]
+    S = [x for x in rack.elements if x.perm in perms_S]
+    r = next(x for x in R if x.perm == perm_r)
+    s = next(x for x in S if x.perm == perm_s)
+    note = (
+        f"pulled back along pi from the S_{n} class of {tau0} "
+        f"(downstairs strategy: {down.strategy})"
     )
+    return make_certificate(rack, R, S, r, s, "projection-pullback", (note,))
 
 
 def _closure_from_seeds(rack: FiniteRack, x, y, max_size: int):
@@ -533,6 +531,16 @@ def _closure_from_seeds(rack: FiniteRack, x, y, max_size: int):
     return R, S
 
 
+def _grown_witness(rack: FiniteRack, x, y, config: SearchConfig):
+    """Grow the closure of the seeds x, y and scan it for a witness pair:
+    (R, S, r, s), or None if either step fails."""
+    grown = _closure_from_seeds(rack, x, y, config.max_closure_size)
+    if grown is None:
+        return None
+    witness = _witness_scan(rack, *grown, config.max_witness_pairs)
+    return None if witness is None else grown + witness
+
+
 def _strategy_seed_closure(rack: FiniteRack, config: SearchConfig):
     """Two-seed closure: every decomposition generated by one element on
     each side is found by this scan."""
@@ -545,23 +553,10 @@ def _strategy_seed_closure(rack: FiniteRack, config: SearchConfig):
             budget -= 1
             if budget < 0:
                 return None
-            grown = _closure_from_seeds(rack, x, y, config.max_closure_size)
-            if grown is None:
-                continue
-            R, S = grown
-            witness = _witness_scan(rack, R, S, config.max_witness_pairs)
-            if witness is None:
-                continue
-            r, s = witness
-            return TypeDCertificate(
-                rack,
-                tuple(sorted(rack.index[u] for u in R)),
-                tuple(sorted(rack.index[u] for u in S)),
-                rack.index[r],
-                rack.index[s],
-                strategy="seed-closure",
-                notes=(f"grown from seeds {x}, {y}",),
-            )
+            found = _grown_witness(rack, x, y, config)
+            if found is not None:
+                note = f"grown from seeds {x}, {y}"
+                return make_certificate(rack, *found, "seed-closure", (note,))
     return None
 
 
@@ -583,40 +578,12 @@ def _strategy_exhaustive(rack: FiniteRack, config: SearchConfig):
     for assignment in product((0, 1, 2), repeat=m):
         R = [elems[i] for i in range(m) if assignment[i] == 0]
         S = [elems[i] for i in range(m) if assignment[i] == 1]
-        if not R or not S:
+        if not R or not S or next(_closure_failures(rack, R, S), None) is not None:
             continue
-        cert = _check_candidate(rack, R, S)
-        if cert is not None:
-            return cert
+        witness = _witness_scan(rack, R, S, len(R) * len(S))
+        if witness is not None:
+            return make_certificate(rack, R, S, *witness, "exhaustive-bipartition", ())
     return None
-
-
-def _check_candidate(rack: FiniteRack, R: list, S: list):
-    Rset, Sset = set(R), set(S)
-    for x in R:
-        for y in R:
-            if rack.op(x, y) not in Rset:
-                return None
-    for x in S:
-        for y in S:
-            if rack.op(x, y) not in Sset:
-                return None
-    for x in R:
-        for y in S:
-            if rack.op(x, y) not in Sset or rack.op(y, x) not in Rset:
-                return None
-    witness = _witness_scan(rack, Rset, Sset, len(R) * len(S))
-    if witness is None:
-        return None
-    r, s = witness
-    return TypeDCertificate(
-        rack,
-        tuple(sorted(rack.index[u] for u in R)),
-        tuple(sorted(rack.index[u] for u in S)),
-        rack.index[r],
-        rack.index[s],
-        strategy="exhaustive-bipartition",
-    )
 
 
 def _strategy_randomized(rack: FiniteRack, config: SearchConfig):
@@ -627,22 +594,9 @@ def _strategy_randomized(rack: FiniteRack, config: SearchConfig):
         return None
     for _ in range(config.random_restarts):
         x, y = rng.sample(elems, 2)
-        grown = _closure_from_seeds(rack, x, y, config.max_closure_size)
-        if grown is None:
-            continue
-        R, S = grown
-        witness = _witness_scan(rack, R, S, config.max_witness_pairs)
-        if witness is None:
-            continue
-        r, s = witness
-        return TypeDCertificate(
-            rack,
-            tuple(sorted(rack.index[u] for u in R)),
-            tuple(sorted(rack.index[u] for u in S)),
-            rack.index[r],
-            rack.index[s],
-            strategy="randomized-repair",
-        )
+        found = _grown_witness(rack, x, y, config)
+        if found is not None:
+            return make_certificate(rack, *found, "randomized-repair", ())
     return None
 
 
@@ -663,20 +617,18 @@ def juxtaposition_extend_certificate(
     x = cls.rep
     ambient = GroupContext(x.n + y.n, signed=True)
     big = ConjugacyClass(ambient, x.juxtapose(y))
-    big_rack = FiniteRack.from_class(big)
-    idx = big_rack.index
 
-    def lift(i: int) -> int:
-        return idx[cert.rack.elements[i].juxtapose(y)]
+    def lift(i: int) -> SignedPermutation:
+        return cert.rack.elements[i].juxtapose(y)
 
-    return TypeDCertificate(
-        big_rack,
-        tuple(sorted(lift(i) for i in cert.R)),
-        tuple(sorted(lift(i) for i in cert.S)),
+    return make_certificate(
+        FiniteRack.from_class(big),
+        [lift(i) for i in cert.R],
+        [lift(i) for i in cert.S],
         lift(cert.r),
         lift(cert.s),
-        strategy="juxtaposition-extension",
-        notes=(f"extended from {x.format()} by # {y.format()}",),
+        "juxtaposition-extension",
+        (f"extended from {x.format()} by # {y.format()}",),
     )
 
 
@@ -721,23 +673,18 @@ def pullback_type_d(
     S_down = {t_elems[i] for i in cert.S}
     r_down, s_down = t_elems[cert.r], t_elems[cert.s]
     R_up, S_up, r_up, s_up = [], [], None, None
-    for i, x in enumerate(hom.source.elements):
+    for x in hom.source.elements:
         fx = hom(x)
         if fx in R_down:
-            R_up.append(i)
+            R_up.append(x)
             if r_up is None and fx == r_down:
-                r_up = i
+                r_up = x
         elif fx in S_down:
-            S_up.append(i)
+            S_up.append(x)
             if s_up is None and fx == s_down:
-                s_up = i
+                s_up = x
     if r_up is None or s_up is None:
         raise ValueError("empty fiber over r or s")
-    return TypeDCertificate(
-        hom.source,
-        tuple(R_up),
-        tuple(S_up),
-        r_up,
-        s_up,
-        strategy="epimorphism-pullback",
+    return make_certificate(
+        hom.source, R_up, S_up, r_up, s_up, "epimorphism-pullback", ()
     )

@@ -100,26 +100,6 @@ class Rep:
             raise ValueError(f"rho({g}) is not scalar")
         return q
 
-    def conductor(self) -> int:
-        from math import lcm
-
-        N = 1
-        for M in self.table.values():
-            for row in M:
-                for x in row:
-                    N = lcm(N, x.N)
-        return N
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "conductor": self.conductor(),
-            "table": {
-                g.format(): [[x.to_json() for x in row] for row in self.table[g]]
-                for g in self.domain
-            },
-        }
-
 
 def char_from_function(cent: Centralizer, fn, check: bool = True) -> Rep:
     """Degree-1 rep from a value function on the centralizer."""
@@ -188,12 +168,6 @@ def z2_character(v: tuple):
         return -1 if sum(x * y for x, y in zip(v, a)) & 1 else 1
 
     return chi
-
-
-def character_stabilizer(elements: list, v: tuple) -> list:
-    """Elements g with g . v = v, i.e. the stabilizer of chi_v under the
-    permutation action on Z_2^n characters."""
-    return [g for g in elements if g.perm.act_on_signs(v) == v]
 
 
 def outer_tensor(rep1: Rep, rep2: Rep, big_cent: Centralizer) -> Rep:

@@ -32,7 +32,7 @@ from .conjugacy import (
     class_juxtaposition,
     transposition_preset,
 )
-from .groups import Bn, GroupContext, Permutation, SignedPermutation, Sn
+from .groups import Bn, Permutation, SignedPermutation, Sn
 from .nichols import (
     _as_int,
     pair_relation_lambdas,
@@ -46,10 +46,11 @@ from .racks import (
     RackEpimorphism,
     SearchConfig,
     TypeDCertificate,
-    collapse_lhs,
-    collapse_rhs,
     find_type_d_certificate,
+    fixed_point_split,
     juxtaposition_extend_certificate,
+    make_certificate,
+    perm_cosets,
     pullback_type_d,
     sq,
     sq_fixes_second,
@@ -174,7 +175,6 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
         G = Bn(n)
         xi_p = Sn(n).random_element(rng).perm
         # a constant on the orbits of xi so that xi.a = a
-        orbit_signs = {}
         a = [0] * n
         for cyc in xi_p.cycles(include_fixed=True):
             s = rng.randrange(2)
@@ -569,7 +569,7 @@ _EXPECTED_TABLE = {
 
 def check_character_table(cfg: VerifyConfig) -> tuple:
     cs = transposition_preset(5)
-    cent = cs.cls.centralizer()
+    cent = cs.centralizer
     for name, chi in (("sgn-sgn", chi_sgn_sgn(cent)), ("eps-sgn", chi_eps_sgn(cent))):
         got = table1_values(cs, chi)
         if got != _EXPECTED_TABLE[name]:
@@ -581,7 +581,7 @@ def check_sign_products(cfg: VerifyConfig) -> tuple:
     total = 0
     for n in range(3, cfg.sign_product_max_n + 1):
         cs = transposition_preset(n)
-        cent = cs.cls.centralizer()
+        cent = cs.centralizer
         for chi in (chi_sgn_sgn(cent), chi_eps_sgn(cent)):
             for i, j, k in itertools.permutations(range(1, n + 1), 3):
                 if _as_int(sign_product(cs, chi, i, j, k)) != -1:
@@ -597,7 +597,7 @@ def check_quadratic_relations(cfg: VerifyConfig) -> tuple:
     results = {}
     for n in (3, 4):
         cs = transposition_preset(n)
-        cent = cs.cls.centralizer()
+        cent = cs.centralizer
         for name, chi in (
             ("sgn-sgn", chi_sgn_sgn(cent)),
             ("eps-sgn", chi_eps_sgn(cent)),
@@ -638,10 +638,9 @@ def coset_pair_certificate(
     if not tau.commutes_with(mu):
         raise ValueError("permutation parts must commute")
     rack = FiniteRack.from_class(cls)
-    R = tuple(i for i, x in enumerate(rack.elements) if x.perm == tau)
-    S = tuple(i for i, x in enumerate(rack.elements) if x.perm == mu)
-    cert = TypeDCertificate(
-        rack, R, S, rack.index[r_elem], rack.index[s_elem], "coset-pair", (note,)
+    cosets = perm_cosets(cls)
+    cert = make_certificate(
+        rack, cosets[tau], cosets[mu], r_elem, s_elem, "coset-pair", (note,)
     )
     check = verify_certificate(rack, cert)
     if not check.ok:
@@ -739,27 +738,14 @@ def fixed_sign_split_certificate(n: int, family: str) -> TypeDCertificate:
     a = (0,) * (n - 1) + (1,)  # one negative fixed point: mixed fixed signs
     cls = _class_of(n, a, tau)
     rack = FiniteRack.from_class(cls)
-    R, S = [], []
-    last = n - 1
-    for i, x in enumerate(rack.elements):
-        if x.perm(last) != last:
-            continue
-        (R if x.sign[last] == 0 else S).append(i)
+    R, S = fixed_point_split(cls, n - 1)
     tau0 = Permutation.from_cycles(n, spec["witness"][0])
     mu0 = Permutation.from_cycles(n, spec["witness"][1])
     if sq(tau0, mu0) == mu0:
         raise AssertionError("witness permutation pair does not separate")
-    r = next(i for i in R if rack.elements[i].perm == tau0)
-    s = next(i for i in S if rack.elements[i].perm == mu0)
-    cert = TypeDCertificate(
-        rack,
-        tuple(R),
-        tuple(S),
-        r,
-        s,
-        "fixed-sign-split",
-        (f"{family}, n={n}",),
-    )
+    r = next(x for x in R if x.perm == tau0)
+    s = next(x for x in S if x.perm == mu0)
+    cert = make_certificate(rack, R, S, r, s, "fixed-sign-split", (f"{family}, n={n}",))
     check = verify_certificate(rack, cert)
     if not check.ok:
         raise AssertionError(f"fixed-sign-split failed: {check.failures}")
@@ -871,7 +857,7 @@ def check_arrow_isomorphism(cfg: VerifyConfig) -> tuple:
     checked = {}
     for n in (3, 4):
         cs = transposition_preset(n)
-        cent = cs.cls.centralizer()
+        cent = cs.centralizer
         for name, chi in (
             ("sgn-sgn", chi_sgn_sgn(cent)),
             ("eps-sgn", chi_eps_sgn(cent)),
@@ -884,7 +870,7 @@ def check_arrow_isomorphism(cfg: VerifyConfig) -> tuple:
             checked[f"n={n},{name}"] = "isomorphic"
     # negative control: a corrupted coset table must be detected
     cs = transposition_preset(3)
-    cent = cs.cls.centralizer()
+    cent = cs.centralizer
     chi = chi_sgn_sgn(cent)
     yd = build_yd_module(cs, chi)
     try:
@@ -1041,51 +1027,24 @@ def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
         else:
             sign_condition = "fixed signs mixed"
         family = exception_family(key)
+        cert = None
         if family is not None:
-            rows.append(
-                ScanRow(
-                    n,
-                    _format_type(key),
-                    sign_condition,
-                    "exception-list",
-                    note=f"family {family}",
-                )
-            )
-            continue
-        if time.monotonic() > deadline:
-            rows.append(
-                ScanRow(
-                    n,
-                    _format_type(key),
-                    sign_condition,
-                    "inconclusive",
-                    note="time budget exhausted",
-                )
-            )
-            continue
-        rack = FiniteRack.from_class(ConjugacyClass(Bn(n), rep))
-        res = find_type_d_certificate(rack, SearchConfig(seed=config.seed))
-        if res:
-            rows.append(
-                ScanRow(
-                    n,
-                    _format_type(key),
-                    sign_condition,
-                    "certificate",
-                    certificate=res.certificate.to_json(),
-                )
-            )
+            outcome, note = "exception-list", f"family {family}"
+        elif time.monotonic() > deadline:
+            outcome, note = "inconclusive", "time budget exhausted"
         else:
-            rows.append(
-                ScanRow(
-                    n,
-                    _format_type(key),
-                    sign_condition,
-                    "inconclusive",
-                    note="no certificate found; "
-                    "the known exception list may not apply at this n",
+            rack = FiniteRack.from_class(ConjugacyClass(Bn(n), rep))
+            res = find_type_d_certificate(rack, SearchConfig(seed=config.seed))
+            if res:
+                outcome, note = "certificate", ""
+                cert = res.certificate.to_json()
+            else:
+                outcome = "inconclusive"
+                note = (
+                    "no certificate found; "
+                    "the known exception list may not apply at this n"
                 )
-            )
+        rows.append(ScanRow(n, _format_type(key), sign_condition, outcome, cert, note))
     if len(rows) != count_nontrivial_classes(n):
         raise AssertionError("scan rows do not partition the classes")
     return rows

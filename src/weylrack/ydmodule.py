@@ -12,12 +12,12 @@ c(g_i v (x) g_j w) = t_i.(g_j w) (x) g_i v.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .conjugacy import ConjugacyClass, CosetSystem
+from .conjugacy import CosetSystem
 from .cyclotomic import Cyclo
 from .groups import SignedPermutation
-from .reps import Rep, _identity_matrix
+from .reps import Rep
 
 
 class YDModule:
@@ -40,14 +40,6 @@ class YDModule:
         return [
             (i2 * self.d + p, M[p][j]) for p in range(self.d) if not M[p][j].is_zero()
         ]
-
-    def action_matrix(self, h: SignedPermutation) -> list:
-        rows = [[Cyclo.rational(0)] * self.D for _ in range(self.D)]
-        for i in range(self.m):
-            for j in range(self.d):
-                for r, v in self.action_terms(h, i, j):
-                    rows[r][i * self.d + j] = v
-        return rows
 
     def degree_of(self, flat: int) -> SignedPermutation:
         """Coaction: basis vector g_i v_j has comodule degree t_i."""
@@ -221,7 +213,12 @@ class ArrowYDModule:
 
     def cocycle(self, i: int, g: SignedPermutation) -> tuple:
         """(j, zeta_i(g)) with g^-1 g_i = g_j zeta_i(g), solved directly
-        against the class numeration (independent of CosetSystem.zeta)."""
+        against the class numeration (independent of CosetSystem.zeta).
+
+        This deliberately re-derives the coset cocycle instead of calling
+        CosetSystem.zeta: the arrow-isomorphism check and its corrupted
+        coset-table control compare the two, so a shared derivation would
+        make that check vacuous."""
         target = g.inverse() * self.cosets[i]
         t_j = g.inverse().conjugate(self.cls.elements[i])
         j = self.cls.index[t_j]

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from weylrack.conjugacy import (
+    Centralizer,
     ConjugacyClass,
     CosetSystem,
     centralizer,
@@ -40,6 +41,25 @@ def test_orbit_stabilizer_for_all_classes_up_to_n5():
         for rep in _class_representatives(n):
             cls = ConjugacyClass(G, rep)
             assert cls.size * cls.centralizer().order == G.order
+
+
+def test_centralizer_is_built_once_and_lazily(monkeypatch):
+    built = []
+    init = Centralizer.__init__
+
+    def counting_init(self, cls):
+        built.append(cls)
+        init(self, cls)
+
+    monkeypatch.setattr(Centralizer, "__init__", counting_init)
+    cls = ConjugacyClass(Bn(4), SignedPermutation.parse("1000;(1 2 3)"))
+    assert built == []
+    assert cls.centralizer() is cls.centralizer()
+    cs = CosetSystem(cls)
+    assert cs.centralizer is cs.cls.centralizer()
+    preset = transposition_preset(4)
+    assert preset.centralizer is preset.cls.centralizer()
+    assert len(built) == 2
 
 
 def test_centralizer_is_the_commuting_set():

@@ -54,6 +54,16 @@ def test_multiplicative_order():
     assert (Cyclo.zeta(12) ** 4).multiplicative_order() == 3
 
 
+def test_equal_values_hash_equal_across_conductors():
+    assert Cyclo.zeta(4) == Cyclo.zeta(12, 3)
+    assert len({Cyclo.zeta(4), Cyclo.zeta(12, 3)}) == 1
+    assert Cyclo.zeta(6) == -Cyclo.zeta(3, 2)
+    assert hash(Cyclo.zeta(6)) == hash(-Cyclo.zeta(3, 2))
+    # rationals still hash like the plain numbers they equal
+    assert hash(Cyclo.rational(Fraction(2, 3))) == hash(Fraction(2, 3))
+    assert hash(Cyclo.rational(-4)) == hash(-4)
+
+
 def test_coerce_and_zero():
     assert Cyclo.coerce(5) == Cyclo.rational(5)
     assert Cyclo.coerce(Fraction(1, 2)) * 2 == Cyclo.rational(1)

@@ -4,6 +4,7 @@ and the transposition cocycle tables."""
 import pytest
 
 from weylrack.conjugacy import transposition_preset
+from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Permutation
 from weylrack.nichols import (
     GradedDims,
@@ -18,7 +19,7 @@ from weylrack.nichols import (
     triple_relation_signs,
 )
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn
-from weylrack.ydmodule import build_yd_module
+from weylrack.ydmodule import Braiding, build_yd_module
 
 
 def braiding_for(n, char):
@@ -59,6 +60,23 @@ def test_budget_truncation_is_flagged():
     out = nichols_graded_dim(c, 6, budget=6**3)
     assert out.truncated_at == 4
     assert out.dims == [1, 6, 19, 42]
+
+
+def test_mixed_conductor_entries_use_the_lcm():
+    # diagonal braiding on D = 11 with entries zeta_3 and zeta_4: the
+    # modular path (D^2 = 121 > 100) needs a conductor divisible by both
+    D = 11
+    q = {3: Cyclo.zeta(3), 4: Cyclo.zeta(4)}
+    terms = {
+        (a, b): [((b, a), q[3] if (a + b) % 2 else q[4])]
+        for a in range(D)
+        for b in range(D)
+    }
+    out = nichols_graded_dim(Braiding(D, terms), max_degree=2)
+    # id + c is invertible on every 2x2 block and 1 + zeta_4 != 0
+    assert out.dims == [1, 11, 121]
+    assert not out.exact
+    assert out.method == "mod-p"
 
 
 def test_reduced_words_are_reduced():

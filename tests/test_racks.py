@@ -188,6 +188,16 @@ def test_pullback_lifts_certificates():
     assert verify_certificate(up, lifted).ok
 
 
+def test_pullback_cache_is_keyed_by_config():
+    # a tiny-budget search must not decide what a later default search of
+    # the same S_n class returns
+    cls = ConjugacyClass(Bn(6), SignedPermutation.parse("000000;(1 2 3 4)"))
+    rack = FiniteRack.from_class(cls)
+    find_type_d_certificate(rack, SearchConfig(max_seed_pairs=0, random_restarts=0))
+    res = find_type_d_certificate(rack)
+    assert res.certificate.strategy == "projection-pullback"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.randoms(use_true_random=False))
 def test_sq_is_conjugation_invariant(n, rnd):
