@@ -109,6 +109,40 @@ def test_verify_certificate_rejects_bad_data():
     assert not verify_certificate(rack, cert).ok
 
 
+def test_verify_certificate_failure_lists_are_pinned():
+    # every closure failure is reported, in R x R, S x S, then R x S order
+    # (x |> y before y |> x), with R and S walked in certificate order
+    cls = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2)"))
+    rack = FiniteRack.from_class(cls)
+    check = verify_certificate(rack, TypeDCertificate(rack, (0, 1), (2, 4), 0, 2))
+    assert not check.ok
+    assert check.failures == [
+        "R not closed: 000;(1 2) |> 000;(1 3)",
+        "R not closed: 000;(1 3) |> 000;(1 2)",
+        "S not closed: 000;(2 3) |> 101;(1 3)",
+        "S not closed: 101;(1 3) |> 000;(2 3)",
+        "cross closure fails: 000;(1 2) |> 000;(2 3) not in S",
+        "cross closure fails: 000;(1 2) |> 101;(1 3) not in S",
+        "cross closure fails: 101;(1 3) |> 000;(1 2) not in R",
+        "cross closure fails: 000;(1 3) |> 000;(2 3) not in S",
+    ]
+    # the dihedral rack x |> y = 2x - y mod 5, from its table
+    table = [[(2 * i - j) % 5 for j in range(5)] for i in range(5)]
+    rack = FiniteRack.from_table(list(range(5)), table)
+    check = verify_certificate(rack, TypeDCertificate(rack, (1, 0), (3, 2), 1, 3))
+    assert not check.ok
+    assert check.failures == [
+        "R not closed: 1 |> 0",
+        "R not closed: 0 |> 1",
+        "S not closed: 3 |> 2",
+        "S not closed: 2 |> 3",
+        "cross closure fails: 1 |> 3 not in S",
+        "cross closure fails: 1 |> 2 not in S",
+        "cross closure fails: 2 |> 1 not in R",
+        "cross closure fails: 2 |> 0 not in R",
+    ]
+
+
 def test_search_finds_certificates_in_symmetric_groups():
     # 4-cycles in S_5 and the (2,4) class in S_6 are certifiable
     for n, cycles in ((5, [(1, 2, 3, 4)]), (6, [(1, 2), (3, 4, 5, 6)])):
