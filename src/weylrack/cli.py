@@ -27,13 +27,25 @@ from .verify import (
 )
 
 
+# keys a config file may carry besides "schema"
+CONFIG_KEYS = ["seed", "samples", "n", "cap", "max_degree"]
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("schema", 1) != 1:
-        raise SystemExit(f"unsupported config schema {data.get('schema')!r}")
+    if not isinstance(data, dict) or "schema" not in data:
+        raise SystemExit(f"config {path}: missing \"schema\": 1")
+    if data["schema"] != 1:
+        raise SystemExit(f"unsupported config schema {data['schema']!r}")
+    unknown = sorted(set(data) - {"schema", *CONFIG_KEYS})
+    if unknown:
+        raise SystemExit(
+            f"config {path}: unknown keys {', '.join(unknown)} "
+            f"(allowed: schema, {', '.join(CONFIG_KEYS)})"
+        )
     return data
 
 
@@ -265,7 +277,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     data = _load_config(args.config)
-    _merge(args, data, ["seed", "samples", "n", "cap", "max_degree"])
+    _merge(args, data, CONFIG_KEYS)
     if getattr(args, "list", False):
         for name, _ in LEMMA_CHECKS:
             print(name)

@@ -9,7 +9,10 @@ the explicit g_{kj} table for the class of (1 2) in S_n.
 
 from __future__ import annotations
 
-from math import comb
+from collections import Counter
+from math import comb, factorial, prod
+
+import numpy as np
 
 from .groups import (
     BudgetExceeded,
@@ -17,33 +20,98 @@ from .groups import (
     Permutation,
     SignedPermutation,
     Sn,
+    conjugate_rows,
+    encode,
+    from_arrays,
     nu_left,
     nu_right,
+    to_arrays,
 )
+
+
+# The largest class enumerated: the 8-cycle classes of B_8 have
+# 2^8 8! / 16 = 645120 elements.  Larger classes are refused before any
+# allocation.
+MAX_CLASS_SIZE = 645120
+
+
+def class_size(group: GroupContext, rep: SignedPermutation) -> int:
+    """|class of rep| from its (signed) cycle type: in B_n,
+    2^n n! / prod_(l,p) m_(l,p)! (2l)^m_(l,p); in S_n, n! / prod_l m_l! l^m_l."""
+    if group.signed:
+        counts = Counter(rep.signed_cycle_type())
+        denom = prod(factorial(m) * (2 * l) ** m for (l, _), m in counts.items())
+    else:
+        counts = Counter(rep.perm.cycle_type())
+        denom = prod(factorial(m) * l**m for l, m in counts.items())
+    return group.order // denom
 
 
 class ConjugacyClass:
     """The conjugacy class of `rep` in `group`, with a fixed numeration.
 
     t_1 = rep; the remaining elements are in canonical text-format order.
+    `P`, `A` and `keys` hold the same elements as arrays (see
+    groups.to_arrays and groups.encode), row i for elements[i].
     `conjugator[t]` is the BFS word taking rep to t (some g with g |> rep = t).
     """
 
     def __init__(self, group: GroupContext, rep: SignedPermutation):
         if rep not in group:
             raise ValueError(f"{rep} is not in {group}")
-        if group.order > GroupContext.MAX_ORDER:
-            raise BudgetExceeded("group too large for orbit enumeration")
+        size = class_size(group, rep)
+        if size > MAX_CLASS_SIZE:
+            raise BudgetExceeded(
+                f"class of {rep} has {size} elements, over the enumeration cap "
+                f"of {MAX_CLASS_SIZE}"
+            )
         self.group = group
         self.rep = rep
-        self.conjugator = _orbit_with_transversal(group, rep)
-        rest = sorted(
-            (t for t in self.conjugator if t != rep), key=SignedPermutation.sort_key
-        )
-        self.elements = [rep] + rest
-        self.index = {t: i for i, t in enumerate(self.elements)}
+        self._gens = _generators(group)
+        P, A, self._parent, self._gen = _orbit(self._gens, rep)
+        if len(P) != size:
+            raise AssertionError(f"orbit has {len(P)} elements, expected {size}")
+        # objects in discovery order, which the conjugator words follow
+        self._discovered = from_arrays(P, A)
+        order = sorted(range(1, size), key=lambda i: self._discovered[i].sort_key())
+        order.insert(0, 0)
+        self._set_elements([self._discovered[i] for i in order], P[order], A[order])
         self.class_key = rep.signed_cycle_type()
+        self._conjugator = None
         self._centralizer = None
+
+    def _set_elements(self, elements: list, P: np.ndarray, A: np.ndarray):
+        self.elements = elements
+        self.index = {t: i for i, t in enumerate(elements)}
+        self.P, self.A = P, A
+        self.keys = encode(P, A)
+        self._key_order = np.argsort(self.keys)
+        self._sorted_keys = self.keys[self._key_order]
+
+    def reorder(self, elements: list):
+        """Renumber the class as `elements` (a permutation of it); the
+        arrays and the index follow.  Racks built earlier keep the old
+        numeration, so reorder before building one."""
+        rows = [self.index[t] for t in elements]
+        if sorted(rows) != list(range(self.size)):
+            raise ValueError("not a renumbering of the class")
+        self._set_elements(list(elements), self.P[rows], self.A[rows])
+
+    def locate(self, keys: np.ndarray) -> np.ndarray:
+        """The element index of each key, -1 for keys outside the class."""
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
+
+    @property
+    def conjugator(self) -> dict:
+        """{t: g} with g |> rep = t, in discovery order; built on first use
+        from the BFS records: t's word is (its generator) * (its parent's)."""
+        if self._conjugator is None:
+            words = [self.group.identity]
+            for parent, gen in zip(self._parent[1:].tolist(), self._gen[1:].tolist()):
+                words.append(self._gens[gen] * words[parent])
+            self._conjugator = dict(zip(self._discovered, words))
+        return self._conjugator
 
     @property
     def size(self) -> int:
@@ -71,23 +139,47 @@ class ConjugacyClass:
         return f"ConjugacyClass({self.group!r}, {self.rep.format()!r}, size={self.size})"
 
 
-def _orbit_with_transversal(group: GroupContext, rep: SignedPermutation) -> dict:
-    """BFS orbit of rep under conjugation; returns {element: conjugator}."""
+def _generators(group: GroupContext) -> list:
+    """The group generators and their inverses, without repeats."""
     gens = group.generators()
-    gens = gens + [g.inverse() for g in gens]
-    transversal = {rep: group.identity}
-    frontier = [rep]
-    while frontier:
-        new_frontier = []
-        for t in frontier:
-            g_t = transversal[t]
-            for g in gens:
-                u = g.conjugate(t)
-                if u not in transversal:
-                    transversal[u] = g * g_t
-                    new_frontier.append(u)
-        frontier = new_frontier
-    return transversal
+    return list(dict.fromkeys(gens + [g.inverse() for g in gens]))
+
+
+def _orbit(gens: list, rep: SignedPermutation) -> tuple:
+    """Breadth-first orbit of rep under conjugation by `gens`, one whole
+    frontier per round.  Returns (P, A, parent, gen) in discovery order:
+    frontier-major, generator-minor, first occurrence wins, as a BFS that
+    conjugates one element at a time would find them.  Element i > 0 is
+    gens[gen[i]] |> element parent[i]."""
+    n = rep.n
+    gP, gA = to_arrays(gens, n)
+    fP, fA = to_arrays([rep], n)
+    seen = encode(fP, fA)  # sorted keys of everything found so far
+    Ps, As, parents, gen_ids = [fP], [fA], [np.array([-1])], [np.array([-1])]
+    start = 0  # discovery index of the frontier's first element
+    while len(fP) and gens:
+        images = [conjugate_rows(tau, a, fP, fA) for tau, a in zip(gP, gA)]
+        # candidate c = f * len(gens) + j is gens[j] |> frontier[f]
+        CP = np.stack([p for p, _ in images], axis=1).reshape(-1, n)
+        CA = np.stack([s for _, s in images], axis=1).reshape(-1, n)
+        keys = encode(CP, CA)
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        fresh = np.flatnonzero(seen[pos] != keys)
+        _, first = np.unique(keys[fresh], return_index=True)
+        new = fresh[np.sort(first)]
+        parents.append(start + new // len(gens))
+        gen_ids.append(new % len(gens))
+        start += len(fP)
+        fP, fA = CP[new], CA[new]
+        Ps.append(fP)
+        As.append(fA)
+        seen = np.sort(np.concatenate([seen, keys[new]]))
+    return (
+        np.concatenate(Ps),
+        np.concatenate(As),
+        np.concatenate(parents),
+        np.concatenate(gen_ids),
+    )
 
 
 class Centralizer:
@@ -230,8 +322,7 @@ def transposition_preset(n: int) -> CosetSystem:
             g = Permutation.from_cycles(n, [(1, k), (2, j)])
         reps.append(SignedPermutation.from_perm(g))
 
-    cls.elements = order
-    cls.index = {t: i for i, t in enumerate(order)}
+    cls.reorder(order)
     return CosetSystem(cls, reps=reps)
 
 

@@ -17,6 +17,8 @@ import re
 from math import lcm
 from typing import Iterable
 
+import numpy as np
+
 
 class Permutation:
     """A permutation of {0, ..., n-1} in one-line notation."""
@@ -353,6 +355,58 @@ def nu_right(x: SignedPermutation, m: int) -> SignedPermutation:
 def nu_left(y: SignedPermutation, n: int) -> SignedPermutation:
     """nu<-: B_m -> B_{n+m}, y |-> 1 # y."""
     return SignedPermutation.identity(n).juxtapose(y)
+
+
+# -- batched kernel --------------------------------------------------------
+#
+# A stack of k elements of B_n is held as two k x n int8 arrays: P, the
+# permutations in one-line notation, and A, the 0/1 sign vectors.  The hot
+# loops (class enumeration, certificate verification) run on these;
+# SignedPermutation stays the parser, the printer and the reference.
+
+# encode() needs n^n * 2^n < 2^63
+MAX_KEY_DEGREE = 13
+
+
+def to_arrays(elements: list, n: int) -> tuple:
+    """(P, A) for a list of elements of B_n."""
+    P = np.array([x.perm.images for x in elements], dtype=np.int8).reshape(-1, n)
+    A = np.array([x.sign for x in elements], dtype=np.int8).reshape(-1, n)
+    return P, A
+
+
+def from_arrays(P: np.ndarray, A: np.ndarray) -> list:
+    """The elements held by the rows of (P, A)."""
+    return [
+        SignedPermutation(a, Permutation(p)) for p, a in zip(P.tolist(), A.tolist())
+    ]
+
+
+def invert_rows(P: np.ndarray) -> np.ndarray:
+    """The row-wise inverse permutations."""
+    inv = np.empty_like(P)
+    inv[np.arange(len(P))[:, None], P] = np.arange(P.shape[1], dtype=P.dtype)
+    return inv
+
+
+def conjugate_rows(tau: np.ndarray, a: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
+    """x |> y for the fixed x = (a, tau) and every row y of (P, A), as the
+    arrays of SignedPermutation.conjugate: permutation tau mu tau^-1, signs
+    tau.b + (tau mu tau^-1).a + a."""
+    tinv = np.argsort(tau)
+    NP = tau[P[:, tinv]]
+    return NP, A[:, tinv] ^ a[invert_rows(NP)] ^ a
+
+
+def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """One int64 key per row, (sum_i P[i] n^i) 2^n + sum_i A[i] 2^i;
+    injective on B_n for n <= MAX_KEY_DEGREE."""
+    n = P.shape[1]
+    if n > MAX_KEY_DEGREE:
+        raise ValueError(f"degree {n} exceeds the int64 key range")
+    digits = np.int64(n) ** np.arange(n, dtype=np.int64)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    return ((P.astype(np.int64) @ digits) << n) + A.astype(np.int64) @ bits
 
 
 class GroupContext:

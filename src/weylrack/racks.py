@@ -17,8 +17,10 @@ import random
 from dataclasses import astuple, dataclass, field, replace
 from itertools import product
 
+import numpy as np
+
 from .conjugacy import ConjugacyClass
-from .groups import GroupContext, Permutation, SignedPermutation, Sn
+from .groups import GroupContext, Permutation, SignedPermutation, Sn, conjugate_rows, encode
 
 
 def sq(x, y):
@@ -92,6 +94,10 @@ def sq_fixes_second(x: SignedPermutation, y: SignedPermutation) -> bool:
 # -- racks ----------------------------------------------------------------
 
 
+# pairs x |> y computed per block of index rows in op_rows
+BLOCK_PAIRS = 1 << 16
+
+
 class FiniteRack:
     """A finite rack with indexed elements.
 
@@ -105,13 +111,15 @@ class FiniteRack:
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate rack elements")
         self._op = op
+        self._table = None
         self.source = source
 
     @classmethod
     def from_table(cls, elements: list, table: list) -> "FiniteRack":
         idx = {x: i for i, x in enumerate(elements)}
         rack = cls(elements, lambda x, y: elements[table[idx[x]][idx[y]]])
-        rack._table = table
+        m = len(elements)
+        rack._table = np.asarray(table, dtype=np.int64).reshape(m, m)
         return rack
 
     @classmethod
@@ -136,6 +144,33 @@ class FiniteRack:
 
     def sq(self, x, y):
         return self.op(x, self.op(y, self.op(x, y)))
+
+    def op_rows(self, X, Y):
+        """Yield (i, Z) for consecutive blocks of the index list X, where
+        Z[k, j] is the index of X[i + k] |> Y[j], or -1 if it escapes the
+        rack.  A class rack computes a block with the batched kernel and
+        finds its keys in the class; a table rack reads its table; any
+        other rack calls its operation."""
+        X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+        step = max(1, BLOCK_PAIRS // max(1, len(Y)))
+        cls = self.source
+        for i in range(0, len(X), step):
+            Xb = X[i : i + step]
+            if self._table is not None:
+                Z = self._table[np.ix_(Xb, Y)]
+            elif cls is not None:
+                PY, AY = cls.P[Y], cls.A[Y]
+                images = [conjugate_rows(cls.P[x], cls.A[x], PY, AY) for x in Xb]
+                NP = np.concatenate([p for p, _ in images])
+                NA = np.concatenate([a for _, a in images])
+                Z = cls.locate(encode(NP, NA)).reshape(len(Xb), len(Y))
+            else:
+                elems, index = self.elements, self.index
+                Z = np.array(
+                    [[index.get(self._op(elems[x], elems[y]), -1) for y in Y] for x in Xb],
+                    dtype=np.int64,
+                )
+            yield i, Z
 
     def table(self) -> list:
         return [[self.index[self.op(x, y)] for y in self.elements] for x in self.elements]
@@ -230,24 +265,45 @@ class CertificateCheck:
         return self.ok
 
 
-def _closure_failures(rack: FiniteRack, R: list, S: list):
+def _closure_failures(rack: FiniteRack, R, S):
     """Yield a message for every pair that breaks subrack or cross
-    closure of R and S; lazily, so a yes/no caller stops at the first."""
-    Rset, Sset = set(R), set(S)
-    for x in R:
-        for y in R:
-            if rack.op(x, y) not in Rset:
-                yield f"R not closed: {x} |> {y}"
-    for x in S:
-        for y in S:
-            if rack.op(x, y) not in Sset:
-                yield f"S not closed: {x} |> {y}"
-    for x in R:
-        for y in S:
-            if rack.op(x, y) not in Sset:
-                yield f"cross closure fails: {x} |> {y} not in S"
-            if rack.op(y, x) not in Rset:
-                yield f"cross closure fails: {y} |> {x} not in R"
+    closure of R and S (index lists), in the order of the pair loops
+    R x R, S x S, then R x S with x |> y before y |> x; lazily, so a
+    yes/no caller stops at the first.  Every pair is computed; a result
+    outside the rack raises as FiniteRack.op does."""
+    m = rack.size
+    # member masks carry a False slot at -1 for results outside the rack
+    in_R = np.zeros(m + 1, dtype=bool)
+    in_R[list(R)] = True
+    in_S = np.zeros(m + 1, dtype=bool)
+    in_S[list(S)] = True
+
+    def misses(X, Y, member):
+        """(i, j, z) for x_i |> y_j = z with member[z] False, in order."""
+        for i, Z in rack.op_rows(X, Y):
+            bad = ~member[Z]
+            if bad.any():
+                rows, cols = np.nonzero(bad)
+                yield from zip((rows + i).tolist(), cols.tolist(), Z[bad].tolist())
+
+    def message(x, y, z, text):
+        if z < 0:
+            rack.op(x, y)  # raises: x |> y escapes the rack
+        return text
+
+    for X, member, name in ((R, in_R, "R"), (S, in_S, "S")):
+        for i, j, z in misses(X, X, member):
+            x, y = rack.elements[X[i]], rack.elements[X[j]]
+            yield message(x, y, z, f"{name} not closed: {x} |> {y}")
+    # R |> S and S |> R, merged into the order of the loop over R x S
+    cross = [(i, j, 0, z) for i, j, z in misses(R, S, in_S)]
+    cross += [(i, j, 1, z) for j, i, z in misses(S, R, in_R)]
+    for i, j, flipped, z in sorted(cross):
+        x, y = rack.elements[R[i]], rack.elements[S[j]]
+        if flipped:
+            yield message(y, x, z, f"cross closure fails: {y} |> {x} not in R")
+        else:
+            yield message(x, y, z, f"cross closure fails: {x} |> {y} not in S")
 
 
 def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateCheck:
@@ -260,11 +316,9 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
     if any(not 0 <= i < m for i in cert.R) or any(not 0 <= i < m for i in cert.S):
         failures.append("index out of range")
         return CertificateCheck(False, failures)
-    R = [rack.elements[i] for i in cert.R]
-    S = [rack.elements[i] for i in cert.S]
     if set(cert.R) & set(cert.S):
         failures.append(f"R and S overlap: {sorted(set(cert.R) & set(cert.S))}")
-    failures.extend(_closure_failures(rack, R, S))
+    failures.extend(_closure_failures(rack, cert.R, cert.S))
     if cert.r not in set(cert.R):
         failures.append("r must lie in R")
     if cert.s not in set(cert.S):
@@ -575,11 +629,14 @@ def _strategy_exhaustive(rack: FiniteRack, config: SearchConfig):
     """All assignments of elements to {R, S, neither}; only for tiny racks."""
     elems = rack.elements
     m = len(elems)
+    # the whole operation table once, so each assignment is a table lookup
+    table = FiniteRack.from_table(elems, rack.table())
     for assignment in product((0, 1, 2), repeat=m):
-        R = [elems[i] for i in range(m) if assignment[i] == 0]
-        S = [elems[i] for i in range(m) if assignment[i] == 1]
-        if not R or not S or next(_closure_failures(rack, R, S), None) is not None:
+        R = [i for i in range(m) if assignment[i] == 0]
+        S = [i for i in range(m) if assignment[i] == 1]
+        if not R or not S or next(_closure_failures(table, R, S), None) is not None:
             continue
+        R, S = [elems[i] for i in R], [elems[i] for i in S]
         witness = _witness_scan(rack, R, S, len(R) * len(S))
         if witness is not None:
             return make_certificate(rack, R, S, *witness, "exhaustive-bipartition", ())

@@ -162,6 +162,23 @@ def test_bad_config_schema_is_rejected(tmp_path):
         main(["--config", str(cfg), "verify-lemmas", "--list"])
 
 
+def test_config_without_schema_is_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify-lemmas", "--list"])
+    assert "schema" in str(exc.value.code)
+
+
+def test_config_with_unknown_key_is_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "seed": 3, "sample": 200}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify-lemmas", "--list"])
+    assert "sample" in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
+
+
 def test_markdown_format(tmp_path):
     code, text = run(
         tmp_path,

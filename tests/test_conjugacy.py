@@ -2,6 +2,7 @@
 factorizations."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -13,9 +14,17 @@ from weylrack.conjugacy import (
     centralizer,
     centralizer_factorization,
     class_juxtaposition,
+    class_size,
     transposition_preset,
 )
-from weylrack.groups import Bn, Permutation, Sn, SignedPermutation
+from weylrack.groups import (
+    Bn,
+    BudgetExceeded,
+    Permutation,
+    Sn,
+    SignedPermutation,
+    from_arrays,
+)
 from weylrack.verify import _class_representatives
 
 
@@ -146,3 +155,67 @@ def test_class_ordering_is_deterministic():
     assert a.elements == b.elements
     assert a.elements[0] == a.rep
     assert a.elements[1:] == sorted(a.elements[1:], key=lambda x: x.sort_key())
+
+
+def _object_orbit(group, rep):
+    """One-at-a-time BFS: {element: conjugator} in discovery order."""
+    gens = group.generators()
+    gens = gens + [g.inverse() for g in gens]
+    transversal = {rep: group.identity}
+    frontier = [rep]
+    while frontier:
+        new_frontier = []
+        for t in frontier:
+            for g in gens:
+                u = g.conjugate(t)
+                if u not in transversal:
+                    transversal[u] = g * transversal[t]
+                    new_frontier.append(u)
+        frontier = new_frontier
+    return transversal
+
+
+def _all_classes(max_bn: int, max_sn: int):
+    for n in range(1, max_bn + 1):
+        for rep in _class_representatives(n):
+            yield Bn(n), rep
+    for n in range(1, max_sn + 1):
+        perms = {rep.perm.cycle_type(): rep.perm for rep in _class_representatives(n)}
+        for perm in perms.values():
+            yield Sn(n), SignedPermutation.from_perm(perm)
+
+
+def test_batched_orbit_matches_the_object_bfs():
+    for group, rep in _all_classes(4, 5):
+        cls = ConjugacyClass(group, rep)
+        oracle = _object_orbit(group, rep)
+        assert list(cls.conjugator.items()) == list(oracle.items())
+        for t, g in cls.conjugator.items():
+            assert g.conjugate(rep) == t
+
+
+def test_class_size_closed_form_matches_enumeration():
+    for group, rep in _all_classes(5, 5):
+        assert class_size(group, rep) == len(_object_orbit(group, rep))
+
+
+def test_class_arrays_stay_aligned_with_elements():
+    negative = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
+    cs = transposition_preset(4)  # renumbers its class after enumeration
+    for cls in (negative, cs.cls):
+        assert from_arrays(cls.P, cls.A) == cls.elements
+        assert cls.locate(cls.keys).tolist() == list(range(cls.size))
+        assert [cls.index[t] for t in cls.elements] == list(range(cls.size))
+    # keys of another class are not found
+    positive = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2 3)"))
+    assert negative.locate(positive.keys).tolist() == [-1] * positive.size
+
+
+def test_oversized_class_is_refused_up_front():
+    # the 10-cycles of B_10 form a class of 185794560 elements
+    rep = SignedPermutation((0,) * 10, Permutation.from_cycles(10, [tuple(range(1, 11))]))
+    assert class_size(Bn(10), rep) == 185794560
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        ConjugacyClass(Bn(10), rep)
+    assert time.monotonic() - start < 1.0

@@ -14,8 +14,12 @@ from weylrack.groups import (
     Permutation,
     Sn,
     SignedPermutation,
+    conjugate_rows,
+    encode,
+    from_arrays,
     nu_left,
     nu_right,
+    to_arrays,
 )
 
 
@@ -185,3 +189,36 @@ def test_membership_and_parse_validation():
     assert SignedPermutation.parse("100;(1 2)") not in Sn(3)
     with pytest.raises(ValueError):
         Sn(3).parse("100;(1 2)")
+
+
+@st.composite
+def element_stacks(draw):
+    """An element x of B_n and a stack of 0-20 elements, n from 1 to 8;
+    sometimes all in S_n (zero signs)."""
+    n = draw(st.integers(1, 8))
+    signed = draw(st.booleans())
+
+    def element():
+        perm = draw(st.permutations(range(n)))
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        sign = draw(bits) if signed else [0] * n
+        return SignedPermutation(sign, Permutation(perm))
+
+    x = element()
+    return n, x, [element() for _ in range(draw(st.integers(0, 20)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_stacks())
+def test_kernel_agrees_with_signed_permutation(case):
+    n, x, ys = case
+    (tau,), (a,) = to_arrays([x], n)
+    P, A = to_arrays(ys, n)
+    assert from_arrays(P, A) == ys
+    NP, NA = conjugate_rows(tau, a, P, A)
+    assert from_arrays(NP, NA) == [x.conjugate(y) for y in ys]
+    # the keys are injective: equal keys exactly for equal elements
+    keys = encode(P, A).tolist()
+    assert len(set(zip(keys, ys))) == len(set(keys)) == len(set(ys))
+    images = to_arrays([x.conjugate(y) for y in ys], n)
+    assert encode(NP, NA).tolist() == encode(*images).tolist()

@@ -143,6 +143,52 @@ def test_verify_certificate_failure_lists_are_pinned():
     ]
 
 
+def test_verify_certificate_raises_on_results_outside_the_rack():
+    # two of the three transpositions of S_3 are not closed under conjugation
+    x, y = SignedPermutation.parse("000;(1 2)"), SignedPermutation.parse("000;(1 3)")
+    rack = FiniteRack([x, y], lambda u, v: u.conjugate(v))
+    escapes = r"000;\(1 2\) \|> 000;\(1 3\) = 000;\(2 3\) escapes the rack"
+    with pytest.raises(ValueError, match=escapes):
+        verify_certificate(rack, TypeDCertificate(rack, (0,), (1,), 0, 1))
+
+
+def _object_closure_failures(rack, R, S):
+    """The closure loops one rack.op at a time: the reference order."""
+    out = []
+    for X, name in ((R, "R"), (S, "S")):
+        for x in X:
+            for y in X:
+                if rack.op(x, y) not in X:
+                    out.append(f"{name} not closed: {x} |> {y}")
+    for x in R:
+        for y in S:
+            if rack.op(x, y) not in S:
+                out.append(f"cross closure fails: {x} |> {y} not in S")
+            if rack.op(y, x) not in R:
+                out.append(f"cross closure fails: {y} |> {x} not in R")
+    return out
+
+
+def test_batched_closure_check_matches_the_object_loops():
+    rng = random.Random(5)
+    table = [[(2 * i - j) % 7 for j in range(7)] for i in range(7)]
+    racks = [FiniteRack.from_table(list(range(7)), table)]
+    classes = ((Bn(3), "100;(1 2)"), (Bn(4), "0000;(1 2 3)"), (Sn(5), "00000;(1 2)(3 4)"))
+    for G, text in classes:
+        racks.append(FiniteRack.from_class(ConjugacyClass(G, G.parse(text))))
+    for rack in racks:
+        for _ in range(40):
+            picked = rng.sample(range(rack.size), rng.randint(2, min(rack.size, 12)))
+            cut = rng.randint(1, len(picked) - 1)
+            R, S = picked[:cut], picked[cut:]
+            cert = TypeDCertificate(rack, tuple(R), tuple(S), R[0], S[0])
+            expect = _object_closure_failures(
+                rack, [rack.elements[i] for i in R], [rack.elements[i] for i in S]
+            )
+            failures = verify_certificate(rack, cert).failures
+            assert [f for f in failures if not f.startswith("sq(")] == expect
+
+
 def test_search_finds_certificates_in_symmetric_groups():
     # 4-cycles in S_5 and the (2,4) class in S_6 are certifiable
     for n, cycles in ((5, [(1, 2, 3, 4)]), (6, [(1, 2), (3, 4, 5, 6)])):
