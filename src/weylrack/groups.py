@@ -404,9 +404,15 @@ def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     n = P.shape[1]
     if n > MAX_KEY_DEGREE:
         raise ValueError(f"degree {n} exceeds the int64 key range")
-    digits = np.int64(n) ** np.arange(n, dtype=np.int64)
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    return ((P.astype(np.int64) @ digits) << n) + A.astype(np.int64) @ bits
+    # Horner's rule, one column at a time: no k x n int64 temporaries
+    keys = np.zeros(len(P), dtype=np.int64)
+    for i in reversed(range(n)):
+        keys *= n
+        keys += P[:, i]
+    for i in reversed(range(n)):
+        keys <<= 1
+        keys += A[:, i]
+    return keys
 
 
 class GroupContext:

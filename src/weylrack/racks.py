@@ -95,7 +95,7 @@ def sq_fixes_second(x: SignedPermutation, y: SignedPermutation) -> bool:
 
 
 # pairs x |> y computed per block of index rows in op_rows
-BLOCK_PAIRS = 1 << 16
+BLOCK_PAIRS = 1 << 14
 
 
 class FiniteRack:
