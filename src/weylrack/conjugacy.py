@@ -231,10 +231,8 @@ class Centralizer:
 
 def _schreier_generators(cls: ConjugacyClass):
     """Yield Schreier generators of the stabilizer of rep, lazily."""
-    gens = cls.group.generators()
-    gens = gens + [g.inverse() for g in gens]
     for t, g_t in cls.conjugator.items():
-        for a in gens:
+        for a in cls._gens:
             u = a.conjugate(t)
             schreier = cls.conjugator[u].inverse() * a * g_t
             if not schreier.is_identity():
