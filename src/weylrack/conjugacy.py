@@ -15,6 +15,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .groups import (
+    MAX_KEY_DEGREE,
     BudgetExceeded,
     GroupContext,
     Permutation,
@@ -64,6 +65,11 @@ class ConjugacyClass:
             raise BudgetExceeded(
                 f"class of {rep} has {size} elements, over the enumeration cap "
                 f"of {MAX_CLASS_SIZE}"
+            )
+        if group.n > MAX_KEY_DEGREE:
+            raise BudgetExceeded(
+                f"{group} has degree {group.n}, over the key range of degree "
+                f"{MAX_KEY_DEGREE}"
             )
         self.group = group
         self.rep = rep

@@ -268,9 +268,8 @@ class CertificateCheck:
 def _closure_failures(rack: FiniteRack, R, S):
     """Yield a message for every pair that breaks subrack or cross
     closure of R and S (index lists), in the order of the pair loops
-    R x R, S x S, then R x S with x |> y before y |> x; lazily, so a
-    yes/no caller stops at the first.  Every pair is computed; a result
-    outside the rack raises as FiniteRack.op does."""
+    R x R, S x S, then R x S with x |> y before y |> x.  Every pair is
+    computed; a result outside the rack raises as FiniteRack.op does."""
     m = rack.size
     # member masks carry a False slot at -1 for results outside the rack
     in_R = np.zeros(m + 1, dtype=bool)
@@ -626,20 +625,34 @@ def _witness_scan(rack: FiniteRack, R, S, budget: int):
 
 
 def _strategy_exhaustive(rack: FiniteRack, config: SearchConfig):
-    """All assignments of elements to {R, S, neither}; only for tiny racks."""
+    """All assignments of elements to {R, S, neither}; only for tiny racks.
+
+    The assignments are taken in the order of product((0, 1, 2), repeat=m)
+    and decided on the operation table a block at a time: R and S are
+    closed iff x |> y lands on the side of y for all x, y in R u S, and a
+    witness exists iff sq(r, s) != s for some r in R, s in S."""
     elems = rack.elements
     m = len(elems)
-    # the whole operation table once, so each assignment is a table lookup
-    table = FiniteRack.from_table(elems, rack.table())
-    for assignment in product((0, 1, 2), repeat=m):
-        R = [i for i in range(m) if assignment[i] == 0]
-        S = [i for i in range(m) if assignment[i] == 1]
-        if not R or not S or next(_closure_failures(table, R, S), None) is not None:
-            continue
-        R, S = [elems[i] for i in R], [elems[i] for i in S]
-        witness = _witness_scan(rack, R, S, len(R) * len(S))
-        if witness is not None:
-            return make_certificate(rack, R, S, *witness, "exhaustive-bipartition", ())
+    T = np.asarray(rack.table(), dtype=np.int64).reshape(m, m)
+    idx = np.arange(m)
+    # differs[x, y]: sq(x, y) = x |> (y |> (x |> y)) != y
+    differs = T[idx[:, None], T[idx[None, :], T]] != idx[None, :]
+    digits = 3 ** idx[::-1]
+    step = max(1, BLOCK_PAIRS // max(1, m * m))
+    for start in range(0, 3**m, step):
+        ks = np.arange(start, min(start + step, 3**m))
+        side = (ks[:, None] // digits) % 3
+        in_R, in_S = side == 0, side == 1
+        used = side < 2
+        unclosed = used[:, :, None] & used[:, None, :] & (side[:, T] != side[:, None, :])
+        witness = (in_R[:, :, None] & in_S[:, None, :] & differs).any(axis=(1, 2))
+        hits = np.flatnonzero(witness & ~unclosed.any(axis=(1, 2)))
+        if hits.size:
+            row = side[hits[0]].tolist()
+            R = [x for x, k in zip(elems, row) if k == 0]
+            S = [x for x, k in zip(elems, row) if k == 1]
+            r, s = _witness_scan(rack, R, S, len(R) * len(S))
+            return make_certificate(rack, R, S, r, s, "exhaustive-bipartition", ())
     return None
 
 

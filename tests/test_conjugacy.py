@@ -219,3 +219,9 @@ def test_oversized_class_is_refused_up_front():
     with pytest.raises(BudgetExceeded):
         ConjugacyClass(Bn(10), rep)
     assert time.monotonic() - start < 1.0
+
+
+def test_degree_over_the_key_range_is_refused():
+    # a one-element class, but B_14 elements do not fit an int64 key
+    with pytest.raises(BudgetExceeded):
+        ConjugacyClass(Bn(14), Bn(14).identity)

@@ -1,6 +1,7 @@
 """Racks, the sq test quantity, certificates, and the search."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from weylrack.racks import (
     RackEpimorphism,
     SearchConfig,
     TypeDCertificate,
+    _strategy_exhaustive,
     collapse_lhs,
     collapse_rhs,
     conjugation_rack,
@@ -187,6 +189,42 @@ def test_batched_closure_check_matches_the_object_loops():
             )
             failures = verify_certificate(rack, cert).failures
             assert [f for f in failures if not f.startswith("sq(")] == expect
+
+
+def test_batched_exhaustive_search_matches_the_assignment_loop():
+    def assignment_loop(rack):
+        # every assignment to {R, S, neither} in product order, one pair at a time
+        elems = rack.elements
+        for assignment in product((0, 1, 2), repeat=rack.size):
+            R = [x for x, k in zip(elems, assignment) if k == 0]
+            S = [x for x, k in zip(elems, assignment) if k == 1]
+            if R and S and not _object_closure_failures(rack, R, S):
+                for r, s in product(R, S):
+                    if rack.sq(r, s) != s:
+                        return [rack.index[x] for x in R], [rack.index[x] for x in S], r, s
+        return None
+
+    def conjugation(texts):
+        return FiniteRack([SignedPermutation.parse(t) for t in texts], lambda u, v: u.conjugate(v))
+
+    table = [[(2 * i - j) % 7 for j in range(7)] for i in range(7)]
+    racks = [
+        # the transpositions of S_3 and their negatives: of type D
+        conjugation(["000;(1 2)", "000;(1 3)", "000;(2 3)", "111;(1 2)", "111;(1 3)", "111;(2 3)"]),
+        conjugation(["000;(1 2 3)", "001;()", "010;()", "011;(1 2 3)", "100;()", "101;(1 2 3)", "110;(1 2 3)"]),
+        FiniteRack.from_table(list(range(7)), table),
+        FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)"))),
+    ]
+    found = []
+    for rack in racks:
+        cert = _strategy_exhaustive(rack, SearchConfig())
+        expect = assignment_loop(rack)
+        got = None if cert is None else (
+            list(cert.R), list(cert.S), rack.elements[cert.r], rack.elements[cert.s]
+        )
+        assert got == (None if expect is None else tuple(expect))
+        found.append(cert is not None)
+    assert found == [True, True, False, False]
 
 
 def test_search_finds_certificates_in_symmetric_groups():
