@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify-lemmas, scan-classes, type-d, braiding, nichols-dim,
-hilbert, class-info.  A JSON config file can preset any flag; explicit
-flags win.  Exit codes: 0 all pass, 1 any failure, 2 inconclusive results
-without failures.
+hilbert, class-info.  A JSON config file can preset --seed and --samples;
+explicit flags win.  Exit codes: 0 all pass, 1 any failure, 2 inconclusive
+results without failures, or input that is refused or invalid (one error
+line).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import json
 import sys
 
 from .conjugacy import ConjugacyClass, transposition_preset
-from .groups import Bn, Sn
+from .groups import BudgetExceeded, Bn, Sn
 from .ncalg import a_algebra_presentation, fk_presentation, hilbert_series
 from .nichols import nichols_graded_dim
-from .racks import FiniteRack, SearchConfig, find_type_d_certificate
+from .racks import FiniteRack, find_type_d_certificate
 from .reps import chi_eps_sgn, chi_sgn_sgn
 from .verify import (
     LEMMA_CHECKS,
@@ -27,8 +28,10 @@ from .verify import (
 )
 
 
-# keys a config file may carry besides "schema"
-CONFIG_KEYS = ["seed", "samples", "n", "cap", "max_degree"]
+# keys a config file may carry besides "schema"; flags that argparse
+# requires or defaults (--n, --cap, --max-degree) would always win, so they
+# are not among them
+CONFIG_KEYS = ["seed", "samples"]
 
 
 def _load_config(path: str | None) -> dict:
@@ -71,6 +74,8 @@ def _group(args):
 def _class_and_char(args):
     if args.preset:
         cs = transposition_preset(args.n)
+    elif args.element is None:
+        raise ValueError(f"{args.command} needs --preset or --element")
     else:
         group = _group(args)
         cls = ConjugacyClass(group, group.parse(args.element))
@@ -112,9 +117,7 @@ def cmd_scan_classes(args) -> int:
 def cmd_type_d(args) -> int:
     group = _group(args)
     rack = FiniteRack.from_class(ConjugacyClass(group, group.parse(args.element)))
-    res = find_type_d_certificate(
-        rack, SearchConfig(seed=args.seed if args.seed is not None else 0)
-    )
+    res = find_type_d_certificate(rack, args.seed if args.seed is not None else 0)
     if res:
         payload = {"outcome": "certificate", "certificate": res.certificate.to_json()}
     else:
@@ -163,6 +166,8 @@ def cmd_nichols_dim(args) -> int:
 def cmd_hilbert(args) -> int:
     if args.algebra == "fk":
         pres = fk_presentation(args.n, form=args.form)
+    elif args.signs is None:
+        raise ValueError("hilbert --algebra A needs --signs")
     else:
         with open(args.signs) as fh:
             tables = json.load(fh)
@@ -282,7 +287,12 @@ def main(argv=None) -> int:
         for name, _ in LEMMA_CHECKS:
             print(name)
         return 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (BudgetExceeded, ValueError) as exc:
+        # refused or invalid input: one line, as argparse reports bad flags
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ the explicit g_{kj} table for the class of (1 2) in S_n.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from math import comb, factorial, prod
 
@@ -94,14 +95,16 @@ class ConjugacyClass:
         self._key_order = np.argsort(self.keys)
         self._sorted_keys = self.keys[self._key_order]
 
-    def reorder(self, elements: list):
-        """Renumber the class as `elements` (a permutation of it); the
-        arrays and the index follow.  Racks built earlier keep the old
-        numeration, so reorder before building one."""
+    def reorder(self, elements: list) -> "ConjugacyClass":
+        """A copy of the class numbered as `elements` (a permutation of
+        it), with arrays and index to match.  This class keeps its
+        numbering, and so do the racks built on it."""
         rows = [self.index[t] for t in elements]
         if sorted(rows) != list(range(self.size)):
             raise ValueError("not a renumbering of the class")
-        self._set_elements(list(elements), self.P[rows], self.A[rows])
+        renumbered = copy.copy(self)
+        renumbered._set_elements(list(elements), self.P[rows], self.A[rows])
+        return renumbered
 
     def locate(self, keys: np.ndarray) -> np.ndarray:
         """The element index of each key, -1 for keys outside the class."""
@@ -268,7 +271,6 @@ class CosetSystem:
                 reps.append(min((g0 * c for c in cent), key=SignedPermutation.sort_key))
         self.reps = reps
         self._check()
-        self._index_of = {t: i for i, t in enumerate(cls.elements)}
 
     def _check(self):
         if len(self.reps) != self.cls.size:
@@ -289,7 +291,7 @@ class CosetSystem:
     def zeta(self, i: int, h: SignedPermutation) -> tuple:
         """Solve h g_i = g_j gamma with gamma in G^s; returns (j, gamma)."""
         t_j = h.conjugate(self.cls.elements[i])
-        j = self._index_of[t_j]
+        j = self.cls.index[t_j]
         gamma = self.reps[j].inverse() * h * self.reps[i]
         return j, gamma
 
@@ -307,9 +309,7 @@ def transposition_preset(n: int) -> CosetSystem:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    group = Sn(n)
     sigma = SignedPermutation.from_perm(Permutation.from_cycles(n, [(1, 2)]))
-    cls = ConjugacyClass(group, sigma)
 
     pairs = [(k, j) for k in range(1, n + 1) for j in range(k + 1, n + 1)]
     order = []
@@ -326,7 +326,7 @@ def transposition_preset(n: int) -> CosetSystem:
             g = Permutation.from_cycles(n, [(1, k), (2, j)])
         reps.append(SignedPermutation.from_perm(g))
 
-    cls.reorder(order)
+    cls = ConjugacyClass(Sn(n), sigma).reorder(order)
     return CosetSystem(cls, reps=reps)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .cyclotomic import Cyclo
 
-# 31-bit primes (products fit in int64); both are = 1 mod 4 and mod 6,
-# which keeps them usable for small conductors
+# 31-bit primes (products fit in int64) for integer matrices; both are
+# = 1 mod 6, but only the first is = 1 mod 4 (2147483587 = 3 mod 4)
 DEFAULT_PRIMES = (2147483629, 2147483587)
 
 

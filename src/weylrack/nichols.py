@@ -19,7 +19,6 @@ import numpy as np
 
 from .cyclotomic import Cyclo
 from .linalg import (
-    DEFAULT_PRIMES,
     nullspace_rational,
     rank_cyclo_exact,
     rank_int_exact,
@@ -102,17 +101,19 @@ class GradedDims:
         }
 
 
+# largest D^k ranked by exact integer elimination
+EXACT_LIMIT = 300
+
+
 def nichols_graded_dim(
     braiding: Braiding,
     max_degree: int,
     budget: int = 500_000,
-    exact_limit: int = 300,
-    primes: tuple = DEFAULT_PRIMES,
     from_right: bool = False,
 ) -> GradedDims:
     """Graded dimensions dims[k] = rank(S_k) for k = 0..max_degree.
 
-    Exact integer elimination while D^k <= exact_limit and the entries
+    Exact integer elimination while D^k <= EXACT_LIMIT and the entries
     are rational integers; modular with two agreeing primes beyond, with
     the result flagged as lower-bound ("mod-p") semantics.  Stops early
     and records the truncation degree when D^k exceeds the budget.
@@ -139,7 +140,7 @@ def nichols_graded_dim(
             int_cols = {
                 c: {r: _as_int(v) for r, v in col.items()} for c, col in cols.items()
             }
-            if size <= exact_limit:
+            if size <= EXACT_LIMIT:
                 rows = [[0] * size for _ in range(size)]
                 for c, col in int_cols.items():
                     for r, v in col.items():
@@ -151,7 +152,7 @@ def nichols_graded_dim(
                 for c, col in int_cols.items():
                     for r, v in col.items():
                         M[r, c] = v
-                dims.append(rank_two_primes(M, primes))
+                dims.append(rank_two_primes(M))
                 methods.add("mod-p")
                 exact = False
         else:

@@ -14,7 +14,7 @@ certificate is always reported as inconclusive, never as "not of type D".
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -105,11 +105,15 @@ class FiniteRack:
     in an ambient group (the usual case here).
     """
 
-    def __init__(self, elements: list, op, source=None):
-        self.elements = list(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate rack elements")
+    def __init__(self, elements: list, op, source: ConjugacyClass | None = None):
+        if source is None:
+            self.elements = list(elements)
+            self.index = {x: i for i, x in enumerate(self.elements)}
+            if len(self.index) != len(self.elements):
+                raise ValueError("duplicate rack elements")
+        else:
+            # a class rack shares the class's numbering, which never changes
+            self.elements, self.index = source.elements, source.index
         self._op = op
         self._table = None
         self.source = source
@@ -124,12 +128,7 @@ class FiniteRack:
 
     @classmethod
     def from_class(cls, conj_class: ConjugacyClass) -> "FiniteRack":
-        rack = cls(
-            conj_class.elements,
-            lambda x, y: x.conjugate(y),
-            source=conj_class,
-        )
-        return rack
+        return cls(conj_class.elements, lambda x, y: x.conjugate(y), source=conj_class)
 
     @property
     def size(self) -> int:
@@ -243,9 +242,12 @@ def make_certificate(
     rack: FiniteRack, R, S, r, s, strategy: str, notes: tuple
 ) -> TypeDCertificate:
     """The certificate with subracks R, S and witness pair (r, s), all
-    given as rack elements; stored as sorted indices into the rack."""
+    given as rack elements; stored as sorted indices into the rack.
+
+    Every certificate is verified here, where it is built; an invalid one
+    means the construction named by `strategy` is wrong, and raises."""
     idx = rack.index
-    return TypeDCertificate(
+    cert = TypeDCertificate(
         rack,
         tuple(sorted(idx[x] for x in R)),
         tuple(sorted(idx[x] for x in S)),
@@ -254,6 +256,12 @@ def make_certificate(
         strategy,
         notes,
     )
+    check = verify_certificate(rack, cert)
+    if not check.ok:
+        raise AssertionError(
+            f"strategy {strategy} produced an invalid certificate: {check.failures}"
+        )
+    return cert
 
 
 @dataclass
@@ -351,16 +359,13 @@ def fixed_point_split(cls: ConjugacyClass, f: int) -> tuple:
 # -- search ----------------------------------------------------------------
 
 
-@dataclass
-class SearchConfig:
-    seed: int = 0
-    max_commuting_partners: int = 200
-    max_seed_pairs: int = 40000
-    max_closure_size: int = 4000
-    max_witness_pairs: int = 20000
-    exhaustive_limit: int = 10
-    random_restarts: int = 50
-    use_pullback: bool = True
+# search budgets; the seed of the randomized repair is the only setting
+MAX_COMMUTING_PARTNERS = 200
+MAX_SEED_PAIRS = 40000
+MAX_CLOSURE_SIZE = 4000
+MAX_WITNESS_PAIRS = 20000
+EXHAUSTIVE_LIMIT = 10
+RANDOM_RESTARTS = 50
 
 
 @dataclass
@@ -373,42 +378,32 @@ class SearchResult:
         return self.certificate is not None
 
 
-# shared cache of S_n-rack search results, keyed by (n, cycle type) and the
-# full search config, since the config decides which certificate is found
+# shared cache of S_n-rack search results, keyed by (n, cycle type, seed),
+# since the seed decides which certificate is found
 _SN_CACHE: dict = {}
 
 
-def find_type_d_certificate(
-    rack: FiniteRack, config: SearchConfig | None = None
-) -> SearchResult:
-    config = config or SearchConfig()
-    attempted = []
+def find_type_d_certificate(rack: FiniteRack, seed: int = 0) -> SearchResult:
+    """Try the strategies in order; the first certificate found wins.
+    Every strategy takes (rack, seed); only the randomized repair, and the
+    pullback through its search downstairs, use the seed."""
     cls = rack.source
-    signed = cls is not None and cls.group.signed
     strategies = [("commuting-perm-pair", _strategy_commuting_pair)]
-    if signed:
+    if cls is not None and cls.group.signed:
         strategies.append(("fixed-point-sign-split", _strategy_fixed_point_split))
-        if config.use_pullback:
-            strategies.append(("projection-pullback", _strategy_pullback))
+        strategies.append(("projection-pullback", _strategy_pullback))
     strategies.append(("seed-closure", _strategy_seed_closure))
-    if rack.size <= config.exhaustive_limit:
+    if rack.size <= EXHAUSTIVE_LIMIT:
         strategies.append(("exhaustive-bipartition", _strategy_exhaustive))
     strategies.append(("randomized-repair", _strategy_randomized))
 
-    exhausted = False
+    attempted = []
     for name, fn in strategies:
-        cert = fn(rack, config)
         attempted.append(name)
+        cert = fn(rack, seed)
         if cert is not None:
-            check = verify_certificate(rack, cert)
-            if not check.ok:
-                raise AssertionError(
-                    f"strategy {name} produced an invalid certificate: {check.failures}"
-                )
             return SearchResult(cert, attempted)
-        if name == "exhaustive-bipartition":
-            exhausted = True
-    return SearchResult(None, attempted, exhausted=exhausted)
+    return SearchResult(None, attempted, exhausted="exhaustive-bipartition" in attempted)
 
 
 def _class_rack(rack: FiniteRack) -> ConjugacyClass:
@@ -417,7 +412,7 @@ def _class_rack(rack: FiniteRack) -> ConjugacyClass:
     return rack.source
 
 
-def _strategy_commuting_pair(rack: FiniteRack, config: SearchConfig):
+def _strategy_commuting_pair(rack: FiniteRack, seed: int):
     """R and S cut out by two distinct commuting permutation parts.
 
     Covers the n-cycle / (3^2) / (2^2 3) constructions: there the two
@@ -446,7 +441,7 @@ def _strategy_commuting_pair(rack: FiniteRack, config: SearchConfig):
         if mu not in seen and mu.commutes_with(tau0):
             candidates.append(mu)
             seen.add(mu)
-        if len(candidates) >= config.max_commuting_partners:
+        if len(candidates) >= MAX_COMMUTING_PARTNERS:
             break
 
     R = groups[tau0]
@@ -475,7 +470,7 @@ def _commuting_witness(R: list, S: list, tau: Permutation, mu: Permutation):
     return None
 
 
-def _strategy_fixed_point_split(rack: FiniteRack, config: SearchConfig):
+def _strategy_fixed_point_split(rack: FiniteRack, seed: int):
     """Split the sub-rack of elements fixing a point f by the sign bit at f.
 
     Needs the class to carry both positive and negative fixed points;
@@ -507,7 +502,7 @@ def _strategy_fixed_point_split(rack: FiniteRack, config: SearchConfig):
             if sq(xi, lam) != lam:
                 return make_certificate(rack, R, S, r, s, strategy, notes)
     # fall back to a direct scan over element pairs
-    budget = config.max_witness_pairs
+    budget = MAX_WITNESS_PAIRS
     for r in R:
         for s in S:
             budget -= 1
@@ -518,7 +513,7 @@ def _strategy_fixed_point_split(rack: FiniteRack, config: SearchConfig):
     return None
 
 
-def _strategy_pullback(rack: FiniteRack, config: SearchConfig):
+def _strategy_pullback(rack: FiniteRack, seed: int):
     """Project to the S_n class of the permutation part, search there, and
     pull the decomposition back through the rack epimorphism."""
     cls = _class_rack(rack)
@@ -526,24 +521,19 @@ def _strategy_pullback(rack: FiniteRack, config: SearchConfig):
     if tau0.is_identity():
         return None
     n = cls.group.n
-    key = (n, tau0.cycle_type(), astuple(config))
+    key = (n, tau0.cycle_type(), seed)
     if key not in _SN_CACHE:
         target = ConjugacyClass(Sn(n), SignedPermutation.from_perm(tau0))
-        target_rack = FiniteRack.from_class(target)
-        sub = replace(config, use_pullback=False)
-        _SN_CACHE[key] = (target_rack, find_type_d_certificate(target_rack, sub))
-    target_rack, result = _SN_CACHE[key]
+        _SN_CACHE[key] = find_type_d_certificate(FiniteRack.from_class(target), seed)
+    result = _SN_CACHE[key]
     if not result:
         return None
     down = result.certificate
-    perms_R = {target_rack.elements[i].perm for i in down.R}
-    perms_S = {target_rack.elements[i].perm for i in down.S}
-    perm_r = target_rack.elements[down.r].perm
-    perm_s = target_rack.elements[down.s].perm
-    R = [x for x in rack.elements if x.perm in perms_R]
-    S = [x for x in rack.elements if x.perm in perms_S]
-    r = next(x for x in R if x.perm == perm_r)
-    s = next(x for x in S if x.perm == perm_s)
+    # pi(x) = x.perm, looked up by permutation part; pi is not checked as a
+    # RackEpimorphism, whose pair check is quadratic in the class size
+    by_perm = {y.perm: i for i, y in enumerate(down.rack.elements)}
+    images = [by_perm[x.perm] for x in rack.elements]
+    R, S, r, s = _preimage(rack.elements, images, down)
     note = (
         f"pulled back along pi from the S_{n} class of {tau0} "
         f"(downstairs strategy: {down.strategy})"
@@ -584,21 +574,21 @@ def _closure_from_seeds(rack: FiniteRack, x, y, max_size: int):
     return R, S
 
 
-def _grown_witness(rack: FiniteRack, x, y, config: SearchConfig):
+def _grown_witness(rack: FiniteRack, x, y):
     """Grow the closure of the seeds x, y and scan it for a witness pair:
     (R, S, r, s), or None if either step fails."""
-    grown = _closure_from_seeds(rack, x, y, config.max_closure_size)
+    grown = _closure_from_seeds(rack, x, y, MAX_CLOSURE_SIZE)
     if grown is None:
         return None
-    witness = _witness_scan(rack, *grown, config.max_witness_pairs)
+    witness = _witness_scan(rack, *grown, MAX_WITNESS_PAIRS)
     return None if witness is None else grown + witness
 
 
-def _strategy_seed_closure(rack: FiniteRack, config: SearchConfig):
+def _strategy_seed_closure(rack: FiniteRack, seed: int):
     """Two-seed closure: every decomposition generated by one element on
     each side is found by this scan."""
     elems = rack.elements
-    budget = config.max_seed_pairs
+    budget = MAX_SEED_PAIRS
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             if i == j:
@@ -606,7 +596,7 @@ def _strategy_seed_closure(rack: FiniteRack, config: SearchConfig):
             budget -= 1
             if budget < 0:
                 return None
-            found = _grown_witness(rack, x, y, config)
+            found = _grown_witness(rack, x, y)
             if found is not None:
                 note = f"grown from seeds {x}, {y}"
                 return make_certificate(rack, *found, "seed-closure", (note,))
@@ -624,7 +614,7 @@ def _witness_scan(rack: FiniteRack, R, S, budget: int):
     return None
 
 
-def _strategy_exhaustive(rack: FiniteRack, config: SearchConfig):
+def _strategy_exhaustive(rack: FiniteRack, seed: int):
     """All assignments of elements to {R, S, neither}; only for tiny racks.
 
     The assignments are taken in the order of product((0, 1, 2), repeat=m)
@@ -656,15 +646,15 @@ def _strategy_exhaustive(rack: FiniteRack, config: SearchConfig):
     return None
 
 
-def _strategy_randomized(rack: FiniteRack, config: SearchConfig):
+def _strategy_randomized(rack: FiniteRack, seed: int):
     """Seeded random two-seed restarts; a cheap last resort."""
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     elems = rack.elements
     if len(elems) < 2:
         return None
-    for _ in range(config.random_restarts):
+    for _ in range(RANDOM_RESTARTS):
         x, y = rng.sample(elems, 2)
-        found = _grown_witness(rack, x, y, config)
+        found = _grown_witness(rack, x, y)
         if found is not None:
             return make_certificate(rack, *found, "randomized-repair", ())
     return None
@@ -673,14 +663,33 @@ def _strategy_randomized(rack: FiniteRack, config: SearchConfig):
 # -- certificate transport -------------------------------------------------
 
 
+def _require_valid(cert: TypeDCertificate) -> None:
+    """Transports take certificates from their callers, who may have built
+    them without make_certificate; refuse an invalid one."""
+    check = verify_certificate(cert.rack, cert)
+    if not check.ok:
+        raise ValueError(f"input certificate is invalid: {check.failures}")
+
+
+def _preimage(elements: list, images: list, cert: TypeDCertificate) -> tuple:
+    """Pull cert's R and S back along a map given by `images`, the index in
+    cert.rack of the image of each of `elements`: (R, S, r, s) with R and S
+    the preimages in the order of `elements`, and r, s the first lifts of
+    cert.r and cert.s (None for an empty fiber)."""
+    R_down, S_down = set(cert.R), set(cert.S)
+    R = [x for x, i in zip(elements, images) if i in R_down]
+    S = [x for x, i in zip(elements, images) if i in S_down]
+    r = next((x for x, i in zip(elements, images) if i == cert.r), None)
+    s = next((x for x, i in zip(elements, images) if i == cert.s), None)
+    return R, S, r, s
+
+
 def juxtaposition_extend_certificate(
     cert: TypeDCertificate, y: SignedPermutation
 ) -> TypeDCertificate:
     """Extend a certificate for O_x to one for O_{x # y} by juxtaposing
     every certificate element with the fixed element y."""
-    check = verify_certificate(cert.rack, cert)
-    if not check.ok:
-        raise ValueError(f"input certificate is invalid: {check.failures}")
+    _require_valid(cert)
     cls = cert.rack.source
     if cls is None:
         raise ValueError("certificate must come from a conjugacy-class rack")
@@ -735,26 +744,9 @@ def pullback_type_d(
     and S with any lifts of r and s."""
     if cert.rack is not hom.target:
         raise ValueError("certificate does not live on the target rack")
-    check = verify_certificate(hom.target, cert)
-    if not check.ok:
-        raise ValueError(f"input certificate is invalid: {check.failures}")
-    t_elems = hom.target.elements
-    R_down = {t_elems[i] for i in cert.R}
-    S_down = {t_elems[i] for i in cert.S}
-    r_down, s_down = t_elems[cert.r], t_elems[cert.s]
-    R_up, S_up, r_up, s_up = [], [], None, None
-    for x in hom.source.elements:
-        fx = hom(x)
-        if fx in R_down:
-            R_up.append(x)
-            if r_up is None and fx == r_down:
-                r_up = x
-        elif fx in S_down:
-            S_up.append(x)
-            if s_up is None and fx == s_down:
-                s_up = x
-    if r_up is None or s_up is None:
+    _require_valid(cert)
+    elements = hom.source.elements
+    R, S, r, s = _preimage(elements, [hom.target.index[hom(x)] for x in elements], cert)
+    if r is None or s is None:
         raise ValueError("empty fiber over r or s")
-    return make_certificate(
-        hom.source, R_up, S_up, r_up, s_up, "epimorphism-pullback", ()
-    )
+    return make_certificate(hom.source, R, S, r, s, "epimorphism-pullback", ())

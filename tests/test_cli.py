@@ -192,3 +192,33 @@ def test_markdown_format(tmp_path):
     )
     assert code == 0
     assert text.splitlines()[0].startswith("|")
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        # the 10-cycles of B_10 are over the class enumeration cap
+        (["class-info", "--n", "10", "--element", "0000000000;(1 2 3 4 5 6 7 8 9 10)"], "cap"),
+        # a signed element is not in S_3, nor one of degree 2 in B_3
+        (["class-info", "--group", "sn", "--n", "3", "--element", "100;(1 2)"], "not an element"),
+        (["class-info", "--n", "3", "--element", "00;(1 2)"], "not an element"),
+        (["nichols-dim", "--n", "3"], "--element"),
+        (["braiding", "--n", "3"], "--element"),
+        (["hilbert", "--algebra", "A", "--n", "3"], "--signs"),
+    ],
+)
+def test_refused_or_invalid_input_is_one_error_line(capsys, argv, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weylrack: error: ")
+    assert err.count("\n") == 1
+    assert needle in err
+
+
+def test_config_keys_that_flags_always_set_are_rejected(tmp_path):
+    # argparse fills --n, --cap and --max-degree before the config is read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "max_degree": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "nichols-dim", "--n", "3", "--preset"])
+    assert "max_degree" in str(exc.value.code)

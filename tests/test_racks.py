@@ -12,14 +12,15 @@ from weylrack.groups import Bn, Permutation, Sn, SignedPermutation
 from weylrack.racks import (
     FiniteRack,
     RackEpimorphism,
-    SearchConfig,
     TypeDCertificate,
+    _SN_CACHE,
     _strategy_exhaustive,
     collapse_lhs,
     collapse_rhs,
     conjugation_rack,
     find_type_d_certificate,
     juxtaposition_extend_certificate,
+    make_certificate,
     pullback_type_d,
     sq,
     sq_fixes_second,
@@ -217,7 +218,7 @@ def test_batched_exhaustive_search_matches_the_assignment_loop():
     ]
     found = []
     for rack in racks:
-        cert = _strategy_exhaustive(rack, SearchConfig())
+        cert = _strategy_exhaustive(rack, 0)
         expect = assignment_loop(rack)
         got = None if cert is None else (
             list(cert.R), list(cert.S), rack.elements[cert.r], rack.elements[cert.s]
@@ -234,7 +235,7 @@ def test_search_finds_certificates_in_symmetric_groups():
             Sn(n), SignedPermutation.from_perm(Permutation.from_cycles(n, cycles))
         )
         rack = FiniteRack.from_class(cls)
-        res = find_type_d_certificate(rack, SearchConfig(seed=0))
+        res = find_type_d_certificate(rack, 0)
         assert res
         assert verify_certificate(rack, res.certificate).ok
 
@@ -243,7 +244,7 @@ def test_search_reports_exhaustion_on_small_racks():
     # the 3-element transposition rack of S_3 is not of type D
     cls = ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2)"))
     rack = FiniteRack.from_class(cls)
-    res = find_type_d_certificate(rack, SearchConfig(seed=0))
+    res = find_type_d_certificate(rack, 0)
     assert not res
     assert res.exhausted  # bipartitions were enumerated completely
 
@@ -251,8 +252,8 @@ def test_search_reports_exhaustion_on_small_racks():
 def test_search_result_is_deterministic():
     cls = ConjugacyClass(Bn(4), SignedPermutation.parse("1000;(1 2 3 4)"))
     rack = FiniteRack.from_class(cls)
-    a = find_type_d_certificate(rack, SearchConfig(seed=5))
-    b = find_type_d_certificate(rack, SearchConfig(seed=5))
+    a = find_type_d_certificate(rack, 5)
+    b = find_type_d_certificate(rack, 5)
     assert bool(a) == bool(b)
     if a:
         assert (a.certificate.R, a.certificate.S) == (b.certificate.R, b.certificate.S)
@@ -261,13 +262,21 @@ def test_search_result_is_deterministic():
 def test_juxtaposition_extension_preserves_validity():
     cls = ConjugacyClass(Sn(5), SignedPermutation.parse("00000;(1 2 3 4)"))
     rack = FiniteRack.from_class(cls)
-    res = find_type_d_certificate(rack, SearchConfig(seed=0))
+    res = find_type_d_certificate(rack, 0)
     assert res
     # the class has cycle lengths {1, 4}; a 2-cycle block is orthogonal
     y = SignedPermutation.parse("10;(1 2)")
     big = juxtaposition_extend_certificate(res.certificate, y)
     assert verify_certificate(big.rack, big).ok
     assert big.rack.size == 0 or big.rack.source.rep.n == 7
+
+
+def test_make_certificate_raises_naming_the_strategy():
+    rack = FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)")))
+    t12, t13, t34 = (SignedPermutation.parse(t) for t in ("0000;(1 2)", "0000;(1 3)", "0000;(3 4)"))
+    # (1 2) |> (1 3) = (2 3) is outside R = {(1 2), (1 3)}
+    with pytest.raises(AssertionError, match="strategy broken-split .*R not closed"):
+        make_certificate(rack, [t12, t13], [t34], t12, t34, "broken-split", ())
 
 
 def test_juxtaposition_extension_rejects_invalid_input():
@@ -300,20 +309,23 @@ def test_pullback_lifts_certificates():
         ConjugacyClass(Sn(5), SignedPermutation.parse("00000;(1 2 3 4)"))
     )
     hom = RackEpimorphism(up, down, lambda x: SignedPermutation.from_perm(x.perm))
-    res = find_type_d_certificate(down, SearchConfig(seed=0))
+    res = find_type_d_certificate(down, 0)
     assert res
     lifted = pullback_type_d(hom, res.certificate)
     assert verify_certificate(up, lifted).ok
 
 
 def test_pullback_cache_is_keyed_by_config():
-    # a tiny-budget search must not decide what a later default search of
-    # the same S_n class returns
+    # the seed is the search's only setting: each seed gets its own S_n
+    # search, and the certificate does not depend on which ran first
     cls = ConjugacyClass(Bn(6), SignedPermutation.parse("000000;(1 2 3 4)"))
     rack = FiniteRack.from_class(cls)
-    find_type_d_certificate(rack, SearchConfig(max_seed_pairs=0, random_restarts=0))
-    res = find_type_d_certificate(rack)
-    assert res.certificate.strategy == "projection-pullback"
+    certs = [find_type_d_certificate(rack, seed).certificate for seed in (11, 12, 11)]
+    cycle_type = cls.rep.perm.cycle_type()
+    first, second = _SN_CACHE[(6, cycle_type, 11)], _SN_CACHE[(6, cycle_type, 12)]
+    assert first is not second
+    assert certs[0].strategy == "projection-pullback"
+    assert certs[0].to_json() == certs[1].to_json() == certs[2].to_json()
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,3 +334,15 @@ def test_sq_is_conjugation_invariant(n, rnd):
     # g |> sq(x, y) = sq(g |> x, g |> y): sq is a rack-theoretic quantity
     x, y, g = (Bn(n).random_element(rnd) for _ in range(3))
     assert g.conjugate(sq(x, y)) == sq(g.conjugate(x), g.conjugate(y))
+
+
+def test_class_rack_keeps_its_numbering_after_a_renumbering():
+    cls = ConjugacyClass(Bn(5), SignedPermutation.parse("10000;(1 2 3 4 5)"))
+    rack = FiniteRack.from_class(cls)
+    cert = find_type_d_certificate(rack).certificate
+    order = cls.elements[:1] + cls.elements[:0:-1]  # rep first, the rest reversed
+    renumbered = cls.reorder(order)
+    assert verify_certificate(rack, cert).ok
+    assert rack.elements == cls.elements
+    assert renumbered.elements == order
+    assert renumbered.locate(cls.keys).tolist() == [0] + list(range(cls.size - 1, 0, -1))
