@@ -3,8 +3,8 @@
 Subcommands: verify-lemmas, scan-classes, type-d, braiding, nichols-dim,
 hilbert, class-info.  A JSON config file can preset --seed and --samples;
 explicit flags win.  Exit codes: 0 all pass, 1 any failure, 2 inconclusive
-results without failures, or input that is refused or invalid (one error
-line).
+results without failures, or input that is refused, invalid or unreadable
+(one error line).
 """
 
 from __future__ import annotations
@@ -281,16 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    data = _load_config(args.config)
-    _merge(args, data, CONFIG_KEYS)
-    if getattr(args, "list", False):
-        for name, _ in LEMMA_CHECKS:
-            print(name)
-        return 0
     try:
+        _merge(args, _load_config(args.config), CONFIG_KEYS)
+        if getattr(args, "list", False):
+            for name, _ in LEMMA_CHECKS:
+                print(name)
+            return 0
         return args.fn(args)
-    except (BudgetExceeded, ValueError) as exc:
-        # refused or invalid input: one line, as argparse reports bad flags
+    except (BudgetExceeded, ValueError, OSError) as exc:
+        # refused, invalid or unreadable input: one line, as argparse
+        # reports bad flags
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

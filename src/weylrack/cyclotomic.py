@@ -206,6 +206,9 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 

@@ -1,18 +1,22 @@
 """Exact and modular rank/nullspace computations.
 
-Three paths, chosen by the caller:
+Exact ranks are for small matrices: `rank_int_exact` is fraction-free
+Gaussian elimination over the integers with gcd row normalization (pure
+Python big ints), `rank_cyclo_exact` plain Gaussian elimination over
+Q(zeta_N), and `nullspace_rational` works over Q.
 
-* integer matrices: fraction-free Gaussian elimination with gcd row
-  normalization (exact, pure Python big ints);
-* cyclotomic matrices: plain Gaussian elimination over Q(zeta_N)
-  (exact, only for small dimensions);
-* modular: vectorized elimination mod a 31-bit prime in numpy, used as a
-  lower-bound engine with two independent primes required to agree.
+Every modular rank goes through `rank_two_primes`, the one agreement
+check: it ranks the matrix mod two 31-bit primes (`rank_mod_p`, vectorized
+elimination in numpy) and raises unless they agree.  The agreed rank is a
+lower bound.  A matrix over Q(zeta_N) is given by its images mod primes
+p = 1 (mod N) (`primes_for_conductor`), where zeta_N becomes a primitive
+N-th root of unity in F_p (`root_of_unity_mod_p`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -113,14 +117,14 @@ def nullspace_rational(rows: list) -> list:
 def rank_cyclo_exact(rows: list) -> int:
     """Exact rank over a cyclotomic field; entries are Cyclo/int/Fraction."""
     rows = [[Cyclo.coerce(x) for x in r] for r in rows]
-    rows = [r for r in rows if any(not x.is_zero() for x in r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return 0
     ncols = len(rows[0])
     rank = 0
     col = 0
     while rows and col < ncols:
-        pivot_i = next((i for i, r in enumerate(rows) if not r[col].is_zero()), None)
+        pivot_i = next((i for i, r in enumerate(rows) if r[col]), None)
         if pivot_i is None:
             col += 1
             continue
@@ -130,10 +134,10 @@ def rank_cyclo_exact(rows: list) -> int:
         rank += 1
         nxt = []
         for r in rows:
-            if not r[col].is_zero():
+            if r[col]:
                 f = r[col]
                 r = [x - f * y for x, y in zip(r, pivot_row)]
-            if any(not x.is_zero() for x in r):
+            if any(r):
                 nxt.append(r)
         rows = nxt
         col += 1
@@ -168,17 +172,58 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def rank_two_primes(matrix: np.ndarray, primes: tuple = DEFAULT_PRIMES) -> int:
+def rank_two_primes(matrix, primes: tuple = DEFAULT_PRIMES) -> int:
     """Modular rank with two independent primes; raises on disagreement.
 
-    The agreed value is a certified lower bound for the rational rank and
-    equals it away from finitely many primes; callers must flag the
-    lower-bound semantics.
+    `matrix` is an integer ndarray, or a function from a prime p to the
+    matrix's image mod p (for a matrix over Q(zeta_N), with the primes of
+    `primes_for_conductor(N)`).  The agreed value is a certified lower
+    bound for the rank over the field and equals it away from finitely
+    many primes; callers must flag the lower-bound semantics.
     """
-    r0 = rank_mod_p(matrix, primes[0])
-    r1 = rank_mod_p(matrix, primes[1])
+    r0, r1 = (rank_mod_p(matrix(p) if callable(matrix) else matrix, p) for p in primes)
     if r0 != r1:
         raise ArithmeticError(
             f"modular ranks disagree: {r0} mod {primes[0]}, {r1} mod {primes[1]}"
         )
     return r0
+
+
+def primes_for_conductor(N: int) -> tuple:
+    """Two primes p = 1 (mod N) near 2^31, so that zeta_N has an image in
+    F_p: `DEFAULT_PRIMES` for N = 1, else the two largest from
+    (2^31 // N) * N + 1 down."""
+    if N == 1:
+        return DEFAULT_PRIMES
+    return tuple(islice(filter(_is_prime, range((2**31 // N) * N + 1, 0, -N)), 2))
+
+
+def root_of_unity_mod_p(N: int, p: int) -> int:
+    """The first g^((p-1)/N), g = 2, 3, ..., of multiplicative order N in
+    F_p, a primitive N-th root of unity; requires p = 1 (mod N)."""
+    for g in range(2, p):
+        z = pow(g, (p - 1) // N, p)
+        if all(pow(z, j, p) != 1 for j in range(1, N)):
+            return z
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

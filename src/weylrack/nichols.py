@@ -6,12 +6,17 @@ dimension equal to the rank of the quantum symmetrizer
 S_k = sum over w in S_k of lift(w), where lift is the Matsumoto section:
 lift(w) = c_{i_1} ... c_{i_l} for any reduced word s_{i_1} ... s_{i_l}
 of w, with c_i the braiding applied at tensor positions (i, i+1).
+
+S_k is built in the braiding's own scalars (ints for the CLI's +-1
+characters, `Cyclo`s otherwise) and each degree takes one exact or one
+modular rank path, as `nichols_graded_dim` describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import lcm
 
@@ -20,9 +25,11 @@ import numpy as np
 from .cyclotomic import Cyclo
 from .linalg import (
     nullspace_rational,
+    primes_for_conductor,
     rank_cyclo_exact,
     rank_int_exact,
     rank_two_primes,
+    root_of_unity_mod_p,
 )
 from .ydmodule import Braiding
 
@@ -57,7 +64,8 @@ def lift_word(braiding: Braiding, word: tuple, k: int, state: dict) -> dict:
 
 
 def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
-    """Yield (column index, {row tuple: coeff}) for S_k on V^(x k)."""
+    """Yield (column index, {row index: coeff}) for S_k on V^(x k), in the
+    scalars of the braiding's coefficients."""
     D = braiding.D
     words = [reduced_word(p, from_right) for p in permutations(range(k))]
 
@@ -77,9 +85,9 @@ def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
         tup = tuple(reversed(tup))
         acc: dict = {}
         for w in words:
-            for t, v in lift_word(braiding, w, k, {tup: Cyclo.rational(1)}).items():
-                acc[t] = acc.get(t, Cyclo.rational(0)) + v
-        yield col, {flat(t): v for t, v in acc.items() if not v.is_zero()}
+            for t, v in lift_word(braiding, w, k, {tup: 1}).items():
+                acc[t] = acc.get(t, 0) + v
+        yield col, {flat(t): v for t, v in acc.items() if v}
 
 
 @dataclass
@@ -101,8 +109,9 @@ class GradedDims:
         }
 
 
-# largest D^k ranked by exact integer elimination
+# largest D^k ranked by exact elimination over Z, and over Q(zeta_N)
 EXACT_LIMIT = 300
+CYCLO_EXACT_LIMIT = 100
 
 
 def nichols_graded_dim(
@@ -113,144 +122,79 @@ def nichols_graded_dim(
 ) -> GradedDims:
     """Graded dimensions dims[k] = rank(S_k) for k = 0..max_degree.
 
-    Exact integer elimination while D^k <= EXACT_LIMIT and the entries
-    are rational integers; modular with two agreeing primes beyond, with
-    the result flagged as lower-bound ("mod-p") semantics.  Stops early
-    and records the truncation degree when D^k exceeds the budget.
+    S_k is built in ints when every braiding coefficient is a rational
+    integer of conductor 1, in `Cyclo`s otherwise.  Each degree's path
+    follows the lcm N of its entries' conductors (an int counts as 1):
+    exact elimination over Z ("exact-int") while D^k <= EXACT_LIMIT, or
+    over Q(zeta_N) ("exact-cyclo") while D^k <= CYCLO_EXACT_LIMIT; beyond,
+    the rank mod two agreeing primes p = 1 (mod N), a lower bound ("mod-p",
+    not exact).  A non-integer entry of conductor 1 raises ValueError.
+    Stops early and records the truncation degree when D^k > budget.
     """
     D = braiding.D
-    dims = [1]
+    integral = all(_is_integer(v) for out in braiding.terms.values() for _, v in out)
+    if integral:
+        terms = {ab: [(t, _as_int(v)) for t, v in out] for ab, out in braiding.terms.items()}
+        braiding = Braiding(D, terms)
+    dims = [1] + [D] * (max_degree >= 1)
     exact = True
     methods = set()
     truncated = None
-    for k in range(1, max_degree + 1):
-        if k == 1:
-            dims.append(D)
-            continue
+    for k in range(2, max_degree + 1):
         size = D**k
         if size > budget:
             truncated = k
             break
         cols = dict(symmetrizer_columns(braiding, k, from_right))
-        conductor = 1
-        for col in cols.values():
-            for v in col.values():
-                conductor = lcm(conductor, v.N)
-        if conductor == 1:
-            int_cols = {
-                c: {r: _as_int(v) for r, v in col.items()} for c, col in cols.items()
-            }
-            if size <= EXACT_LIMIT:
-                rows = [[0] * size for _ in range(size)]
-                for c, col in int_cols.items():
-                    for r, v in col.items():
-                        rows[r][c] = v
+        N = lcm(1, *(getattr(v, "N", 1) for col in cols.values() for v in col.values()))
+        if N == 1 and not integral:  # a rational degree of a `Cyclo` braiding
+            cols = {c: {r: _as_int(v) for r, v in col.items()} for c, col in cols.items()}
+        if size <= (EXACT_LIMIT if N == 1 else CYCLO_EXACT_LIMIT):
+            rows = [[0] * size for _ in range(size)]
+            for c, col in cols.items():
+                for r, v in col.items():
+                    rows[r][c] = v
+            if N == 1:
                 dims.append(rank_int_exact(rows))
                 methods.add("exact-int")
             else:
-                M = np.zeros((size, size), dtype=np.int64)
-                for c, col in int_cols.items():
-                    for r, v in col.items():
-                        M[r, c] = v
-                dims.append(rank_two_primes(M))
-                methods.add("mod-p")
-                exact = False
-        else:
-            if size <= 100:
-                rows = [[Cyclo.rational(0)] * size for _ in range(size)]
-                for c, col in cols.items():
-                    for r, v in col.items():
-                        rows[r][c] = v
                 dims.append(rank_cyclo_exact(rows))
                 methods.add("exact-cyclo")
-            else:
-                ps = _primes_for_conductor(conductor)
-                M0 = _cyclo_matrix_mod_p(cols, size, conductor, ps[0])
-                M1 = _cyclo_matrix_mod_p(cols, size, conductor, ps[1])
-                from .linalg import rank_mod_p
-
-                r0, r1 = rank_mod_p(M0, ps[0]), rank_mod_p(M1, ps[1])
-                if r0 != r1:
-                    raise ArithmeticError("modular cyclotomic ranks disagree")
-                dims.append(r0)
-                methods.add("mod-p")
-                exact = False
+        else:
+            at_p = partial(_matrix_mod_p, cols, size, N)
+            dims.append(rank_two_primes(at_p, primes_for_conductor(N)))
+            methods.add("mod-p")
+            exact = False
     return GradedDims(dims, exact, "+".join(sorted(methods)) or "trivial", truncated)
 
 
-def _as_int(v: Cyclo) -> int:
-    q = v.as_rational()
+def _is_integer(v) -> bool:
+    """Is v a rational integer written without zeta_N (conductor 1)?"""
+    if isinstance(v, Cyclo):
+        return v.N == 1 and v.coeffs[0].denominator == 1
+    return Fraction(v).denominator == 1
+
+
+def _as_int(v) -> int:
+    q = v.as_rational() if isinstance(v, Cyclo) else Fraction(v)
     if q.denominator != 1:
         raise ValueError("expected integer entry")
     return q.numerator
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_for_conductor(N: int, count: int = 2) -> list:
-    """Primes p = 1 (mod N) near 2^31, so zeta_N embeds in F_p."""
-    out = []
-    p = (2**31 // N) * N + 1
-    while len(out) < count:
-        if _is_prime(p):
-            out.append(p)
-        p -= N
-    return out
-
-
-def _cyclo_matrix_mod_p(cols: dict, size: int, N: int, p: int) -> np.ndarray:
-    # a primitive N-th root of unity in F_p
-    for g in range(2, p):
-        z = pow(g, (p - 1) // N, p)
-        if all(pow(z, N // q, p) != 1 for q in _prime_factors(N)):
-            break
+def _matrix_mod_p(cols: dict, size: int, N: int, p: int) -> np.ndarray:
+    """S_k over F_p, for a prime p = 1 (mod N): entries in Q(zeta_N) are
+    evaluated at `root_of_unity_mod_p(N, p)`, ints are reduced mod p."""
+    z = root_of_unity_mod_p(N, p)
     M = np.zeros((size, size), dtype=np.int64)
     for c, col in cols.items():
         for r, v in col.items():
-            x = v.promote(N) if v.N != N else v
-            acc = 0
-            zz = 1
-            for coeff in x.coeffs:
-                num = coeff.numerator % p
-                den = pow(coeff.denominator % p, p - 2, p)
-                acc = (acc + num * den % p * zz) % p
-                zz = zz * z % p
-            M[r, c] = acc
+            if not isinstance(v, int):
+                x, v = Cyclo.coerce(v).promote(N), 0
+                for q in reversed(x.coeffs):
+                    v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
+            M[r, c] = v % p
     return M
-
-
-def _prime_factors(n: int) -> set:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 # -- degree-2 relations -----------------------------------------------------

@@ -165,9 +165,10 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
             if sq_fixes_second(x, y) != (direct == y):
                 return "fail", {"law": "fix-criterion", "x": x.format(), "y": y.format()}
             counts["commuting"] += 1
-    # conjugate-pair special cases: (b,mu) = xi |> (a,tau) with xi.a = a
-    attempts = 0
-    while counts["conjugate-fixed"] < 500 and attempts < 40 * cfg.samples:
+    # conjugate-pair special cases: (b,mu) = xi |> (a,tau) with xi.a = a;
+    # fewer than `floor` of them within 40 * samples attempts is no pass
+    floor, attempts = 500, 0
+    while counts["conjugate-fixed"] < floor and attempts < 40 * cfg.samples:
         attempts += 1
         n = rng.randint(3, 5)
         G = Bn(n)
@@ -202,6 +203,10 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
             if c != a:
                 return "fail", {"law": "involution", "x": x.format(), "xi": xi.format()}
             counts["involution"] += 1
+    got = counts["conjugate-fixed"]
+    if got < floor:
+        reason = f"{got} conjugate-fixed instances, below the floor of {floor}"
+        return "inconclusive", {"reason": reason, "verified": counts}
     return "pass", {"verified": counts}
 
 

@@ -141,14 +141,15 @@ class Braiding:
 
     def _apply_at(self, state: dict, pos: int, width: int) -> dict:
         """Apply c at tensor positions (pos, pos+1) to a linear
-        combination of basis tuples of length `width`."""
+        combination of basis tuples of length `width`; the coefficients
+        may be ints or `Cyclo`s."""
         out: dict = {}
         for tup, coeff in state.items():
             for (a2, b2), v in self.terms[(tup[pos], tup[pos + 1])]:
                 new = tup[:pos] + (a2, b2) + tup[pos + 2 :]
                 acc = out.get(new)
                 out[new] = v * coeff if acc is None else acc + v * coeff
-        return {t: v for t, v in out.items() if not v.is_zero()}
+        return {t: v for t, v in out.items() if v}
 
     def check_braid_equation(self, sample: int | None = None, seed: int = 0):
         """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on basis

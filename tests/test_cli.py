@@ -215,6 +215,25 @@ def test_refused_or_invalid_input_is_one_error_line(capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--config", "{missing}", "class-info", "--n", "3", "--element", "000;()"], "missing.json"),
+        (["--config", "{malformed}", "class-info", "--n", "3", "--element", "000;()"], "Expecting"),
+        (["hilbert", "--algebra", "A", "--n", "3", "--signs", "{missing}"], "missing.json"),
+    ],
+)
+def test_unreadable_input_file_is_one_error_line(tmp_path, capsys, argv, needle):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"schema": 1,')
+    paths = {"missing": str(tmp_path / "missing.json"), "malformed": str(malformed)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weylrack: error: ")
+    assert err.count("\n") == 1
+    assert needle in err
+
+
 def test_config_keys_that_flags_always_set_are_rejected(tmp_path):
     # argparse fills --n, --cap and --max-degree before the config is read
     cfg = tmp_path / "cfg.json"

@@ -87,6 +87,17 @@ def test_ring_axioms(a, b, c, N):
     assert x + y == y + x
 
 
+def test_truthiness_is_nonzero_across_conductors():
+    values = [Cyclo.rational(0), Cyclo.rational(Fraction(-1, 3)), Cyclo.zeta(2)]
+    values += [Cyclo.zeta(N, k) for N in (3, 4, 12) for k in range(N)]
+    values += [Cyclo.zeta(3) - Cyclo.zeta(3), Cyclo.zeta(4) ** 2 + 1]
+    values += [1 + Cyclo.zeta(3) + Cyclo.zeta(3, 2), Cyclo.zeta(12, 4) - Cyclo.zeta(3)]
+    for v in values:
+        assert bool(v) == (not v.is_zero())
+    assert not Cyclo.zeta(12, 4) - Cyclo.zeta(3)
+    assert Cyclo.zeta(5)
+
+
 def test_json_roundtrip_is_stable():
     v = Cyclo.zeta(6) + Cyclo.rational(Fraction(1, 3))
     assert v.to_json() == v.to_json()

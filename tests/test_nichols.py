@@ -1,6 +1,8 @@
 """Graded dimensions of braided symmetrizer quotients, degree-2 kernels,
 and the transposition cocycle tables."""
 
+from fractions import Fraction
+
 import pytest
 
 from weylrack.conjugacy import transposition_preset
@@ -77,6 +79,36 @@ def test_mixed_conductor_entries_use_the_lcm():
     assert out.dims == [1, 11, 121]
     assert not out.exact
     assert out.method == "mod-p"
+
+
+def diagonal_braiding(q):
+    """c(e_a (x) e_b) = q(a, b) e_b (x) e_a on D = 2."""
+    return Braiding(2, {(a, b): [((b, a), q(a, b))] for a in range(2) for b in range(2)})
+
+
+def test_cyclotomic_braiding_ranks_over_the_field():
+    # q_aa = 1 and q_ab q_ba = 1: a polynomial ring in two variables
+    z = Cyclo.zeta(3)
+    out = nichols_graded_dim(diagonal_braiding(lambda a, b: z ** (a + 2 * b)), 5)
+    assert out.dims == [1, 2, 3, 4, 5, 6]
+    assert out.method == "exact-cyclo"
+    assert out.exact
+
+
+def test_integer_valued_cyclo_keeps_its_conductor():
+    # zeta_4^2 = -1 everywhere: an exterior algebra; degrees 3 and 4 have
+    # no entries, so they are ranked (and labelled) over the integers
+    out = nichols_graded_dim(diagonal_braiding(lambda a, b: Cyclo.zeta(4, 2)), 4)
+    assert out.dims == [1, 2, 1, 0, 0]
+    assert out.method == "exact-cyclo+exact-int"
+    assert out.exact
+
+
+def test_non_integer_rational_braiding_is_refused_at_degree_two():
+    c = diagonal_braiding(lambda a, b: Cyclo.rational(Fraction(1, 2)))
+    assert nichols_graded_dim(c, 1).dims == [1, 2]
+    with pytest.raises(ValueError, match="expected integer entry"):
+        nichols_graded_dim(c, 2)
 
 
 def test_reduced_words_are_reduced():

@@ -29,6 +29,15 @@ def test_selection_runs_only_requested_checks():
     assert reports[0].status == "pass"
 
 
+def test_closed_forms_below_their_floor_are_inconclusive():
+    # 10 samples allow 400 conjugate-fixed attempts, short of 500 instances
+    for seed in (0, 7):
+        (report,) = verify_lemmas(["square-closed-forms"], VerifyConfig(seed=seed, samples=10))
+        assert report.status == "inconclusive"
+        assert "500" in report.detail["reason"]
+        assert str(report.detail["verified"]["conjugate-fixed"]) in report.detail["reason"]
+
+
 def test_unknown_selection_raises():
     with pytest.raises(ValueError):
         verify_lemmas(["no-such-check"])
