@@ -28,10 +28,11 @@ from .verify import (
 )
 
 
-# keys a config file may carry besides "schema"; flags that argparse
-# requires or defaults (--n, --cap, --max-degree) would always win, so they
-# are not among them
-CONFIG_KEYS = ["seed", "samples"]
+# keys a config file may carry besides "schema", each an int with the
+# least value allowed (None: any); flags that argparse requires or
+# defaults (--n, --cap, --max-degree) would always win, so they are not
+# among them
+CONFIG_KEYS = {"seed": None, "samples": 1}
 
 
 def _load_config(path: str | None) -> dict:
@@ -49,6 +50,14 @@ def _load_config(path: str | None) -> dict:
             f"config {path}: unknown keys {', '.join(unknown)} "
             f"(allowed: schema, {', '.join(CONFIG_KEYS)})"
         )
+    for key, least in CONFIG_KEYS.items():
+        if key not in data:
+            continue
+        value = data[key]
+        # bool is an int subclass, but JSON true is not a seed
+        if type(value) is not int or (least is not None and value < least):
+            bound = "an integer" if least is None else f"an integer >= {least}"
+            raise SystemExit(f"config {path}: {key} must be {bound}, got {value!r}")
     return data
 
 
@@ -173,10 +182,17 @@ def cmd_hilbert(args) -> int:
             tables = json.load(fh)
 
         def lookup(name):
+            if not isinstance(tables, dict) or name not in tables:
+                raise ValueError(f"--signs {args.signs}: no sign table {name!r}")
             table = tables[name]
 
             def fn(*idx):
-                return table[",".join(map(str, idx))]
+                key = ",".join(map(str, idx))
+                if key not in table:
+                    raise ValueError(
+                        f"--signs {args.signs}: sign table {name!r} has no entry {key!r}"
+                    )
+                return table[key]
 
             return fn
 

@@ -1,16 +1,19 @@
 """Conjugacy classes, centralizers and coset systems in B_n and S_n.
 
-The class element ordering is deterministic: sorted by the canonical text
-format, with the defining representative moved to the front as t_1.  Coset
-representatives g_i are the lexicographically least conjugators (again in
-text-format order), except for the transposition preset which reproduces
-the explicit g_{kj} table for the class of (1 2) in S_n.
+A class is held as the arrays P, A and keys of groups.to_arrays and
+groups.encode; SignedPermutation objects are built on demand.  The class
+element ordering is deterministic: the canonical text-format order
+(groups.text_order), with the defining representative moved to the front
+as t_1.  Coset representatives g_i are the text-format-least conjugators,
+except for the transposition preset which reproduces the explicit g_{kj}
+table for the class of (1 2) in S_n.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import Counter
+from collections.abc import Sequence
 from math import comb, factorial, prod
 
 import numpy as np
@@ -25,8 +28,10 @@ from .groups import (
     conjugate_rows,
     encode,
     from_arrays,
+    juxtapose_rows,
     nu_left,
     nu_right,
+    text_order,
     to_arrays,
 )
 
@@ -49,12 +54,50 @@ def class_size(group: GroupContext, rep: SignedPermutation) -> int:
     return group.order // denom
 
 
+class ClassElements(Sequence):
+    """The elements of a class in its numbering, as SignedPermutations.
+
+    A view: its length is the class size, and item i is built from row i
+    of the class arrays until the first iteration, slice or comparison
+    builds every element once for the class to keep."""
+
+    __slots__ = ("_cls",)
+
+    def __init__(self, cls: "ConjugacyClass"):
+        self._cls = cls
+
+    def __len__(self) -> int:
+        return self._cls.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._cls._objects()[i]
+        return self._cls.element(i)
+
+    def __iter__(self):
+        return iter(self._cls._objects())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ClassElements):
+            other = other._cls._objects()
+        if isinstance(other, list):
+            return self._cls._objects() == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ClassElements({self._cls!r})"
+
+
 class ConjugacyClass:
     """The conjugacy class of `rep` in `group`, with a fixed numeration.
 
-    t_1 = rep; the remaining elements are in canonical text-format order.
-    `P`, `A` and `keys` hold the same elements as arrays (see
-    groups.to_arrays and groups.encode), row i for elements[i].
+    t_1 = rep; the remaining elements are in canonical text-format order
+    (groups.text_order).  The class is held as arrays: row i of `P`, `A`
+    and `keys` is t_{i+1} (see groups.to_arrays and groups.encode).
+    `elements` and `index` build SignedPermutations on first use;
+    `element(i)` and `find(x)` reach one of them without that.
     `conjugator[t]` is the BFS word taking rep to t (some g with g |> rep = t).
     """
 
@@ -74,42 +117,76 @@ class ConjugacyClass:
             )
         self.group = group
         self.rep = rep
+        self.size = size
         self._gens = _generators(group)
         P, A, self._parent, self._gen = _orbit(self._gens, rep)
         if len(P) != size:
             raise AssertionError(f"orbit has {len(P)} elements, expected {size}")
-        # objects in discovery order, which the conjugator words follow
-        self._discovered = from_arrays(P, A)
-        order = sorted(range(1, size), key=lambda i: self._discovered[i].sort_key())
-        order.insert(0, 0)
-        self._set_elements([self._discovered[i] for i in order], P[order], A[order])
+        order = np.concatenate([[0], 1 + text_order(P[1:], A[1:])])
+        # the row of each element in discovery order, which the
+        # conjugator words follow
+        self._row_of = np.argsort(order)
+        self._set_rows(P[order], A[order])
         self.class_key = rep.signed_cycle_type()
         self._conjugator = None
         self._centralizer = None
 
-    def _set_elements(self, elements: list, P: np.ndarray, A: np.ndarray):
-        self.elements = elements
-        self.index = {t: i for i, t in enumerate(elements)}
+    def _set_rows(self, P: np.ndarray, A: np.ndarray):
         self.P, self.A = P, A
         self.keys = encode(P, A)
         self._key_order = np.argsort(self.keys)
         self._sorted_keys = self.keys[self._key_order]
+        self._elements = None
+        self._index = None
 
     def reorder(self, elements: list) -> "ConjugacyClass":
         """A copy of the class numbered as `elements` (a permutation of
         it), with arrays and index to match.  This class keeps its
         numbering, and so do the racks built on it."""
-        rows = [self.index[t] for t in elements]
+        rows = [self.find(t) for t in elements]
         if sorted(rows) != list(range(self.size)):
             raise ValueError("not a renumbering of the class")
         renumbered = copy.copy(self)
-        renumbered._set_elements(list(elements), self.P[rows], self.A[rows])
+        renumbered._row_of = np.argsort(rows)[self._row_of]
+        renumbered._set_rows(self.P[rows], self.A[rows])
         return renumbered
 
     def locate(self, keys: np.ndarray) -> np.ndarray:
         """The element index of each key, -1 for keys outside the class."""
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
         return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
+
+    @property
+    def elements(self) -> ClassElements:
+        return ClassElements(self)
+
+    def _objects(self) -> list:
+        """Every element as a SignedPermutation, built once."""
+        if self._elements is None:
+            self._elements = from_arrays(self.P, self.A)
+        return self._elements
+
+    def element(self, i: int) -> SignedPermutation:
+        """t_{i+1}, without building the other elements."""
+        if self._elements is not None:
+            return self._elements[i]
+        return SignedPermutation(self.A[i].tolist(), Permutation(self.P[i].tolist()))
+
+    @property
+    def index(self) -> dict:
+        """{t: i}, built on first use."""
+        if self._index is None:
+            self._index = {t: i for i, t in enumerate(self._objects())}
+        return self._index
+
+    def find(self, x) -> int:
+        """The index of x, -1 if x is not in the class: looked up in
+        `index` once the elements are built, by its key before."""
+        if self._elements is not None:
+            return self.index.get(x, -1)
+        if not isinstance(x, SignedPermutation) or x.n != self.group.n:
+            return -1
+        return int(self.locate(encode(*to_arrays([x], x.n)))[0])
 
     @property
     def conjugator(self) -> dict:
@@ -119,21 +196,20 @@ class ConjugacyClass:
             words = [self.group.identity]
             for parent, gen in zip(self._parent[1:].tolist(), self._gen[1:].tolist()):
                 words.append(self._gens[gen] * words[parent])
-            self._conjugator = dict(zip(self._discovered, words))
+            elements = self._objects()
+            self._conjugator = {
+                elements[row]: g for row, g in zip(self._row_of.tolist(), words)
+            }
         return self._conjugator
 
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.size
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self._objects())
 
     def __contains__(self, x) -> bool:
-        return x in self.index
+        return self.find(x) >= 0
 
     def centralizer(self) -> "Centralizer":
         """G^rep, built on first use and shared by every later caller."""
@@ -224,7 +300,9 @@ class Centralizer:
                 f"centralizer closure has {len(element_set)} elements, "
                 f"expected {expect}"
             )
-        self.elements = sorted(element_set, key=SignedPermutation.sort_key)
+        elements = list(element_set)
+        order = text_order(*to_arrays(elements, self.group.n))
+        self.elements = [elements[i] for i in order.tolist()]
         self.element_set = element_set
 
     @property
@@ -264,11 +342,7 @@ class CosetSystem:
         self.cls = cls
         self.centralizer = cls.centralizer()
         if reps is None:
-            cent = self.centralizer.elements
-            reps = []
-            for t in cls.elements:
-                g0 = cls.conjugator[t]
-                reps.append(min((g0 * c for c in cent), key=SignedPermutation.sort_key))
+            reps = _least_coset_reps(cls, self.centralizer.elements)
         self.reps = reps
         self._check()
 
@@ -294,6 +368,27 @@ class CosetSystem:
         j = self.cls.index[t_j]
         gamma = self.reps[j].inverse() * h * self.reps[i]
         return j, gamma
+
+
+# products g_0 c ordered per text_order call in _least_coset_reps
+BLOCK_PRODUCTS = 1 << 14
+
+
+def _least_coset_reps(cls: ConjugacyClass, cent: list) -> list:
+    """For each t in cls, the text-format-least element of the coset
+    g_0 C, where g_0 = conjugator[t] and C is the centralizer; a block
+    of whole cosets is ordered at a time."""
+    reps = []
+    step = max(1, BLOCK_PRODUCTS // len(cent))
+    for start in range(0, cls.size, step):
+        products = [
+            cls.conjugator[t] * c for t in cls.elements[start : start + step] for c in cent
+        ]
+        rank = np.empty(len(products), dtype=np.intp)
+        rank[text_order(*to_arrays(products, cls.group.n))] = np.arange(len(products))
+        least = rank.reshape(-1, len(cent)).argmin(axis=1)
+        reps += [products[k * len(cent) + j] for k, j in enumerate(least.tolist())]
+    return reps
 
 
 def transposition_preset(n: int) -> CosetSystem:
@@ -389,8 +484,17 @@ def class_juxtaposition(
     big = ConjugacyClass(ambient, x.juxtapose(y))
     if big.size != comb(x.n + y.n, x.n) * cls_x.size * cls_y.size:
         raise AssertionError("class size mismatch against the placement count")
-    for u in cls_x:
-        for v in cls_y:
-            if u.juxtapose(v) not in big:
-                raise AssertionError(f"{u} # {v} escapes the juxtaposed class")
+    # every u # v, u-major, found in the big class by key
+    P, A = juxtapose_rows(
+        np.repeat(cls_x.P, cls_y.size, axis=0),
+        np.repeat(cls_x.A, cls_y.size, axis=0),
+        np.tile(cls_y.P, (cls_x.size, 1)),
+        np.tile(cls_y.A, (cls_x.size, 1)),
+    )
+    escaped = np.flatnonzero(big.locate(encode(P, A)) < 0)
+    if escaped.size:
+        u, v = divmod(int(escaped[0]), cls_y.size)
+        raise AssertionError(
+            f"{cls_x.element(u)} # {cls_y.element(v)} escapes the juxtaposed class"
+        )
     return big

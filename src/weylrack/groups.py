@@ -382,6 +382,15 @@ def from_arrays(P: np.ndarray, A: np.ndarray) -> list:
     ]
 
 
+def juxtapose_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
+    """Row-wise x # y for x in rows of (P, A) in B_n and y in rows of
+    (Q, B) in B_m, as the arrays of SignedPermutation.juxtapose."""
+    return (
+        np.concatenate([P, Q + np.int8(P.shape[1])], axis=1),
+        np.concatenate([A, B], axis=1),
+    )
+
+
 def invert_rows(P: np.ndarray) -> np.ndarray:
     """The row-wise inverse permutations."""
     inv = np.empty_like(P)
@@ -396,6 +405,59 @@ def conjugate_rows(tau: np.ndarray, a: np.ndarray, P: np.ndarray, A: np.ndarray)
     tinv = np.argsort(tau)
     NP = tau[P[:, tinv]]
     return NP, A[:, tinv] ^ a[invert_rows(NP)] ^ a
+
+
+def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The row order of sorted(rows, key=SignedPermutation.sort_key).
+
+    The text "a_1..a_n;(c c c)(c c)" is compared as a token string: the
+    sign bits, then per moved point in cycle-walk order (cycles by their
+    minimum, each walked from it) a number token and the separator after
+    it.  Separators ' ' < ')' + end < ')(' are all below the number
+    tokens, which rank str(v + 1) in string order; "()" is the lone token
+    ')' + end.  Stable, like sorted()."""
+    k, n = P.shape
+    points = np.arange(n, dtype=P.dtype)
+    # is_start[i, v]: v is the least point of its cycle, and moved
+    least = points[None, :].repeat(k, axis=0)
+    walk = P
+    for _ in range(n - 1):
+        np.minimum(least, walk, out=least)
+        walk = np.take_along_axis(P, walk, axis=1)
+    is_start = (least == points) & (P != points)
+    # next_start[i, v]: the least cycle start above v, n if none
+    starts = np.where(is_start, points, np.int8(n))
+    next_start = np.minimum.accumulate(starts[:, ::-1], axis=1)[:, ::-1]
+    next_start = np.concatenate([next_start[:, 1:], np.full((k, 1), n, dtype=np.int8)], axis=1)
+    rows = np.arange(k)
+    rank = np.argsort(np.argsort([str(v + 1) for v in range(n)], kind="stable"))
+    tokens = np.zeros((2 * n, k), dtype=np.int8)
+    start = cur = starts.min(axis=1, initial=n)
+    live = cur < n
+    tokens[0, ~live] = 1  # "()"
+    for q in range(n):
+        here = np.where(live, cur, 0)
+        after = P[rows, here]
+        closes = after == start
+        following = next_start[rows, start % n]
+        sep = np.where(closes, np.where(following < n, 2, 1), 0)
+        tokens[2 * q] = np.where(live, 3 + rank[here], 0)
+        tokens[2 * q + 1] = np.where(live, sep, 0)
+        start = np.where(closes, following, start)
+        cur = np.where(closes, following, after)
+        live &= cur < n
+    # pack the sign bits and the 4-bit tokens, most significant first,
+    # into as few int64 sort keys as hold them
+    fields = [(A[:, i], 1) for i in range(n)] + [(t, 4) for t in tokens]
+    keys, key, used = [], np.zeros(k, dtype=np.int64), 0
+    for column, bits in fields:
+        if used + bits > 63:
+            keys.append(key)
+            key, used = np.zeros(k, dtype=np.int64), 0
+        key = (key << bits) | column.astype(np.int64)
+        used += bits
+    keys.append(key)
+    return np.lexsort(keys[::-1])
 
 
 def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:

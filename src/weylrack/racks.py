@@ -20,7 +20,16 @@ from itertools import product
 import numpy as np
 
 from .conjugacy import ConjugacyClass
-from .groups import GroupContext, Permutation, SignedPermutation, Sn, conjugate_rows, encode
+from .groups import (
+    GroupContext,
+    Permutation,
+    SignedPermutation,
+    Sn,
+    conjugate_rows,
+    encode,
+    juxtapose_rows,
+    to_arrays,
+)
 
 
 def sq(x, y):
@@ -107,15 +116,14 @@ class FiniteRack:
 
     def __init__(self, elements: list, op, source: ConjugacyClass | None = None):
         if source is None:
-            self.elements = list(elements)
-            self.index = {x: i for i, x in enumerate(self.elements)}
-            if len(self.index) != len(self.elements):
+            self._elements = list(elements)
+            self._index = {x: i for i, x in enumerate(self._elements)}
+            if len(self._index) != len(self._elements):
                 raise ValueError("duplicate rack elements")
-        else:
-            # a class rack shares the class's numbering, which never changes
-            self.elements, self.index = source.elements, source.index
         self._op = op
         self._table = None
+        # a class rack reads elements, index and size from its class,
+        # whose numbering never changes
         self.source = source
 
     @classmethod
@@ -131,13 +139,25 @@ class FiniteRack:
         return cls(conj_class.elements, lambda x, y: x.conjugate(y), source=conj_class)
 
     @property
+    def elements(self):
+        return self._elements if self.source is None else self.source.elements
+
+    @property
+    def index(self) -> dict:
+        return self._index if self.source is None else self.source.index
+
+    @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self._elements) if self.source is None else self.source.size
+
+    def find(self, x) -> int:
+        """The index of x, -1 if x is not in the rack."""
+        return self._index.get(x, -1) if self.source is None else self.source.find(x)
 
     def op(self, x, y):
         """x |> y."""
         z = self._op(x, y)
-        if z not in self.index:
+        if self.find(z) < 0:
             raise ValueError(f"{x} |> {y} = {z} escapes the rack")
         return z
 
@@ -239,20 +259,19 @@ class TypeDCertificate:
 
 
 def make_certificate(
-    rack: FiniteRack, R, S, r, s, strategy: str, notes: tuple
+    rack: FiniteRack, R, S, r: int, s: int, strategy: str, notes: tuple
 ) -> TypeDCertificate:
     """The certificate with subracks R, S and witness pair (r, s), all
-    given as rack elements; stored as sorted indices into the rack.
+    given as indices into the rack; R and S are stored sorted.
 
     Every certificate is verified here, where it is built; an invalid one
     means the construction named by `strategy` is wrong, and raises."""
-    idx = rack.index
     cert = TypeDCertificate(
         rack,
-        tuple(sorted(idx[x] for x in R)),
-        tuple(sorted(idx[x] for x in S)),
-        idx[r],
-        idx[s],
+        tuple(sorted(map(int, R))),
+        tuple(sorted(map(int, S))),
+        int(r),
+        int(s),
         strategy,
         notes,
     )
@@ -340,20 +359,36 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
 # -- the subsets the closed-form constructions split along -----------------
 
 
+def _perm_keys(P: np.ndarray) -> np.ndarray:
+    """One key per row for the permutation part alone."""
+    return encode(P, np.zeros_like(P))
+
+
 def perm_cosets(cls: ConjugacyClass) -> dict:
-    """Class elements grouped by permutation part, in class order: the
-    class meets the sign-vector coset Z_2^n x| {tau} in perm_cosets[tau]."""
-    groups: dict = {}
-    for x in cls.elements:
-        groups.setdefault(x.perm, []).append(x)
-    return groups
+    """Class element indices grouped by permutation part, in class order:
+    the class meets the sign-vector coset Z_2^n x| {tau} in the elements
+    perm_cosets[tau]; the parts come in order of first appearance."""
+    _, first, inverse = np.unique(_perm_keys(cls.P), return_index=True, return_inverse=True)
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return {
+        Permutation(cls.P[first[g]].tolist()): rows[g].tolist()
+        for g in np.argsort(first).tolist()
+    }
 
 
 def fixed_point_split(cls: ConjugacyClass, f: int) -> tuple:
-    """(R, S): the class elements fixing the 0-based point f, split by
-    their sign bit at f (R positive, S negative), in class order."""
-    fixing = [x for x in cls.elements if x.perm(f) == f]
-    return [x for x in fixing if not x.sign[f]], [x for x in fixing if x.sign[f]]
+    """(R, S): the indices of the class elements fixing the 0-based point
+    f, split by their sign bit at f (R positive, S negative), in class
+    order."""
+    fixing = np.flatnonzero(cls.P[:, f] == f)
+    negative = cls.A[fixing, f] == 1
+    return fixing[~negative].tolist(), fixing[negative].tolist()
+
+
+def _first_by_perm(cls: ConjugacyClass, rows: list) -> dict:
+    """{permutation part: first of `rows` with it}, in order of `rows`."""
+    _, first = np.unique(_perm_keys(cls.P[rows]), return_index=True)
+    return {Permutation(cls.P[rows[i]].tolist()): rows[i] for i in np.sort(first).tolist()}
 
 
 # -- search ----------------------------------------------------------------
@@ -447,7 +482,7 @@ def _strategy_commuting_pair(rack: FiniteRack, seed: int):
     R = groups[tau0]
     for mu in candidates:
         S = groups[mu]
-        witness = _commuting_witness(R, S, tau0, mu)
+        witness = _commuting_witness(cls, R, S, tau0, mu)
         if witness is None:
             continue
         note = (
@@ -458,12 +493,13 @@ def _strategy_commuting_pair(rack: FiniteRack, seed: int):
     return None
 
 
-def _commuting_witness(R: list, S: list, tau: Permutation, mu: Permutation):
-    """First (r, s) with sq(r, s) != s, via the sign identity; None if the
-    identity holds on all of R x S."""
-    rhs = [(collapse_rhs(s.sign, tau, mu), s) for s in S]
+def _commuting_witness(cls: ConjugacyClass, R: list, S: list, tau: Permutation, mu: Permutation):
+    """First (r, s) in R x S (index lists) with sq(r, s) != s, via the
+    sign identity on the sign rows; None if the identity holds on all of
+    R x S."""
+    rhs = [(collapse_rhs(tuple(cls.A[s].tolist()), tau, mu), s) for s in S]
     for r in R:
-        lhs = collapse_lhs(r.sign, tau, mu)
+        lhs = collapse_lhs(tuple(cls.A[r].tolist()), tau, mu)
         for rv, s in rhs:
             if lhs != rv:
                 return r, s
@@ -491,24 +527,21 @@ def _strategy_fixed_point_split(rack: FiniteRack, seed: int):
     strategy = "fixed-point-sign-split"
     notes = (f"split on the sign bit at fixed point {f + 1}",)
     # look for a witness at the level of permutation parts first
-    perms_R: dict = {}
-    for x in R:
-        perms_R.setdefault(x.perm, x)
-    perms_S: dict = {}
-    for y in S:
-        perms_S.setdefault(y.perm, y)
-    for xi, r in perms_R.items():
+    perms_S = _first_by_perm(cls, S)
+    for xi, r in _first_by_perm(cls, R).items():
         for lam, s in perms_S.items():
             if sq(xi, lam) != lam:
                 return make_certificate(rack, R, S, r, s, strategy, notes)
     # fall back to a direct scan over element pairs
     budget = MAX_WITNESS_PAIRS
+    S_elements = [cls.element(s) for s in S[:budget]]  # no more are reached
     for r in R:
-        for s in S:
+        x = cls.element(r)
+        for s, y in zip(S, S_elements):
             budget -= 1
             if budget < 0:
                 return None
-            if sq(r, s) != s:
+            if sq(x, y) != y:
                 return make_certificate(rack, R, S, r, s, strategy, notes)
     return None
 
@@ -529,11 +562,11 @@ def _strategy_pullback(rack: FiniteRack, seed: int):
     if not result:
         return None
     down = result.certificate
-    # pi(x) = x.perm, looked up by permutation part; pi is not checked as a
-    # RackEpimorphism, whose pair check is quadratic in the class size
-    by_perm = {y.perm: i for i, y in enumerate(down.rack.elements)}
-    images = [by_perm[x.perm] for x in rack.elements]
-    R, S, r, s = _preimage(rack.elements, images, down)
+    # pi(x) = x.perm, found by key in the S_n class (zero signs); pi is
+    # not checked as a RackEpimorphism, whose pair check is quadratic in
+    # the class size
+    images = down.rack.source.locate(_perm_keys(cls.P))
+    R, S, r, s = _preimage(images, down)
     note = (
         f"pulled back along pi from the S_{n} class of {tau0} "
         f"(downstairs strategy: {down.strategy})"
@@ -576,12 +609,16 @@ def _closure_from_seeds(rack: FiniteRack, x, y, max_size: int):
 
 def _grown_witness(rack: FiniteRack, x, y):
     """Grow the closure of the seeds x, y and scan it for a witness pair:
-    (R, S, r, s), or None if either step fails."""
+    (R, S, r, s) as rack indices, or None if either step fails."""
     grown = _closure_from_seeds(rack, x, y, MAX_CLOSURE_SIZE)
     if grown is None:
         return None
     witness = _witness_scan(rack, *grown, MAX_WITNESS_PAIRS)
-    return None if witness is None else grown + witness
+    if witness is None:
+        return None
+    idx = rack.index
+    R, S = ([idx[u] for u in side] for side in grown)
+    return R, S, idx[witness[0]], idx[witness[1]]
 
 
 def _strategy_seed_closure(rack: FiniteRack, seed: int):
@@ -638,11 +675,11 @@ def _strategy_exhaustive(rack: FiniteRack, seed: int):
         witness = (in_R[:, :, None] & in_S[:, None, :] & differs).any(axis=(1, 2))
         hits = np.flatnonzero(witness & ~unclosed.any(axis=(1, 2)))
         if hits.size:
-            row = side[hits[0]].tolist()
-            R = [x for x, k in zip(elems, row) if k == 0]
-            S = [x for x, k in zip(elems, row) if k == 1]
-            r, s = _witness_scan(rack, R, S, len(R) * len(S))
-            return make_certificate(rack, R, S, r, s, "exhaustive-bipartition", ())
+            R = np.flatnonzero(in_R[hits[0]])
+            S = np.flatnonzero(in_S[hits[0]])
+            # the first witness pair in R x S, row-major
+            i, j = np.argwhere(differs[np.ix_(R, S)])[0]
+            return make_certificate(rack, R, S, R[i], S[j], "exhaustive-bipartition", ())
     return None
 
 
@@ -671,17 +708,19 @@ def _require_valid(cert: TypeDCertificate) -> None:
         raise ValueError(f"input certificate is invalid: {check.failures}")
 
 
-def _preimage(elements: list, images: list, cert: TypeDCertificate) -> tuple:
+def _preimage(images: np.ndarray, cert: TypeDCertificate) -> tuple:
     """Pull cert's R and S back along a map given by `images`, the index in
-    cert.rack of the image of each of `elements`: (R, S, r, s) with R and S
-    the preimages in the order of `elements`, and r, s the first lifts of
-    cert.r and cert.s (None for an empty fiber)."""
-    R_down, S_down = set(cert.R), set(cert.S)
-    R = [x for x, i in zip(elements, images) if i in R_down]
-    S = [x for x, i in zip(elements, images) if i in S_down]
-    r = next((x for x, i in zip(elements, images) if i == cert.r), None)
-    s = next((x for x, i in zip(elements, images) if i == cert.s), None)
-    return R, S, r, s
+    cert.rack of the image of each source element: (R, S, r, s) with R and
+    S the preimages, and r, s the first lifts of cert.r and cert.s (None
+    for an empty fiber), all as source indices."""
+
+    def first_lift(i: int):
+        lifts = np.flatnonzero(images == i)
+        return int(lifts[0]) if lifts.size else None
+
+    R = np.flatnonzero(np.isin(images, cert.R))
+    S = np.flatnonzero(np.isin(images, cert.S))
+    return R, S, first_lift(cert.r), first_lift(cert.s)
 
 
 def juxtaposition_extend_certificate(
@@ -696,42 +735,67 @@ def juxtaposition_extend_certificate(
     x = cls.rep
     ambient = GroupContext(x.n + y.n, signed=True)
     big = ConjugacyClass(ambient, x.juxtapose(y))
+    yP, yA = to_arrays([y], y.n)
 
-    def lift(i: int) -> SignedPermutation:
-        return cert.rack.elements[i].juxtapose(y)
+    def lift(rows) -> np.ndarray:
+        """The indices in the big class of t # y for the rows t."""
+        rows = list(rows)
+        P, A = juxtapose_rows(
+            cls.P[rows], cls.A[rows], yP.repeat(len(rows), 0), yA.repeat(len(rows), 0)
+        )
+        return big.locate(encode(P, A))
 
     return make_certificate(
         FiniteRack.from_class(big),
-        [lift(i) for i in cert.R],
-        [lift(i) for i in cert.S],
-        lift(cert.r),
-        lift(cert.s),
+        lift(cert.R),
+        lift(cert.S),
+        *lift([cert.r, cert.s]),
         "juxtaposition-extension",
         (f"extended from {x.format()} by # {y.format()}",),
     )
 
 
 class RackEpimorphism:
-    """A surjective rack homomorphism, verified on construction."""
+    """A surjective rack homomorphism, verified on construction.
+
+    `images[i]` is the target index of the image of source element i.
+    Between two class racks homomorphy is checked on the index tables,
+    f(x |> y) = f(x) |> f(y) as images[Z_source] == Z_target; the first
+    failing pair, in source-element order, is reported as by the object
+    loop that checks any other pair of racks."""
 
     def __init__(self, source: FiniteRack, target: FiniteRack, mapping):
         self.source = source
         self.target = target
         self.mapping = mapping
-        hit = set()
+        index = target.index
+        images = []
         for x in source.elements:
             fx = mapping(x)
-            if fx not in target.index:
+            if fx not in index:
                 raise ValueError(f"image {fx} is not in the target rack")
-            hit.add(fx)
-        if len(hit) != target.size:
+            images.append(index[fx])
+        if len(set(images)) != target.size:
             raise ValueError("mapping is not surjective")
-        for x in source.elements:
-            for y in source.elements:
-                if mapping(source.op(x, y)) != target.op(mapping(x), mapping(y)):
-                    raise ValueError(
-                        f"not a rack homomorphism at ({x}, {y})"
-                    )
+        self.images = np.array(images, dtype=np.int64)
+        elems = source.elements
+        if source.source is None or target.source is None:
+            for x in elems:
+                for y in elems:
+                    self._check_pair(x, y)
+            return
+        every = np.arange(source.size)
+        tables = zip(source.op_rows(every, every), target.op_rows(self.images, self.images))
+        for (i, Z), (_, W) in tables:
+            bad = np.argwhere(self.images[Z] != W)
+            if len(bad):
+                k, j = bad[0].tolist()
+                self._check_pair(elems[i + k], elems[j])  # raises
+
+    def _check_pair(self, x, y) -> None:
+        f = self.mapping
+        if f(self.source.op(x, y)) != self.target.op(f(x), f(y)):
+            raise ValueError(f"not a rack homomorphism at ({x}, {y})")
 
     def __call__(self, x):
         return self.mapping(x)
@@ -745,8 +809,7 @@ def pullback_type_d(
     if cert.rack is not hom.target:
         raise ValueError("certificate does not live on the target rack")
     _require_valid(cert)
-    elements = hom.source.elements
-    R, S, r, s = _preimage(elements, [hom.target.index[hom(x)] for x in elements], cert)
+    R, S, r, s = _preimage(hom.images, cert)
     if r is None or s is None:
         raise ValueError("empty fiber over r or s")
     return make_certificate(hom.source, R, S, r, s, "epimorphism-pullback", ())

@@ -643,7 +643,7 @@ def coset_pair_certificate(
     rack = FiniteRack.from_class(cls)
     cosets = perm_cosets(cls)
     return make_certificate(
-        rack, cosets[tau], cosets[mu], r_elem, s_elem, "coset-pair", (note,)
+        rack, cosets[tau], cosets[mu], cls.find(r_elem), cls.find(s_elem), "coset-pair", (note,)
     )
 
 
@@ -742,8 +742,8 @@ def fixed_sign_split_certificate(n: int, family: str) -> TypeDCertificate:
     mu0 = Permutation.from_cycles(n, spec["witness"][1])
     if sq(tau0, mu0) == mu0:
         raise AssertionError("witness permutation pair does not separate")
-    r = next(x for x in R if x.perm == tau0)
-    s = next(x for x in S if x.perm == mu0)
+    r = next(i for i in R if cls.P[i].tolist() == list(tau0.images))
+    s = next(i for i in S if cls.P[i].tolist() == list(mu0.images))
     return make_certificate(rack, R, S, r, s, "fixed-sign-split", (f"{family}, n={n}",))
 
 

@@ -241,3 +241,43 @@ def test_config_keys_that_flags_always_set_are_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "nichols-dim", "--n", "3", "--preset"])
     assert "max_degree" in str(exc.value.code)
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [({"seed": "x"}, "seed"), ({"seed": True}, "seed"), ({"samples": 0}, "samples")],
+)
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, values, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, **values}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify-lemmas", "--select", "square-closed-forms"])
+    assert f"{key} must be an integer" in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
+
+
+@pytest.mark.parametrize(
+    "tables, needle",
+    [
+        ({}, "no sign table 'alpha'"),
+        ({"alpha": {}, "beta": {}, "gamma": {}, "lambda": {}}, "sign table 'gamma' has no entry '2,1'"),
+    ],
+)
+def test_sign_table_without_a_key_is_one_error_line(tmp_path, capsys, tables, needle):
+    signs = tmp_path / "signs.json"
+    signs.write_text(json.dumps(tables))
+    assert main(["hilbert", "--algebra", "A", "--n", "3", "--signs", str(signs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weylrack: error: ")
+    assert err.count("\n") == 1
+    assert needle in err
+
+
+def test_lemma_reports_do_not_depend_on_what_ran_before(tmp_path):
+    # classes, racks and the S_n search cache keep lazily built state;
+    # a report must not see any of it
+    lemmas = ["verify-lemmas", "--select", "cycle-split,projection-pullback"]
+    first = run(tmp_path, *lemmas)
+    assert run(tmp_path, "scan-classes", "--n", "5")[0] == 0
+    assert run(tmp_path, *lemmas) == first
+    assert first[0] == 0

@@ -160,7 +160,7 @@ def test_class_ordering_is_deterministic():
 def _object_orbit(group, rep):
     """One-at-a-time BFS: {element: conjugator} in discovery order."""
     gens = group.generators()
-    gens = gens + [g.inverse() for g in gens]
+    gens = list(dict.fromkeys(gens + [g.inverse() for g in gens]))
     transversal = {rep: group.identity}
     frontier = [rep]
     while frontier:
@@ -225,3 +225,35 @@ def test_degree_over_the_key_range_is_refused():
     # a one-element class, but B_14 elements do not fit an int64 key
     with pytest.raises(BudgetExceeded):
         ConjugacyClass(Bn(14), Bn(14).identity)
+
+
+def _one_key(x):
+    """The class key of one element, as groups.encode defines it."""
+    n = x.n
+    key = sum(p * n**i for i, p in enumerate(x.perm.images))
+    return (key << n) + sum(a << i for i, a in enumerate(x.sign))
+
+
+def test_class_numbering_matches_the_one_at_a_time_oracle():
+    # t_1 = rep, then the text-format order; the conjugator follows the
+    # one-at-a-time BFS.  Centralizer and coset representatives are
+    # checked up to B_5 and S_6: their oracles and B_6 centralizer
+    # closures take seconds per group.
+    for group, rep in _all_classes(6, 7):
+        cls = ConjugacyClass(group, rep)
+        oracle = _object_orbit(group, rep)
+        rest = sorted((t for t in oracle if t != rep), key=SignedPermutation.sort_key)
+        elements = [rep] + rest
+        assert len(cls) == cls.size == len(elements)
+        assert list(cls.elements) == elements
+        assert cls.keys.tolist() == [_one_key(t) for t in elements]
+        assert list(cls.conjugator.items()) == list(oracle.items())
+        if group.order > 3840:
+            continue
+        cent = cls.centralizer()
+        assert cent.elements == sorted(cent.element_set, key=SignedPermutation.sort_key)
+        least = [
+            min((cls.conjugator[t] * c for c in cent), key=SignedPermutation.sort_key)
+            for t in elements
+        ]
+        assert cls.coset_system().reps == least

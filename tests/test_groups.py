@@ -19,6 +19,7 @@ from weylrack.groups import (
     from_arrays,
     nu_left,
     nu_right,
+    text_order,
     to_arrays,
 )
 
@@ -222,3 +223,31 @@ def test_kernel_agrees_with_signed_permutation(case):
     assert len(set(zip(keys, ys))) == len(set(keys)) == len(set(ys))
     images = to_arrays([x.conjugate(y) for y in ys], n)
     assert encode(NP, NA).tolist() == encode(*images).tolist()
+
+
+@st.composite
+def mixed_stacks(draw):
+    """(n, rows): elements of B_n for n up to 13 with mixed cycle types,
+    identity permutation parts and permutation parts drawn more than once."""
+    n = draw(st.integers(1, 13))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    perms = st.one_of(
+        st.just(list(range(n))),
+        st.permutations(range(n)),
+        # a random cycle on a random subset: few moved points
+        st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(
+            lambda pts: [dict(zip(pts, pts[1:] + pts[:1])).get(i, i) for i in range(n)]
+        ),
+    )
+    pool = draw(st.lists(perms, min_size=1, max_size=4))
+    picks = st.one_of(st.sampled_from(pool), perms)
+    rows = draw(st.lists(st.tuples(bits, picks), max_size=40))
+    return n, [SignedPermutation(a, Permutation(p)) for a, p in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_stacks())
+def test_text_order_matches_the_string_sort(case):
+    n, rows = case
+    expect = sorted(range(len(rows)), key=lambda i: rows[i].sort_key())
+    assert text_order(*to_arrays(rows, n)).tolist() == expect

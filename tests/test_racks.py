@@ -274,9 +274,10 @@ def test_juxtaposition_extension_preserves_validity():
 def test_make_certificate_raises_naming_the_strategy():
     rack = FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)")))
     t12, t13, t34 = (SignedPermutation.parse(t) for t in ("0000;(1 2)", "0000;(1 3)", "0000;(3 4)"))
+    i12, i13, i34 = (rack.find(t) for t in (t12, t13, t34))
     # (1 2) |> (1 3) = (2 3) is outside R = {(1 2), (1 3)}
     with pytest.raises(AssertionError, match="strategy broken-split .*R not closed"):
-        make_certificate(rack, [t12, t13], [t34], t12, t34, "broken-split", ())
+        make_certificate(rack, [i12, i13], [i34], i12, i34, "broken-split", ())
 
 
 def test_juxtaposition_extension_rejects_invalid_input():
@@ -299,6 +300,48 @@ def test_epimorphism_construction_checks_homomorphy():
     # a constant map is not surjective
     with pytest.raises(ValueError):
         RackEpimorphism(up, down, lambda x: down.elements[0])
+
+
+def _first_non_homomorphic_pair(source, target, f):
+    """The object loop: the first (x, y) in source-element order with
+    f(x |> y) != f(x) |> f(y)."""
+    for x in source.elements:
+        for y in source.elements:
+            if f(source.op(x, y)) != target.op(f(x), f(y)):
+                return x, y
+    return None
+
+
+def test_epimorphism_names_the_first_pair_that_is_not_homomorphic(monkeypatch):
+    import re
+
+    from weylrack import racks
+
+    up = FiniteRack.from_class(ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)")))
+    down = FiniteRack.from_class(ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2 3)")))
+    monkeypatch.setattr(racks, "BLOCK_PAIRS", 5)  # one source row per block
+    first_rows = set()
+    # every surjective map of the 8 elements onto the 2 of the target
+    for bits in product((0, 1), repeat=up.size):
+        if len(set(bits)) < 2:
+            continue
+        images = dict(zip(up.elements, (down.elements[b] for b in bits)))
+        pair = _first_non_homomorphic_pair(up, down, images.__getitem__)
+        if pair is None:
+            RackEpimorphism(up, down, images.__getitem__)
+            continue
+        x, y = pair
+        first_rows.add(up.index[x])
+        with pytest.raises(ValueError, match=re.escape(f"not a rack homomorphism at ({x}, {y})")):
+            RackEpimorphism(up, down, images.__getitem__)
+    assert max(first_rows) > 0  # some first failures lie past the first block
+
+
+def test_epimorphism_rejects_an_image_outside_the_target():
+    up = FiniteRack.from_class(ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)")))
+    down = FiniteRack.from_class(ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2 3)")))
+    with pytest.raises(ValueError, match="image 100;.* is not in the target rack"):
+        RackEpimorphism(up, down, lambda x: x)
 
 
 def test_pullback_lifts_certificates():
@@ -346,3 +389,28 @@ def test_class_rack_keeps_its_numbering_after_a_renumbering():
     assert rack.elements == cls.elements
     assert renumbered.elements == order
     assert renumbered.locate(cls.keys).tolist() == [0] + list(range(cls.size - 1, 0, -1))
+
+
+def test_certificate_json_does_not_depend_on_built_elements():
+    # one class per strategy: commuting pair, fixed-point split, pullback,
+    # seed closure
+    cases = [
+        (Bn(5), "10000;(1 2 3 4 5)"),
+        (Bn(5), "00001;(1 2)"),
+        (Bn(6), "000000;(1 2 3 4)"),
+        (Sn(5), "00000;(1 2 3 4)"),
+    ]
+    strategies = []
+    for G, text in cases:
+        payloads = []
+        for build_first in (False, True):
+            cls = ConjugacyClass(G, G.parse(text))
+            if build_first:
+                assert len(list(cls.elements)) == cls.size
+            cert = find_type_d_certificate(FiniteRack.from_class(cls), 0).certificate
+            payloads.append(cert.to_json())
+        assert payloads[0] == payloads[1]
+        strategies.append(payloads[0]["strategy"])
+    assert strategies == [
+        "commuting-perm-pair", "fixed-point-sign-split", "projection-pullback", "seed-closure"
+    ]
