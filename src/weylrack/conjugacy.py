@@ -138,6 +138,7 @@ class ConjugacyClass:
         self._sorted_keys = self.keys[self._key_order]
         self._elements = None
         self._index = None
+        self._view = ClassElements(self)
 
     def reorder(self, elements: list) -> "ConjugacyClass":
         """A copy of the class numbered as `elements` (a permutation of
@@ -158,7 +159,7 @@ class ConjugacyClass:
 
     @property
     def elements(self) -> ClassElements:
-        return ClassElements(self)
+        return self._view
 
     def _objects(self) -> list:
         """Every element as a SignedPermutation, built once."""

@@ -759,10 +759,10 @@ class RackEpimorphism:
     """A surjective rack homomorphism, verified on construction.
 
     `images[i]` is the target index of the image of source element i.
-    Between two class racks homomorphy is checked on the index tables,
-    f(x |> y) = f(x) |> f(y) as images[Z_source] == Z_target; the first
-    failing pair, in source-element order, is reported as by the object
-    loop that checks any other pair of racks."""
+    Homomorphy, f(x |> y) = f(x) |> f(y), is checked on the index tables
+    of `op_rows` as images[Z_source] == Z_target; the first failing pair,
+    in source-element order, is re-checked on the objects, which names
+    it and raises."""
 
     def __init__(self, source: FiniteRack, target: FiniteRack, mapping):
         self.source = source
@@ -779,18 +779,17 @@ class RackEpimorphism:
             raise ValueError("mapping is not surjective")
         self.images = np.array(images, dtype=np.int64)
         elems = source.elements
-        if source.source is None or target.source is None:
-            for x in elems:
-                for y in elems:
-                    self._check_pair(x, y)
-            return
         every = np.arange(source.size)
         tables = zip(source.op_rows(every, every), target.op_rows(self.images, self.images))
         for (i, Z), (_, W) in tables:
-            bad = np.argwhere(self.images[Z] != W)
+            bad = np.argwhere((Z < 0) | (W < 0) | (self.images[Z] != W))
             if len(bad):
                 k, j = bad[0].tolist()
-                self._check_pair(elems[i + k], elems[j])  # raises
+                x, y = elems[i + k], elems[j]
+                self._check_pair(x, y)
+                raise AssertionError(
+                    f"index tables and rack operations disagree at ({x}, {y})"
+                )
 
     def _check_pair(self, x, y) -> None:
         f = self.mapping

@@ -160,7 +160,7 @@ def test_class_ordering_is_deterministic():
 def _object_orbit(group, rep):
     """One-at-a-time BFS: {element: conjugator} in discovery order."""
     gens = group.generators()
-    gens = list(dict.fromkeys(gens + [g.inverse() for g in gens]))
+    gens = gens + [g.inverse() for g in gens]
     transversal = {rep: group.identity}
     frontier = [rep]
     while frontier:
@@ -234,11 +234,23 @@ def _one_key(x):
     return (key << n) + sum(a << i for i, a in enumerate(x.sign))
 
 
+def _check_centralizer_and_cosets(cls):
+    cent = cls.centralizer()
+    assert cent.elements == sorted(cent.element_set, key=SignedPermutation.sort_key)
+    least = [
+        min((cls.conjugator[t] * c for c in cent), key=SignedPermutation.sort_key)
+        for t in cls.elements
+    ]
+    assert cls.coset_system().reps == least
+
+
 def test_class_numbering_matches_the_one_at_a_time_oracle():
     # t_1 = rep, then the text-format order; the conjugator follows the
     # one-at-a-time BFS.  Centralizer and coset representatives are
-    # checked up to B_5 and S_6: their oracles and B_6 centralizer
-    # closures take seconds per group.
+    # checked on every class up to B_5 and S_7, and on the two B_6
+    # classes with the smallest centralizers: the other B_6 centralizer
+    # closures and the coset oracle take seconds per class.
+    b6 = []
     for group, rep in _all_classes(6, 7):
         cls = ConjugacyClass(group, rep)
         oracle = _object_orbit(group, rep)
@@ -248,12 +260,10 @@ def test_class_numbering_matches_the_one_at_a_time_oracle():
         assert list(cls.elements) == elements
         assert cls.keys.tolist() == [_one_key(t) for t in elements]
         assert list(cls.conjugator.items()) == list(oracle.items())
-        if group.order > 3840:
-            continue
-        cent = cls.centralizer()
-        assert cent.elements == sorted(cent.element_set, key=SignedPermutation.sort_key)
-        least = [
-            min((cls.conjugator[t] * c for c in cent), key=SignedPermutation.sort_key)
-            for t in elements
-        ]
-        assert cls.coset_system().reps == least
+        if group.order > 5040:
+            b6.append(cls)
+        else:
+            _check_centralizer_and_cosets(cls)
+    assert len(b6) == 65
+    for cls in sorted(b6, key=lambda c: -c.size)[:2]:
+        _check_centralizer_and_cosets(cls)

@@ -337,6 +337,38 @@ def test_epimorphism_names_the_first_pair_that_is_not_homomorphic(monkeypatch):
     assert max(first_rows) > 0  # some first failures lie past the first block
 
 
+def test_epimorphism_checks_table_and_object_racks_on_the_index_tables(monkeypatch):
+    import re
+
+    from weylrack import racks
+
+    cls = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
+    # the same rack without its class: op_rows calls the operation
+    up = FiniteRack(list(cls.elements), lambda x, y: x.conjugate(y))
+    # two commuting elements: the trivial rack on two points
+    down = FiniteRack.from_table(["a", "b"], [[0, 1], [0, 1]])
+    monkeypatch.setattr(racks, "BLOCK_PAIRS", 5)
+    for bits in product((0, 1), repeat=up.size):
+        if len(set(bits)) < 2:
+            continue
+        images = dict(zip(up.elements, ("ab"[b] for b in bits)))
+        pair = _first_non_homomorphic_pair(up, down, images.__getitem__)
+        if pair is None:
+            RackEpimorphism(up, down, images.__getitem__)
+            continue
+        x, y = pair
+        with pytest.raises(ValueError, match=re.escape(f"not a rack homomorphism at ({x}, {y})")):
+            RackEpimorphism(up, down, images.__getitem__)
+    # a source whose operation leaves it: the first escaping pair is named
+    part = FiniteRack(list(cls.elements)[:3], lambda x, y: x.conjugate(y))
+    point = FiniteRack.from_table(["a"], [[0]])
+    x, y = next(
+        (x, y) for x in part.elements for y in part.elements if part.find(x.conjugate(y)) < 0
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{x} |> {y} = ")):
+        RackEpimorphism(part, point, lambda t: "a")
+
+
 def test_epimorphism_rejects_an_image_outside_the_target():
     up = FiniteRack.from_class(ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)")))
     down = FiniteRack.from_class(ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2 3)")))
