@@ -1,6 +1,7 @@
 """Quadratic presentations, truncated Groebner completion, and Hilbert
 series; cross-checks against the braiding-based engine."""
 
+import itertools
 import random
 
 import pytest
@@ -127,3 +128,100 @@ def test_hilbert_json_is_serializable():
     out = hilbert_series(fk_presentation(3), 6)
     blob = json.dumps(out.to_json(), sort_keys=True)
     assert json.loads(blob)["dims"] == out.dims
+
+
+def seeded_signs(n, seed):
+    """alpha, beta, gamma, lam for `a_algebra_presentation`: one +-1 per
+    tuple of distinct indices, drawn from random.Random(seed) in product
+    order, table by table."""
+    rng = random.Random(seed)
+
+    def table(arity):
+        keys = itertools.product(range(1, n + 1), repeat=arity)
+        signs = {k: rng.choice((1, -1)) for k in keys if len(set(k)) == arity}
+        return lambda *k: signs[k]
+
+    return table(3), table(3), table(2), table(4)
+
+
+def frozen_presentation(name):
+    kind, n, variant = name.split("-")
+    n = int(n)
+    if kind == "fk":
+        return fk_presentation(n, variant)
+    if kind == "A":
+        return a_algebra_presentation(n, *seeded_signs(n, int(variant)))
+    char = {"sgn": chi_sgn_sgn, "eps": chi_eps_sgn}[variant]
+    return quadratic_cover_presentation(braiding_for(n, char))
+
+
+# name: (cap, dims, terminated, basis size, leading words in deglex order,
+# one base-36 digit per generator), recorded from the pair-by-pair
+# Buchberger-Mora completion that the degree-by-degree one replaced; the
+# truncated reduced basis is unique for a fixed order, so they must agree
+FROZEN = {
+    "fk-4-lt": (13, [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0], True, 25,
+        "00 11 22 30 31 32 33 40 41 42 44 50 51 52 53 54 55 101 202 212 "
+        "434 2012 2102 201020 201021"
+    ),
+    "fk-5-lt": (8, [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796], False, 126,
+        "00 11 22 33 40 41 42 43 44 50 51 52 53 55 60 61 62 63 66 70 71 "
+        "72 73 74 75 76 77 80 81 82 83 84 85 86 88 90 91 92 93 94 95 96 "
+        "97 98 99 101 202 212 303 313 323 545 646 656 878 2012 2102 3013 "
+        "3023 3103 3123 3203 3213 6456 6546 30123 30213 31023 31203 32013 "
+        "32103 201020 201021 301030 301031 302030 302032 310203 312103 "
+        "312131 312132 320103 645464 645465 3010230 3010231 3012030 "
+        "3012032 3012131 3012132 3020130 3020132 3020312 3021030 3021031 "
+        "3021032 3102131 3102132 3120131 3120132 3121301 3121302 30102030 "
+        "30102131 30120132 30120312 30121030 30121031 30121032 30121301 "
+        "30121302 30201030 30201032 30201312 31020131 31020132 31021031 "
+        "31021032 31021301 31021302 31201031 31201032 31201301 32010230 "
+        "32010231 32010232"
+    ),
+    "fk-4-all": (9, [1, 6, 19, 42, 71, 96, 106, 96, 71, 42], False, 31,
+        "3 6 7 9 a b 00 11 22 40 41 42 44 50 51 52 55 80 81 82 84 85 88 "
+        "101 202 212 545 2012 2102 201020 201021"
+    ),
+    "A-3-1": (8, [1, 3, 2, 0, 0, 0, 0, 0, 0], True, 10,
+        "2 4 5 00 10 11 13 30 31 33"
+    ),
+    "A-3-2": (8, [1, 3, 2, 0, 0, 0, 0, 0, 0], True, 12,
+        "2 4 5 00 03 11 13 30 31 33 010 101"
+    ),
+    "A-4-1": (7, [1, 6, 9, 0, 0, 0, 0, 0], True, 42,
+        "3 6 7 9 a b 00 02 08 10 11 14 15 20 21 22 24 40 41 42 44 48 50 "
+        "51 52 55 58 80 81 82 84 85 88 012 018 045 054 125 128 254 454 "
+        "545"
+    ),
+    "A-4-2": (7, [1, 6, 4, 0, 0, 0, 0, 0], True, 41,
+        "3 6 7 9 a b 00 01 05 08 10 11 12 14 15 18 20 21 22 24 25 28 40 "
+        "41 42 44 48 50 51 52 55 58 80 81 82 84 85 88 045 454 545"
+    ),
+    "cover-3-sgn": (8, [1, 3, 4, 3, 1, 0, 0, 0, 0], True, 6,
+        "00 11 20 21 22 101"
+    ),
+    "cover-3-eps": (8, [1, 3, 4, 3, 1, 0, 0, 0, 0], True, 6,
+        "00 11 20 21 22 101"
+    ),
+    "cover-4-sgn": (13, [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0], True, 25,
+        "00 11 22 30 31 32 33 40 41 42 44 50 51 52 53 54 55 101 202 212 "
+        "434 2012 2102 201020 201021"
+    ),
+    "cover-4-eps": (13, [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0], True, 25,
+        "00 11 22 30 31 32 33 40 41 42 44 50 51 52 53 54 55 101 202 212 "
+        "434 2012 2102 201020 201021"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_completion_matches_frozen_output(name):
+    cap, dims, terminated, basis_size, leads = FROZEN[name]
+    pres = frozen_presentation(name)
+    assert hilbert_series(pres, cap).to_json() == {
+        "dims": dims,
+        "terminated": terminated,
+        "basis_size": basis_size,
+    }
+    words = [tuple(int(c, 36) for c in w) for w in leads.split()]
+    assert nc_groebner(pres, cap).leading_words() == words
