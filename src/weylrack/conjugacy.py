@@ -286,7 +286,10 @@ class Centralizer:
             if schreier in element_set:
                 continue
             self.generators.append(schreier)
-            frontier = list(element_set)
+            # the closed set is a group H not containing schreier, so the
+            # coset schreier * H is all new; close it under the generators
+            frontier = [schreier * x for x in element_set]
+            element_set.update(frontier)
             while frontier:
                 new_frontier = []
                 for x in frontier:

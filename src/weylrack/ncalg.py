@@ -2,13 +2,19 @@
 bases, and Hilbert series by normal-word counting.
 
 Monomials are tuples of generator indices ordered by degree-lexicographic
-comparison.  Completion is Buchberger-Mora style: overlap and inclusion
-ambiguities of leading words, truncated at a degree cap, which makes the
-normal-word counts correct through that cap.
+comparison.  The relations are homogeneous, so completion runs degree by
+degree up to a cap: pass d resolves the degree-d relations and the overlap
+ambiguities of length d among the leading words found so far, each once,
+and keeps the basis reduced.  Reduction looks subwords up in a dict keyed
+by leading word.  The truncated basis makes the normal-word counts correct
+through the cap.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,19 +25,6 @@ def _deglex_key(mono: tuple) -> tuple:
 
 def _leading(poly: dict) -> tuple:
     return max(poly, key=_deglex_key)
-
-
-def _scale(poly: dict, c: Fraction) -> dict:
-    return {m: v * c for m, v in poly.items()}
-
-
-def _add_into(acc: dict, poly: dict, c: Fraction):
-    for m, v in poly.items():
-        w = acc.get(m, Fraction(0)) + v * c
-        if w:
-            acc[m] = w
-        else:
-            acc.pop(m, None)
 
 
 @dataclass
@@ -169,41 +162,66 @@ def quadratic_cover_presentation(braiding) -> NCPresentation:
 # -- Groebner machinery ----------------------------------------------------
 
 
-def _normal_form(poly: dict, basis: list) -> dict:
-    """Fully reduce: while any monomial contains a leading word as a
-    subword, rewrite with the corresponding basis element."""
+def _normal_form(poly: dict, index: dict, rightmost: bool = False) -> dict:
+    """Fully reduce `poly` by `index` = {leading word: monic poly}.
+
+    The largest monomial is rewritten first, at the leftmost occurrence of
+    a leading word (the rightmost with `rightmost`); only the word lengths
+    present in the index are looked up.  Every rewrite makes smaller
+    monomials only, so a monomial containing no leading word is final."""
+    lengths = sorted({len(w) for w in index})
     poly = dict(poly)
-    changed = True
-    while changed:
-        changed = False
-        for m in sorted(poly, key=_deglex_key, reverse=True):
-            if m not in poly:
-                continue
-            hit = None
-            for lead, g in basis:
-                L = len(lead)
-                for pos in range(len(m) - L + 1):
-                    if m[pos : pos + L] == lead:
-                        hit = (g, m[:pos], m[pos + L :])
-                        break
-                if hit:
+    heap = [(_heap_key(m), m) for m in poly]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = poly.pop(m, None)
+        if c is None:  # cancelled, or taken from an earlier entry
+            continue
+        n = len(m)
+        hit = None
+        for pos in range(n - 1, -1, -1) if rightmost else range(n):
+            for L in lengths:
+                if pos + L > n:
+                    break
+                if m[pos : pos + L] in index:
+                    hit = (m[:pos], m[pos : pos + L], m[pos + L :])
                     break
             if hit:
-                g, left, right = hit
-                c = poly.pop(m)
-                # m = left * lead * right; lead = g's leading monomial
-                rest = {mm: vv for mm, vv in g.items() if mm != lead}
-                lead_c = g[lead]
-                for mm, vv in rest.items():
-                    key = left + mm + right
-                    w = poly.get(key, Fraction(0)) - c * vv / lead_c
-                    if w:
-                        poly[key] = w
-                    else:
-                        poly.pop(key, None)
-                changed = True
                 break
-    return poly
+        if hit is None:
+            out[m] = c
+            continue
+        left, lead, right = hit
+        for mm, v in index[lead].items():
+            if mm == lead:
+                continue
+            key = left + mm + right
+            w = poly.get(key, 0) - c * v
+            if not w:
+                del poly[key]
+            else:
+                if key not in poly:
+                    heapq.heappush(heap, (_heap_key(key), key))
+                poly[key] = w
+    return out
+
+
+def _heap_key(mono: tuple) -> tuple:
+    # heapq pops the least key first: deglex-largest monomial first
+    return (-len(mono), tuple(-a for a in mono))
+
+
+def _sub_scaled(acc: dict, poly: dict, c, left: tuple = (), right: tuple = ()):
+    """acc -= c * left * poly * right, dropping the terms that cancel."""
+    for m, v in poly.items():
+        key = left + m + right
+        w = acc.get(key, 0) - c * v
+        if w:
+            acc[key] = w
+        else:
+            acc.pop(key, None)
 
 
 @dataclass
@@ -217,82 +235,60 @@ class GroebnerBasis:
 
 
 def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
-    """Truncated two-sided Groebner basis: complete for all ambiguities
-    whose overlap words have degree <= cap.  Deterministic."""
+    """Truncated reduced two-sided Groebner basis: complete for all
+    ambiguities whose words have degree <= cap.  Deterministic; the basis
+    is sorted by deglex leading word.
+
+    The relations are homogeneous, so the completion runs one degree at a
+    time.  Pass d reduces the degree-d relations and each overlap
+    ambiguity of length d among the current leading words (all shorter
+    than d), each formed once, and adds every non-zero remainder as a
+    monic polynomial.  A remainder is in normal form, so its lead contains
+    no earlier lead and is not inside one: inclusion ambiguities never
+    arise, and only the tails of the other degree-d members can contain
+    the new lead, which is reduced away there.
+    """
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    basis = []
-
-    def insert(poly):
-        poly = _normal_form(poly, basis)
-        if not poly:
-            return False
-        lead = _leading(poly)
-        poly = _scale(poly, 1 / poly[lead])
-        basis.append((lead, poly))
-        # keep the basis interreduced: retire members whose lead is now
-        # reducible, re-adding their reductions
-        i = 0
-        while i < len(basis):
-            ld, g = basis[i]
-            others = basis[:i] + basis[i + 1 :]
-            if any(
-                ld[p : p + len(l2)] == l2
-                for l2, _ in others
-                for p in range(len(ld) - len(l2) + 1)
-            ):
-                basis.pop(i)
-                insert(g)
-                return True
-            i += 1
-        return True
-
-    for rel in sorted(
-        pres.relations, key=lambda r: (_deglex_key(_leading(r)), sorted(r.items()))
-    ):
-        insert(rel)
-
-    done = False
-    while not done:
-        done = True
-        snapshot = list(basis)
-        for lf, f in snapshot:
-            for lg, g in snapshot:
-                if (lf, f) not in basis or (lg, g) not in basis:
-                    continue
-                for amb in _ambiguities(lf, lg, cap):
-                    kind, left_f, right_f, left_g, right_g = amb
-                    sp = {}
-                    _add_into(sp, _pad(f, left_f, right_f), Fraction(1))
-                    _add_into(sp, _pad(g, left_g, right_g), Fraction(-1))
-                    if insert(sp):
-                        done = False
-    basis.sort(key=lambda item: _deglex_key(item[0]))
+    index = {}
+    for d in range(1, cap + 1):
+        inputs = [r for r in pres.relations if len(next(iter(r))) == d]
+        same_degree = []
+        for poly in itertools.chain(inputs, _overlaps(index, d)):
+            poly = _normal_form(poly, index)
+            if not poly:
+                continue
+            lead = _leading(poly)
+            c = poly[lead]
+            poly = {m: v / c for m, v in poly.items()}
+            for other in same_degree:
+                g = index[other]
+                if lead in g:
+                    _sub_scaled(g, poly, g[lead])
+            index[lead] = poly
+            same_degree.append(lead)
+    basis = sorted(index.items(), key=lambda item: _deglex_key(item[0]))
     return GroebnerBasis(basis, cap, len(pres.generators))
 
 
-def _pad(poly: dict, left: tuple, right: tuple) -> dict:
-    return {left + m + right: v for m, v in poly.items()}
-
-
-def _ambiguities(lf: tuple, lg: tuple, cap: int):
-    """Overlap and inclusion ambiguities between two leading words.
-
-    Yields (kind, left_f, right_f, left_g, right_g) such that
-    left_f * lf * right_f == left_g * lg * right_g is the ambiguity word.
-    """
-    # overlap: a proper suffix of lf is a proper prefix of lg
-    for k in range(1, min(len(lf), len(lg))):
-        if lf[len(lf) - k :] == lg[:k]:
-            word_len = len(lf) + len(lg) - k
-            if word_len <= cap:
-                yield ("overlap", (), lg[k:], lf[: len(lf) - k], ())
-    # inclusion: lg occurs inside lf (proper)
-    if len(lg) < len(lf):
-        for pos in range(len(lf) - len(lg) + 1):
-            if lf[pos : pos + len(lg)] == lg:
-                if len(lf) <= cap:
-                    yield ("inclusion", (), (), lf[:pos], lf[pos + len(lg) :])
+def _overlaps(index: dict, d: int):
+    """S-polynomials f * v - u * g of the overlap ambiguities of length d:
+    leading words lf = u s and lg = s v with s non-empty and shorter than
+    both, and lf v = u lg of length d."""
+    leads = sorted(index, key=_deglex_key)
+    by_prefix = defaultdict(list)
+    for lg in leads:
+        for k in range(1, len(lg)):
+            by_prefix[lg[:k]].append(lg)
+    for lf in leads:
+        for k in range(1, len(lf)):
+            for lg in by_prefix.get(lf[len(lf) - k :], ()):
+                if len(lf) + len(lg) - k != d:
+                    continue
+                u, v = lf[: len(lf) - k], lg[k:]
+                sp = {m + v: c for m, c in index[lf].items()}
+                _sub_scaled(sp, index[lg], 1, u)
+                yield sp
 
 
 @dataclass
@@ -373,13 +369,13 @@ def hilbert_from_basis(gb: GroebnerBasis, cap: int) -> HilbertData:
 
 
 def confluence_check(gb: GroebnerBasis, words: list) -> bool:
-    """Reduce each word with two different reduction orders (leftmost
-    match first vs basis reversed) and compare normal forms."""
-    basis_fwd = gb.basis
-    basis_rev = list(reversed(gb.basis))
+    """Reduce each word twice, rewriting at the leftmost and at the
+    rightmost occurrence of a leading word, and compare the normal forms.
+    A basis complete through the words' degrees gives equal forms for
+    every word; different forms show an unresolved ambiguity."""
+    index = dict(gb.basis)
     for w in words:
-        a = _normal_form({tuple(w): Fraction(1)}, basis_fwd)
-        b = _normal_form({tuple(w): Fraction(1)}, basis_rev)
-        if a != b:
+        word = {tuple(w): Fraction(1)}
+        if _normal_form(word, index) != _normal_form(word, index, rightmost=True):
             return False
     return True

@@ -131,6 +131,8 @@ def nichols_graded_dim(
     not exact).  A non-integer entry of conductor 1 raises ValueError.
     Stops early and records the truncation degree when D^k > budget.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     D = braiding.D
     integral = all(_is_integer(v) for out in braiding.terms.values() for _, v in out)
     if integral:

@@ -71,6 +71,10 @@ class VerifyConfig:
     scan_time_budget: float = 1800.0
     mutate: bool = False
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -999,6 +1003,7 @@ def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
     part: exception-list rows are matched by type, everything else gets a
     certificate search."""
     config = config or VerifyConfig()
+    group = Bn(n)  # refuses n < 1
     rows = []
     deadline = time.monotonic() + config.scan_time_budget
     for rep in _class_representatives(n):
@@ -1019,7 +1024,7 @@ def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
         elif time.monotonic() > deadline:
             outcome, note = "inconclusive", "time budget exhausted"
         else:
-            rack = FiniteRack.from_class(ConjugacyClass(Bn(n), rep))
+            rack = FiniteRack.from_class(ConjugacyClass(group, rep))
             res = find_type_d_certificate(rack, config.seed)
             if res:
                 outcome, note = "certificate", ""

@@ -205,6 +205,12 @@ def test_markdown_format(tmp_path):
         (["nichols-dim", "--n", "3"], "--element"),
         (["braiding", "--n", "3"], "--element"),
         (["hilbert", "--algebra", "A", "--n", "3"], "--signs"),
+        # out-of-range counts and degrees, which once ran as if valid
+        (["verify-lemmas", "--samples", "0"], "samples must be at least 1"),
+        (["verify-lemmas", "--samples", "-3"], "samples must be at least 1"),
+        (["nichols-dim", "--preset", "--n", "3", "--max-degree", "-1"], "max_degree"),
+        (["scan-classes", "--n", "0"], "degree must be positive"),
+        (["scan-classes", "--n", "-1"], "degree must be positive"),
     ],
 )
 def test_refused_or_invalid_input_is_one_error_line(capsys, argv, needle):

@@ -8,6 +8,7 @@ import pytest
 
 from weylrack.conjugacy import transposition_preset
 from weylrack.ncalg import (
+    GroebnerBasis,
     NCPresentation,
     a_algebra_presentation,
     confluence_check,
@@ -80,14 +81,30 @@ def test_groebner_is_deterministic():
     assert a.leading_words() == b.leading_words()
 
 
-def test_confluence_on_random_words():
-    gb = nc_groebner(fk_presentation(3), 8)
+def seeded_words(generator_count):
     rng = random.Random(41)
-    words = [
-        tuple(rng.randrange(gb.generator_count) for _ in range(rng.randint(1, 6)))
+    return [
+        tuple(rng.randrange(generator_count) for _ in range(rng.randint(1, 6)))
         for _ in range(60)
     ]
+
+
+def test_confluence_on_random_words():
+    gb = nc_groebner(fk_presentation(3), 8)
+    words = seeded_words(gb.generator_count)
     assert confluence_check(gb, words)
+
+
+def test_confluence_check_fails_on_uncompleted_relations():
+    # the fk n=3 relations made monic but never completed: leftmost and
+    # rightmost rewriting must reach different normal forms on some word
+    basis = []
+    for rel in fk_presentation(3).relations:
+        lead = max(rel, key=lambda m: (len(m), m))
+        basis.append((lead, {m: v / rel[lead] for m, v in rel.items()}))
+    basis.sort(key=lambda item: (len(item[0]), item[0]))
+    gb = GroebnerBasis(basis, 8, 3)
+    assert not confluence_check(gb, seeded_words(gb.generator_count))
 
 
 def test_sign_table_validation():
