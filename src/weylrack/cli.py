@@ -36,17 +36,19 @@ CONFIG_KEYS = {"seed": None, "samples": 1}
 
 
 def _load_config(path: str | None) -> dict:
+    """The config file's keys; a bad file raises ValueError, which `main`
+    reports as one error line."""
     if path is None:
         return {}
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "schema" not in data:
-        raise SystemExit(f"config {path}: missing \"schema\": 1")
+        raise ValueError(f"config {path}: missing \"schema\": 1")
     if data["schema"] != 1:
-        raise SystemExit(f"unsupported config schema {data['schema']!r}")
+        raise ValueError(f"config {path}: schema must be 1, got {data['schema']!r}")
     unknown = sorted(set(data) - {"schema", *CONFIG_KEYS})
     if unknown:
-        raise SystemExit(
+        raise ValueError(
             f"config {path}: unknown keys {', '.join(unknown)} "
             f"(allowed: schema, {', '.join(CONFIG_KEYS)})"
         )
@@ -57,7 +59,7 @@ def _load_config(path: str | None) -> dict:
         # bool is an int subclass, but JSON true is not a seed
         if type(value) is not int or (least is not None and value < least):
             bound = "an integer" if least is None else f"an integer >= {least}"
-            raise SystemExit(f"config {path}: {key} must be {bound}, got {value!r}")
+            raise ValueError(f"config {path}: {key} must be {bound}, got {value!r}")
     return data
 
 

@@ -7,9 +7,13 @@ S_k = sum over w in S_k of lift(w), where lift is the Matsumoto section:
 lift(w) = c_{i_1} ... c_{i_l} for any reduced word s_{i_1} ... s_{i_l}
 of w, with c_i the braiding applied at tensor positions (i, i+1).
 
-S_k is built in the braiding's own scalars (ints for the CLI's +-1
-characters, `Cyclo`s otherwise) and each degree takes one exact or one
-modular rank path, as `nichols_graded_dim` describes.
+S_k is built on index arrays: the D^k basis tuples of a degree are one
+stack of flat indices, the braiding is a table of target pairs and
+coefficients, and each reduced word is lifted over the whole stack at
+once, in int64 when the braiding is integral and no sum can overflow,
+over the braiding's own objects (big ints, `Cyclo`s) otherwise.  Each
+degree takes one exact or one modular rank path, as `nichols_graded_dim`
+describes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 
@@ -54,40 +58,108 @@ def reduced_word(images: tuple, from_right: bool = False) -> tuple:
         word.append(i)
 
 
-def lift_word(braiding: Braiding, word: tuple, k: int, state: dict) -> dict:
-    """Apply the lift of a reduced word to a combination of basis tuples."""
+@dataclass(frozen=True)
+class _Tables:
+    """A braiding as lookup arrays: the terms of the pair a*D + b are
+    target[start:start + count] (each a'*D + b') with coefficients
+    coeff[start:start + count], in int64 or as objects."""
+
+    D: int
+    start: np.ndarray
+    count: np.ndarray
+    target: np.ndarray
+    coeff: np.ndarray
+    bijective: bool  # one non-zero term per pair, targets all distinct
+
+
+def _tables(braiding: Braiding, k: int) -> _Tables:
+    """Lookup arrays for `lift_word` on V^(x k).  Coefficients are int64
+    when every braiding coefficient is an int and no entry of S_k or sum
+    on the way can leave int64: with `norm` the largest sum of |coeff|
+    over the terms of one pair, each is at most norm^(k(k-1)/2) * k!.
+    They are objects (ints, `Cyclo`s) otherwise."""
+    D = braiding.D
+    outs = [braiding.terms[divmod(ab, D)] for ab in range(D * D)]
+    count = np.array([len(out) for out in outs], dtype=np.int64)
+    target = [a * D + b for out in outs for (a, b), _ in out]
+    values = [v for out in outs for _, v in out]
+    dtype = object
+    if all(isinstance(v, int) for v in values):
+        norm = max((sum(abs(v) for _, v in out) for out in outs), default=0)
+        if norm ** (k * (k - 1) // 2) * factorial(k) < 2**63:
+            dtype = np.int64
+    coeff = np.empty(len(values), dtype=dtype)
+    coeff[:] = values
+    bijective = bool((count == 1).all()) and len(set(target)) == D * D and all(values)
+    return _Tables(
+        D,
+        np.cumsum(count) - count,
+        count,
+        np.array(target, dtype=np.int64),
+        coeff,
+        bijective,
+    )
+
+
+def _combine(key: np.ndarray, coeff: np.ndarray) -> tuple:
+    """Sum the coefficients of equal keys and drop the zero sums; the
+    keys come back sorted."""
+    key, inverse = np.unique(key, return_inverse=True)
+    sums = np.zeros(len(key), dtype=coeff.dtype)
+    np.add.at(sums, inverse, coeff)
+    nonzero = sums.astype(bool)
+    return key[nonzero], sums[nonzero]
+
+
+def lift_word(tables: _Tables, word: tuple, k: int, stack: tuple) -> tuple:
+    """Apply the lift of a reduced word to a whole stack of terms.
+
+    The stack is (key, coeff): term i is coeff[i] times the basis tuple
+    of flat index key[i] % D^k in column key[i] // D^k.  Each letter reads
+    the pair at its positions out of the keys, writes the pair's target
+    back and multiplies its coefficient in.  Unless the braiding is a
+    bijection of basis pairs, a pair with several terms repeats its rows
+    and the stack is summed by key after each letter."""
+    key, coeff = stack
+    D2 = tables.D * tables.D
     for pos in reversed(word):
-        state = braiding._apply_at(state, pos, k)
-        if not state:
-            break
-    return state
+        place = tables.D ** (k - 2 - pos)
+        pair = key // place % D2
+        if tables.bijective:
+            term = tables.start[pair]
+        else:
+            count = tables.count[pair]
+            rows = np.repeat(np.arange(len(key)), count)
+            offset = np.repeat(tables.start[pair] - (np.cumsum(count) - count), count)
+            term = offset + np.arange(len(rows))
+            key, coeff, pair = key[rows], coeff[rows], pair[rows]
+        key = key + (tables.target[term] - pair) * place
+        coeff = coeff * tables.coeff[term]
+        if not tables.bijective:
+            key, coeff = _combine(key, coeff)
+    return key, coeff
 
 
 def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
     """Yield (column index, {row index: coeff}) for S_k on V^(x k), in the
-    scalars of the braiding's coefficients."""
-    D = braiding.D
-    words = [reduced_word(p, from_right) for p in permutations(range(k))]
+    scalars of the braiding's coefficients, for every column in order.
 
-    def flat(tup):
-        out = 0
-        for x in tup:
-            out = out * D + x
-        return out
-
-    total = D**k
-    for col in range(total):
-        tup = []
-        c = col
-        for _ in range(k):
-            tup.append(c % D)
-            c //= D
-        tup = tuple(reversed(tup))
-        acc: dict = {}
-        for w in words:
-            for t, v in lift_word(braiding, w, k, {tup: 1}).items():
-                acc[t] = acc.get(t, 0) + v
-        yield col, {flat(t): v for t, v in acc.items() if v}
+    Basis tuples are flat indices in base D, the first tensor position
+    most significant.  All D^k columns start as one stack, each reduced
+    word lifts the whole stack at once, and the k! results are summed by
+    (column, row)."""
+    tables = _tables(braiding, k)
+    total = braiding.D**k
+    identity = np.arange(total, dtype=np.int64) * (total + 1), np.ones(total, tables.coeff.dtype)
+    words = (reduced_word(p, from_right) for p in permutations(range(k)))
+    keys, coeffs = zip(*(lift_word(tables, w, k, identity) for w in words))
+    key, coeff = _combine(np.concatenate(keys), np.concatenate(coeffs))
+    col, row = np.divmod(key, total)
+    bounds = np.searchsorted(col, np.arange(total + 1)).tolist()
+    row, coeff = row.tolist(), coeff.tolist()
+    for c in range(total):
+        lo, hi = bounds[c], bounds[c + 1]
+        yield c, dict(zip(row[lo:hi], coeff[lo:hi]))
 
 
 @dataclass
@@ -113,11 +185,26 @@ class GradedDims:
 EXACT_LIMIT = 300
 CYCLO_EXACT_LIMIT = 100
 
+# default memory budget of one degree, in bytes: n = 4 to degree 5 (a
+# 484 MB dense matrix) fits, degree 6 (17.4 GB) does not
+MEMORY_BUDGET = 1 << 29
+# peak bytes per (reduced word, column) term of the lift stack, about 77
+# measured under tracemalloc for a monomial braiding
+LIFT_TERM_BYTES = 80
+
+
+def _degree_bytes(D: int, k: int) -> int:
+    """Bytes that degree k needs at once: the larger of the dense D^k x
+    D^k int64 matrix and the lift stack of `symmetrizer_columns`, which
+    is freed before the matrix is built."""
+    size = D**k
+    return max(8 * size * size, LIFT_TERM_BYTES * factorial(k) * size)
+
 
 def nichols_graded_dim(
     braiding: Braiding,
     max_degree: int,
-    budget: int = 500_000,
+    budget: int = MEMORY_BUDGET,
     from_right: bool = False,
 ) -> GradedDims:
     """Graded dimensions dims[k] = rank(S_k) for k = 0..max_degree.
@@ -129,7 +216,8 @@ def nichols_graded_dim(
     over Q(zeta_N) ("exact-cyclo") while D^k <= CYCLO_EXACT_LIMIT; beyond,
     the rank mod two agreeing primes p = 1 (mod N), a lower bound ("mod-p",
     not exact).  A non-integer entry of conductor 1 raises ValueError.
-    Stops early and records the truncation degree when D^k > budget.
+    Stops before building a degree whose `_degree_bytes` exceed `budget`
+    and records that degree as the truncation.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
@@ -143,10 +231,10 @@ def nichols_graded_dim(
     methods = set()
     truncated = None
     for k in range(2, max_degree + 1):
-        size = D**k
-        if size > budget:
+        if _degree_bytes(D, k) > budget:
             truncated = k
             break
+        size = D**k
         cols = dict(symmetrizer_columns(braiding, k, from_right))
         N = lcm(1, *(getattr(v, "N", 1) for col in cols.values() for v in col.values()))
         if N == 1 and not integral:  # a rational degree of a `Cyclo` braiding

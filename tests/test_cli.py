@@ -155,28 +155,31 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert json.loads(out2.read_text())[0]["config"]["seed"] == 7
 
 
-def test_bad_config_schema_is_rejected(tmp_path):
+def config_error(capsys, tmp_path, config, *argv) -> str:
+    """The one error line that refusing `config` prints, with exit code 2."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 99}))
-    with pytest.raises(SystemExit):
-        main(["--config", str(cfg), "verify-lemmas", "--list"])
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weylrack: error: ")
+    assert err.count("\n") == 1
+    return err
 
 
-def test_config_without_schema_is_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "verify-lemmas", "--list"])
-    assert "schema" in str(exc.value.code)
+def test_bad_config_schema_is_rejected(tmp_path, capsys):
+    err = config_error(capsys, tmp_path, {"schema": 99}, "verify-lemmas", "--list")
+    assert "schema must be 1, got 99" in err
 
 
-def test_config_with_unknown_key_is_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, "seed": 3, "sample": 200}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "verify-lemmas", "--list"])
-    assert "sample" in str(exc.value.code)
-    assert "\n" not in str(exc.value.code)
+def test_config_without_schema_is_rejected(tmp_path, capsys):
+    err = config_error(capsys, tmp_path, {"seed": 3}, "verify-lemmas", "--list")
+    assert "missing \"schema\"" in err
+
+
+def test_config_with_unknown_key_is_rejected(tmp_path, capsys):
+    config = {"schema": 1, "seed": 3, "sample": 200}
+    err = config_error(capsys, tmp_path, config, "verify-lemmas", "--list")
+    assert "unknown keys sample" in err
 
 
 def test_markdown_format(tmp_path):
@@ -240,26 +243,26 @@ def test_unreadable_input_file_is_one_error_line(tmp_path, capsys, argv, needle)
     assert needle in err
 
 
-def test_config_keys_that_flags_always_set_are_rejected(tmp_path):
+def test_config_keys_that_flags_always_set_are_rejected(tmp_path, capsys):
     # argparse fills --n, --cap and --max-degree before the config is read
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, "max_degree": 2}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "nichols-dim", "--n", "3", "--preset"])
-    assert "max_degree" in str(exc.value.code)
+    config = {"schema": 1, "max_degree": 2}
+    err = config_error(capsys, tmp_path, config, "nichols-dim", "--n", "3", "--preset")
+    assert "unknown keys max_degree" in err
 
 
 @pytest.mark.parametrize(
     "values, key",
-    [({"seed": "x"}, "seed"), ({"seed": True}, "seed"), ({"samples": 0}, "samples")],
+    [
+        ({"seed": "x"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"samples": 0}, "samples"),
+        ({"schema": 99}, "schema"),
+    ],
 )
-def test_config_values_of_the_wrong_type_are_rejected(tmp_path, values, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, **values}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "verify-lemmas", "--select", "square-closed-forms"])
-    assert f"{key} must be an integer" in str(exc.value.code)
-    assert "\n" not in str(exc.value.code)
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, values, key):
+    argv = ["verify-lemmas", "--select", "square-closed-forms"]
+    err = config_error(capsys, tmp_path, {"schema": 1, **values}, *argv)
+    assert f"{key} must be" in err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 """Graded dimensions of braided symmetrizer quotients, degree-2 kernels,
 and the transposition cocycle tables."""
 
+import time
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
+from weylrack import nichols
 from weylrack.conjugacy import transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Permutation
@@ -17,6 +21,7 @@ from weylrack.nichols import (
     reduced_word,
     sign_product,
     square_relation_holds,
+    symmetrizer_columns,
     table1_values,
     triple_relation_signs,
 )
@@ -58,10 +63,34 @@ def test_s4_graded_dims_modular():
 
 
 def test_budget_truncation_is_flagged():
+    # a byte budget: the dense 216 x 216 int64 matrix of degree 3 fits,
+    # the 1296 x 1296 one of degree 4 does not
     c = braiding_for(4, chi_sgn_sgn)
-    out = nichols_graded_dim(c, 6, budget=6**3)
+    out = nichols_graded_dim(c, 6, budget=8 * 216**2)
     assert out.truncated_at == 4
     assert out.dims == [1, 6, 19, 42]
+
+
+def test_default_budget_stops_before_degree_six(monkeypatch):
+    # n = 4 degree 6 would need a 17.4 GB dense matrix; the default
+    # budget admits degree 5 (484 MB) and refuses degree 6 before
+    # building anything.  The modular ranks (degrees 4 and 5) are stubbed
+    # out, so the test allocates neither large dense matrix.
+    built = []
+
+    def columns(braiding, k, from_right=False):
+        built.append(k)
+        return symmetrizer_columns(braiding, k, from_right)
+
+    monkeypatch.setattr(nichols, "symmetrizer_columns", columns)
+    monkeypatch.setattr(nichols, "rank_two_primes", lambda matrix, primes: -1)
+    c = braiding_for(4, chi_sgn_sgn)
+    start = time.perf_counter()
+    out = nichols_graded_dim(c, 6)
+    assert time.perf_counter() - start < 1.0
+    assert out.truncated_at == 6
+    assert built == [2, 3, 4, 5]
+    assert out.dims == [1, 6, 19, 42, -1, -1]
 
 
 def test_mixed_conductor_entries_use_the_lcm():
@@ -139,6 +168,83 @@ def test_symmetrizer_word_choice_does_not_matter():
     a = nichols_graded_dim(c, 4, from_right=False)
     b = nichols_graded_dim(c, 4, from_right=True)
     assert a.dims == b.dims
+
+
+def oracle_columns(braiding, k, from_right):
+    """S_k column by column, the way it was first built: the sum over all
+    permutations of the lift of a reduced word, applied to one basis
+    tuple at a time through `Braiding._apply_at`."""
+    D = braiding.D
+    out = {}
+    for col in range(D**k):
+        tup = tuple(col // D ** (k - 1 - i) % D for i in range(k))
+        acc = {}
+        for p in permutations(range(k)):
+            state = {tup: 1}
+            for pos in reversed(reduced_word(p, from_right)):
+                state = braiding._apply_at(state, pos, k)
+            for t, v in state.items():
+                acc[t] = acc.get(t, 0) + v
+        flat = (sum(x * D ** (k - 1 - i) for i, x in enumerate(t)) for t in acc)
+        out[col] = {r: v for r, v in zip(flat, acc.values()) if v}
+    return out
+
+
+def integral(braiding):
+    """The braiding with int coefficients, as `nichols_graded_dim` builds
+    S_k for every rational braiding."""
+    return Braiding(
+        braiding.D,
+        {ab: [(t, int(v.as_rational())) for t, v in out] for ab, out in braiding.terms.items()},
+    )
+
+
+def two_term_braiding(scalar):
+    """A non-monomial braiding on D = 2: the pairs (0, 1) and (1, 1) have
+    two terms each, and one coefficient is 0."""
+    return Braiding(2, {
+        (0, 0): [((0, 0), -1)],
+        (0, 1): [((1, 0), 1), ((0, 1), scalar)],
+        (1, 0): [((0, 1), 2)],
+        (1, 1): [((1, 1), -1), ((0, 0), 0)],
+    })
+
+
+ORACLE_CASES = {
+    "s3-sgn-sgn-int": (lambda: integral(braiding_for(3, chi_sgn_sgn)), 5),
+    "s3-eps-sgn-int": (lambda: integral(braiding_for(3, chi_eps_sgn)), 5),
+    "s4-sgn-sgn-int": (lambda: integral(braiding_for(4, chi_sgn_sgn)), 3),
+    "s4-eps-sgn-int": (lambda: integral(braiding_for(4, chi_eps_sgn)), 3),
+    "s3-sgn-sgn-cyclo": (lambda: braiding_for(3, chi_sgn_sgn), 3),
+    "s4-eps-sgn-cyclo": (lambda: braiding_for(4, chi_eps_sgn), 3),
+    "diagonal-zeta3": (lambda: diagonal_braiding(lambda a, b: Cyclo.zeta(3) ** (a + 2 * b)), 4),
+    "diagonal-singular": (lambda: diagonal_braiding(lambda a, b: a + b - 1), 4),
+    "two-term-int": (lambda: two_term_braiding(-1), 4),
+    "two-term-zeta4": (lambda: two_term_braiding(Cyclo.zeta(4)), 4),
+    "coefficient-3": (lambda: diagonal_braiding(lambda a, b: 3 if a != b else -1), 4),
+    # 2^40 cubed leaves int64, so the guard must pick exact ints
+    "coefficient-2^40": (lambda: diagonal_braiding(lambda a, b: 2**40 if a != b else -1), 3),
+}
+
+
+@pytest.mark.parametrize("from_right", [False, True])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_symmetrizer_matches_the_per_column_oracle(case, from_right):
+    make, top = ORACLE_CASES[case]
+    c = make()
+    for k in range(top + 1):
+        assert dict(symmetrizer_columns(c, k, from_right)) == oracle_columns(c, k, from_right), k
+
+
+def test_int64_guard_bounds_every_sum():
+    # k! words of k(k-1)/2 letters: 3^28 * 8! < 2^63 <= 3^36 * 9!
+    c = diagonal_braiding(lambda a, b: 3 if a != b else -1)
+    assert nichols._tables(c, 8).coeff.dtype == np.int64
+    assert nichols._tables(c, 9).coeff.dtype == object
+    # the terms of a pair add up: 1 and 3 bound a sum like a single 4,
+    # 4^21 * 7! < 2^63 <= 4^28 * 8!, where a single 3 would still fit
+    assert nichols._tables(two_term_braiding(3), 7).coeff.dtype == np.int64
+    assert nichols._tables(two_term_braiding(3), 8).coeff.dtype == object
 
 
 def test_degree2_kernel_dimension():
