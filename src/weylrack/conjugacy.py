@@ -1,7 +1,8 @@
 """Conjugacy classes, centralizers and coset systems in B_n and S_n.
 
-A class is held as the arrays P, A and keys of groups.to_arrays and
-groups.encode; SignedPermutation objects are built on demand.  The class
+A class or a centralizer is held as the arrays P, A and keys of
+groups.to_arrays and groups.encode; SignedPermutation objects are built
+on demand.  The class
 element ordering is deterministic: the canonical text-format order
 (groups.text_order), with the defining representative moved to the front
 as t_1.  Coset representatives g_i are the text-format-least conjugators,
@@ -28,9 +29,9 @@ from .groups import (
     conjugate_rows,
     encode,
     from_arrays,
+    inverse_rows,
     juxtapose_rows,
-    nu_left,
-    nu_right,
+    mul_rows,
     text_order,
     to_arrays,
 )
@@ -55,15 +56,16 @@ def class_size(group: GroupContext, rep: SignedPermutation) -> int:
 
 
 class ClassElements(Sequence):
-    """The elements of a class in its numbering, as SignedPermutations.
+    """The elements of a class or a centralizer in its numbering, as
+    SignedPermutations.
 
-    A view: its length is the class size, and item i is built from row i
-    of the class arrays until the first iteration, slice or comparison
-    builds every element once for the class to keep."""
+    A view: its length is the number of rows, and item i is built from
+    row i of the arrays until the first iteration, slice or comparison
+    builds every element once for the owner to keep."""
 
     __slots__ = ("_cls",)
 
-    def __init__(self, cls: "ConjugacyClass"):
+    def __init__(self, cls: "_Rows"):
         self._cls = cls
 
     def __len__(self) -> int:
@@ -90,15 +92,83 @@ class ClassElements(Sequence):
         return f"ClassElements({self._cls!r})"
 
 
-class ConjugacyClass:
+class _Rows:
+    """Elements of `group` held as arrays: row i of `P`, `A` and `keys`
+    is element i (see groups.to_arrays and groups.encode).  `elements`,
+    `index` and `element_set` build SignedPermutations on first use;
+    `element(i)` and `find(x)` reach one of them without that."""
+
+    def _set_rows(self, P: np.ndarray, A: np.ndarray):
+        self.P, self.A = P, A
+        self.keys = encode(P, A)
+        self._key_order = np.argsort(self.keys)
+        self._sorted_keys = self.keys[self._key_order]
+        self._elements = None
+        self._index = None
+        self._element_set = None
+        self._view = ClassElements(self)
+
+    def locate(self, keys: np.ndarray) -> np.ndarray:
+        """The element index of each key, -1 for keys outside the rows."""
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
+
+    @property
+    def elements(self) -> ClassElements:
+        return self._view
+
+    def _objects(self) -> list:
+        """Every element as a SignedPermutation, built once."""
+        if self._elements is None:
+            self._elements = from_arrays(self.P, self.A)
+        return self._elements
+
+    def element(self, i: int) -> SignedPermutation:
+        """Element i, without building the others."""
+        if self._elements is not None:
+            return self._elements[i]
+        return from_arrays(self.P[i : i + 1], self.A[i : i + 1])[0]
+
+    @property
+    def index(self) -> dict:
+        """{t: i}, built on first use."""
+        if self._index is None:
+            self._index = {t: i for i, t in enumerate(self._objects())}
+        return self._index
+
+    @property
+    def element_set(self) -> set:
+        """The elements as a set, built on first use."""
+        if self._element_set is None:
+            self._element_set = set(self._objects())
+        return self._element_set
+
+    def find(self, x) -> int:
+        """The index of x, -1 if x is not an element: looked up in
+        `index` once the elements are built, by its key before."""
+        if self._elements is not None:
+            return self.index.get(x, -1)
+        if not isinstance(x, SignedPermutation) or x.n != self.group.n:
+            return -1
+        return int(self.locate(encode(*to_arrays([x], x.n)))[0])
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def __contains__(self, x) -> bool:
+        return self.find(x) >= 0
+
+
+class ConjugacyClass(_Rows):
     """The conjugacy class of `rep` in `group`, with a fixed numeration.
 
     t_1 = rep; the remaining elements are in canonical text-format order
-    (groups.text_order).  The class is held as arrays: row i of `P`, `A`
-    and `keys` is t_{i+1} (see groups.to_arrays and groups.encode).
-    `elements` and `index` build SignedPermutations on first use;
-    `element(i)` and `find(x)` reach one of them without that.
-    `conjugator[t]` is the BFS word taking rep to t (some g with g |> rep = t).
+    (groups.text_order).  The class is held as rows (see _Rows).
+    `conjugator[t]` is the BFS word taking rep to t (some g with
+    g |> rep = t); the words are kept as rows too.
     """
 
     def __init__(self, group: GroupContext, rep: SignedPermutation):
@@ -128,17 +198,9 @@ class ConjugacyClass:
         self._row_of = np.argsort(order)
         self._set_rows(P[order], A[order])
         self.class_key = rep.signed_cycle_type()
+        self._words = None
         self._conjugator = None
         self._centralizer = None
-
-    def _set_rows(self, P: np.ndarray, A: np.ndarray):
-        self.P, self.A = P, A
-        self.keys = encode(P, A)
-        self._key_order = np.argsort(self.keys)
-        self._sorted_keys = self.keys[self._key_order]
-        self._elements = None
-        self._index = None
-        self._view = ClassElements(self)
 
     def reorder(self, elements: list) -> "ConjugacyClass":
         """A copy of the class numbered as `elements` (a permutation of
@@ -152,65 +214,40 @@ class ConjugacyClass:
         renumbered._set_rows(self.P[rows], self.A[rows])
         return renumbered
 
-    def locate(self, keys: np.ndarray) -> np.ndarray:
-        """The element index of each key, -1 for keys outside the class."""
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
-        return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
-
-    @property
-    def elements(self) -> ClassElements:
-        return self._view
-
-    def _objects(self) -> list:
-        """Every element as a SignedPermutation, built once."""
-        if self._elements is None:
-            self._elements = from_arrays(self.P, self.A)
-        return self._elements
-
-    def element(self, i: int) -> SignedPermutation:
-        """t_{i+1}, without building the other elements."""
-        if self._elements is not None:
-            return self._elements[i]
-        return SignedPermutation(self.A[i].tolist(), Permutation(self.P[i].tolist()))
-
-    @property
-    def index(self) -> dict:
-        """{t: i}, built on first use."""
-        if self._index is None:
-            self._index = {t: i for i, t in enumerate(self._objects())}
-        return self._index
-
-    def find(self, x) -> int:
-        """The index of x, -1 if x is not in the class: looked up in
-        `index` once the elements are built, by its key before."""
-        if self._elements is not None:
-            return self.index.get(x, -1)
-        if not isinstance(x, SignedPermutation) or x.n != self.group.n:
-            return -1
-        return int(self.locate(encode(*to_arrays([x], x.n)))[0])
+    def words(self) -> tuple:
+        """(P, A) of the conjugator words in discovery order, built on
+        first use a BFS level at a time: row i > 0 is
+        gens[gen[i]] * (row parent[i])."""
+        if self._words is None:
+            n = self.group.n
+            gP, gA = to_arrays(self._gens, n)
+            WP = np.empty((self.size, n), dtype=np.int8)
+            WA = np.zeros((self.size, n), dtype=np.int8)
+            WP[0] = np.arange(n)
+            done = 1
+            while done < self.size:
+                # parents never decrease, so the rows up to the first
+                # one whose parent is not built yet can all be built
+                stop = int(np.searchsorted(self._parent, done))
+                parent, gen = self._parent[done:stop], self._gen[done:stop]
+                WP[done:stop], WA[done:stop] = mul_rows(
+                    gP[gen], gA[gen], WP[parent], WA[parent]
+                )
+                done = stop
+            self._words = WP, WA
+        return self._words
 
     @property
     def conjugator(self) -> dict:
-        """{t: g} with g |> rep = t, in discovery order; built on first use
-        from the BFS records: t's word is (its generator) * (its parent's)."""
+        """{t: g} with g |> rep = t, in discovery order; built on first
+        use from the word rows."""
         if self._conjugator is None:
-            words = [self.group.identity]
-            for parent, gen in zip(self._parent[1:].tolist(), self._gen[1:].tolist()):
-                words.append(self._gens[gen] * words[parent])
             elements = self._objects()
             self._conjugator = {
-                elements[row]: g for row, g in zip(self._row_of.tolist(), words)
+                elements[row]: g
+                for row, g in zip(self._row_of.tolist(), from_arrays(*self.words()))
             }
         return self._conjugator
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return iter(self._objects())
-
-    def __contains__(self, x) -> bool:
-        return self.find(x) >= 0
 
     def centralizer(self) -> "Centralizer":
         """G^rep, built on first use and shared by every later caller."""
@@ -244,13 +281,9 @@ def _orbit(gens: list, rep: SignedPermutation) -> tuple:
     Ps, As, parents, gen_ids = [fP], [fA], [np.array([-1])], [np.array([-1])]
     start = 0  # discovery index of the frontier's first element
     while len(fP) and gens:
-        images = [conjugate_rows(tau, a, fP, fA) for tau, a in zip(gP, gA)]
-        # candidate c = f * len(gens) + j is gens[j] |> frontier[f]
-        CP = np.stack([p for p, _ in images], axis=1).reshape(-1, n)
-        CA = np.stack([s for _, s in images], axis=1).reshape(-1, n)
+        CP, CA = _conjugates(gP, gA, fP, fA)
         keys = encode(CP, CA)
-        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        fresh = np.flatnonzero(seen[pos] != keys)
+        fresh = np.flatnonzero(~_member(seen, keys))
         _, first = np.unique(keys[fresh], return_index=True)
         new = fresh[np.sort(first)]
         parents.append(start + new // len(gens))
@@ -268,66 +301,119 @@ def _orbit(gens: list, rep: SignedPermutation) -> tuple:
     )
 
 
-class Centralizer:
-    """G^s = {g in G : gs = sg}, enumerated from Schreier generators."""
+def _conjugates(gP: np.ndarray, gA: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
+    """(P, A) of every generator row conjugating every row of (P, A):
+    row f * len(gP) + j is generator j |> row f."""
+    images = [conjugate_rows(tau, a, P, A) for tau, a in zip(gP, gA)]
+    n = P.shape[1]
+    return (
+        np.stack([p for p, _ in images], axis=1).reshape(-1, n),
+        np.stack([s for _, s in images], axis=1).reshape(-1, n),
+    )
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of `keys` occur in the non-empty sorted array `sorted_keys`."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+# rows per block of Schreier generators, and of products g_0 c per
+# text_order call in _least_coset_reps
+BLOCK_PRODUCTS = 1 << 14
+
+
+class Centralizer(_Rows):
+    """G^s = {g in G : gs = sg}, closed from Schreier generators on rows
+    (see _Rows), in text-format order."""
 
     def __init__(self, cls: ConjugacyClass):
         self.cls = cls
         self.base = cls.rep
         self.group = cls.group
-        expect = self.group.order // cls.size
-        self.generators = []
-        element_set = {self.group.identity}
-        # Consume Schreier generators until the closure reaches the size
-        # forced by |O_s| * |G^s| = |G|.
-        for schreier in _schreier_generators(cls):
-            if len(element_set) == expect:
-                break
-            if schreier in element_set:
-                continue
-            self.generators.append(schreier)
-            # the closed set is a group H not containing schreier, so the
-            # coset schreier * H is all new; close it under the generators
-            frontier = [schreier * x for x in element_set]
-            element_set.update(frontier)
-            while frontier:
-                new_frontier = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = g * x
-                        if y not in element_set:
-                            element_set.add(y)
-                            new_frontier.append(y)
-                frontier = new_frontier
-        if len(element_set) != expect:
-            raise AssertionError(
-                f"centralizer closure has {len(element_set)} elements, "
-                f"expected {expect}"
+        # |O_s| * |G^s| = |G|
+        self.size = self.group.order // cls.size
+        if self.size > MAX_CLASS_SIZE:
+            raise BudgetExceeded(
+                f"centralizer of {cls.rep} has {self.size} elements, over the "
+                f"enumeration cap of {MAX_CLASS_SIZE}"
             )
-        elements = list(element_set)
-        order = text_order(*to_arrays(elements, self.group.n))
-        self.elements = [elements[i] for i in order.tolist()]
-        self.element_set = element_set
+        P, A = _close(_schreier_generators(cls), self.group.n, self.size)
+        order = text_order(P, A)
+        self._set_rows(P[order], A[order])
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.element_set
+        return self.size
 
 
 def _schreier_generators(cls: ConjugacyClass):
-    """Yield Schreier generators of the stabilizer of rep, lazily."""
-    for t, g_t in cls.conjugator.items():
-        for a in cls._gens:
-            u = a.conjugate(t)
-            schreier = cls.conjugator[u].inverse() * a * g_t
-            if not schreier.is_identity():
-                yield schreier
+    """Yield the Schreier generators word[a |> t]^-1 a word[t] of the
+    stabilizer of rep, t in discovery order and a in the generators, as
+    (P, A) blocks of at most BLOCK_PRODUCTS rows."""
+    gens = len(cls._gens)
+    if not gens:
+        return
+    gP, gA = to_arrays(cls._gens, cls.group.n)
+    WP, WA = cls.words()
+    TP, TA = cls.P[cls._row_of], cls.A[cls._row_of]
+    discovery = np.argsort(cls._row_of)
+    step = max(1, BLOCK_PRODUCTS // gens)
+    for start in range(0, cls.size, step):
+        t = slice(start, start + step)
+        # row f * gens + j is for t = row f of the block and a = gens[j]
+        u = discovery[cls.locate(encode(*_conjugates(gP, gA, TP[t], TA[t])))]
+        k = len(u) // gens
+        AWP, AWA = mul_rows(
+            np.tile(gP, (k, 1)),
+            np.tile(gA, (k, 1)),
+            np.repeat(WP[t], gens, axis=0),
+            np.repeat(WA[t], gens, axis=0),
+        )
+        yield mul_rows(*inverse_rows(WP[u], WA[u]), AWP, AWA)
+
+
+def _close(blocks, n: int, order: int) -> tuple:
+    """(P, A) of the subgroup of B_n with `order` elements generated by
+    the rows of the (P, A) blocks.  A generator s outside the subgroup H
+    closed so far is kept; the coset s H is all new, and a breadth-first
+    search under the kept generators from it closes <H, s>."""
+    Ps = [np.arange(n, dtype=np.int8)[None, :]]
+    As = [np.zeros((1, n), dtype=np.int8)]
+    seen = encode(Ps[0], As[0])  # sorted keys of H
+    kept = []
+    for SP, SA in blocks:
+        keys = encode(SP, SA)
+        while len(seen) < order:
+            outside = np.flatnonzero(~_member(seen, keys))
+            if not outside.size:
+                break
+            i = int(outside[0])
+            s = SP[i : i + 1], SA[i : i + 1]
+            kept.append(s)
+            HP, HA = np.concatenate(Ps), np.concatenate(As)
+            FP, FA = mul_rows(*s, HP, HA)
+            Ps, As = [HP, FP], [HA, FA]
+            seen = np.sort(np.concatenate([seen, np.sort(encode(FP, FA))]), kind="stable")
+            while len(FP) and len(seen) < order:
+                products = [mul_rows(*g, FP, FA) for g in kept]
+                CP = np.concatenate([p for p, _ in products])
+                CA = np.concatenate([a for _, a in products])
+                ckeys = encode(CP, CA)
+                fresh = np.flatnonzero(~_member(seen, ckeys))
+                new_keys, first = np.unique(ckeys[fresh], return_index=True)
+                FP, FA = CP[fresh[first]], CA[fresh[first]]
+                Ps.append(FP)
+                As.append(FA)
+                seen = np.sort(np.concatenate([seen, new_keys]), kind="stable")
+            SP, SA, keys = SP[i + 1 :], SA[i + 1 :], keys[i + 1 :]
+        if len(seen) == order:
+            break
+    if len(seen) != order:
+        raise AssertionError(
+            f"centralizer closure has {len(seen)} elements, expected {order}"
+        )
+    return np.concatenate(Ps), np.concatenate(As)
 
 
 def centralizer(group: GroupContext, s: SignedPermutation) -> Centralizer:
@@ -346,7 +432,7 @@ class CosetSystem:
         self.cls = cls
         self.centralizer = cls.centralizer()
         if reps is None:
-            reps = _least_coset_reps(cls, self.centralizer.elements)
+            reps = _least_coset_reps(cls, self.centralizer)
         self.reps = reps
         self._check()
 
@@ -374,25 +460,30 @@ class CosetSystem:
         return j, gamma
 
 
-# products g_0 c ordered per text_order call in _least_coset_reps
-BLOCK_PRODUCTS = 1 << 14
-
-
-def _least_coset_reps(cls: ConjugacyClass, cent: list) -> list:
+def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> list:
     """For each t in cls, the text-format-least element of the coset
     g_0 C, where g_0 = conjugator[t] and C is the centralizer; a block
     of whole cosets is ordered at a time."""
-    reps = []
-    step = max(1, BLOCK_PRODUCTS // len(cent))
+    WP, WA = cls.words()
+    discovery = np.argsort(cls._row_of)
+    WP, WA = WP[discovery], WA[discovery]  # in the class numbering
+    h = cent.size
+    step = max(1, BLOCK_PRODUCTS // h)
+    RP, RA = [], []
     for start in range(0, cls.size, step):
-        products = [
-            cls.conjugator[t] * c for t in cls.elements[start : start + step] for c in cent
-        ]
-        rank = np.empty(len(products), dtype=np.intp)
-        rank[text_order(*to_arrays(products, cls.group.n))] = np.arange(len(products))
-        least = rank.reshape(-1, len(cent)).argmin(axis=1)
-        reps += [products[k * len(cent) + j] for k, j in enumerate(least.tolist())]
-    return reps
+        k = min(step, cls.size - start)
+        P, A = mul_rows(
+            np.repeat(WP[start : start + k], h, axis=0),
+            np.repeat(WA[start : start + k], h, axis=0),
+            np.tile(cent.P, (k, 1)),
+            np.tile(cent.A, (k, 1)),
+        )
+        rank = np.empty(len(P), dtype=np.intp)
+        rank[text_order(P, A)] = np.arange(len(P))
+        least = np.arange(k) * h + rank.reshape(k, h).argmin(axis=1)
+        RP.append(P[least])
+        RA.append(A[least])
+    return from_arrays(np.concatenate(RP), np.concatenate(RA))
 
 
 def transposition_preset(n: int) -> CosetSystem:
@@ -439,40 +530,73 @@ def _require_orthogonal(x: SignedPermutation, y: SignedPermutation):
         )
 
 
+def _class(classes: dict | None, group: GroupContext, rep: SignedPermutation):
+    """The class of rep in group, built once into `classes` if given."""
+    if classes is None:
+        return ConjugacyClass(group, rep)
+    if (group, rep) not in classes:
+        classes[group, rep] = ConjugacyClass(group, rep)
+    return classes[group, rep]
+
+
 def centralizer_factorization(
-    gx: GroupContext, x: SignedPermutation, gy: GroupContext, y: SignedPermutation
+    gx: GroupContext,
+    x: SignedPermutation,
+    gy: GroupContext,
+    y: SignedPermutation,
+    classes: dict | None = None,
 ) -> dict:
     """B_{n+m}^{x#y} = nu->(B_n^x) . nu<-(B_m^y), certified as a bijection.
 
-    Returns the two factors, the ambient centralizer, and the product map.
+    Returns the two factors, the ambient centralizer, and the product
+    map: row w of `product_map` is the index pair (u, v) in the factors
+    whose product is element w of the ambient centralizer.  `classes`
+    ({(group, rep): class}) supplies and keeps the classes it needs.
     """
     _require_orthogonal(x, y)
     n, m = x.n, y.n
-    cx = centralizer(gx, x)
-    cy = centralizer(gy, y)
     ambient = GroupContext(n + m, signed=gx.signed or gy.signed)
-    big = centralizer(ambient, x.juxtapose(y))
-
-    products = {}
-    for u in cx:
-        nu_u = nu_right(u, m)
-        for v in cy:
-            w = nu_u * nu_left(v, n)
-            if w in products:
-                raise AssertionError("product map is not injective")
-            products[w] = (u, v)
-    if set(products) != big.element_set:
+    cx = _class(classes, gx, x).centralizer()
+    cy = _class(classes, gy, y).centralizer()
+    big = _class(classes, ambient, x.juxtapose(y)).centralizer()
+    # nu->(u) and nu<-(v), then every product nu->(u) nu<-(v), u-major
+    UP, UA = juxtapose_rows(
+        cx.P, cx.A, np.tile(np.arange(m, dtype=np.int8), (cx.size, 1)),
+        np.zeros((cx.size, m), dtype=np.int8),
+    )
+    VP, VA = juxtapose_rows(
+        np.tile(np.arange(n, dtype=np.int8), (cy.size, 1)),
+        np.zeros((cy.size, n), dtype=np.int8), cy.P, cy.A,
+    )
+    keys = encode(*mul_rows(
+        np.repeat(UP, cy.size, axis=0),
+        np.repeat(UA, cy.size, axis=0),
+        np.tile(VP, (cx.size, 1)),
+        np.tile(VA, (cx.size, 1)),
+    ))
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise AssertionError("product map is not injective")
+    if not np.array_equal(ordered, big._sorted_keys):
         raise AssertionError("product map is not onto the centralizer")
+    product_map = np.empty((big.size, 2), dtype=np.intp)
+    product_map[big.locate(keys)] = np.stack(
+        np.divmod(np.arange(keys.size), cy.size), axis=1
+    )
     return {
         "left_factor": cx,
         "right_factor": cy,
         "centralizer": big,
-        "product_map": products,
+        "product_map": product_map,
     }
 
 
 def class_juxtaposition(
-    gx: GroupContext, x: SignedPermutation, gy: GroupContext, y: SignedPermutation
+    gx: GroupContext,
+    x: SignedPermutation,
+    gy: GroupContext,
+    y: SignedPermutation,
+    classes: dict | None = None,
 ) -> ConjugacyClass:
     """The juxtaposed class O_{x#y}, certified against O_x # O_y.
 
@@ -480,12 +604,13 @@ def class_juxtaposition(
     and is a subrack of O_{x#y}; the ambient class additionally moves the
     block supports, so its size carries the binomial placement factor:
     |O_{x#y}| = C(n+m, n) |O_x| |O_y|.  Both facts are checked.
+    `classes` is as for centralizer_factorization.
     """
     _require_orthogonal(x, y)
     ambient = GroupContext(x.n + y.n, signed=gx.signed or gy.signed)
-    cls_x = ConjugacyClass(gx, x)
-    cls_y = ConjugacyClass(gy, y)
-    big = ConjugacyClass(ambient, x.juxtapose(y))
+    cls_x = _class(classes, gx, x)
+    cls_y = _class(classes, gy, y)
+    big = _class(classes, ambient, x.juxtapose(y))
     if big.size != comb(x.n + y.n, x.n) * cls_x.size * cls_y.size:
         raise AssertionError("class size mismatch against the placement count")
     # every u # v, u-major, found in the big class by key

@@ -21,13 +21,16 @@ import numpy as np
 
 
 class Permutation:
-    """A permutation of {0, ..., n-1} in one-line notation."""
+    """A permutation of {0, ..., n-1} in one-line notation.
+
+    `check=False` skips the validation; the group operations pass it for
+    the results they build themselves."""
 
     __slots__ = ("images", "_hash")
 
-    def __init__(self, images: Iterable[int]):
+    def __init__(self, images: Iterable[int], check: bool = True):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        if check and sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
@@ -79,22 +82,22 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        im = self.images
-        return Permutation(im[j] for j in other.images)
+        return Permutation(map(self.images.__getitem__, other.images), check=False)
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation(inv, check=False)
 
     def conjugate(self, other: "Permutation") -> "Permutation":
-        """self |> other = self * other * self^-1."""
+        """self |> other = self * other * self^-1: it maps self(i) to
+        self(other(i))."""
         im = self.images
-        inv = [0] * len(im)
-        for i, j in enumerate(im):
-            inv[j] = i
-        return Permutation(im[other.images[inv[i]]] for i in range(len(im)))
+        out = [0] * len(im)
+        for t, j in zip(im, other.images):
+            out[t] = im[j]
+        return Permutation(out, check=False)
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -182,15 +185,16 @@ class SignedPermutation:
 
     `sign` is the Z_2^n part as a 0/1 tuple (additive convention),
     `perm` the S_n part.  The paper writes the same element as a*tau.
+    `check=False` skips the validation, as for Permutation.
     """
 
     __slots__ = ("sign", "perm", "_hash")
 
-    def __init__(self, sign: Iterable[int], perm: Permutation):
+    def __init__(self, sign: Iterable[int], perm: Permutation, check: bool = True):
         sign = tuple(sign)
-        if len(sign) != len(perm.images):
+        if check and len(sign) != len(perm.images):
             raise ValueError("sign vector length does not match permutation degree")
-        if any(b not in (0, 1) for b in sign):
+        if check and any(b not in (0, 1) for b in sign):
             raise ValueError(f"sign vector must be 0/1: {sign}")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "perm", perm)
@@ -231,19 +235,16 @@ class SignedPermutation:
         """(a,tau)(b,mu) = (a + tau.b, tau*mu)."""
         if len(self.sign) != len(other.sign):
             raise ValueError("degree mismatch")
-        a, tau = self.sign, self.perm
-        b = other.sign
-        tb = [0] * len(a)
+        tau, b = self.perm, other.sign
+        c = list(self.sign)
         for j, i in enumerate(tau.images):
-            tb[i] = b[j]
-        return SignedPermutation(
-            tuple((x + y) & 1 for x, y in zip(a, tb)), tau * other.perm
-        )
+            c[i] ^= b[j]
+        return SignedPermutation(c, tau * other.perm, check=False)
 
     def inverse(self) -> "SignedPermutation":
         """(a,tau)^-1 = (tau^-1.a, tau^-1)."""
         pinv = self.perm.inverse()
-        return SignedPermutation(pinv.act_on_signs(self.sign), pinv)
+        return SignedPermutation(pinv.act_on_signs(self.sign), pinv, check=False)
 
     def conjugate(self, other: "SignedPermutation") -> "SignedPermutation":
         """self |> other = self * other * self^-1."""
@@ -252,14 +253,12 @@ class SignedPermutation:
         a, tau = self.sign, self.perm
         b, mu = other.sign, other.perm
         newperm = tau.conjugate(mu)
-        c = [0] * len(a)
+        c = list(a)
         for j, i in enumerate(tau.images):
             c[i] ^= b[j]
         for j, i in enumerate(newperm.images):
             c[i] ^= a[j]  # (tau mu tau^-1).a contribution
-        for i, x in enumerate(a):
-            c[i] ^= x
-        return SignedPermutation(tuple(c), newperm)
+        return SignedPermutation(c, newperm, check=False)
 
     def __pow__(self, k: int) -> "SignedPermutation":
         if k < 0:
@@ -304,7 +303,9 @@ class SignedPermutation:
         """Block combination x # y of x in B_n and y in B_m, landing in B_{n+m}."""
         n = len(self.sign)
         images = self.perm.images + tuple(i + n for i in other.perm.images)
-        return SignedPermutation(self.sign + other.sign, Permutation(images))
+        return SignedPermutation(
+            self.sign + other.sign, Permutation(images, check=False), check=False
+        )
 
     def embed(self) -> "SignedPermutation":
         """phi: B_n -> B_{n+1}, (a, tau) |-> ((a, 0), tau)."""
@@ -378,7 +379,8 @@ def to_arrays(elements: list, n: int) -> tuple:
 def from_arrays(P: np.ndarray, A: np.ndarray) -> list:
     """The elements held by the rows of (P, A)."""
     return [
-        SignedPermutation(a, Permutation(p)) for p, a in zip(P.tolist(), A.tolist())
+        SignedPermutation(a, Permutation(p, check=False), check=False)
+        for p, a in zip(P.tolist(), A.tolist())
     ]
 
 
@@ -396,6 +398,25 @@ def invert_rows(P: np.ndarray) -> np.ndarray:
     inv = np.empty_like(P)
     inv[np.arange(len(P))[:, None], P] = np.arange(P.shape[1], dtype=P.dtype)
     return inv
+
+
+def mul_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
+    """Row-wise x * y for x in rows of (P, A) and y in rows of (Q, B), as
+    the arrays of SignedPermutation.__mul__: permutation tau mu, signs
+    a + tau.b.  A single row on either side multiplies every row of the
+    other."""
+    if len(P) == 1:
+        # one x times every row: a gather from tau, a column permutation
+        return P[0][Q], A ^ B[:, np.argsort(P[0])]
+    return (
+        np.take_along_axis(P, Q, axis=1),
+        A ^ np.take_along_axis(B, invert_rows(P), axis=1),
+    )
+
+
+def inverse_rows(P: np.ndarray, A: np.ndarray) -> tuple:
+    """The row-wise inverses (tau^-1.a, tau^-1), as SignedPermutation.inverse."""
+    return invert_rows(P), np.take_along_axis(A, P, axis=1)
 
 
 def conjugate_rows(tau: np.ndarray, a: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
@@ -549,7 +570,7 @@ class GroupContext:
             if self.signed
             else (0,) * self.n
         )
-        return SignedPermutation(sign, Permutation(perm))
+        return SignedPermutation(sign, Permutation(perm, check=False), check=False)
 
     def parse(self, text: str) -> SignedPermutation:
         x = SignedPermutation.parse(text)

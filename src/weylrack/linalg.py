@@ -145,8 +145,10 @@ def rank_cyclo_exact(rows: list) -> int:
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix mod p; vectorized elimination."""
-    m = np.array(matrix, dtype=np.int64) % p
+    """Rank of an integer matrix mod p; vectorized elimination on one
+    working copy."""
+    m = np.array(matrix, dtype=np.int64)
+    m %= p
     nrows, ncols = m.shape
     rank = 0
     row = 0

@@ -186,7 +186,9 @@ EXACT_LIMIT = 300
 CYCLO_EXACT_LIMIT = 100
 
 # default memory budget of one degree, in bytes: n = 4 to degree 5 (a
-# 484 MB dense matrix) fits, degree 6 (17.4 GB) does not
+# 484 MB dense matrix) fits, degree 6 (17.4 GB) does not.  It counts one
+# dense matrix; a modular rank holds two at once, the matrix mod p and
+# the working copy that rank_mod_p eliminates in
 MEMORY_BUDGET = 1 << 29
 # peak bytes per (reduced word, column) term of the lift stack, about 77
 # measured under tracemalloc for a monomial braiding

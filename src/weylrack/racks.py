@@ -41,7 +41,7 @@ def sq(x, y):
 
 
 def _xor(u: tuple, v: tuple) -> tuple:
-    return tuple(a ^ b for a, b in zip(u, v))
+    return tuple(map(int.__xor__, u, v))
 
 
 def sq_signed(x: SignedPermutation, y: SignedPermutation) -> tuple:

@@ -263,8 +263,10 @@ def check_juxtaposition_laws(cfg: VerifyConfig) -> tuple:
             y.conjugate(y2)
         ):
             return "fail", {"law": "conjugation", "x": x.format(), "y": y.format()}
-    # exhaustive centralizer/class factorization over class representatives
+    # exhaustive centralizer/class factorization over class representatives;
+    # the pairs share their classes, each built once
     checked = 0
+    classes = {}
     for n in range(1, 5):
         for m in range(1, 6 - n):
             gx, gy = Bn(n), Bn(m)
@@ -274,8 +276,8 @@ def check_juxtaposition_laws(cfg: VerifyConfig) -> tuple:
                 for y in reps_y:
                     if not x.is_orthogonal_to(y):
                         continue
-                    centralizer_factorization(gx, x, gy, y)
-                    class_juxtaposition(gx, x, gy, y)
+                    centralizer_factorization(gx, x, gy, y, classes)
+                    class_juxtaposition(gx, x, gy, y, classes)
                     checked += 1
     return "pass", {"random_samples": n_random, "exhaustive_pairs": checked}
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps weylrack functions by name; installing it
 must succeed, so a rename that would break a traced benchmark run fails
-here instead."""
+here instead.  Its counters must also keep counting what they name."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,12 +14,48 @@ SCRIPT = """
 import sys
 sys.path[:0] = ["src", "bench"]
 import weylrack.cli, tracing
-tracing.install(tracing.Tracer("t"))
+tracer = tracing.Tracer("t")
+tracing.install(tracer)
+"""
+
+COUNTS = SCRIPT + """
+import json
+from weylrack.conjugacy import ConjugacyClass
+from weylrack.groups import Bn, SignedPermutation
+
+def objects():
+    return tracer.counts["groups.signed_perm_new"], tracer.counts["groups.perm_new"]
+
+cent = ConjugacyClass(Bn(4), SignedPermutation.parse("1000;(1 2 3)")).centralizer()
+out = {"tallied": tracer.counts["conjugacy.centralizer_elements"], "order": cent.order}
+before = objects()
+out["len"] = len(cent.elements)
+out["len_objects"] = [b - a for a, b in zip(before, objects())]
+x, y = SignedPermutation.parse("1000;(1 2)"), SignedPermutation.parse("0100;(2 3 4)")
+before = objects()
+x * y
+out["product_objects"] = [b - a for a, b in zip(before, objects())]
+print(json.dumps(out))
 """
 
 
-def test_tracer_installs_on_current_names():
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, capture_output=True, text=True
+def _run(script: str):
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True
     )
+
+
+def test_tracer_installs_on_current_names():
+    proc = _run(SCRIPT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_objects_where_they_are_built():
+    # the centralizer tally takes len(cent.elements), which must build no
+    # SignedPermutation; a product builds one, with its Permutation
+    proc = _run(COUNTS)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["tallied"] == out["len"] == out["order"] == 12
+    assert out["len_objects"] == [0, 0]
+    assert out["product_objects"] == [1, 1]

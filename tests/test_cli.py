@@ -214,6 +214,8 @@ def test_markdown_format(tmp_path):
         (["nichols-dim", "--preset", "--n", "3", "--max-degree", "-1"], "max_degree"),
         (["scan-classes", "--n", "0"], "degree must be positive"),
         (["scan-classes", "--n", "-1"], "degree must be positive"),
+        # a one-element class whose centralizer, all of B_8, is over the cap
+        (["class-info", "--n", "8", "--element", "00000000;()"], "centralizer"),
     ],
 )
 def test_refused_or_invalid_input_is_one_error_line(capsys, argv, needle):

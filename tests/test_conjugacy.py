@@ -5,8 +5,10 @@ import random
 import time
 from math import comb
 
+import numpy as np
 import pytest
 
+from weylrack import conjugacy
 from weylrack.conjugacy import (
     Centralizer,
     ConjugacyClass,
@@ -24,6 +26,8 @@ from weylrack.groups import (
     Sn,
     SignedPermutation,
     from_arrays,
+    text_order,
+    to_arrays,
 )
 from weylrack.verify import _class_representatives
 
@@ -72,11 +76,34 @@ def test_centralizer_is_built_once_and_lazily(monkeypatch):
 
 
 def test_centralizer_is_the_commuting_set():
-    G = Bn(3)
-    x = SignedPermutation.parse("100;(1 2)")
-    cent = centralizer(G, x)
-    brute = {g for g in G.elements() if g * x == x * g}
-    assert cent.element_set == brute
+    # every class of B_1..B_5 and S_1..S_6, the central ones and the
+    # generator-free S_1 included: the closure on rows against the
+    # commuting set, element for element and in text-format order
+    for group, rep in _all_classes(5, 6):
+        cent = centralizer(group, rep)
+        brute = [g for g in group.elements() if g * rep == rep * g]
+        order = text_order(*to_arrays(brute, group.n))
+        assert list(cent.elements) == [brute[i] for i in order.tolist()]
+        assert cent.element_set == set(brute)
+        assert cent.order == len(brute)
+        assert from_arrays(cent.P, cent.A) == cent.elements
+
+
+def test_oversized_centralizer_is_refused_up_front():
+    # B_8's identity is a one-element class, but its centralizer is all
+    # 10321920 elements of B_8
+    cls = ConjugacyClass(Bn(8), Bn(8).identity)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="10321920"):
+        cls.centralizer()
+    assert time.monotonic() - start < 1.0
+
+
+def test_largest_admitted_centralizer_is_closed():
+    # B_7's identity: the whole group, 645120 elements, at the cap
+    cent = centralizer(Bn(7), Bn(7).identity)
+    assert cent.order == 645120
+    assert cent.keys.size == np.unique(cent.keys).size == 645120
 
 
 def test_negative_cycle_centralizer_is_cyclic():
@@ -127,6 +154,33 @@ def test_centralizer_factorization_orthogonal_pairs():
     big = out["centralizer"]
     assert big.order == out["left_factor"].order * out["right_factor"].order
     assert len(out["product_map"]) == big.order
+
+
+def test_centralizer_factorization_product_map_and_failures(monkeypatch):
+    x = SignedPermutation.parse("00;(1 2)")
+    y = SignedPermutation.parse("100;(1 2 3)")
+    classes = {}
+    out = centralizer_factorization(Bn(2), x, Bn(3), y, classes)
+    assert len(classes) == 3  # O_x, O_y and O_{x#y}, each built once
+    left, right = out["left_factor"].elements, out["right_factor"].elements
+    for w, (u, v) in zip(out["centralizer"].elements, out["product_map"].tolist()):
+        assert left[u].juxtapose(right[v]) == w
+    # the centralizers are built; now only the products are wrong
+    product = conjugacy.mul_rows
+    monkeypatch.setattr(conjugacy, "mul_rows", lambda P, A, Q, B: (P, A))
+    with pytest.raises(AssertionError, match="not injective"):
+        centralizer_factorization(Bn(2), x, Bn(3), y, classes)
+
+    def flip_first_sign(P, A, Q, B):
+        # (1, 0, ...; id) * w: injective, but off the centralizer of x # y
+        W, S = product(P, A, Q, B)
+        S = S.copy()
+        S[:, 0] ^= 1
+        return W, S
+
+    monkeypatch.setattr(conjugacy, "mul_rows", flip_first_sign)
+    with pytest.raises(AssertionError, match="not onto"):
+        centralizer_factorization(Bn(2), x, Bn(3), y, classes)
 
 
 def test_centralizer_factorization_rejects_non_orthogonal():

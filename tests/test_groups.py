@@ -251,3 +251,41 @@ def test_text_order_matches_the_string_sort(case):
     n, rows = case
     expect = sorted(range(len(rows)), key=lambda i: rows[i].sort_key())
     assert text_order(*to_arrays(rows, n)).tolist() == expect
+
+
+def _passes_validation(x) -> bool:
+    """Whether x, rebuilt through the validating constructors, is x."""
+    if isinstance(x, Permutation):
+        return type(x.images) is tuple and Permutation(list(x.images)) == x
+    return (
+        type(x.sign) is tuple
+        and all(type(b) is int for b in x.sign)
+        and _passes_validation(x.perm)
+        and SignedPermutation(list(x.sign), Permutation(list(x.perm.images))) == x
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_stacks(), st.randoms(use_true_random=False))
+def test_group_operation_results_pass_full_validation(case, rnd):
+    # the operations build their results without validating them; every
+    # result must still be one the public constructors accept
+    n, x, ys = case
+    results = [x.inverse(), x * x, x**3, x.juxtapose(x), x.perm.inverse()]
+    for y in ys:
+        results += [x * y, y * x, x.conjugate(y), y.conjugate(x), x.juxtapose(y)]
+        results += [x.perm * y.perm, x.perm.conjugate(y.perm)]
+    results += [Bn(n).random_element(rnd), Sn(n).random_element(rnd)]
+    results += from_arrays(*to_arrays(ys, n))
+    assert all(_passes_validation(r) for r in results)
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        Permutation([0, 0])
+    with pytest.raises(ValueError):
+        SignedPermutation((0, 2), Permutation([1, 0]))
+    with pytest.raises(ValueError):
+        SignedPermutation((0,), Permutation([1, 0]))
+    with pytest.raises(ValueError):
+        SignedPermutation.parse("02;(1 2)")

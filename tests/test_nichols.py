@@ -2,6 +2,7 @@
 and the transposition cocycle tables."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -91,6 +92,29 @@ def test_default_budget_stops_before_degree_six(monkeypatch):
     assert out.truncated_at == 6
     assert built == [2, 3, 4, 5]
     assert out.dims == [1, 6, 19, 42, -1, -1]
+
+
+def test_modular_rank_holds_one_working_copy(monkeypatch):
+    # n = 4 to degree 4: only degree 4 is ranked mod p, and its dense
+    # 1296 x 1296 int64 matrix has 13436928 bytes.  Building it mod p and
+    # ranking it may hold that matrix and one working copy, not a third
+    # array of residues.
+    peaks = []
+    rank = nichols.rank_two_primes
+
+    def traced(matrix, primes):
+        tracemalloc.start()
+        try:
+            result = rank(matrix, primes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(nichols, "rank_two_primes", traced)
+    assert nichols_graded_dim(braiding_for(4, chi_sgn_sgn), 4).dims == [1, 6, 19, 42, 71]
+    assert len(peaks) == 1
+    assert peaks[0] < 2.2 * 8 * 1296**2
 
 
 def test_mixed_conductor_entries_use_the_lcm():
