@@ -530,10 +530,8 @@ def _require_orthogonal(x: SignedPermutation, y: SignedPermutation):
         )
 
 
-def _class(classes: dict | None, group: GroupContext, rep: SignedPermutation):
-    """The class of rep in group, built once into `classes` if given."""
-    if classes is None:
-        return ConjugacyClass(group, rep)
+def _class(classes: dict, group: GroupContext, rep: SignedPermutation):
+    """The class of rep in group, built once into `classes`."""
     if (group, rep) not in classes:
         classes[group, rep] = ConjugacyClass(group, rep)
     return classes[group, rep]
@@ -544,7 +542,7 @@ def centralizer_factorization(
     x: SignedPermutation,
     gy: GroupContext,
     y: SignedPermutation,
-    classes: dict | None = None,
+    classes: dict,
 ) -> dict:
     """B_{n+m}^{x#y} = nu->(B_n^x) . nu<-(B_m^y), certified as a bijection.
 
@@ -596,7 +594,7 @@ def class_juxtaposition(
     x: SignedPermutation,
     gy: GroupContext,
     y: SignedPermutation,
-    classes: dict | None = None,
+    classes: dict,
 ) -> ConjugacyClass:
     """The juxtaposed class O_{x#y}, certified against O_x # O_y.
 

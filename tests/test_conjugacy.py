@@ -150,7 +150,7 @@ def test_transposition_preset_table():
 def test_centralizer_factorization_orthogonal_pairs():
     x = SignedPermutation.parse("00;(1 2)")
     y = SignedPermutation.parse("100;(1 2 3)")
-    out = centralizer_factorization(Bn(2), x, Bn(3), y)
+    out = centralizer_factorization(Bn(2), x, Bn(3), y, {})
     big = out["centralizer"]
     assert big.order == out["left_factor"].order * out["right_factor"].order
     assert len(out["product_map"]) == big.order
@@ -187,14 +187,14 @@ def test_centralizer_factorization_rejects_non_orthogonal():
     x = SignedPermutation.parse("00;(1 2)")
     y = SignedPermutation.parse("00;(1 2)")
     with pytest.raises(ValueError):
-        centralizer_factorization(Bn(2), x, Bn(2), y)
+        centralizer_factorization(Bn(2), x, Bn(2), y, {})
 
 
 def test_class_juxtaposition_size_law():
     # |O_{x#y}| = C(n+m, n) |O_x| |O_y| for orthogonal pairs
     x = SignedPermutation.parse("10;(1 2)")
     y = SignedPermutation.parse("1;()")
-    big = class_juxtaposition(Bn(2), x, Bn(1), y)
+    big = class_juxtaposition(Bn(2), x, Bn(1), y, {})
     cx = ConjugacyClass(Bn(2), x)
     cy = ConjugacyClass(Bn(1), y)
     assert big.size == comb(3, 2) * cx.size * cy.size
