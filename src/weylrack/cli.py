@@ -210,14 +210,15 @@ def cmd_class_info(args) -> int:
     group = _group(args)
     x = group.parse(args.element)
     cls = ConjugacyClass(group, x)
-    cent = cls.centralizer()
+    # orbit-stabilizer: no centralizer is closed to print its order
+    centralizer_order = group.order // cls.size
     payload = {
         "element": x.format(),
         "group": repr(group),
         "signed_cycle_type": [list(p) for p in x.signed_cycle_type()],
         "class_size": cls.size,
-        "centralizer_order": cent.order,
-        "product": cls.size * cent.order,
+        "centralizer_order": centralizer_order,
+        "product": cls.size * centralizer_order,
         "group_order": group.order,
     }
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)

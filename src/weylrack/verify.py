@@ -32,7 +32,7 @@ from .conjugacy import (
     class_juxtaposition,
     transposition_preset,
 )
-from .groups import Bn, Permutation, SignedPermutation, Sn
+from .groups import Bn, Permutation, SignedPermutation, Sn, nu_left, nu_right
 from .nichols import (
     _as_int,
     pair_relation_lambdas,
@@ -251,8 +251,6 @@ def check_juxtaposition_laws(cfg: VerifyConfig) -> tuple:
         if x.juxtapose(y) * x2.juxtapose(y2) != (x * x2).juxtapose(y * y2):
             return "fail", {"law": "product", "x": x.format(), "y": y.format()}
         # the two block-embedding factorizations commute and agree
-        from .groups import nu_left, nu_right
-
         a, b = nu_right(x, m), nu_left(y, n)
         if x.juxtapose(y) != a * b or a * b != b * a:
             return "fail", {"law": "factorization", "x": x.format(), "y": y.format()}

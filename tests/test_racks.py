@@ -1,8 +1,11 @@
 """Racks, the sq test quantity, certificates, and the search."""
 
+import copy
 import random
-from itertools import product
+import re
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +13,12 @@ from hypothesis import strategies as st
 from weylrack.conjugacy import ConjugacyClass
 from weylrack.groups import Bn, Permutation, Sn, SignedPermutation
 from weylrack.racks import (
+    MAX_CLOSURE_SIZE,
     FiniteRack,
     RackEpimorphism,
     TypeDCertificate,
     _SN_CACHE,
+    _closure_from_seeds,
     _strategy_exhaustive,
     collapse_lhs,
     collapse_rhs,
@@ -28,10 +33,29 @@ from weylrack.racks import (
     sq_signed_commuting,
     verify_certificate,
 )
+from weylrack.verify import _class_representatives
 
 
 def random_elem(rng, n):
     return Bn(n).random_element(rng)
+
+
+def conjugate(x, y):
+    """x |> y on group elements: the reference for class racks."""
+    return x.conjugate(y)
+
+
+def dihedral(m):
+    """x |> y = 2x - y mod m on the integers 0..m-1, and its table rack."""
+    op = lambda x, y: (2 * x - y) % m  # noqa: E731
+    return FiniteRack.from_table(list(range(m)), [[op(x, y) for y in range(m)] for x in range(m)]), op
+
+
+def conjugation_table_rack(texts):
+    """A table rack on a set of signed permutations closed under
+    conjugation, its table filled in one conjugation at a time."""
+    elems = [SignedPermutation.parse(t) for t in texts]
+    return FiniteRack.from_table(elems, [[elems.index(x.conjugate(y)) for y in elems] for x in elems])
 
 
 def test_sq_closed_form_matches_conjugation():
@@ -79,8 +103,35 @@ def test_class_rack_axioms():
 
 def test_rack_from_table_rejects_broken_tables():
     # constant rows break left-invertibility
-    with pytest.raises(AssertionError):
-        FiniteRack.from_table([0, 1], [[0, 0], [0, 0]]).check_axioms()
+    with pytest.raises(AssertionError, match=re.escape("y -> 0 |> y is not a bijection")):
+        FiniteRack.from_table([0, 1], [[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1]],  # 1 x 2
+        [[0, 1], [0, 1], [0, 1]],  # 3 x 2
+        [[0, 1, 0], [0, 1, 0]],  # 2 x 3
+        [[0, 2], [0, 1]],  # 2 is past the last element
+        [[-1, 1], [0, 1]],  # below the first
+        [[0.0, 1.0], [0.0, 1.0]],  # not indices
+    ],
+)
+def test_rack_from_table_rejects_a_wrong_shape_or_an_entry_out_of_range(table):
+    with pytest.raises(ValueError, match="must be 2 x 2 over 0..1"):
+        FiniteRack.from_table(["a", "b"], table)
+
+
+def test_rack_from_table_checks_the_axioms_when_built():
+    # every row is a bijection, but c |> (b |> b) = c != b = (c |> b) |> (c |> b)
+    table = [[0, 1, 2], [0, 1, 2], [0, 2, 1]]
+    with pytest.raises(AssertionError, match=re.escape("self-distributivity fails at (c, b, b)")):
+        FiniteRack.from_table(["a", "b", "c"], table)
+    # a dihedral table is a rack, kept as an index array
+    rack, op = dihedral(5)
+    assert rack.table().dtype == np.int64
+    assert rack.table().tolist() == [[op(x, y) for y in range(5)] for x in range(5)]
 
 
 def test_dihedral_rack_table():
@@ -146,80 +197,81 @@ def test_verify_certificate_failure_lists_are_pinned():
     ]
 
 
-def test_verify_certificate_raises_on_results_outside_the_rack():
-    # two of the three transpositions of S_3 are not closed under conjugation
-    x, y = SignedPermutation.parse("000;(1 2)"), SignedPermutation.parse("000;(1 3)")
-    rack = FiniteRack([x, y], lambda u, v: u.conjugate(v))
-    escapes = r"000;\(1 2\) \|> 000;\(1 3\) = 000;\(2 3\) escapes the rack"
-    with pytest.raises(ValueError, match=escapes):
-        verify_certificate(rack, TypeDCertificate(rack, (0,), (1,), 0, 1))
+def test_a_class_rack_refuses_a_conjugate_outside_its_rows():
+    # the transpositions (1 2), (1 3), (1 4) of S_4 alone: (1 2) |> (1 3) = (2 3)
+    # is not among their rows
+    part = copy.copy(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)")))
+    part._set_rows(part.P[:3], part.A[:3])
+    part.size = 3
+    assert [t.format() for t in part.elements] == ["0000;(1 2)", "0000;(1 3)", "0000;(1 4)"]
+    rack = FiniteRack.from_class(part)
+    with pytest.raises(ValueError, match="leaves the class"):
+        rack.op(0, 1)
+    with pytest.raises(ValueError, match="leaves the class"):
+        rack.table()
 
 
-def _object_closure_failures(rack, R, S):
-    """The closure loops one rack.op at a time: the reference order."""
+def _object_closure_failures(op, R, S):
+    """The closure loops one operation on elements at a time: the
+    reference order."""
     out = []
     for X, name in ((R, "R"), (S, "S")):
         for x in X:
             for y in X:
-                if rack.op(x, y) not in X:
+                if op(x, y) not in X:
                     out.append(f"{name} not closed: {x} |> {y}")
     for x in R:
         for y in S:
-            if rack.op(x, y) not in S:
+            if op(x, y) not in S:
                 out.append(f"cross closure fails: {x} |> {y} not in S")
-            if rack.op(y, x) not in R:
+            if op(y, x) not in R:
                 out.append(f"cross closure fails: {y} |> {x} not in R")
     return out
 
 
 def test_batched_closure_check_matches_the_object_loops():
     rng = random.Random(5)
-    table = [[(2 * i - j) % 7 for j in range(7)] for i in range(7)]
-    racks = [FiniteRack.from_table(list(range(7)), table)]
+    racks = [dihedral(7)]
     classes = ((Bn(3), "100;(1 2)"), (Bn(4), "0000;(1 2 3)"), (Sn(5), "00000;(1 2)(3 4)"))
     for G, text in classes:
-        racks.append(FiniteRack.from_class(ConjugacyClass(G, G.parse(text))))
-    for rack in racks:
+        racks.append((FiniteRack.from_class(ConjugacyClass(G, G.parse(text))), conjugate))
+    for rack, op in racks:
         for _ in range(40):
             picked = rng.sample(range(rack.size), rng.randint(2, min(rack.size, 12)))
             cut = rng.randint(1, len(picked) - 1)
             R, S = picked[:cut], picked[cut:]
             cert = TypeDCertificate(rack, tuple(R), tuple(S), R[0], S[0])
             expect = _object_closure_failures(
-                rack, [rack.elements[i] for i in R], [rack.elements[i] for i in S]
+                op, [rack.elements[i] for i in R], [rack.elements[i] for i in S]
             )
             failures = verify_certificate(rack, cert).failures
             assert [f for f in failures if not f.startswith("sq(")] == expect
 
 
 def test_batched_exhaustive_search_matches_the_assignment_loop():
-    def assignment_loop(rack):
+    def assignment_loop(rack, op):
         # every assignment to {R, S, neither} in product order, one pair at a time
         elems = rack.elements
         for assignment in product((0, 1, 2), repeat=rack.size):
             R = [x for x, k in zip(elems, assignment) if k == 0]
             S = [x for x, k in zip(elems, assignment) if k == 1]
-            if R and S and not _object_closure_failures(rack, R, S):
+            if R and S and not _object_closure_failures(op, R, S):
                 for r, s in product(R, S):
-                    if rack.sq(r, s) != s:
+                    if op(r, op(s, op(r, s))) != s:
                         return [rack.index[x] for x in R], [rack.index[x] for x in S], r, s
         return None
 
-    def conjugation(texts):
-        return FiniteRack([SignedPermutation.parse(t) for t in texts], lambda u, v: u.conjugate(v))
-
-    table = [[(2 * i - j) % 7 for j in range(7)] for i in range(7)]
     racks = [
         # the transpositions of S_3 and their negatives: of type D
-        conjugation(["000;(1 2)", "000;(1 3)", "000;(2 3)", "111;(1 2)", "111;(1 3)", "111;(2 3)"]),
-        conjugation(["000;(1 2 3)", "001;()", "010;()", "011;(1 2 3)", "100;()", "101;(1 2 3)", "110;(1 2 3)"]),
-        FiniteRack.from_table(list(range(7)), table),
-        FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)"))),
+        (conjugation_table_rack(["000;(1 2)", "000;(1 3)", "000;(2 3)", "111;(1 2)", "111;(1 3)", "111;(2 3)"]), conjugate),
+        (conjugation_table_rack(["000;(1 2 3)", "001;()", "010;()", "011;(1 2 3)", "100;()", "101;(1 2 3)", "110;(1 2 3)"]), conjugate),
+        dihedral(7),
+        (FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)"))), conjugate),
     ]
     found = []
-    for rack in racks:
+    for rack, op in racks:
         cert = _strategy_exhaustive(rack, 0)
-        expect = assignment_loop(rack)
+        expect = assignment_loop(rack, op)
         got = None if cert is None else (
             list(cert.R), list(cert.S), rack.elements[cert.r], rack.elements[cert.s]
         )
@@ -302,19 +354,17 @@ def test_epimorphism_construction_checks_homomorphy():
         RackEpimorphism(up, down, lambda x: down.elements[0])
 
 
-def _first_non_homomorphic_pair(source, target, f):
+def _first_non_homomorphic_pair(source, f, op, target_op):
     """The object loop: the first (x, y) in source-element order with
-    f(x |> y) != f(x) |> f(y)."""
+    f(x |> y) != f(x) |> f(y), with the operations on elements."""
     for x in source.elements:
         for y in source.elements:
-            if f(source.op(x, y)) != target.op(f(x), f(y)):
+            if f(op(x, y)) != target_op(f(x), f(y)):
                 return x, y
     return None
 
 
 def test_epimorphism_names_the_first_pair_that_is_not_homomorphic(monkeypatch):
-    import re
-
     from weylrack import racks
 
     up = FiniteRack.from_class(ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)")))
@@ -326,7 +376,7 @@ def test_epimorphism_names_the_first_pair_that_is_not_homomorphic(monkeypatch):
         if len(set(bits)) < 2:
             continue
         images = dict(zip(up.elements, (down.elements[b] for b in bits)))
-        pair = _first_non_homomorphic_pair(up, down, images.__getitem__)
+        pair = _first_non_homomorphic_pair(up, images.__getitem__, conjugate, conjugate)
         if pair is None:
             RackEpimorphism(up, down, images.__getitem__)
             continue
@@ -338,13 +388,11 @@ def test_epimorphism_names_the_first_pair_that_is_not_homomorphic(monkeypatch):
 
 
 def test_epimorphism_checks_table_and_object_racks_on_the_index_tables(monkeypatch):
-    import re
-
     from weylrack import racks
 
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
-    # the same rack without its class: op_rows calls the operation
-    up = FiniteRack(list(cls.elements), lambda x, y: x.conjugate(y))
+    # the same rack as a table on its elements, filled in by conjugation
+    up = conjugation_table_rack([t.format() for t in cls.elements])
     # two commuting elements: the trivial rack on two points
     down = FiniteRack.from_table(["a", "b"], [[0, 1], [0, 1]])
     monkeypatch.setattr(racks, "BLOCK_PAIRS", 5)
@@ -352,21 +400,13 @@ def test_epimorphism_checks_table_and_object_racks_on_the_index_tables(monkeypat
         if len(set(bits)) < 2:
             continue
         images = dict(zip(up.elements, ("ab"[b] for b in bits)))
-        pair = _first_non_homomorphic_pair(up, down, images.__getitem__)
+        pair = _first_non_homomorphic_pair(up, images.__getitem__, conjugate, lambda u, v: v)
         if pair is None:
             RackEpimorphism(up, down, images.__getitem__)
             continue
         x, y = pair
         with pytest.raises(ValueError, match=re.escape(f"not a rack homomorphism at ({x}, {y})")):
             RackEpimorphism(up, down, images.__getitem__)
-    # a source whose operation leaves it: the first escaping pair is named
-    part = FiniteRack(list(cls.elements)[:3], lambda x, y: x.conjugate(y))
-    point = FiniteRack.from_table(["a"], [[0]])
-    x, y = next(
-        (x, y) for x in part.elements for y in part.elements if part.find(x.conjugate(y)) < 0
-    )
-    with pytest.raises(ValueError, match=re.escape(f"{x} |> {y} = ")):
-        RackEpimorphism(part, point, lambda t: "a")
 
 
 def test_epimorphism_rejects_an_image_outside_the_target():
@@ -446,3 +486,96 @@ def test_certificate_json_does_not_depend_on_built_elements():
     assert strategies == [
         "commuting-perm-pair", "fixed-point-sign-split", "projection-pullback", "seed-closure"
     ]
+
+
+# the classes whose racks the index operation is checked on
+INDEX_GROUPS = [Bn(2), Bn(3), Bn(4), Sn(3), Sn(4), Sn(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INDEX_GROUPS), st.randoms(use_true_random=False))
+def test_index_operation_matches_conjugation(G, rnd):
+    # op, op_rows and sq on indices against conjugate-then-find, for one
+    # x against many y, paired rows, a broadcast grid and blocks of rows
+    cls = ConjugacyClass(G, G.random_element(rnd))
+    rack, elems, m = FiniteRack.from_class(cls), cls.elements, cls.size
+
+    def ref(x, y):
+        return cls.find(elems[x].conjugate(elems[y]))
+
+    X = [rnd.randrange(m) for _ in range(rnd.randint(1, 9))]
+    Y = [rnd.randrange(m) for _ in range(len(X))]
+    x = X[0]
+    assert rack.op(x, Y[0]) == ref(x, Y[0])
+    assert rack.op(x, Y).tolist() == [ref(x, y) for y in Y]
+    assert rack.op(X, Y).tolist() == [ref(a, b) for a, b in zip(X, Y)]
+    grid = [[ref(a, b) for b in Y] for a in X]
+    assert rack.op(np.array(X)[:, None], np.array(Y)[None, :]).tolist() == grid
+    assert np.concatenate([Z for _, Z in rack.op_rows(X, Y)]).tolist() == grid
+    expect = [cls.find(sq(elems[a], elems[b])) for a, b in zip(X, Y)]
+    assert rack.sq(X, Y).tolist() == expect
+    assert rack.sq(x, Y[0]) == expect[0]
+
+
+def _worklist_closure(op, x, y, max_size):
+    """The two-sided worklist the seed closure used to run, one operation
+    at a time: the reference for the orbit search.  Returns the sides as
+    sets, or None on a collision or when they outgrow max_size."""
+    R, S = {x}, {y}
+    queue = [(x, 0), (y, 1)]
+    while queue:
+        u, side = queue.pop()
+        mine, other = (R, S) if side == 0 else (S, R)
+        for v in list(mine):
+            for w in (op(u, v), op(v, u)):
+                if w not in mine:
+                    if w in other:
+                        return None
+                    mine.add(w)
+                    queue.append((w, side))
+        for v in list(other):
+            uv = op(u, v)  # lands on the other side
+            vu = op(v, u)  # lands on ours
+            if uv not in other:
+                if uv in mine:
+                    return None
+                other.add(uv)
+                queue.append((uv, 1 - side))
+            if vu not in mine:
+                if vu in other:
+                    return None
+                mine.add(vu)
+                queue.append((vu, side))
+        if len(R) + len(S) > max_size:
+            return None
+    return R, S
+
+
+def test_orbit_closure_matches_the_worklist_on_every_seed_pair():
+    racks = [dihedral(m)[0] for m in range(3, 9)]
+    racks += [FiniteRack.from_class(ConjugacyClass(Bn(4), rep)) for rep in _class_representatives(4)]
+    racks += [
+        FiniteRack.from_class(ConjugacyClass(Sn(5), rep))
+        for rep in _class_representatives(5)
+        if not any(rep.sign)
+    ]
+    outcomes = set()
+    for rack in racks:
+        # the reference operation on indices, one element at a time
+        if rack.source is None:
+            table = rack.table().tolist()
+        else:
+            cls = rack.source
+            table = [[cls.find(conjugate(a, b)) for b in cls.elements] for a in cls.elements]
+        op = lambda u, v: table[u][v]  # noqa: E731
+        for x, y in permutations(range(rack.size), 2):
+            for max_size in (MAX_CLOSURE_SIZE, 5):
+                expect = _worklist_closure(op, x, y, max_size)
+                got = _closure_from_seeds(rack, x, y, max_size)
+                if expect is None:
+                    assert got is None
+                    outcomes.add("refused")
+                else:
+                    assert [R.tolist() for R in got] == [sorted(R) for R in expect]
+                    outcomes.add(("grown", len(expect[0]) + len(expect[1]) > 2))
+    assert outcomes == {"refused", ("grown", False), ("grown", True)}
