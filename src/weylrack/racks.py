@@ -112,7 +112,8 @@ BLOCK_PAIRS = 1 << 14
 class FiniteRack:
     """A finite rack on the indices 0..m-1, backed either by a conjugacy
     class, where x |> y = x y x^-1 is computed on the class rows, or by an
-    m x m index table.  `elements` are what the reports print."""
+    m x m index table.  A small class rack keeps its table as well (see
+    from_class).  `elements` are what the reports print."""
 
     def __init__(self, *, source: ConjugacyClass | None = None, elements: list = (), table=None):
         """Use from_class or from_table."""
@@ -140,7 +141,13 @@ class FiniteRack:
 
     @classmethod
     def from_class(cls, conj_class: ConjugacyClass) -> "FiniteRack":
-        return cls(source=conj_class)
+        """The class as a rack; a class whose table fits in one block of
+        op_rows keeps the table, so the many tiny calls of a search on a
+        small class are lookups."""
+        rack = cls(source=conj_class)
+        if conj_class.size**2 <= BLOCK_PAIRS:
+            rack._table = rack.table()
+        return rack
 
     @property
     def elements(self):
@@ -168,20 +175,16 @@ class FiniteRack:
 
     def op(self, x, y):
         """x |> y on indices, elementwise with NumPy broadcasting: an int
-        for two ints, else an index array.  A class rack conjugates by a
-        single x with conjugate_rows, and paired rows as x y x^-1."""
-        if self.source is None:
+        for two ints, else an index array.  A class rack without a table
+        forms x y x^-1 on the class rows."""
+        if self._table is not None:
             z = self._table[x, y]
         else:
             cls = self.source
             shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-            if np.ndim(x) == 0:
-                Y = np.ravel(y)
-                P, A = conjugate_rows(cls.P[x], cls.A[x], cls.P[Y], cls.A[Y])
-            else:
-                X, Y = (np.broadcast_to(v, shape).ravel() for v in (x, y))
-                xP, xA = cls.P[X], cls.A[X]
-                P, A = mul_rows(*mul_rows(xP, xA, cls.P[Y], cls.A[Y]), *inverse_rows(xP, xA))
+            X, Y = (np.broadcast_to(v, shape).ravel() for v in (x, y))
+            xP, xA = cls.P[X], cls.A[X]
+            P, A = mul_rows(*mul_rows(xP, xA, cls.P[Y], cls.A[Y]), *inverse_rows(xP, xA))
             z = self._locate(P, A).reshape(shape)
         return int(z) if np.ndim(z) == 0 else z
 
@@ -191,17 +194,19 @@ class FiniteRack:
 
     def op_rows(self, X, Y):
         """Yield (i, Z) for consecutive blocks of the index list X, where
-        Z[k, j] = X[i + k] |> Y[j]: op on the Cartesian product.  A class
-        rack conjugates Y by each x of the block and finds all the keys
-        of the block at once; a table rack reads its table."""
+        Z[k, j] = X[i + k] |> Y[j]: op on the Cartesian product.  A rack
+        with a table reads it; a class rack without one conjugates Y by
+        each x of the block, sharing x across the row (a block of the B_6
+        6-cycle class takes 2.1 ms, against 7.1 ms as op's paired rows),
+        and finds all the keys of the block at once."""
         X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
         step = max(1, BLOCK_PAIRS // max(1, len(Y)))
         cls = self.source
-        if cls is not None:
+        if self._table is None:
             PY, AY = cls.P[Y], cls.A[Y]
         for i in range(0, len(X), step):
             Xb = X[i : i + step]
-            if cls is None:
+            if self._table is not None:
                 Z = self._table[np.ix_(Xb, Y)]
             else:
                 images = [conjugate_rows(cls.P[x], cls.A[x], PY, AY) for x in Xb]
