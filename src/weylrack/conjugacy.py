@@ -1,8 +1,8 @@
 """Conjugacy classes, centralizers and coset systems in B_n and S_n.
 
-A class or a centralizer is held as the arrays P, A and keys of
-groups.to_arrays and groups.encode; SignedPermutation objects are built
-on demand.  The class
+A class, a centralizer or a coset system is held as the arrays P, A and
+keys of groups.to_arrays and groups.encode; SignedPermutation objects are
+built on demand.  The class
 element ordering is deterministic: the canonical text-format order
 (groups.text_order), with the defining representative moved to the front
 as t_1.  Coset representatives g_i are the text-format-least conjugators,
@@ -94,9 +94,10 @@ class ClassElements(Sequence):
 
 class _Rows:
     """Elements of `group` held as arrays: row i of `P`, `A` and `keys`
-    is element i (see groups.to_arrays and groups.encode).  `elements`,
-    `index` and `element_set` build SignedPermutations on first use;
-    `element(i)` and `find(x)` reach one of them without that."""
+    is element i (see groups.to_arrays and groups.encode).  `elements`
+    builds SignedPermutations on first iteration; `element(i)` reaches
+    one of them without that, and `find`/`find_all` look elements up by
+    their keys."""
 
     def _set_rows(self, P: np.ndarray, A: np.ndarray):
         self.P, self.A = P, A
@@ -104,8 +105,6 @@ class _Rows:
         self._key_order = np.argsort(self.keys)
         self._sorted_keys = self.keys[self._key_order]
         self._elements = None
-        self._index = None
-        self._element_set = None
         self._view = ClassElements(self)
 
     def locate(self, keys: np.ndarray) -> np.ndarray:
@@ -129,28 +128,16 @@ class _Rows:
             return self._elements[i]
         return from_arrays(self.P[i : i + 1], self.A[i : i + 1])[0]
 
-    @property
-    def index(self) -> dict:
-        """{t: i}, built on first use."""
-        if self._index is None:
-            self._index = {t: i for i, t in enumerate(self._objects())}
-        return self._index
-
-    @property
-    def element_set(self) -> set:
-        """The elements as a set, built on first use."""
-        if self._element_set is None:
-            self._element_set = set(self._objects())
-        return self._element_set
+    def find_all(self, xs: list) -> np.ndarray:
+        """The index of each element of B_n in xs, -1 for one that is not
+        an element: one locate for the whole list."""
+        return self.locate(encode(*to_arrays(xs, self.group.n)))
 
     def find(self, x) -> int:
-        """The index of x, -1 if x is not an element: looked up in
-        `index` once the elements are built, by its key before."""
-        if self._elements is not None:
-            return self.index.get(x, -1)
+        """The index of x, -1 if x is not an element."""
         if not isinstance(x, SignedPermutation) or x.n != self.group.n:
             return -1
-        return int(self.locate(encode(*to_arrays([x], x.n)))[0])
+        return int(self.find_all([x])[0])
 
     def __len__(self) -> int:
         return self.size
@@ -204,10 +191,10 @@ class ConjugacyClass(_Rows):
 
     def reorder(self, elements: list) -> "ConjugacyClass":
         """A copy of the class numbered as `elements` (a permutation of
-        it), with arrays and index to match.  This class keeps its
+        it), with arrays and keys to match.  This class keeps its
         numbering, and so do the racks built on it."""
-        rows = [self.find(t) for t in elements]
-        if sorted(rows) != list(range(self.size)):
+        rows = self.find_all(elements)
+        if not np.array_equal(np.sort(rows), np.arange(self.size)):
             raise ValueError("not a renumbering of the class")
         renumbered = copy.copy(self)
         renumbered._row_of = np.argsort(rows)[self._row_of]
@@ -416,54 +403,70 @@ def _close(blocks, n: int, order: int) -> tuple:
     return np.concatenate(Ps), np.concatenate(As)
 
 
-def centralizer(group: GroupContext, s: SignedPermutation) -> Centralizer:
-    return ConjugacyClass(group, s).centralizer()
-
-
-class CosetSystem:
-    """Representatives g_i with g_i |> s = t_i and g_1 = id.
+class CosetSystem(_Rows):
+    """Representatives g_i with g_i |> s = t_i and g_1 = id, held as rows
+    (see _Rows) in the class numbering.
 
     The g_i form a left transversal of G^s in G.  Default choice: the
-    text-format-least element of each coset g C; `transposition_preset`
-    builds the explicit table for the class of (1 2) in S_n instead.
+    text-format-least element of each coset g C; `reps` (a list of
+    elements, as `transposition_preset` gives for the class of (1 2) in
+    S_n) replaces it.
     """
 
     def __init__(self, cls: ConjugacyClass, reps: list | None = None):
         self.cls = cls
+        self.group = cls.group
         self.centralizer = cls.centralizer()
         if reps is None:
-            reps = _least_coset_reps(cls, self.centralizer)
-        self.reps = reps
+            P, A = _least_coset_reps(cls, self.centralizer)
+        else:
+            P, A = to_arrays(reps, self.group.n)
+        self.size = len(P)
+        self._set_rows(P, A)
         self._check()
 
     def _check(self):
-        if len(self.reps) != self.cls.size:
-            raise ValueError("one representative per class element required")
-        if not self.reps[0].is_identity():
-            raise ValueError("g_1 must be the identity")
-        for g, t in zip(self.reps, self.cls.elements):
-            if g.conjugate(self.cls.rep) != t:
-                raise ValueError(f"g = {g} does not conjugate s to {t}")
+        """g_1 = id and g_i |> s = t_i for every i, on the rows at once."""
+        if self.size != self.cls.size:
+            raise ValueError(f"one representative per class element required, not {self.size}")
+        if (self.P[0] != np.arange(self.group.n)).any() or self.A[0].any():
+            raise ValueError(f"g_1 = {self.element(0)} must be the identity")
+        wrong = np.flatnonzero(self._moves(self.P, self.A) != np.arange(self.size))
+        if wrong.size:
+            i = int(wrong[0])
+            raise ValueError(
+                f"g_{i + 1} = {self.element(i)} does not conjugate s to t_{i + 1} = "
+                f"{self.cls.element(i)}"
+            )
 
-    @property
-    def size(self) -> int:
-        return len(self.reps)
+    def _moves(self, P: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """The class index of g |> s for each row g of (P, A), -1 outside."""
+        sP, sA = to_arrays([self.cls.rep], self.group.n)
+        return self.cls.locate(encode(*mul_rows(*mul_rows(P, A, sP, sA), *inverse_rows(P, A))))
 
     def __getitem__(self, i: int) -> SignedPermutation:
-        return self.reps[i]
+        return self.element(i)
 
-    def zeta(self, i: int, h: SignedPermutation) -> tuple:
-        """Solve h g_i = g_j gamma with gamma in G^s; returns (j, gamma)."""
-        t_j = h.conjugate(self.cls.elements[i])
-        j = self.cls.index[t_j]
-        gamma = self.reps[j].inverse() * h * self.reps[i]
-        return j, gamma
+    def zeta(self, I, HP: np.ndarray, HA: np.ndarray) -> tuple:
+        """The cocycle, solving h g_i = g_j gamma with gamma in G^s for
+        each index i of I and row h of (HP, HA), one h for all of I or one
+        per index.  Returns the class indices j of h |> t_i and the
+        centralizer indices of gamma = g_j^-1 h g_i; an h outside the
+        group, whose h |> t_i or gamma escapes, raises."""
+        GP, GA = mul_rows(HP, HA, self.P[I], self.A[I])  # h g_i
+        J = self._moves(GP, GA)
+        if (J < 0).any():
+            raise ValueError(f"h |> t_i leaves the class at row {np.argmax(J < 0)}")
+        C = self.centralizer.locate(encode(*mul_rows(*inverse_rows(self.P[J], self.A[J]), GP, GA)))
+        if (C < 0).any():
+            raise ValueError(f"gamma at row {np.argmax(C < 0)} is outside the centralizer")
+        return J, C
 
 
-def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> list:
-    """For each t in cls, the text-format-least element of the coset
-    g_0 C, where g_0 = conjugator[t] and C is the centralizer; a block
-    of whole cosets is ordered at a time."""
+def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> tuple:
+    """(P, A) of the text-format-least element of the coset g_0 C for
+    each t in cls, where g_0 = conjugator[t] and C is the centralizer; a
+    block of whole cosets is ordered at a time."""
     WP, WA = cls.words()
     discovery = np.argsort(cls._row_of)
     WP, WA = WP[discovery], WA[discovery]  # in the class numbering
@@ -483,7 +486,7 @@ def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> list:
         least = np.arange(k) * h + rank.reshape(k, h).argmin(axis=1)
         RP.append(P[least])
         RA.append(A[least])
-    return from_arrays(np.concatenate(RP), np.concatenate(RA))
+    return np.concatenate(RP), np.concatenate(RA)
 
 
 def transposition_preset(n: int) -> CosetSystem:

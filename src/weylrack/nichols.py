@@ -27,6 +27,7 @@ from math import factorial, lcm
 import numpy as np
 
 from .cyclotomic import Cyclo
+from .groups import inverse_rows
 from .linalg import (
     nullspace_rational,
     primes_for_conductor,
@@ -324,23 +325,21 @@ def _pair_index_map(n: int) -> dict:
     return {p: i for i, p in enumerate(pairs)}
 
 
-def transposition_zeta(cs, pair_a: tuple, pair_b: tuple):
-    """zeta_{pair_a}(t_{pair_b}) for the transposition preset: the gamma
-    with t_b^-1 g_a = g_j gamma in the coset system."""
-    n = cs.cls.group.n
-    idx = _pair_index_map(n)
-    i = idx[tuple(sorted(pair_a))]
-    t_b = cs.cls.elements[idx[tuple(sorted(pair_b))]]
-    _, gamma = cs.zeta(i, t_b.inverse())
-    return gamma
-
-
-def sign_product(cs, chi, i: int, j: int, k: int):
-    """chi(zeta_ij(t_jk)) chi(zeta_jk(t_ik)) chi(zeta_ik(t_ij))."""
-    out = Cyclo.rational(1)
-    for pa, pb in (((i, j), (j, k)), ((j, k), (i, k)), ((i, k), (i, j))):
-        out = out * chi(transposition_zeta(cs, pa, pb))[0][0]
-    return out
+def cocycle_values(cs, chi, triples: list) -> list:
+    """(chi(a), chi(b), chi(c)) for the cocycle values a = zeta_ij(t_jk),
+    b = zeta_jk(t_ik) and c = zeta_ik(t_ij) of the transposition preset,
+    one per point triple (i, j, k), from one cocycle call: zeta_a(t_b) is
+    the gamma with t_b^-1 g_a = g_j gamma, read by its centralizer index."""
+    idx = _pair_index_map(cs.cls.group.n)
+    pairs = [
+        (idx[tuple(sorted(pa))], idx[tuple(sorted(pb))])
+        for i, j, k in triples
+        for pa, pb in (((i, j), (j, k)), ((j, k), (i, k)), ((i, k), (i, j)))
+    ]
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    _, C = cs.zeta(a, *inverse_rows(cs.cls.P[b], cs.cls.A[b]))
+    values = [chi(g)[0][0] for g in cs.centralizer.elements]
+    return [tuple(values[c] for c in row) for row in C.reshape(-1, 3).tolist()]
 
 
 TABLE1_CASES = [
@@ -360,28 +359,17 @@ def table1_values(cs, chi) -> dict:
     """Evaluate chi on the three cocycle values a = zeta_ij(t_jk),
     b = zeta_jk(t_ik), c = zeta_ik(t_ij) for every index triple in each
     of the eight case patterns; raises if a case is not constant."""
-    n = cs.cls.group.n
+    triples = list(permutations(range(1, cs.cls.group.n + 1), 3))
+    values = cocycle_values(cs, chi, triples)
     out = {}
     for label, member in TABLE1_CASES:
-        values = set()
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    if len({i, j, k}) != 3 or not member(i, j, k):
-                        continue
-                    triple = tuple(
-                        _as_int(chi(transposition_zeta(cs, pa, pb))[0][0])
-                        for pa, pb in (
-                            ((i, j), (j, k)),
-                            ((j, k), (i, k)),
-                            ((i, k), (i, j)),
-                        )
-                    )
-                    values.add(triple)
-        if len(values) > 1:
-            raise AssertionError(f"case {label} is not constant: {values}")
-        if values:
-            out[label] = values.pop()
+        found = {
+            tuple(map(_as_int, row)) for triple, row in zip(triples, values) if member(*triple)
+        }
+        if len(found) > 1:
+            raise AssertionError(f"case {label} is not constant: {found}")
+        if found:
+            out[label] = found.pop()
     return out
 
 

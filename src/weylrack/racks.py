@@ -117,13 +117,12 @@ class FiniteRack:
 
     def __init__(self, *, source: ConjugacyClass | None = None, elements: list = (), table=None):
         """Use from_class or from_table."""
-        # a class rack reads elements, index and size from its class,
-        # whose numbering never changes
+        # a class rack reads elements and size from its class, whose
+        # numbering never changes
         self.source = source
         if source is None:
             self._elements = list(elements)
-            self._index = {x: i for i, x in enumerate(self._elements)}
-            if len(self._index) != len(self._elements):
+            if len(set(self._elements)) != len(self._elements):
                 raise ValueError("duplicate rack elements")
         self._table = table
 
@@ -154,16 +153,14 @@ class FiniteRack:
         return self._elements if self.source is None else self.source.elements
 
     @property
-    def index(self) -> dict:
-        return self._index if self.source is None else self.source.index
-
-    @property
     def size(self) -> int:
         return len(self._elements) if self.source is None else self.source.size
 
     def find(self, x) -> int:
         """The index of the element x, -1 if x is not in the rack."""
-        return self._index.get(x, -1) if self.source is None else self.source.find(x)
+        if self.source is not None:
+            return self.source.find(x)
+        return self._elements.index(x) if x in self._elements else -1
 
     def _locate(self, P: np.ndarray, A: np.ndarray) -> np.ndarray:
         """The class indices of the rows (P, A); a row outside the class
@@ -237,10 +234,6 @@ class FiniteRack:
                 raise AssertionError(
                     f"self-distributivity fails at ({elems[x]}, {elems[y]}, {elems[z]})"
                 )
-
-
-def conjugation_rack(conj_class: ConjugacyClass) -> FiniteRack:
-    return FiniteRack.from_class(conj_class)
 
 
 # -- certificates ----------------------------------------------------------
@@ -750,16 +743,16 @@ class RackEpimorphism:
         self.source = source
         self.target = target
         self.mapping = mapping
-        index = target.index
-        images = []
-        for x in source.elements:
-            fx = mapping(x)
-            if fx not in index:
-                raise ValueError(f"image {fx} is not in the target rack")
-            images.append(index[fx])
-        if len(set(images)) != target.size:
+        fxs = [mapping(x) for x in source.elements]
+        if target.source is None:
+            self.images = np.array([target.find(fx) for fx in fxs], dtype=np.int64)
+        else:
+            self.images = target.source.find_all(fxs)
+        outside = np.flatnonzero(self.images < 0)
+        if outside.size:
+            raise ValueError(f"image {fxs[int(outside[0])]} is not in the target rack")
+        if np.unique(self.images).size != target.size:
             raise ValueError("mapping is not surjective")
-        self.images = np.array(images, dtype=np.int64)
         every = np.arange(source.size)
         tables = zip(source.op_rows(every, every), target.op_rows(self.images, self.images))
         for (i, Z), (_, W) in tables:

@@ -18,6 +18,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
@@ -26,17 +27,19 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .conjugacy import (
     ConjugacyClass,
     centralizer_factorization,
     class_juxtaposition,
     transposition_preset,
 )
-from .groups import Bn, Permutation, SignedPermutation, Sn, nu_left, nu_right
+from .groups import Bn, Permutation, SignedPermutation, Sn, mul_rows, nu_left, nu_right
 from .nichols import (
     _as_int,
+    cocycle_values,
     pair_relation_lambdas,
-    sign_product,
     square_relation_holds,
     table1_values,
     triple_relation_signs,
@@ -61,13 +64,17 @@ from .reps import chi_eps_sgn, chi_sgn_sgn, tensor_case_admitted
 from .ydmodule import ArrowYDModule, build_yd_module, psi_isomorphism_check
 
 
+# the largest B_n of the sampled sq laws, the largest m of the coset
+# identities, and the largest S_n of the sign products
+MAX_N = 8
+MAX_M = 8
+SIGN_PRODUCT_MAX_N = 6
+
+
 @dataclass
 class VerifyConfig:
     seed: int = 0
     samples: int = 10000
-    max_n: int = 8
-    max_m: int = 8
-    sign_product_max_n: int = 6
     scan_time_budget: float = 1800.0
     mutate: bool = False
 
@@ -79,9 +86,9 @@ class VerifyConfig:
         return {
             "seed": self.seed,
             "samples": self.samples,
-            "max_n": self.max_n,
-            "max_m": self.max_m,
-            "sign_product_max_n": self.sign_product_max_n,
+            "max_n": MAX_N,
+            "max_m": MAX_M,
+            "sign_product_max_n": SIGN_PRODUCT_MAX_N,
             "mutate": self.mutate,
         }
 
@@ -144,7 +151,7 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
     commuting_form = _mutated_commuting if cfg.mutate else sq_signed_commuting
     counts = {"general": 0, "commuting": 0, "conjugate-fixed": 0, "involution": 0}
     for _ in range(cfg.samples):
-        n = rng.randint(2, cfg.max_n)
+        n = rng.randint(2, MAX_N)
         G = Bn(n)
         x = G.random_element(rng)
         y = G.random_element(rng)
@@ -217,9 +224,7 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
 def check_negative_control(cfg: VerifyConfig) -> tuple:
     """The harness must catch a corrupted sq formula.  Pass means the
     mutated run failed with a concrete counterexample."""
-    mutated = VerifyConfig(
-        seed=cfg.seed, samples=min(cfg.samples, 2000), max_n=cfg.max_n, mutate=True
-    )
+    mutated = VerifyConfig(seed=cfg.seed, samples=min(cfg.samples, 2000), mutate=True)
     status, detail = check_square_closed_forms(mutated)
     if status == "fail":
         return "pass", {"caught": detail}
@@ -514,7 +519,7 @@ def _word_perm(m: int, word: list, values: dict) -> Permutation:
 
 
 def check_coset_identities(cfg: VerifyConfig) -> tuple:
-    m = cfg.max_m
+    m = MAX_M
     instances = 0
     for row in _ID_ROWS:
         names = row["vars"]
@@ -532,20 +537,16 @@ def check_coset_identities(cfg: VerifyConfig) -> tuple:
                     "assignment": values,
                 }
             instances += 1
-    # consequence: every product g_st * t_ij factors as g_{s't'} * gamma
-    # with gamma in the centralizer of (1 2)
+    # consequence: every product u = g_st * t_ij factors as g_{s't'} * gamma
+    # with gamma in the centralizer of (1 2): the cocycle at h = u and g_1 = id
     cs = transposition_preset(min(m, 6))
-    base = cs.cls.rep
-    factored = 0
-    for i in range(cs.size):
-        for j in range(cs.cls.size):
-            u = cs[i] * cs.cls.elements[j]
-            t = u.conjugate(base)
-            gamma = cs[cs.cls.index[t]].inverse() * u
-            if gamma * base != base * gamma:
-                return "fail", {"reason": "cocycle escapes centralizer", "i": i, "j": j}
-            factored += 1
-    return "pass", {"m": m, "instances": instances, "cocycle_factorizations": factored}
+    cls = cs.cls
+    I, J = np.divmod(np.arange(cs.size * cls.size), cls.size)
+    try:
+        cs.zeta(np.zeros_like(I), *mul_rows(cs.P[I], cs.A[I], cls.P[J], cls.A[J]))
+    except ValueError as exc:
+        return "fail", {"reason": "cocycle escapes centralizer", "error": str(exc)}
+    return "pass", {"m": m, "instances": instances, "cocycle_factorizations": len(I)}
 
 
 # -- character table and sign products -------------------------------------
@@ -586,15 +587,16 @@ def check_character_table(cfg: VerifyConfig) -> tuple:
 
 def check_sign_products(cfg: VerifyConfig) -> tuple:
     total = 0
-    for n in range(3, cfg.sign_product_max_n + 1):
+    for n in range(3, SIGN_PRODUCT_MAX_N + 1):
         cs = transposition_preset(n)
         cent = cs.centralizer
+        triples = list(itertools.permutations(range(1, n + 1), 3))
         for chi in (chi_sgn_sgn(cent), chi_eps_sgn(cent)):
-            for i, j, k in itertools.permutations(range(1, n + 1), 3):
-                if _as_int(sign_product(cs, chi, i, j, k)) != -1:
-                    return "fail", {"n": n, "triple": (i, j, k)}
+            for triple, (a, b, c) in zip(triples, cocycle_values(cs, chi, triples)):
+                if _as_int(a * b * c) != -1:
+                    return "fail", {"n": n, "triple": triple}
                 total += 1
-    return "pass", {"triples": total, "max_n": cfg.sign_product_max_n}
+    return "pass", {"triples": total, "max_n": SIGN_PRODUCT_MAX_N}
 
 
 def check_quadratic_relations(cfg: VerifyConfig) -> tuple:
@@ -825,22 +827,13 @@ def check_projection_pullback(cfg: VerifyConfig) -> tuple:
 # -- arrow-module isomorphism ----------------------------------------------
 
 
-class _CorruptedCosets:
-    """Coset table with two representatives swapped; the arrow module
-    built on top must fail the isomorphism check."""
-
-    def __init__(self, cs):
-        self.cls = cs.cls
-        self.centralizer = cs.centralizer
-        self._cs = cs
-
-    @property
-    def size(self):
-        return self._cs.size
-
-    def __getitem__(self, i):
-        swap = {0: 1, 1: 0}
-        return self._cs[swap.get(i, i)]
+def _corrupted_cosets(cs):
+    """The coset table with g_1 and g_2 swapped, past its check; the arrow
+    module built on it must fail the isomorphism check."""
+    bad = copy.copy(cs)
+    swap = np.r_[1, 0, 2 : cs.size]
+    bad._set_rows(cs.P[swap], cs.A[swap])
+    return bad
 
 
 def check_arrow_isomorphism(cfg: VerifyConfig) -> tuple:
@@ -864,7 +857,7 @@ def check_arrow_isomorphism(cfg: VerifyConfig) -> tuple:
     chi = chi_sgn_sgn(cent)
     yd = build_yd_module(cs, chi)
     try:
-        bad = ArrowYDModule(_CorruptedCosets(cs), chi)
+        bad = ArrowYDModule(_corrupted_cosets(cs), chi)
         res = psi_isomorphism_check(yd, bad)
         detected = not res
         witness = res.witness

@@ -14,9 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .conjugacy import CosetSystem
 from .cyclotomic import Cyclo
-from .groups import SignedPermutation
+from .groups import SignedPermutation, conjugate_rows, encode, to_arrays
+from .racks import FiniteRack
 from .reps import Rep
 
 
@@ -25,8 +28,10 @@ class YDModule:
         self.cosets = cosets
         self.cls = cosets.cls
         self.rep = rep
-        if set(rep.domain) != cosets.centralizer.element_set:
-            raise ValueError("rep is not a rep of the class centralizer")
+        # rho at each centralizer index, as the cocycle gives gamma
+        domain = list(rep.domain)
+        order = _domain_order(domain, cosets.centralizer, "rep is not a rep")
+        self.matrices = [rep(domain[k]) for k in order]
         self.m = self.cls.size
         self.d = rep.degree
         self.D = self.m * self.d
@@ -35,10 +40,10 @@ class YDModule:
 
     def action_terms(self, h: SignedPermutation, i: int, j: int) -> list:
         """h.(g_i v_j) as [(basis index, coeff)]."""
-        i2, gamma = self.cosets.zeta(i, h)
-        M = self.rep(gamma)
+        (i2,), (c,) = self.cosets.zeta([i], *to_arrays([h], h.n))
+        M = self.matrices[c]
         return [
-            (i2 * self.d + p, M[p][j]) for p in range(self.d) if not M[p][j].is_zero()
+            (int(i2) * self.d + p, M[p][j]) for p in range(self.d) if not M[p][j].is_zero()
         ]
 
     def degree_of(self, flat: int) -> SignedPermutation:
@@ -47,22 +52,20 @@ class YDModule:
 
     def check_yd_compatibility(self, sample: int | None = None, seed: int = 0):
         """delta(h.w) = h w_(-1) h^-1 (x) h.w_(0): the action must move a
-        vector of degree t into the degree-(h |> t) component."""
-        group = self.cls.group
+        vector of degree t_i into the degree-(h |> t_i) component; one
+        cocycle call per h."""
+        group, cls = self.cls.group, self.cls
         if sample is None:
             elems = group.elements()
         else:
             rng = random.Random(seed)
             elems = [group.random_element(rng) for _ in range(sample)]
-        for h in elems:
-            for i in range(self.m):
-                for j in range(self.d):
-                    expect = h.conjugate(self.cls.elements[i])
-                    for flat, _ in self.action_terms(h, i, j):
-                        if self.degree_of(flat) != expect:
-                            raise AssertionError(
-                                f"YD compatibility fails at h={h}, basis ({i},{j})"
-                            )
+        every = np.arange(self.m)
+        for h, hP, hA in zip(elems, *to_arrays(elems, group.n)):
+            J, _ = self.cosets.zeta(every, hP[None], hA[None])
+            bad = np.flatnonzero(cls.keys[J] != encode(*conjugate_rows(hP, hA, cls.P, cls.A)))
+            if bad.size:
+                raise AssertionError(f"YD compatibility fails at h={h}, class index {bad[0]}")
 
     def check_is_action(self, sample: int = 300, seed: int = 0):
         """rho-module axiom on the class level: (gh).w = g.(h.w), sampled."""
@@ -84,23 +87,37 @@ class YDModule:
                         raise AssertionError(f"action not multiplicative at {g}, {h}")
 
     def braiding(self) -> "Braiding":
+        """c(g_i v_p (x) g_j v_q) = t_i.(g_j v_q) (x) g_i v_p, where
+        t_i g_j = g_{i |> j} gamma: the targets i |> j are read from the
+        rack table of the class, the coefficients rho(gamma)[r][q] by
+        centralizer index from one cocycle call for every pair (i, j)."""
+        m, d, cls = self.m, self.d, self.cls
+        T = FiniteRack.from_class(cls).table().tolist()
+        I, J = np.divmod(np.arange(m * m), m)
+        _, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
+        C = C.reshape(m, m).tolist()
         terms = {}
-        for i in range(self.m):
-            t_i = self.cls.elements[i]
-            cache = {}
-            for j in range(self.m):
-                for q in range(self.d):
-                    if (j, q) not in cache:
-                        cache[(j, q)] = self.action_terms(t_i, j, q)
-            for p in range(self.d):
-                a = i * self.d + p
-                for j in range(self.m):
-                    for q in range(self.d):
-                        b = j * self.d + q
-                        terms[(a, b)] = [
-                            ((r, a), v) for r, v in cache[(j, q)]
+        for i in range(m):
+            for p in range(d):
+                a = i * d + p
+                for j in range(m):
+                    M, target = self.matrices[C[i][j]], T[i][j] * d
+                    for q in range(d):
+                        terms[(a, j * d + q)] = [
+                            ((target + r, a), M[r][q])
+                            for r in range(d)
+                            if not M[r][q].is_zero()
                         ]
         return Braiding(self.D, terms)
+
+
+def _domain_order(domain: list, cent, refusal: str) -> list:
+    """The positions in `domain`, which must be the centralizer, of the
+    centralizer elements in their order: one locate for the whole domain."""
+    C = cent.find_all(domain)
+    if not np.array_equal(np.sort(C), np.arange(cent.size)):
+        raise ValueError(f"{refusal} of the class centralizer")
+    return np.argsort(C).tolist()
 
 
 @dataclass
@@ -205,8 +222,7 @@ class ArrowYDModule:
             raise NotImplementedError(
                 "arrow modules are implemented for one-dimensional characters"
             )
-        if set(chi.domain) != cosets.centralizer.element_set:
-            raise ValueError("character is not a character of the centralizer")
+        _domain_order(list(chi.domain), cosets.centralizer, "character is not a character")
         self.cosets = cosets
         self.cls = cosets.cls
         self.chi = chi
@@ -222,7 +238,9 @@ class ArrowYDModule:
         make that check vacuous."""
         target = g.inverse() * self.cosets[i]
         t_j = g.inverse().conjugate(self.cls.elements[i])
-        j = self.cls.index[t_j]
+        j = self.cls.find(t_j)
+        if j < 0:
+            raise AssertionError("cocycle target left the class")
         gamma = self.cosets[j].inverse() * target
         base = self.cls.rep
         if gamma * base != base * gamma:
@@ -236,20 +254,17 @@ class ArrowYDModule:
         return (self.cls.elements[i] * g, g), coeff
 
     def adjoint(self, g: SignedPermutation, i: int) -> tuple:
-        """g |> a_{t_i,1} = g.(a_{t_i,1}.g^-1); returns (i', coeff)."""
+        """g |> a_{t_i,1} = g.(a_{t_i,1}.g^-1); returns (i', coeff), i' = -1
+        if the arrow left the class."""
         (y, x), coeff = self.right_action(i, g.inverse())
         # left multiply: arrow (y, x) -> (g y, g x); g x = 1 here
         y2, x2 = g * y, g * x
         if not x2.is_identity():
             raise AssertionError("adjoint action left the unit-vertex arrows")
-        return self.cls.index[y2], coeff
+        return self.cls.find(y2), coeff
 
     def degree_of(self, i: int) -> SignedPermutation:
         return self.cls.elements[i]
-
-
-def build_arrow_yd_module(cosets: CosetSystem, chi: Rep) -> ArrowYDModule:
-    return ArrowYDModule(cosets, chi)
 
 
 @dataclass
@@ -277,10 +292,14 @@ def psi_isomorphism_check(yd: YDModule, arrow: ArrowYDModule) -> PsiCheckResult:
             return PsiCheckResult(
                 False, {"reason": "comodule degrees differ", "i": i}
             )
-    for h in yd.cls.group.elements():
+    group = yd.cls.group
+    elements = group.elements()
+    HP, HA = to_arrays(elements, group.n)
+    every = np.arange(yd.m)
+    for k, h in enumerate(elements):
+        J, C = yd.cosets.zeta(every, HP[k : k + 1], HA[k : k + 1])
         for i in range(yd.m):
-            terms = yd.action_terms(h, i, 0)
-            (i_yd, coeff_yd) = terms[0]
+            i_yd, coeff_yd = int(J[i]), yd.matrices[C[i]][0][0]
             i_ar, coeff_ar = arrow.adjoint(h, i)
             if i_yd != i_ar or coeff_yd != coeff_ar:
                 return PsiCheckResult(

@@ -6,7 +6,7 @@ from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.groups import Bn, SignedPermutation
 from weylrack.ncalg import fk_presentation, hilbert_series
 from weylrack.nichols import nichols_graded_dim, reduced_word
-from weylrack.racks import conjugation_rack
+from weylrack.racks import FiniteRack
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn, tensor_case_admitted
 from weylrack.verify import (
     VerifyConfig,
@@ -14,7 +14,7 @@ from weylrack.verify import (
     scan_classes,
     verify_lemmas,
 )
-from weylrack.ydmodule import build_arrow_yd_module, build_yd_module, psi_isomorphism_check
+from weylrack.ydmodule import ArrowYDModule, build_yd_module, psi_isomorphism_check
 
 
 def run_checks(names, **cfg):
@@ -102,9 +102,9 @@ def test_criterion_6_structural_suites():
             braiding = yd.braiding()
             braiding.check_braid_equation(sample=None)
             braiding.check_invertible()
-            arrow = build_arrow_yd_module(cs, chi)
+            arrow = ArrowYDModule(cs, chi)
             assert psi_isomorphism_check(yd, arrow)
-        rack = conjugation_rack(cs.cls)
+        rack = FiniteRack.from_class(cs.cls)
         rack.check_axioms()
     # orbit-stabilizer across every class of B_n, n <= 5
     for n in range(1, 6):

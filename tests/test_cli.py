@@ -120,6 +120,32 @@ def test_scan_report_bytes_are_pinned(tmp_path, n):
     assert hashlib.sha256(data).hexdigest() == SCAN_DIGESTS[n]
 
 
+# SHA-256 of the braiding-path outputs, recorded before the coset systems
+# moved onto class rows: every consumer of the cocycle zeta feeds these
+BRAIDING_DIGESTS = {
+    ("braiding", "--n", "3", "--preset", "--terms"):
+        "f5aa2d60944fdcd239fc02e49eb3c9cb4accad30e820b741baa8e5b2393b83a3",
+    ("braiding", "--n", "4", "--preset", "--terms"):
+        "6de20ada3d49614af21d7b043d8352afb8b6bad92ab756fb46ec0d83b07e7a59",
+    ("braiding", "--group", "bn", "--n", "3", "--element", "100;(1 2 3)", "--terms"):
+        "907f9f758e59d642a0724133a81520e754407bdeccb7651c10086d5240f0532f",
+    ("braiding", "--group", "bn", "--n", "3", "--element", "000;(1 2)", "--terms"):
+        "857e22d33ba3a38a3e3fa74a4455281c5ed7e322a2ecab6514dc250d63df2c34",
+    ("nichols-dim", "--group", "bn", "--n", "4", "--element", "0000;(1 2)", "--max-degree", "2"):
+        "fdc4dbc6c0c42b9105a8f1c6a891bf81c15f2b81ec7646540df044714514c488",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BRAIDING_DIGESTS), ids=" ".join)
+def test_braiding_path_bytes_are_pinned(tmp_path, argv):
+    import hashlib
+
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BRAIDING_DIGESTS[argv]
+
+
 def test_hilbert_and_nichols_dim(tmp_path):
     code, text = run(tmp_path, "hilbert", "--algebra", "fk", "--n", "3", "--cap", "8")
     assert code == 0

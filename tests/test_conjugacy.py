@@ -2,6 +2,7 @@
 factorizations."""
 
 import random
+import re
 import time
 from math import comb
 
@@ -13,7 +14,6 @@ from weylrack.conjugacy import (
     Centralizer,
     ConjugacyClass,
     CosetSystem,
-    centralizer,
     centralizer_factorization,
     class_juxtaposition,
     class_size,
@@ -80,11 +80,11 @@ def test_centralizer_is_the_commuting_set():
     # generator-free S_1 included: the closure on rows against the
     # commuting set, element for element and in text-format order
     for group, rep in _all_classes(5, 6):
-        cent = centralizer(group, rep)
+        cent = ConjugacyClass(group, rep).centralizer()
         brute = [g for g in group.elements() if g * rep == rep * g]
         order = text_order(*to_arrays(brute, group.n))
         assert list(cent.elements) == [brute[i] for i in order.tolist()]
-        assert cent.element_set == set(brute)
+        assert set(cent.elements) == set(brute)
         assert cent.order == len(brute)
         assert from_arrays(cent.P, cent.A) == cent.elements
 
@@ -101,7 +101,7 @@ def test_oversized_centralizer_is_refused_up_front():
 
 def test_largest_admitted_centralizer_is_closed():
     # B_7's identity: the whole group, 645120 elements, at the cap
-    cent = centralizer(Bn(7), Bn(7).identity)
+    cent = ConjugacyClass(Bn(7), Bn(7).identity).centralizer()
     assert cent.order == 645120
     assert cent.keys.size == np.unique(cent.keys).size == 645120
 
@@ -113,25 +113,64 @@ def test_negative_cycle_centralizer_is_cyclic():
             (1,) + (0,) * (n - 1),
             Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
         )
-        cent = centralizer(Bn(n), x)
+        cent = ConjugacyClass(Bn(n), x).centralizer()
         assert cent.order == 2 * n
-        assert cent.element_set == {x**k for k in range(2 * n)}
+        assert set(cent.elements) == {x**k for k in range(2 * n)}
 
 
 def test_coset_system_zeta_recomposition():
     rng = random.Random(11)
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2)"))
     cs = cls.coset_system()
+    cent = cls.centralizer()
     G = Bn(3)
-    for _ in range(150):
-        h = G.random_element(rng)
-        i = rng.randrange(cs.size)
-        j, gamma = cs.zeta(i, h)
-        # h g_i = g_j gamma with gamma in the centralizer
+    hs = [G.random_element(rng) for _ in range(150)]
+    I = [rng.randrange(cs.size) for _ in hs]
+    J, C = cs.zeta(I, *to_arrays(hs, 3))
+    for h, i, j, c in zip(hs, I, J.tolist(), C.tolist()):
+        # h g_i = g_j gamma with gamma the centralizer element c
+        gamma = cent.elements[c]
         assert h * cs[i] == cs[j] * gamma
-        assert gamma in cls.centralizer()
+        assert gamma * cls.rep == cls.rep * gamma
         # the coset index tracks the conjugation action on the class
         assert h.conjugate(cls.elements[i]) == cls.elements[j]
+    # one h for every index
+    J1, C1 = cs.zeta(I, *to_arrays(hs[:1], 3))
+    J0, C0 = cs.zeta(I, *to_arrays(hs[:1] * len(I), 3))
+    assert J1.tolist() == J0.tolist() and C1.tolist() == C0.tolist()
+
+
+def test_coset_system_zeta_refuses_an_h_outside_the_group():
+    # a sign flip lies in B_3 but not in S_3: it moves (1 2) out of the
+    # S_3 class, and on a fixed point it leaves gamma outside G^s
+    cs = ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2)")).coset_system()
+    with pytest.raises(ValueError, match="leaves the class"):
+        cs.zeta([0], *to_arrays([SignedPermutation.parse("100;()")], 3))
+    with pytest.raises(ValueError, match="outside the centralizer"):
+        cs.zeta([0], *to_arrays([SignedPermutation.parse("001;()")], 3))
+
+
+def test_coset_system_refuses_a_table_that_is_not_a_transversal():
+    # the preset table and the least representatives of a B_3 class
+    negative = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
+    for cs in (transposition_preset(4), negative.coset_system()):
+        cls = cs.cls
+        reps = [cs[i] for i in range(cs.size)]
+        with pytest.raises(ValueError, match="one representative per class element"):
+            CosetSystem(cls, reps=reps[:-1])
+        # the rep centralizes s, so it conjugates s to t_1, but it is not g_1
+        with pytest.raises(ValueError, match="g_1"):
+            CosetSystem(cls, reps=[cls.rep] + reps[1:])
+        with pytest.raises(ValueError, match="g_1"):
+            CosetSystem(cls, reps=[reps[1]] + reps[1:])
+        # a wrong g_i at the first position after g_1, and at the last;
+        # the error names the representative
+        first = reps[:1] + [reps[2], reps[1]] + reps[3:]
+        with pytest.raises(ValueError, match=re.escape(f"{reps[2]} does not conjugate s")):
+            CosetSystem(cls, reps=first)
+        last = reps[:-1] + [reps[-2]]
+        with pytest.raises(ValueError, match=re.escape(f"{reps[-2]} does not conjugate s")):
+            CosetSystem(cls, reps=last)
 
 
 def test_transposition_preset_table():
@@ -259,7 +298,8 @@ def test_class_arrays_stay_aligned_with_elements():
     for cls in (negative, cs.cls):
         assert from_arrays(cls.P, cls.A) == cls.elements
         assert cls.locate(cls.keys).tolist() == list(range(cls.size))
-        assert [cls.index[t] for t in cls.elements] == list(range(cls.size))
+        assert cls.find_all(list(cls.elements)).tolist() == list(range(cls.size))
+        assert [cls.find(t) for t in cls.elements] == list(range(cls.size))
     # keys of another class are not found
     positive = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2 3)"))
     assert negative.locate(positive.keys).tolist() == [-1] * positive.size
@@ -290,12 +330,12 @@ def _one_key(x):
 
 def _check_centralizer_and_cosets(cls):
     cent = cls.centralizer()
-    assert cent.elements == sorted(cent.element_set, key=SignedPermutation.sort_key)
+    assert cent.elements == sorted(set(cent.elements), key=SignedPermutation.sort_key)
     least = [
         min((cls.conjugator[t] * c for c in cent), key=SignedPermutation.sort_key)
         for t in cls.elements
     ]
-    assert cls.coset_system().reps == least
+    assert cls.coset_system().elements == least
 
 
 def test_class_numbering_matches_the_one_at_a_time_oracle():

@@ -16,11 +16,11 @@ from weylrack.groups import Permutation
 from weylrack.nichols import (
     GradedDims,
     TABLE1_CASES,
+    cocycle_values,
     degree2_kernel,
     nichols_graded_dim,
     pair_relation_lambdas,
     reduced_word,
-    sign_product,
     square_relation_holds,
     symmetrizer_columns,
     table1_values,
@@ -304,8 +304,8 @@ def test_sign_products_are_minus_one():
     for char in (chi_sgn_sgn, chi_eps_sgn):
         cs = transposition_preset(4)
         chi = char(cs.centralizer)
-        for (i, j, k) in ((1, 2, 3), (1, 3, 2), (2, 3, 4), (1, 2, 4)):
-            assert sign_product(cs, chi, i, j, k) == -1
+        triples = [(1, 2, 3), (1, 3, 2), (2, 3, 4), (1, 2, 4)]
+        assert [a * b * c for a, b, c in cocycle_values(cs, chi, triples)] == [-1] * 4
 
 
 def test_cocycle_value_table_frozen():

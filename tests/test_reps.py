@@ -3,7 +3,7 @@ scalar admissibility filter."""
 
 import pytest
 
-from weylrack.conjugacy import centralizer
+from weylrack.conjugacy import ConjugacyClass
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Bn, Sn, SignedPermutation
 from weylrack.reps import (
@@ -25,7 +25,7 @@ from weylrack.reps import (
 
 def cent_of(text, n, signed=False):
     G = Bn(n) if signed else Sn(n)
-    return centralizer(G, SignedPermutation.parse(text))
+    return ConjugacyClass(G, SignedPermutation.parse(text)).centralizer()
 
 
 def test_global_sign_character_values():
@@ -138,9 +138,9 @@ def test_induced_rep_rejects_bad_transversal():
 def test_outer_tensor_characters_multiply():
     x = SignedPermutation.parse("00;(1 2)")
     y = SignedPermutation.parse("100;(1 2 3)")
-    cx = centralizer(Bn(2), x)
-    cy = centralizer(Bn(3), y)
-    big = centralizer(Bn(5), x.juxtapose(y))
+    cx = ConjugacyClass(Bn(2), x).centralizer()
+    cy = ConjugacyClass(Bn(3), y).centralizer()
+    big = ConjugacyClass(Bn(5), x.juxtapose(y)).centralizer()
     r1 = chi_sgn_sgn(cx)
     r2 = char_from_function(cy, lambda g: g.perm.sign())
     tens = outer_tensor(r1, r2, big)

@@ -9,7 +9,6 @@ from weylrack.groups import Bn, Sn, SignedPermutation
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
     ArrowYDModule,
-    build_arrow_yd_module,
     build_yd_module,
     psi_isomorphism_check,
 )
@@ -97,16 +96,16 @@ def test_psi_isomorphism_both_characters():
     for n in (3, 4):
         for char in (chi_sgn_sgn, chi_eps_sgn):
             yd, cs, chi = yd_transpositions(n, char)
-            arrow = build_arrow_yd_module(cs, chi)
+            arrow = ArrowYDModule(cs, chi)
             res = psi_isomorphism_check(yd, arrow)
             assert res, res.witness
 
 
 def test_psi_detects_corrupted_coset_table():
-    from weylrack.verify import _CorruptedCosets
+    from weylrack.verify import _corrupted_cosets
 
     yd, cs, chi = yd_transpositions(3, chi_sgn_sgn)
-    bad = ArrowYDModule(_CorruptedCosets(cs), chi)
+    bad = ArrowYDModule(_corrupted_cosets(cs), chi)
     try:
         res = psi_isomorphism_check(yd, bad)
         detected = not res
@@ -117,7 +116,7 @@ def test_psi_detects_corrupted_coset_table():
 
 def test_adjoint_matches_conjugation_on_degrees():
     yd, cs, chi = yd_transpositions(4, chi_sgn_sgn)
-    arrow = build_arrow_yd_module(cs, chi)
+    arrow = ArrowYDModule(cs, chi)
     import random
 
     rng = random.Random(9)
