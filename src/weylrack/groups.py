@@ -319,9 +319,7 @@ class SignedPermutation:
 
     def is_orthogonal_to(self, other: "SignedPermutation") -> bool:
         """Orthogonal = the two elements share no sign-cycle length."""
-        mine = {len(c) for c in self.perm.cycles(include_fixed=True)}
-        theirs = {len(c) for c in other.perm.cycles(include_fixed=True)}
-        return not (mine & theirs)
+        return not (cycle_lengths(self.perm.images) & cycle_lengths(other.perm.images))
 
     # -- text format -----------------------------------------------------
 
@@ -346,6 +344,22 @@ class SignedPermutation:
 
     def __str__(self) -> str:
         return self.format()
+
+
+def cycle_lengths(images) -> set:
+    """The cycle lengths of the permutation with these images, a fixed
+    point counting as a 1-cycle."""
+    seen = [False] * len(images)
+    out = set()
+    for start in range(len(images)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        if length:
+            out.add(length)
+    return out
 
 
 def nu_right(x: SignedPermutation, m: int) -> SignedPermutation:
@@ -400,6 +414,20 @@ def invert_rows(P: np.ndarray) -> np.ndarray:
     return inv
 
 
+def compose_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise permutation products tau mu, (tau mu)(i) = tau(mu(i)), as
+    Permutation.__mul__; either side may be one row for every row of the
+    other."""
+    return np.take_along_axis(P, Q, axis=1)
+
+
+def act_rows(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Row-wise sign action (tau.a)_i = a_{tau^-1(i)}, as
+    Permutation.act_on_signs: a gather by the inverse permutation.  P may
+    be one row for every row of A."""
+    return np.take_along_axis(A, invert_rows(P), axis=1)
+
+
 def mul_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
     """Row-wise x * y for x in rows of (P, A) and y in rows of (Q, B), as
     the arrays of SignedPermutation.__mul__: permutation tau mu, signs
@@ -411,15 +439,18 @@ def mul_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tupl
         # broadcast take_along_axis (B_7's identity centralizer closes in
         # 1.3 s against 1.6 s on the general path, 2 vCPU)
         return P[0][Q], A ^ B[:, np.argsort(P[0])]
-    return (
-        np.take_along_axis(P, Q, axis=1),
-        A ^ np.take_along_axis(B, invert_rows(P), axis=1),
-    )
+    return compose_rows(P, Q), A ^ act_rows(P, B)
 
 
 def inverse_rows(P: np.ndarray, A: np.ndarray) -> tuple:
     """The row-wise inverses (tau^-1.a, tau^-1), as SignedPermutation.inverse."""
     return invert_rows(P), np.take_along_axis(A, P, axis=1)
+
+
+def conjugate_pairs(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
+    """Row-wise x |> y = x y x^-1 for paired rows x of (P, A) and y of
+    (Q, B), through mul_rows and inverse_rows."""
+    return mul_rows(*mul_rows(P, A, Q, B), *inverse_rows(P, A))
 
 
 def conjugate_rows(tau: np.ndarray, a: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
@@ -565,14 +596,17 @@ class GroupContext:
             return False
         return self.signed or not any(x.sign)
 
-    def random_element(self, rng) -> SignedPermutation:
+    def random_row(self, rng) -> tuple:
+        """(images, signs) lists of a uniform random element: one shuffle
+        of the points, then one randrange(2) per sign bit in the signed
+        case.  Every sampled check draws through here."""
         perm = list(range(self.n))
         rng.shuffle(perm)
-        sign = (
-            tuple(rng.randrange(2) for _ in range(self.n))
-            if self.signed
-            else (0,) * self.n
-        )
+        sign = [rng.randrange(2) for _ in range(self.n)] if self.signed else [0] * self.n
+        return perm, sign
+
+    def random_element(self, rng) -> SignedPermutation:
+        perm, sign = self.random_row(rng)
         return SignedPermutation(sign, Permutation(perm, check=False), check=False)
 
     def parse(self, text: str) -> SignedPermutation:

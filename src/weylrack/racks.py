@@ -25,11 +25,13 @@ from .groups import (
     Permutation,
     SignedPermutation,
     Sn,
+    act_rows,
+    compose_rows,
+    conjugate_pairs,
     conjugate_rows,
     encode,
-    inverse_rows,
+    invert_rows,
     juxtapose_rows,
-    mul_rows,
     to_arrays,
 )
 
@@ -39,67 +41,65 @@ def sq(x, y):
     return x.conjugate(y.conjugate(x.conjugate(y)))
 
 
-# -- closed forms for sq in B_n (Lemma-style sign formulas) ----------------
+# -- closed forms for sq in B_n (Lemma-style sign formulas), on rows -------
+#
+# x = (a, tau) and y = (b, mu) are paired rows of (P, A) and (Q, B), or one
+# row for every row of the other side; tau.a is the sign action
+# (tau.a)_i = a_{tau^-1(i)} of act_rows.
 
 
-def _xor(u: tuple, v: tuple) -> tuple:
-    return tuple(map(int.__xor__, u, v))
+def _perm_conjugate(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise tau |> mu = tau mu tau^-1 on permutation rows."""
+    return compose_rows(compose_rows(P, Q), invert_rows(P))
 
 
-def sq_signed(x: SignedPermutation, y: SignedPermutation) -> tuple:
-    """Closed form for sq((a,tau),(b,mu)) = (c, lambda), no hypotheses.
+def sq_signed(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
+    """Closed form for sq((a,tau),(b,mu)) = (c, lambda), no hypotheses, as
+    the rows (Lambda, C):
 
     c   = a + tau.[b + mu.(a + tau.b + (tau|>mu).a) + (mu|>(tau|>mu)).b]
           + (tau|>(mu|>(tau|>mu))).a
     lam = tau|>(mu|>(tau|>mu))
     """
-    a, tau = x.sign, x.perm
-    b, mu = y.sign, y.perm
-    tm = tau.conjugate(mu)  # tau|>mu
-    mtm = mu.conjugate(tm)  # mu|>(tau|>mu)
-    lam = tau.conjugate(mtm)
-    inner = _xor(_xor(b, mu.act_on_signs(_xor(_xor(a, tau.act_on_signs(b)), tm.act_on_signs(a)))), mtm.act_on_signs(b))
-    c = _xor(_xor(a, tau.act_on_signs(inner)), lam.act_on_signs(a))
-    return c, lam
+    tm = _perm_conjugate(P, Q)  # tau|>mu
+    mtm = _perm_conjugate(Q, tm)  # mu|>(tau|>mu)
+    lam = _perm_conjugate(P, mtm)
+    inner = B ^ act_rows(Q, A ^ act_rows(P, B) ^ act_rows(tm, A)) ^ act_rows(mtm, B)
+    return lam, A ^ act_rows(P, inner) ^ act_rows(lam, A)
 
 
-def sq_signed_commuting(x: SignedPermutation, y: SignedPermutation) -> tuple:
-    """Closed form when the permutation parts commute:
+def _require_commuting(P: np.ndarray, Q: np.ndarray) -> None:
+    if (compose_rows(P, Q) != compose_rows(Q, P)).any():
+        raise ValueError("permutation parts do not commute")
+
+
+def sq_signed_commuting(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
+    """Closed form when the permutation parts commute, as (Lambda, C):
 
     c = a + tau mu.a + tau mu^2.a + mu.a + tau.b + tau^2 mu.b + tau mu.b,
-    and lambda = mu.
+    and lambda = mu.  Refuses rows whose parts do not commute.
     """
-    tau, mu = x.perm, y.perm
-    if not tau.commutes_with(mu):
-        raise ValueError("permutation parts do not commute")
-    c = _xor(_xor(collapse_lhs(x.sign, tau, mu), collapse_rhs(y.sign, tau, mu)), y.sign)
-    return c, mu
+    _require_commuting(P, Q)
+    return Q, collapse_lhs(A, P, Q) ^ collapse_rhs(B, P, Q) ^ B
 
 
-def collapse_lhs(a: tuple, tau: Permutation, mu: Permutation) -> tuple:
-    """a + tau mu.a + tau mu^2.a + mu.a (commuting case)."""
-    out = a
-    tm = tau * mu
-    for p in (tm, tm * mu, mu):
-        out = _xor(out, p.act_on_signs(a))
-    return out
+def collapse_lhs(A: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """a + tau mu.a + tau mu^2.a + mu.a (commuting case), row-wise."""
+    tm = compose_rows(P, Q)
+    return A ^ act_rows(tm, A) ^ act_rows(compose_rows(tm, Q), A) ^ act_rows(Q, A)
 
 
-def collapse_rhs(b: tuple, tau: Permutation, mu: Permutation) -> tuple:
-    """b + tau.b + tau^2 mu.b + tau mu.b (commuting case)."""
-    out = b
-    tm = tau * mu
-    for p in (tau, tau * tm, tm):
-        out = _xor(out, p.act_on_signs(b))
-    return out
+def collapse_rhs(B: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """b + tau.b + tau^2 mu.b + tau mu.b (commuting case), row-wise."""
+    tm = compose_rows(P, Q)
+    return B ^ act_rows(P, B) ^ act_rows(compose_rows(P, tm), B) ^ act_rows(tm, B)
 
 
-def sq_fixes_second(x: SignedPermutation, y: SignedPermutation) -> bool:
-    """sq(a tau, b mu) == b mu, decided by the commuting-case sign identity."""
-    tau, mu = x.perm, y.perm
-    if not tau.commutes_with(mu):
-        raise ValueError("permutation parts do not commute")
-    return collapse_lhs(x.sign, tau, mu) == collapse_rhs(y.sign, tau, mu)
+def sq_fixes_second(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise sq(a tau, b mu) == b mu, decided by the commuting-case sign
+    identity; refuses rows whose parts do not commute."""
+    _require_commuting(P, Q)
+    return (collapse_lhs(A, P, Q) == collapse_rhs(B, P, Q)).all(axis=1)
 
 
 # -- racks ----------------------------------------------------------------
@@ -180,8 +180,7 @@ class FiniteRack:
             cls = self.source
             shape = np.broadcast_shapes(np.shape(x), np.shape(y))
             X, Y = (np.broadcast_to(v, shape).ravel() for v in (x, y))
-            xP, xA = cls.P[X], cls.A[X]
-            P, A = mul_rows(*mul_rows(xP, xA, cls.P[Y], cls.A[Y]), *inverse_rows(xP, xA))
+            P, A = conjugate_pairs(cls.P[X], cls.A[X], cls.P[Y], cls.A[Y])
             z = self._locate(P, A).reshape(shape)
         return int(z) if np.ndim(z) == 0 else z
 
@@ -500,12 +499,18 @@ def _commuting_witness(cls: ConjugacyClass, R: list, S: list, tau: Permutation, 
     """First (r, s) in R x S (index lists) with sq(r, s) != s, via the
     sign identity on the sign rows; None if the identity holds on all of
     R x S."""
-    rhs = [(collapse_rhs(tuple(cls.A[s].tolist()), tau, mu), s) for s in S]
-    for r in R:
-        lhs = collapse_lhs(tuple(cls.A[r].tolist()), tau, mu)
-        for rv, s in rhs:
-            if lhs != rv:
-                return r, s
+    T, M = (np.array([p.images], dtype=np.int8) for p in (tau, mu))
+    lhs = collapse_lhs(cls.A[R], T, M)
+    rhs = collapse_rhs(cls.A[S], T, M)
+    # the first r pairs with the first s whose row differs from its own;
+    # if there is none, every rhs row equals lhs[0], and a later r differs
+    # from all of them, s = S[0] first
+    differs = (rhs != lhs[0]).any(axis=1)
+    if differs.any():
+        return R[0], S[int(np.argmax(differs))]
+    differs = (lhs != lhs[0]).any(axis=1)
+    if differs.any():
+        return R[int(np.argmax(differs))], S[0]
     return None
 
 

@@ -79,7 +79,9 @@ class Rep:
             gh = g * h
             if gh not in self.table:
                 raise ValueError(f"domain not closed: {g} * {h}")
-            if self.table[gh] != _matmul(self.table[g], self.table[h]):
+            M, N, MN = self.table[g], self.table[h], self.table[gh]
+            # a character compares its values, with no 1 x 1 matrix product
+            if (MN[0][0] != M[0][0] * N[0][0]) if self.degree == 1 else (MN != _matmul(M, N)):
                 raise ValueError(f"not multiplicative at ({g}, {h})")
 
     def __call__(self, g) -> tuple:

@@ -35,7 +35,19 @@ from .conjugacy import (
     class_juxtaposition,
     transposition_preset,
 )
-from .groups import Bn, Permutation, SignedPermutation, Sn, mul_rows, nu_left, nu_right
+from .groups import (
+    Bn,
+    Permutation,
+    SignedPermutation,
+    Sn,
+    act_rows,
+    compose_rows,
+    conjugate_pairs,
+    cycle_lengths,
+    from_arrays,
+    juxtapose_rows,
+    mul_rows,
+)
 from .nichols import (
     _as_int,
     cocycle_values,
@@ -58,7 +70,6 @@ from .racks import (
     sq_fixes_second,
     sq_signed,
     sq_signed_commuting,
-    _xor,
 )
 from .reps import chi_eps_sgn, chi_sgn_sgn, tensor_case_admitted
 from .ydmodule import ArrowYDModule, build_yd_module, psi_isomorphism_check
@@ -136,87 +147,164 @@ class ScanRow:
         return out
 
 
-# -- sq closed forms -------------------------------------------------------
+# -- sampled laws, checked on row stacks ------------------------------------
+#
+# Each sampled check draws its instances from the seeded stream as plain
+# rows grouped by degree, then tests every law on each group's stacks at
+# once.  A failure is reported at the earliest sample, and within
+# it at the first law in the check's order, as a sample-by-sample loop
+# would; its detail is built from that one sample.
 
 
-def _mutated_commuting(x: SignedPermutation, y: SignedPermutation) -> tuple:
+def _record(draws: dict, key, sample: int, *rows) -> None:
+    """Add one sample's rows (lists of small ints) to its group in draws,
+    packed as bytes: 10000 samples held as Python lists would raise the
+    check's peak memory by several MB."""
+    if key not in draws:
+        draws[key] = ([], bytearray(), [len(row) for row in rows])
+    samples, packed, _ = draws[key]
+    samples.append(sample)
+    for row in rows:
+        packed.extend(row)
+
+
+def _earliest_failure(draws: dict, laws):
+    """(law index, row, stacks) for the earliest sample that breaks a law,
+    and the first law it breaks; None if every sample keeps every law.
+    `draws` holds the groups of _record; laws(*stacks) gives one boolean
+    array per law over a group's rows, in the order a sample's laws are
+    checked, where the stacks are the group's int8 arrays, one per row
+    field."""
+    failures = []
+    for samples, packed, widths in draws.values():
+        flat = np.frombuffer(packed, dtype=np.int8).reshape(len(samples), -1)
+        stacks = np.split(flat, np.cumsum(widths)[:-1], axis=1)
+        broken = np.stack(laws(*stacks), axis=1)
+        bad = np.flatnonzero(broken.any(axis=1))
+        if bad.size:
+            row = int(bad[0])
+            failures.append((samples[row], int(np.argmax(broken[row])), row, stacks))
+    if not failures:
+        return None
+    return min(failures, key=lambda f: f[0])[1:]
+
+
+def _differ(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise (P, A) != (Q, B)."""
+    return (P != Q).any(axis=1) | (A != B).any(axis=1)
+
+
+def _sq_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
+    """sq(x, y) = x |> (y |> (x |> y)) on paired rows: the direct side,
+    derived apart from the closed forms."""
+    return conjugate_pairs(P, A, *conjugate_pairs(Q, B, *conjugate_pairs(P, A, Q, B)))
+
+
+def _element(P: np.ndarray, A: np.ndarray, row: int) -> SignedPermutation:
+    return from_arrays(P[row : row + 1], A[row : row + 1])[0]
+
+
+def _mutated_commuting(P, A, Q, B) -> tuple:
     """Deliberately wrong commuting-case formula (one sign term dropped);
     used as a negative control for harness soundness."""
-    c, mu = sq_signed_commuting(x, y)
-    return _xor(c, y.perm.act_on_signs(x.sign)), mu
+    L, C = sq_signed_commuting(P, A, Q, B)
+    return L, C ^ act_rows(Q, A)
+
+
+SQUARE_LAWS = ("general", "commuting", "fix-criterion")
 
 
 def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
     rng = random.Random(cfg.seed)
     commuting_form = _mutated_commuting if cfg.mutate else sq_signed_commuting
     counts = {"general": 0, "commuting": 0, "conjugate-fixed": 0, "involution": 0}
-    for _ in range(cfg.samples):
-        n = rng.randint(2, MAX_N)
-        G = Bn(n)
-        x = G.random_element(rng)
-        y = G.random_element(rng)
-        if rng.random() < 0.5:
-            # force a commuting pair: replace mu by a power of tau
-            y = SignedPermutation(y.sign, x.perm ** rng.randint(0, n))
-        direct = sq(x, y)
-        c, lam = sq_signed(x, y)
-        if (c, lam) != (direct.sign, direct.perm):
-            return "fail", {"law": "general", "x": x.format(), "y": y.format()}
-        counts["general"] += 1
-        if x.perm.commutes_with(y.perm):
-            c2, lam2 = commuting_form(x, y)
-            if (c2, lam2) != (direct.sign, direct.perm):
-                return "fail", {
-                    "law": "commuting",
-                    "x": x.format(),
-                    "y": y.format(),
-                    "got": "".join(map(str, c2)),
-                    "expected": "".join(map(str, direct.sign)),
-                }
-            if sq_fixes_second(x, y) != (direct == y):
-                return "fail", {"law": "fix-criterion", "x": x.format(), "y": y.format()}
-            counts["commuting"] += 1
+
+    def laws(P, A, Q, B):
+        direct = _sq_rows(P, A, Q, B)
+        # the commuting-case laws apply to the rows whose parts commute
+        c = np.flatnonzero((compose_rows(P, Q) == compose_rows(Q, P)).all(axis=1))
+        counts["commuting"] += len(c)
+        commuting, fixes = np.zeros(len(P), bool), np.zeros(len(P), bool)
+        commuting[c] = _differ(*commuting_form(P[c], A[c], Q[c], B[c]), direct[0][c], direct[1][c])
+        fixed = ~_differ(direct[0][c], direct[1][c], Q[c], B[c])
+        fixes[c] = sq_fixes_second(P[c], A[c], Q[c], B[c]) != fixed
+        return [_differ(*sq_signed(P, A, Q, B), *direct), commuting, fixes]
+
+    # blocks of 4, 16, 64, ... samples: a failing run, such as the negative
+    # control's, stops soon after its first failure, as a sample loop does
+    failure, start, block = None, 0, 4
+    while failure is None and start < cfg.samples:
+        draws = {}
+        for i in range(start, min(start + block, cfg.samples)):
+            n = rng.randint(2, MAX_N)
+            G = Bn(n)
+            tau, a = G.random_row(rng)
+            mu, b = G.random_row(rng)
+            if rng.random() < 0.5:
+                # force a commuting pair: replace mu by a power of tau
+                mu = list(range(n))
+                for _ in range(rng.randint(0, n)):
+                    mu = [tau[j] for j in mu]
+            _record(draws, n, i, tau, a, mu, b)
+        failure = _earliest_failure(draws, laws)
+        start, block = start + block, 4 * block
+    if failure is not None:
+        law, row, (P, A, Q, B) = failure
+        x, y = _element(P, A, row), _element(Q, B, row)
+        detail = {"law": SQUARE_LAWS[law], "x": x.format(), "y": y.format()}
+        if SQUARE_LAWS[law] == "commuting":
+            pair = P[row : row + 1], A[row : row + 1], Q[row : row + 1], B[row : row + 1]
+            got, expected = commuting_form(*pair)[1][0], _sq_rows(*pair)[1][0]
+            detail["got"] = "".join(map(str, got.tolist()))
+            detail["expected"] = "".join(map(str, expected.tolist()))
+        return "fail", detail
+    counts["general"] = cfg.samples
     # conjugate-pair special cases: (b,mu) = xi |> (a,tau) with xi.a = a;
     # fewer than `floor` of them within 40 * samples attempts is no pass
-    floor, attempts = 500, 0
-    while counts["conjugate-fixed"] < floor and attempts < 40 * cfg.samples:
+    floor, attempts, found = 500, 0, 0
+    draws = {}
+    while found < floor and attempts < 40 * cfg.samples:
         attempts += 1
         n = rng.randint(3, 5)
         G = Bn(n)
-        xi_p = Sn(n).random_element(rng).perm
+        xi_p = Permutation(Sn(n).random_row(rng)[0], check=False)
         # a constant on the orbits of xi so that xi.a = a
         a = [0] * n
         for cyc in xi_p.cycles(include_fixed=True):
             s = rng.randrange(2)
             for i in cyc:
                 a[i] = s
-        a = tuple(a)
-        tau = G.random_element(rng).perm if rng.random() < 0.5 else None
+        tau = Permutation(G.random_row(rng)[0], check=False) if rng.random() < 0.5 else None
         if tau is None:
             # involution stream for the stronger special case
             pts = list(range(1, n + 1))
             rng.shuffle(pts)
             tau = Permutation.from_cycles(n, [tuple(pts[:2])])
-        mu = xi_p.conjugate(tau)
-        if not tau.commutes_with(mu):
+        if not tau.commutes_with(xi_p.conjugate(tau)):
             continue
-        x = SignedPermutation(a, tau)
-        xi = SignedPermutation.from_perm(xi_p)
-        y = xi.conjugate(x)
-        c, _ = sq_signed(x, y)
-        expected = a
-        for p in (tau * mu * mu, mu, tau, tau * tau * mu):
-            expected = _xor(expected, p.act_on_signs(a))
-        if c != expected:
-            return "fail", {"law": "conjugate-fixed", "x": x.format(), "xi": xi.format()}
-        counts["conjugate-fixed"] += 1
-        if tau * tau == Permutation.identity(n) and tau.commutes_with(xi_p):
-            if c != a:
-                return "fail", {"law": "involution", "x": x.format(), "xi": xi.format()}
-            counts["involution"] += 1
-    got = counts["conjugate-fixed"]
-    if got < floor:
-        reason = f"{got} conjugate-fixed instances, below the floor of {floor}"
+        involution = tau * tau == Permutation.identity(n) and tau.commutes_with(xi_p)
+        counts["involution"] += involution
+        _record(draws, n, found, tau.images, a, xi_p.images, [involution])
+        found += 1
+
+    def special_laws(T, A, X, flag):
+        involution = flag[:, 0] == 1
+        M, YA = conjugate_pairs(X, np.zeros_like(A), T, A)  # y = xi |> x
+        _, C = sq_signed(T, A, M, YA)
+        expected = A
+        for p in (compose_rows(compose_rows(T, M), M), M, T, compose_rows(compose_rows(T, T), M)):
+            expected = expected ^ act_rows(p, A)
+        return [(C != expected).any(axis=1), involution & (C != A).any(axis=1)]
+
+    failure = _earliest_failure(draws, special_laws)
+    if failure is not None:
+        law, row, (T, A, X, _) = failure
+        x, xi = _element(T, A, row), _element(X, np.zeros_like(X), row)
+        law = ("conjugate-fixed", "involution")[law]
+        return "fail", {"law": law, "x": x.format(), "xi": xi.format()}
+    counts["conjugate-fixed"] = found
+    if found < floor:
+        reason = f"{found} conjugate-fixed instances, below the floor of {floor}"
         return "inconclusive", {"reason": reason, "verified": counts}
     return "pass", {"verified": counts}
 
@@ -235,37 +323,55 @@ def check_negative_control(cfg: VerifyConfig) -> tuple:
 
 
 def _random_orthogonal_pair(rng, max_total: int) -> tuple:
+    """Rows (images, signs) of x in B_n and y in B_m, n + m <= max_total,
+    drawn until x and y share no cycle length."""
     while True:
         n = rng.randint(1, max_total - 1)
         m = rng.randint(1, max_total - n)
-        x = Bn(n).random_element(rng)
-        y = Bn(m).random_element(rng)
-        if x.is_orthogonal_to(y):
+        x = Bn(n).random_row(rng)
+        y = Bn(m).random_row(rng)
+        if not (cycle_lengths(x[0]) & cycle_lengths(y[0])):
             return x, y
+
+
+JUXTAPOSITION_LAWS = ("product", "factorization", "sq-blockwise", "conjugation")
+
+
+def _juxtaposition_broken(P, A, Q, B, P2, A2, Q2, B2) -> list:
+    """Per law, the rows where x # y and x2 # y2 break it."""
+    k, n, m = len(P), P.shape[1], Q.shape[1]
+    J, J2 = juxtapose_rows(P, A, Q, B), juxtapose_rows(P2, A2, Q2, B2)
+
+    def blockwise(op):
+        return juxtapose_rows(*op(P, A, P2, A2), *op(Q, B, Q2, B2))
+
+    # the block embeddings nu->(x) = x # 1 and nu<-(y) = 1 # y
+    ident = [np.broadcast_to(np.arange(d, dtype=np.int8), (k, d)) for d in (n, m)]
+    right = juxtapose_rows(P, A, ident[1], np.zeros_like(B))
+    left = juxtapose_rows(ident[0], np.zeros_like(A), Q, B)
+    ab, ba = mul_rows(*right, *left), mul_rows(*left, *right)
+    return [
+        _differ(*mul_rows(*J, *J2), *blockwise(mul_rows)),
+        _differ(*J, *ab) | _differ(*ab, *ba),
+        _differ(*_sq_rows(*J, *J2), *blockwise(_sq_rows)),
+        _differ(*conjugate_pairs(*J, *J2), *blockwise(conjugate_pairs)),
+    ]
 
 
 def check_juxtaposition_laws(cfg: VerifyConfig) -> tuple:
     rng = random.Random(cfg.seed)
     n_random = min(cfg.samples, 2000)
-    for _ in range(n_random):
-        x, y = _random_orthogonal_pair(rng, 7)
-        n, m = x.n, y.n
-        x2 = Bn(n).random_element(rng)
-        y2 = Bn(m).random_element(rng)
-        # product law
-        if x.juxtapose(y) * x2.juxtapose(y2) != (x * x2).juxtapose(y * y2):
-            return "fail", {"law": "product", "x": x.format(), "y": y.format()}
-        # the two block-embedding factorizations commute and agree
-        a, b = nu_right(x, m), nu_left(y, n)
-        if x.juxtapose(y) != a * b or a * b != b * a:
-            return "fail", {"law": "factorization", "x": x.format(), "y": y.format()}
-        # conjugation law
-        if sq(x.juxtapose(y), x2.juxtapose(y2)) != sq(x, x2).juxtapose(sq(y, y2)):
-            return "fail", {"law": "sq-blockwise", "x": x.format(), "y": y.format()}
-        if x.juxtapose(y).conjugate(x2.juxtapose(y2)) != x.conjugate(x2).juxtapose(
-            y.conjugate(y2)
-        ):
-            return "fail", {"law": "conjugation", "x": x.format(), "y": y.format()}
+    draws = {}
+    for i in range(n_random):
+        (P, A), (Q, B) = _random_orthogonal_pair(rng, 7)
+        n, m = len(P), len(Q)
+        x2, y2 = Bn(n).random_row(rng), Bn(m).random_row(rng)
+        _record(draws, (n, m), i, P, A, Q, B, *x2, *y2)
+    failure = _earliest_failure(draws, _juxtaposition_broken)
+    if failure is not None:
+        law, row, (P, A, Q, B, *_) = failure
+        x, y = _element(P, A, row), _element(Q, B, row)
+        return "fail", {"law": JUXTAPOSITION_LAWS[law], "x": x.format(), "y": y.format()}
     # exhaustive centralizer/class factorization over class representatives;
     # the pairs share their classes, each built once
     checked = 0

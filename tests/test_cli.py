@@ -146,6 +146,31 @@ def test_braiding_path_bytes_are_pinned(tmp_path, argv):
     assert hashlib.sha256(data).hexdigest() == BRAIDING_DIGESTS[argv]
 
 
+# SHA-256 and exit code of `verify-lemmas --select` the three sampled
+# checks, recorded before they moved onto row stacks: drawing the same
+# stream and reporting the earliest failure must keep these bytes
+SAMPLED_CHECKS = "square-closed-forms,negative-control,juxtaposition-laws"
+LEMMA_DIGESTS = {
+    ("--seed", "0"): ("84204a2b68db44f434a91481ea07cd595381d43d9fca8259383576cbd6842128", 0),
+    ("--seed", "7"): ("a64251619765dc97bdcae15ef594890dca203099e166cf943e9dcf83b4661e67", 0),
+    ("--seed", "3", "--samples", "2000"):
+        ("1f62ccde91e820b22d6803b1ae862d9163b3e6af4cb5042b88bb1b8fedeaf50e", 0),
+    ("--seed", "3", "--samples", "2000", "--mutate"):
+        ("b770cf0a31572fec5aed44e9170d3066924043b13ace8a5b9ee8ac4e9879d9ce", 1),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LEMMA_DIGESTS), ids=" ".join)
+def test_sampled_lemma_report_bytes_are_pinned(tmp_path, argv):
+    import hashlib
+
+    digest, exit_code = LEMMA_DIGESTS[argv]
+    code, _ = run(tmp_path, "verify-lemmas", "--select", SAMPLED_CHECKS, *argv)
+    assert code == exit_code
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_hilbert_and_nichols_dim(tmp_path):
     code, text = run(tmp_path, "hilbert", "--algebra", "fk", "--n", "3", "--cap", "8")
     assert code == 0

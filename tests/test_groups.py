@@ -45,6 +45,16 @@ def random_elem(rng, n, signed=True):
     return (Bn(n) if signed else Sn(n)).random_element(rng)
 
 
+def test_random_row_and_random_element_draw_the_same_stream():
+    for G in (Bn(1), Bn(5), Sn(5), Bn(8)):
+        rows, elements = random.Random(3), random.Random(3)
+        for _ in range(50):
+            images, signs = G.random_row(rows)
+            x = G.random_element(elements)
+            assert (tuple(images), tuple(signs)) == (x.perm.images, x.sign)
+        assert rows.random() == elements.random()
+
+
 def test_product_matches_matrix_model():
     rng = random.Random(1)
     for _ in range(300):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylrack.conjugacy import ConjugacyClass
-from weylrack.groups import Bn, Permutation, Sn, SignedPermutation
+from weylrack.groups import Bn, Permutation, Sn, SignedPermutation, from_arrays, to_arrays
 from weylrack.racks import (
     MAX_CLOSURE_SIZE,
     FiniteRack,
@@ -19,12 +19,14 @@ from weylrack.racks import (
     TypeDCertificate,
     _SN_CACHE,
     _closure_from_seeds,
+    _commuting_witness,
     _strategy_exhaustive,
     collapse_lhs,
     collapse_rhs,
     find_type_d_certificate,
     juxtaposition_extend_certificate,
     make_certificate,
+    perm_cosets,
     pullback_type_d,
     sq,
     sq_fixes_second,
@@ -59,38 +61,70 @@ def conjugation_table_rack(texts):
 
 def test_sq_closed_form_matches_conjugation():
     rng = random.Random(21)
-    for _ in range(400):
-        n = rng.randint(2, 7)
-        x, y = random_elem(rng, n), random_elem(rng, n)
-        direct = sq(x, y)
-        c, lam = sq_signed(x, y)
-        assert (c, lam) == (direct.sign, direct.perm)
+    for n in range(2, 8):
+        xs = [random_elem(rng, n) for _ in range(60)]
+        ys = [random_elem(rng, n) for _ in range(60)]
+        L, C = sq_signed(*to_arrays(xs, n), *to_arrays(ys, n))
+        assert from_arrays(L, C) == [sq(x, y) for x, y in zip(xs, ys)]
+        # one x row for every y row
+        L, C = sq_signed(*to_arrays(xs[:1], n), *to_arrays(ys, n))
+        assert from_arrays(L, C) == [sq(xs[0], y) for y in ys]
 
 
 def test_sq_commuting_form_and_criterion():
     rng = random.Random(22)
-    done = 0
-    while done < 300:
-        n = rng.randint(2, 6)
-        x = random_elem(rng, n)
-        y = SignedPermutation(
-            random_elem(rng, n).sign, x.perm ** rng.randint(0, 2 * n)
-        )
-        direct = sq(x, y)
-        c, lam = sq_signed_commuting(x, y)
-        assert (c, lam) == (direct.sign, direct.perm)
-        assert sq_fixes_second(x, y) == (direct == y)
-        lhs = collapse_lhs(x.sign, x.perm, y.perm)
-        rhs = collapse_rhs(y.sign, x.perm, y.perm)
-        assert (lhs == rhs) == (direct == y)
-        done += 1
+    outcomes = set()
+    for n in range(2, 7):
+        xs = [random_elem(rng, n) for _ in range(60)]
+        ys = [
+            SignedPermutation(random_elem(rng, n).sign, x.perm ** rng.randint(0, 2 * n))
+            for x in xs
+        ]
+        (P, A), (Q, B) = to_arrays(xs, n), to_arrays(ys, n)
+        direct = [sq(x, y) for x, y in zip(xs, ys)]
+        L, C = sq_signed_commuting(P, A, Q, B)
+        assert from_arrays(L, C) == direct
+        fixes = [d == y for d, y in zip(direct, ys)]
+        assert sq_fixes_second(P, A, Q, B).tolist() == fixes
+        assert (collapse_lhs(A, P, Q) == collapse_rhs(B, P, Q)).all(axis=1).tolist() == fixes
+        outcomes.update(fixes)
+    assert outcomes == {False, True}
 
 
 def test_sq_commuting_form_rejects_non_commuting():
-    x = SignedPermutation.parse("000;(1 2)")
-    y = SignedPermutation.parse("000;(2 3)")
-    with pytest.raises(ValueError):
-        sq_signed_commuting(x, y)
+    xs = [SignedPermutation.parse("000;(1 2)"), SignedPermutation.parse("000;(1 2)")]
+    ys = [SignedPermutation.parse("100;(1 2)"), SignedPermutation.parse("000;(2 3)")]
+    rows = (*to_arrays(xs, 3), *to_arrays(ys, 3))
+    # the commuting first row does not carry the second
+    for form in (sq_signed_commuting, sq_fixes_second):
+        with pytest.raises(ValueError, match="do not commute"):
+            form(*rows)
+
+
+def test_commuting_witness_is_the_first_pair_of_the_object_loop():
+    found = set()
+    for n in (3, 4, 5):
+        for rep in _class_representatives(n):
+            tau = rep.perm
+            if tau.is_identity():
+                continue
+            cls = ConjugacyClass(Bn(n), rep)
+            groups = perm_cosets(cls)
+            R = groups[tau]
+            for mu in groups:
+                if not mu.commutes_with(tau):
+                    continue
+                S = groups[mu]
+                elems = cls.elements
+                # with one s, the first r may pair with nothing
+                for RR, SS in [(R, S)] + [(R, [s]) for s in S]:
+                    expect = next(
+                        ((r, s) for r in RR for s in SS if sq(elems[r], elems[s]) != elems[s]),
+                        None,
+                    )
+                    assert _commuting_witness(cls, RR, SS, tau, mu) == expect
+                    found.add(None if expect is None else expect[0] == RR[0])
+    assert found == {True, False, None}
 
 
 def test_class_rack_axioms():

@@ -1,15 +1,25 @@
 """The verification registry, the class scan, and report serialization."""
 
 import json
+import random
 
 import pytest
 
+from weylrack import verify
+from weylrack.groups import Bn, Permutation, SignedPermutation, Sn, nu_left, nu_right
+from weylrack.racks import sq
 from weylrack.verify import (
     LEMMA_CHECKS,
+    MAX_N,
     ScanRow,
     VerifyConfig,
     count_nontrivial_classes,
     emit_report,
+    _class_representatives,
+    _earliest_failure,
+    _record,
+    check_juxtaposition_laws,
+    check_square_closed_forms,
     exception_family,
     scan_classes,
     verify_lemmas,
@@ -137,3 +147,213 @@ def test_report_json_roundtrip_excludes_runtime_by_default():
     assert "runtime" not in parsed[0]
     with_rt = json.loads(emit_report(reports, include_runtime=True))
     assert "runtime" in with_rt[0]
+
+
+# -- the sampled checks against their sample-by-sample loops ---------------
+#
+# The oracle: the checks as they ran before they moved onto row stacks, one
+# sample at a time on SignedPermutation objects, with the sq closed forms
+# written on sign tuples.
+
+
+def _xor(u, v):
+    return tuple(map(int.__xor__, u, v))
+
+
+def _sq_signed(x, y):
+    a, tau, b, mu = x.sign, x.perm, y.sign, y.perm
+    tm = tau.conjugate(mu)
+    mtm = mu.conjugate(tm)
+    lam = tau.conjugate(mtm)
+    inner = _xor(_xor(b, mu.act_on_signs(_xor(_xor(a, tau.act_on_signs(b)), tm.act_on_signs(a)))), mtm.act_on_signs(b))
+    return _xor(_xor(a, tau.act_on_signs(inner)), lam.act_on_signs(a)), lam
+
+
+def _collapse_lhs(a, tau, mu):
+    out, tm = a, tau * mu
+    for p in (tm, tm * mu, mu):
+        out = _xor(out, p.act_on_signs(a))
+    return out
+
+
+def _collapse_rhs(b, tau, mu):
+    out, tm = b, tau * mu
+    for p in (tau, tau * tm, tm):
+        out = _xor(out, p.act_on_signs(b))
+    return out
+
+
+def _sq_signed_commuting(x, y):
+    c = _xor(_xor(_collapse_lhs(x.sign, x.perm, y.perm), _collapse_rhs(y.sign, x.perm, y.perm)), y.sign)
+    return c, y.perm
+
+
+def _mutated_commuting(x, y):
+    c, mu = _sq_signed_commuting(x, y)
+    return _xor(c, y.perm.act_on_signs(x.sign)), mu
+
+
+def loop_square_closed_forms(cfg, general=_sq_signed):
+    rng = random.Random(cfg.seed)
+    commuting_form = _mutated_commuting if cfg.mutate else _sq_signed_commuting
+    counts = {"general": 0, "commuting": 0, "conjugate-fixed": 0, "involution": 0}
+    for _ in range(cfg.samples):
+        n = rng.randint(2, MAX_N)
+        G = Bn(n)
+        x = G.random_element(rng)
+        y = G.random_element(rng)
+        if rng.random() < 0.5:
+            y = SignedPermutation(y.sign, x.perm ** rng.randint(0, n))
+        direct = sq(x, y)
+        if general(x, y) != (direct.sign, direct.perm):
+            return "fail", {"law": "general", "x": x.format(), "y": y.format()}
+        counts["general"] += 1
+        if x.perm.commutes_with(y.perm):
+            c2, lam2 = commuting_form(x, y)
+            if (c2, lam2) != (direct.sign, direct.perm):
+                return "fail", {
+                    "law": "commuting",
+                    "x": x.format(),
+                    "y": y.format(),
+                    "got": "".join(map(str, c2)),
+                    "expected": "".join(map(str, direct.sign)),
+                }
+            fixes = _collapse_lhs(x.sign, x.perm, y.perm) == _collapse_rhs(y.sign, x.perm, y.perm)
+            if fixes != (direct == y):
+                return "fail", {"law": "fix-criterion", "x": x.format(), "y": y.format()}
+            counts["commuting"] += 1
+    floor, attempts = 500, 0
+    while counts["conjugate-fixed"] < floor and attempts < 40 * cfg.samples:
+        attempts += 1
+        n = rng.randint(3, 5)
+        G = Bn(n)
+        xi_p = Sn(n).random_element(rng).perm
+        a = [0] * n
+        for cyc in xi_p.cycles(include_fixed=True):
+            s = rng.randrange(2)
+            for i in cyc:
+                a[i] = s
+        a = tuple(a)
+        tau = G.random_element(rng).perm if rng.random() < 0.5 else None
+        if tau is None:
+            pts = list(range(1, n + 1))
+            rng.shuffle(pts)
+            tau = Permutation.from_cycles(n, [tuple(pts[:2])])
+        mu = xi_p.conjugate(tau)
+        if not tau.commutes_with(mu):
+            continue
+        x = SignedPermutation(a, tau)
+        xi = SignedPermutation.from_perm(xi_p)
+        c, _ = general(x, xi.conjugate(x))
+        expected = a
+        for p in (tau * mu * mu, mu, tau, tau * tau * mu):
+            expected = _xor(expected, p.act_on_signs(a))
+        if c != expected:
+            return "fail", {"law": "conjugate-fixed", "x": x.format(), "xi": xi.format()}
+        counts["conjugate-fixed"] += 1
+        if tau * tau == Permutation.identity(n) and tau.commutes_with(xi_p):
+            if c != a:
+                return "fail", {"law": "involution", "x": x.format(), "xi": xi.format()}
+            counts["involution"] += 1
+    got = counts["conjugate-fixed"]
+    if got < floor:
+        reason = f"{got} conjugate-fixed instances, below the floor of {floor}"
+        return "inconclusive", {"reason": reason, "verified": counts}
+    return "pass", {"verified": counts}
+
+
+def loop_juxtaposition_laws(cfg):
+    """The sampled part of the juxtaposition laws, and the count of the
+    exhaustive part's orthogonal class pairs."""
+    rng = random.Random(cfg.seed)
+    n_random = min(cfg.samples, 2000)
+    for _ in range(n_random):
+        while True:
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 7 - n)
+            x, y = Bn(n).random_element(rng), Bn(m).random_element(rng)
+            if x.is_orthogonal_to(y):
+                break
+        x2, y2 = Bn(n).random_element(rng), Bn(m).random_element(rng)
+        if x.juxtapose(y) * x2.juxtapose(y2) != (x * x2).juxtapose(y * y2):
+            return "fail", {"law": "product", "x": x.format(), "y": y.format()}
+        a, b = nu_right(x, m), nu_left(y, n)
+        if x.juxtapose(y) != a * b or a * b != b * a:
+            return "fail", {"law": "factorization", "x": x.format(), "y": y.format()}
+        if sq(x.juxtapose(y), x2.juxtapose(y2)) != sq(x, x2).juxtapose(sq(y, y2)):
+            return "fail", {"law": "sq-blockwise", "x": x.format(), "y": y.format()}
+        if x.juxtapose(y).conjugate(x2.juxtapose(y2)) != x.conjugate(x2).juxtapose(y.conjugate(y2)):
+            return "fail", {"law": "conjugation", "x": x.format(), "y": y.format()}
+    checked = sum(
+        x.is_orthogonal_to(y)
+        for n in range(1, 5)
+        for m in range(1, 6 - n)
+        for x in _class_representatives(n)
+        for y in _class_representatives(m)
+    )
+    return "pass", {"random_samples": n_random, "exhaustive_pairs": checked}
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+@pytest.mark.parametrize("samples", [10, 400, 2000])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_square_closed_forms_match_the_sample_loop(seed, samples, mutate):
+    cfg = VerifyConfig(seed=seed, samples=samples, mutate=mutate)
+    assert check_square_closed_forms(cfg) == loop_square_closed_forms(cfg)
+
+
+@pytest.mark.parametrize("samples", [10, 400, 2000])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_juxtaposition_laws_match_the_sample_loop(monkeypatch, seed, samples):
+    # the exhaustive class-pair part is not sampled; only its count is
+    # compared here
+    monkeypatch.setattr(verify, "centralizer_factorization", lambda *a: None)
+    monkeypatch.setattr(verify, "class_juxtaposition", lambda *a: None)
+    cfg = VerifyConfig(seed=seed, samples=samples)
+    assert check_juxtaposition_laws(cfg) == loop_juxtaposition_laws(cfg)
+
+
+@pytest.mark.parametrize("degrees", [{7}, {3, 7}])
+def test_a_closed_form_broken_in_some_degrees_fails_at_their_first_sample(monkeypatch, degrees):
+    rows_form = verify.sq_signed
+
+    def broken_rows(P, A, Q, B):
+        L, C = rows_form(P, A, Q, B)
+        return L, (C ^ 1 if P.shape[1] in degrees else C)
+
+    def broken_objects(x, y):
+        c, lam = _sq_signed(x, y)
+        return (tuple(1 - v for v in c) if x.n in degrees else c), lam
+
+    monkeypatch.setattr(verify, "sq_signed", broken_rows)
+    cfg = VerifyConfig(seed=0, samples=400)
+    # sample 0 is of another degree, so the failure is not the first draw
+    assert random.Random(cfg.seed).randint(2, MAX_N) not in degrees
+    status, detail = check_square_closed_forms(cfg)
+    assert (status, detail) == loop_square_closed_forms(cfg, general=broken_objects)
+    assert detail["law"] == "general"
+    assert len(detail["x"].split(";")[0]) in degrees
+
+
+def test_the_earliest_failure_is_the_earliest_sample_then_its_first_law():
+    # each sample's one row holds its flags, one per law
+    def laws(F):
+        return [F[:, j] == 1 for j in range(3)]
+
+    def drawn(samples):
+        draws = {}
+        for key, sample, flags in samples:
+            _record(draws, key, sample, flags)
+        return draws
+
+    # the earliest failure sits in the middle group
+    samples = [
+        ("a", 0, [0, 0, 0]), ("b", 1, [0, 0, 0]), ("b", 3, [0, 1, 1]), ("b", 4, [1, 0, 0]),
+        ("a", 5, [1, 1, 0]), ("a", 6, [1, 0, 0]), ("c", 7, [0, 0, 1]),
+    ]
+    law, row, (F,) = _earliest_failure(drawn(samples), laws)
+    assert (law, row, F[row].tolist()) == (1, 1, [0, 1, 1])
+    samples[2] = ("b", 3, [0, 0, 0])
+    law, row, (F,) = _earliest_failure(drawn(samples), laws)
+    assert (law, row, F[row].tolist()) == (0, 2, [1, 0, 0])
+    assert _earliest_failure(drawn(samples[:2]), laws) is None
