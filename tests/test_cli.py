@@ -171,6 +171,29 @@ def test_sampled_lemma_report_bytes_are_pinned(tmp_path, argv):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# SHA-256 of the outputs that read a centralizer character, recorded
+# before representations moved onto centralizer rows
+CHARACTER_CHECKS = "character-table,sign-products,quadratic-relations,arrow-isomorphism,scalar-filter"
+CHARACTER_DIGESTS = {
+    ("verify-lemmas", "--select", CHARACTER_CHECKS, "--seed", "0"):
+        "5d6303b3e5379b22cde83f33f80e907e4b1d4acab59c811cafb0d56fc3b4d6d2",
+    ("verify-lemmas", "--select", CHARACTER_CHECKS, "--seed", "7"):
+        "8b0748cdba73e9ec932e34d3663321e38df5eb7c1a876a0ed7384a5bfca23ecd",
+    ("braiding", "--n", "4", "--preset", "--char", "eps-sgn", "--terms"):
+        "b1c3bdb9c78a6bbbec222259702ecfb976af7d1d2bcf28c405b20731b2a25277",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CHARACTER_DIGESTS), ids=" ".join)
+def test_character_path_bytes_are_pinned(tmp_path, argv):
+    import hashlib
+
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CHARACTER_DIGESTS[argv]
+
+
 def test_hilbert_and_nichols_dim(tmp_path):
     code, text = run(tmp_path, "hilbert", "--algebra", "fk", "--n", "3", "--cap", "8")
     assert code == 0
