@@ -153,9 +153,8 @@ class ConjugacyClass(_Rows):
     """The conjugacy class of `rep` in `group`, with a fixed numeration.
 
     t_1 = rep; the remaining elements are in canonical text-format order
-    (groups.text_order).  The class is held as rows (see _Rows).
-    `conjugator[t]` is the BFS word taking rep to t (some g with
-    g |> rep = t); the words are kept as rows too.
+    (groups.text_order).  The class is held as rows (see _Rows), and so
+    are the BFS words taking rep to each element (see words()).
     """
 
     def __init__(self, group: GroupContext, rep: SignedPermutation):
@@ -186,7 +185,6 @@ class ConjugacyClass(_Rows):
         self._set_rows(P[order], A[order])
         self.class_key = rep.signed_cycle_type()
         self._words = None
-        self._conjugator = None
         self._centralizer = None
 
     def reorder(self, elements: list) -> "ConjugacyClass":
@@ -204,7 +202,8 @@ class ConjugacyClass(_Rows):
     def words(self) -> tuple:
         """(P, A) of the conjugator words in discovery order, built on
         first use a BFS level at a time: row i > 0 is
-        gens[gen[i]] * (row parent[i])."""
+        gens[gen[i]] * (row parent[i]), and row i conjugates rep to the
+        class element in row _row_of[i]."""
         if self._words is None:
             n = self.group.n
             gP, gA = to_arrays(self._gens, n)
@@ -223,18 +222,6 @@ class ConjugacyClass(_Rows):
                 done = stop
             self._words = WP, WA
         return self._words
-
-    @property
-    def conjugator(self) -> dict:
-        """{t: g} with g |> rep = t, in discovery order; built on first
-        use from the word rows."""
-        if self._conjugator is None:
-            elements = self._objects()
-            self._conjugator = {
-                elements[row]: g
-                for row, g in zip(self._row_of.tolist(), from_arrays(*self.words()))
-            }
-        return self._conjugator
 
     def centralizer(self) -> "Centralizer":
         """G^rep, built on first use and shared by every later caller."""
@@ -465,8 +452,8 @@ class CosetSystem(_Rows):
 
 def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> tuple:
     """(P, A) of the text-format-least element of the coset g_0 C for
-    each t in cls, where g_0 = conjugator[t] and C is the centralizer; a
-    block of whole cosets is ordered at a time."""
+    each t in cls, where g_0 is the BFS word of t (cls.words()) and C is
+    the centralizer; a block of whole cosets is ordered at a time."""
     WP, WA = cls.words()
     discovery = np.argsort(cls._row_of)
     WP, WA = WP[discovery], WA[discovery]  # in the class numbering

@@ -338,8 +338,7 @@ def cocycle_values(cs, chi, triples: list) -> list:
     ]
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     _, C = cs.zeta(a, *inverse_rows(cs.cls.P[b], cs.cls.A[b]))
-    values = [chi(g)[0][0] for g in cs.centralizer.elements]
-    return [tuple(values[c] for c in row) for row in C.reshape(-1, 3).tolist()]
+    return [tuple(chi.matrices[c][0][0] for c in row) for row in C.reshape(-1, 3).tolist()]
 
 
 TABLE1_CASES = [

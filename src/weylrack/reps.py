@@ -1,21 +1,22 @@
 """Matrix representations of centralizers over exact cyclotomic scalars.
 
-Representations are stored as full evaluation tables (the centralizers
-that occur here are small).  Constructors: characters from a value
-function or a generator assignment, outer tensor products across
-juxtaposition factors, and induction from a subgroup with an explicit
-transversal.  The finiteness filter applies the necessary conditions on
+A representation is indexed like its centralizer: matrix c is the image
+of centralizer element c (the centralizers that occur here are small).
+Constructors: characters from a value function or a generator
+assignment.  The finiteness filter applies the necessary conditions on
 the scalar q-values of a tensor-factor pair.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import random
 from math import gcd
+
+import numpy as np
 
 from .conjugacy import Centralizer
 from .cyclotomic import Cyclo
-from .groups import SignedPermutation
+from .groups import SignedPermutation, encode, mul_rows
 
 FULL_CHECK_LIMIT = 10**4
 
@@ -35,114 +36,91 @@ def _identity_matrix(d: int) -> tuple:
     return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
 
 
-def kron(A: tuple, B: tuple) -> tuple:
-    da, db = len(A), len(B)
-    return tuple(
-        tuple(A[i // db][j // db] * B[i % db][j % db] for j in range(da * db))
-        for i in range(da * db)
-    )
-
-
 class Rep:
-    """A representation given by its full evaluation table.
-
-    `domain` is the list of group elements (closed under product);
-    `table` maps each element to a d x d Cyclo matrix.  Multiplicativity
-    and rho(1) = id are checked on construction, exhaustively when the
-    domain is small and on a seeded sample beyond FULL_CHECK_LIMIT pairs.
+    """A representation of the centralizer `cent`: `matrices[c]` is the
+    d x d Cyclo matrix of centralizer element c, in the centralizer's
+    text order.  rho(1) = id and multiplicativity are checked on
+    construction, on every index pair when there are at most
+    FULL_CHECK_LIMIT of them and on a seeded sample beyond.
     """
 
-    def __init__(self, domain: list, table: dict, check: bool = True):
-        self.domain = list(domain)
-        self.table = table
-        first = table[self.domain[0]]
-        self.degree = len(first)
+    def __init__(self, cent: Centralizer, matrices: list, check: bool = True):
+        self.cent = cent
+        self.matrices = matrices
+        self.degree = len(matrices[0])
         if check:
             self._check()
 
     def _check(self):
-        import random
-
-        ident = next(g for g in self.domain if g.is_identity())
-        if self.table[ident] != _identity_matrix(self.degree):
+        M, k = self.matrices, self.cent.size
+        if M[self.cent.find(self.cent.group.identity)] != _identity_matrix(self.degree):
             raise ValueError("rho(identity) is not the identity matrix")
-        pairs = len(self.domain) ** 2
-        if pairs <= FULL_CHECK_LIMIT:
-            it = ((g, h) for g in self.domain for h in self.domain)
+        if k * k <= FULL_CHECK_LIMIT:
+            G, H = np.divmod(np.arange(k * k), k)
         else:
             rng = random.Random(0)
-            it = (
-                (rng.choice(self.domain), rng.choice(self.domain))
-                for _ in range(FULL_CHECK_LIMIT)
-            )
-        for g, h in it:
-            gh = g * h
-            if gh not in self.table:
-                raise ValueError(f"domain not closed: {g} * {h}")
-            M, N, MN = self.table[g], self.table[h], self.table[gh]
+            G, H = np.array(
+                [(rng.randrange(k), rng.randrange(k)) for _ in range(FULL_CHECK_LIMIT)]
+            ).T
+        P, A = self.cent.P, self.cent.A
+        GH = self.cent.locate(encode(*mul_rows(P[G], A[G], P[H], A[H])))
+        for g, h, gh in zip(G.tolist(), H.tolist(), GH.tolist()):
             # a character compares its values, with no 1 x 1 matrix product
-            if (MN[0][0] != M[0][0] * N[0][0]) if self.degree == 1 else (MN != _matmul(M, N)):
-                raise ValueError(f"not multiplicative at ({g}, {h})")
+            if (M[gh][0][0] != M[g][0][0] * M[h][0][0]) if self.degree == 1 else (
+                M[gh] != _matmul(M[g], M[h])
+            ):
+                raise ValueError(
+                    f"not multiplicative at ({self.cent.element(g)}, {self.cent.element(h)})"
+                )
 
-    def __call__(self, g) -> tuple:
-        return self.table[g]
-
-    def character(self, g) -> Cyclo:
-        M = self.table[g]
-        return sum((M[i][i] for i in range(self.degree)), Cyclo.rational(0))
-
-    def scalar_value(self, g) -> Cyclo:
-        """The scalar q with rho(g) = q id; rejects non-scalar images."""
-        M = self.table[g]
-        q = M[0][0]
-        if M != tuple(
-            tuple(q if i == j else Cyclo.rational(0) for j in range(self.degree))
-            for i in range(self.degree)
-        ):
-            raise ValueError(f"rho({g}) is not scalar")
-        return q
+    def __call__(self, g: SignedPermutation) -> tuple:
+        c = self.cent.find(g)
+        if c < 0:
+            raise ValueError(f"{g} is not in the centralizer")
+        return self.matrices[c]
 
 
 def char_from_function(cent: Centralizer, fn, check: bool = True) -> Rep:
     """Degree-1 rep from a value function on the centralizer."""
-    table = {}
-    for g in cent.elements:
-        v = Cyclo.coerce(fn(g))
-        table[g] = ((v,),)
-    return Rep(cent.elements, table, check=check)
+    return Rep(cent, [((Cyclo.coerce(fn(g)),),) for g in cent.elements], check=check)
 
 
 def char_rep(cent: Centralizer, assignment: dict) -> Rep:
     """Degree-1 rep from values on a generating set, extended by closure.
 
     `assignment` maps group elements to scalars.  The extension is built
-    by multiplying out words; any inconsistency (the same element reached
-    with two different values) is an error.
+    by multiplying out words, a breadth-first level of centralizer
+    indices at a time; any inconsistency (the same element reached with
+    two different values) is an error.
     """
-    values = {cent.group.identity: Cyclo.rational(1)}
-    gens = {g: Cyclo.coerce(v) for g, v in assignment.items()}
-    for g in gens:
-        if g not in cent:
+    gens = list(assignment)
+    gen_values = [Cyclo.coerce(v) for v in assignment.values()]
+    rows = cent.find_all(gens)
+    for g, row in zip(gens, rows.tolist()):
+        if row < 0:
             raise ValueError(f"{g} is not in the centralizer")
-    frontier = [cent.group.identity]
+    ident = cent.find(cent.group.identity)
+    values = {ident: Cyclo.rational(1)}
+    frontier = [ident]
     while frontier:
+        # x * g for x in the frontier and g in the generators, x-major
+        X, G = np.repeat(frontier, len(gens)), np.tile(rows, len(frontier))
+        Y = cent.locate(encode(*mul_rows(cent.P[X], cent.A[X], cent.P[G], cent.A[G])))
         nxt = []
-        for x in frontier:
-            for g, v in gens.items():
-                y = x * g
-                w = values[x] * v
-                if y in values:
-                    if values[y] != w:
-                        raise ValueError(f"inconsistent assignment at {y}")
-                else:
-                    values[y] = w
-                    nxt.append(y)
+        for x, y, v in zip(X.tolist(), Y.tolist(), gen_values * len(frontier)):
+            w = values[x] * v
+            if y in values:
+                if values[y] != w:
+                    raise ValueError(f"inconsistent assignment at {cent.element(y)}")
+            else:
+                values[y] = w
+                nxt.append(y)
         frontier = nxt
     if len(values) != cent.order:
         raise ValueError(
             f"assignment generates only {len(values)} of {cent.order} elements"
         )
-    return Rep(cent.elements, {g: ((values[g],),) for g in cent.elements})
+    return Rep(cent, [((values[c],),) for c in range(cent.size)])
 
 
 def trivial_rep(cent: Centralizer) -> Rep:
@@ -161,102 +139,6 @@ def chi_eps_sgn(cent: Centralizer) -> Rep:
     trivial on the second factor and the sign on the first.
     """
     return char_from_function(cent, lambda g: -1 if g.perm(0) == 1 else 1)
-
-
-def z2_character(v: tuple):
-    """chi_v(a) = (-1)^(v . a) on Z_2^n, as a function on sign vectors."""
-
-    def chi(a: tuple):
-        return -1 if sum(x * y for x, y in zip(v, a)) & 1 else 1
-
-    return chi
-
-
-def outer_tensor(rep1: Rep, rep2: Rep, big_cent: Centralizer) -> Rep:
-    """rho1 (x) rho2 on the centralizer of x # y, via the unique block
-    factorization w = u # v of centralizer elements."""
-    n = rep1.domain[0].n
-    m = rep2.domain[0].n
-    table = {}
-    for w in big_cent.elements:
-        u, v = split_blocks(w, n, m)
-        if u not in rep1.table or v not in rep2.table:
-            raise ValueError(f"{w} does not factor through the juxtaposition")
-        table[w] = kron(rep1.table[u], rep2.table[v])
-    return Rep(big_cent.elements, table)
-
-
-def split_blocks(w: SignedPermutation, n: int, m: int) -> tuple:
-    """Split w in B_{n+m} as u # v; fails if the permutation mixes blocks."""
-    images = w.perm.images
-    if any(images[i] >= n for i in range(n)):
-        raise ValueError(f"{w} mixes the two blocks")
-    from .groups import Permutation
-
-    u = SignedPermutation(w.sign[:n], Permutation(images[:n]))
-    v = SignedPermutation(
-        w.sign[n:], Permutation(tuple(images[n + i] - n for i in range(m)))
-    )
-    return u, v
-
-
-def induced_rep(ambient: list, sub: set, transversal: list, rep: Rep) -> Rep:
-    """Induction of `rep` from the subgroup `sub` of the group `ambient`
-    along the left transversal t_1, ..., t_k (t_i H pairwise disjoint,
-    covering).  Block form: rho^(g)[i][j] = rho(t_i^-1 g t_j) when that
-    element lies in H, zero block otherwise.
-    """
-    k = len(transversal)
-    cosets = set()
-    for t in transversal:
-        if t.inverse() * t not in sub:  # identity must be in sub
-            raise ValueError("subgroup does not contain the identity")
-        key = frozenset(t * h for h in sub)
-        cosets.add(key)
-    if len(cosets) != k or k * len(sub) != len(ambient):
-        raise ValueError("transversal does not split the group")
-    d = rep.degree
-    zero = tuple(tuple(Cyclo.rational(0) for _ in range(d)) for _ in range(d))
-    table = {}
-    for g in ambient:
-        blocks = [[zero] * k for _ in range(k)]
-        for j, tj in enumerate(transversal):
-            gt = g * tj
-            for i, ti in enumerate(transversal):
-                h = ti.inverse() * gt
-                if h in sub:
-                    blocks[i][j] = rep.table[h]
-                    break
-            else:
-                raise ValueError("transversal does not cover the group")
-        table[g] = tuple(
-            tuple(blocks[i // d][j // d][i % d][j % d] for j in range(k * d))
-            for i in range(k * d)
-        )
-    return Rep(ambient, table)
-
-
-def induced_character(ambient: list, sub: set, rep: Rep):
-    """Frobenius formula: chi^(g) = (1/|H|) sum over x in G of
-    chi(x^-1 g x), summing only terms with x^-1 g x in H."""
-
-    def chi(g):
-        total = Cyclo.rational(0)
-        for x in ambient:
-            y = x.inverse() * g * x
-            if y in sub:
-                total = total + rep.character(y)
-        return total * Fraction(1, len(sub))
-
-    return chi
-
-
-def q_value(rep: Rep, sigma: SignedPermutation) -> Cyclo:
-    """The scalar by which rep sends sigma; q^ord(sigma) = 1."""
-    q = rep.scalar_value(sigma)
-    if q ** sigma.order() != 1:
-        raise AssertionError("q is not a root of unity of the right order")
-    return q
 
 
 # -- finiteness necessary conditions --------------------------------------

@@ -859,40 +859,39 @@ def fixed_sign_split_certificate(n: int, family: str) -> TypeDCertificate:
     return make_certificate(rack, R, S, r, s, "fixed-sign-split", (f"{family}, n={n}",))
 
 
+def _certificate_sizes(certificates) -> tuple:
+    """The report of a construction check: [|R|, |S|] of each certificate
+    of the (label, certificate) pairs, built one at a time."""
+    return "pass", {"certificates": {label: [len(c.R), len(c.S)] for label, c in certificates}}
+
+
 def check_cycle_split(cfg: VerifyConfig) -> tuple:
-    sizes = {}
-    for n in (5, 7):
-        for negative in (False, True):
-            cert = cycle_split_certificate(n, negative)
-            sizes[f"n={n},negative={negative}"] = [len(cert.R), len(cert.S)]
-    return "pass", {"certificates": sizes}
+    return _certificate_sizes(
+        (f"n={n},negative={negative}", cycle_split_certificate(n, negative))
+        for n in (5, 7)
+        for negative in (False, True)
+    )
 
 
 def check_double_three_cycle(cfg: VerifyConfig) -> tuple:
-    sizes = {}
-    for case in range(4):
-        cert = double_three_cycle_certificate(case)
-        sizes[f"case-{case}"] = [len(cert.R), len(cert.S)]
-    return "pass", {"certificates": sizes}
+    return _certificate_sizes(
+        (f"case-{case}", double_three_cycle_certificate(case)) for case in range(4)
+    )
 
 
 def check_two_two_three(cfg: VerifyConfig) -> tuple:
-    sizes = {}
-    for case in range(2):
-        cert = two_two_three_certificate(case)
-        sizes[f"case-{case}"] = [len(cert.R), len(cert.S)]
-    return "pass", {"certificates": sizes}
+    return _certificate_sizes(
+        (f"case-{case}", two_two_three_certificate(case)) for case in range(2)
+    )
 
 
 def check_fixed_sign_split(cfg: VerifyConfig) -> tuple:
-    sizes = {}
-    for family, spec in _FIXED_SPLIT_FAMILIES.items():
-        for n in (5, 6):
-            if n < spec["min_n"]:
-                continue
-            cert = fixed_sign_split_certificate(n, family)
-            sizes[f"{family},n={n}"] = [len(cert.R), len(cert.S)]
-    return "pass", {"certificates": sizes}
+    return _certificate_sizes(
+        (f"{family},n={n}", fixed_sign_split_certificate(n, family))
+        for family, spec in _FIXED_SPLIT_FAMILIES.items()
+        for n in (5, 6)
+        if n >= spec["min_n"]
+    )
 
 
 def check_juxtaposition_extension(cfg: VerifyConfig) -> tuple:

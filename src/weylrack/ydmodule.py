@@ -27,24 +27,16 @@ class YDModule:
     def __init__(self, cosets: CosetSystem, rep: Rep):
         self.cosets = cosets
         self.cls = cosets.cls
-        self.rep = rep
-        # rho at each centralizer index, as the cocycle gives gamma
-        domain = list(rep.domain)
-        order = _domain_order(domain, cosets.centralizer, "rep is not a rep")
-        self.matrices = [rep(domain[k]) for k in order]
+        # rho by centralizer index, as the cocycle gives gamma, so the rep
+        # must be on the coset system's centralizer
+        if not np.array_equal(rep.cent.keys, cosets.centralizer.keys):
+            raise ValueError("rep is not a rep of the class centralizer")
+        self.matrices = rep.matrices
         self.m = self.cls.size
         self.d = rep.degree
         self.D = self.m * self.d
 
     # basis index (i, j) <-> flat i*d + j
-
-    def action_terms(self, h: SignedPermutation, i: int, j: int) -> list:
-        """h.(g_i v_j) as [(basis index, coeff)]."""
-        (i2,), (c,) = self.cosets.zeta([i], *to_arrays([h], h.n))
-        M = self.matrices[c]
-        return [
-            (int(i2) * self.d + p, M[p][j]) for p in range(self.d) if not M[p][j].is_zero()
-        ]
 
     def degree_of(self, flat: int) -> SignedPermutation:
         """Coaction: basis vector g_i v_j has comodule degree t_i."""
@@ -66,25 +58,6 @@ class YDModule:
             bad = np.flatnonzero(cls.keys[J] != encode(*conjugate_rows(hP, hA, cls.P, cls.A)))
             if bad.size:
                 raise AssertionError(f"YD compatibility fails at h={h}, class index {bad[0]}")
-
-    def check_is_action(self, sample: int = 300, seed: int = 0):
-        """rho-module axiom on the class level: (gh).w = g.(h.w), sampled."""
-        rng = random.Random(seed)
-        group = self.cls.group
-        for _ in range(sample):
-            g = group.random_element(rng)
-            h = group.random_element(rng)
-            gh = g * h
-            for i in range(self.m):
-                for j in range(self.d):
-                    direct = dict(self.action_terms(gh, i, j))
-                    composed: dict = {}
-                    for k, v in self.action_terms(h, i, j):
-                        for r, w in self.action_terms(g, k // self.d, k % self.d):
-                            composed[r] = composed.get(r, Cyclo.rational(0)) + v * w
-                    composed = {r: v for r, v in composed.items() if not v.is_zero()}
-                    if direct != composed:
-                        raise AssertionError(f"action not multiplicative at {g}, {h}")
 
     def braiding(self) -> "Braiding":
         """c(g_i v_p (x) g_j v_q) = t_i.(g_j v_q) (x) g_i v_p, where
@@ -109,15 +82,6 @@ class YDModule:
                             if not M[r][q].is_zero()
                         ]
         return Braiding(self.D, terms)
-
-
-def _domain_order(domain: list, cent, refusal: str) -> list:
-    """The positions in `domain`, which must be the centralizer, of the
-    centralizer elements in their order: one locate for the whole domain."""
-    C = cent.find_all(domain)
-    if not np.array_equal(np.sort(C), np.arange(cent.size)):
-        raise ValueError(f"{refusal} of the class centralizer")
-    return np.argsort(C).tolist()
 
 
 @dataclass
@@ -222,7 +186,8 @@ class ArrowYDModule:
             raise NotImplementedError(
                 "arrow modules are implemented for one-dimensional characters"
             )
-        _domain_order(list(chi.domain), cosets.centralizer, "character is not a character")
+        if not np.array_equal(chi.cent.keys, cosets.centralizer.keys):
+            raise ValueError("character is not a character of the class centralizer")
         self.cosets = cosets
         self.cls = cosets.cls
         self.chi = chi

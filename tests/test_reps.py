@@ -1,5 +1,5 @@
-"""Centralizer representations, induction, tensor factors, and the
-scalar admissibility filter."""
+"""Centralizer representations by centralizer index, and the scalar
+admissibility filter."""
 
 import pytest
 
@@ -7,19 +7,15 @@ from weylrack.conjugacy import ConjugacyClass
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Bn, Sn, SignedPermutation
 from weylrack.reps import (
+    FULL_CHECK_LIMIT,
+    Rep,
     char_from_function,
     char_rep,
     chi_eps_sgn,
     chi_sgn_sgn,
     finiteness_filter,
-    induced_character,
-    induced_rep,
-    outer_tensor,
-    q_value,
-    split_blocks,
     tensor_case_admitted,
     trivial_rep,
-    z2_character,
 )
 
 
@@ -33,7 +29,7 @@ def test_global_sign_character_values():
     cent = cent_of("0000;(1 2)", 4)
     assert cent.order == 4
     rep = chi_sgn_sgn(cent)
-    vals = {g.format(): rep.character(g) for g in cent.elements}
+    vals = {g.format(): M[0][0] for g, M in zip(cent.elements, rep.matrices)}
     assert vals["0000;()"] == Cyclo.rational(1)
     assert vals["0000;(1 2)"] == Cyclo.rational(-1)
     assert vals["0000;(3 4)"] == Cyclo.rational(-1)
@@ -44,23 +40,34 @@ def test_swap_detecting_character_values():
     # -1 exactly on elements that swap points 1 and 2
     cent = cent_of("0000;(1 2)", 4)
     rep = chi_eps_sgn(cent)
-    for g in cent.elements:
+    for g, M in zip(cent.elements, rep.matrices):
         expected = -1 if g.perm(0) == 1 else 1
-        assert rep.character(g) == Cyclo.rational(expected)
+        assert M == ((Cyclo.rational(expected),),)
 
 
 def test_q_values_at_the_base_point():
     base = SignedPermutation.parse("0000;(1 2)")
     cent = cent_of("0000;(1 2)", 4)
-    assert q_value(chi_sgn_sgn(cent), base) == Cyclo.rational(-1)
-    assert q_value(chi_eps_sgn(cent), base) == Cyclo.rational(-1)
-    assert q_value(trivial_rep(cent), base) == Cyclo.rational(1)
+    assert chi_sgn_sgn(cent)(base) == ((Cyclo.rational(-1),),)
+    assert chi_eps_sgn(cent)(base) == ((Cyclo.rational(-1),),)
+    assert trivial_rep(cent)(base) == ((Cyclo.rational(1),),)
+    # an element outside the centralizer has no matrix
+    with pytest.raises(ValueError, match="not in the centralizer"):
+        trivial_rep(cent)(SignedPermutation.parse("0000;(1 3)"))
 
 
 def test_char_from_function_rejects_non_multiplicative():
     cent = cent_of("000;(1 2 3)", 3)  # cyclic of order 3
     with pytest.raises(ValueError):
         char_from_function(cent, lambda g: -1 if g.perm(0) == 1 else 1)
+    # past FULL_CHECK_LIMIT pairs the check samples: S_5 has 14400 pairs,
+    # and -1 on (1 2) alone breaks 2.5% of them
+    S5 = cent_of("00000;()", 5)
+    assert S5.size ** 2 > FULL_CHECK_LIMIT
+    t12 = SignedPermutation.parse("00000;(1 2)")
+    with pytest.raises(ValueError, match="not multiplicative"):
+        char_from_function(S5, lambda g: -1 if g == t12 else 1)
+    assert chi_sgn_sgn(S5).degree == 1
 
 
 def test_char_rep_extension_and_rejection():
@@ -68,8 +75,9 @@ def test_char_rep_extension_and_rejection():
     t12 = SignedPermutation.parse("0000;(1 2)")
     t34 = SignedPermutation.parse("0000;(3 4)")
     rep = char_rep(cent, {t12: -1, t34: 1})
-    assert rep.character(t12) == Cyclo.rational(-1)
-    assert rep.character(t12 * t34) == Cyclo.rational(-1)
+    assert rep(t12) == ((Cyclo.rational(-1),),)
+    assert rep(t12 * t34) == ((Cyclo.rational(-1),),)
+    assert rep.matrices == chi_eps_sgn(cent).matrices
     # an order-2 generator cannot take a cube root of unity
     with pytest.raises(ValueError):
         char_rep(cent, {t12: Cyclo.zeta(3), t34: 1})
@@ -81,79 +89,32 @@ def test_char_rep_extension_and_rejection():
         char_rep(cent, {SignedPermutation.parse("0000;(1 3)"): -1})
 
 
-def test_z2_character_and_scalar_rejection():
-    chi = z2_character((1, 0, 1))
-    assert chi((0, 0, 0)) == 1
-    assert chi((1, 0, 0)) == -1
-    assert chi((1, 0, 1)) == 1
-    # non-scalar matrices are rejected by scalar_value
-    G = Sn(3)
-    sub = {g for g in cent_of("000;(1 2)", 3).elements}
-    transversal = _left_transversal(G.elements(), sub)
-    ind = induced_rep(G.elements(), sub, transversal, chi_sgn_sgn(cent_of("000;(1 2)", 3)))
-    noncentral = SignedPermutation.parse("000;(1 2 3)")
-    with pytest.raises(ValueError):
-        ind.scalar_value(noncentral)
+def test_degree_two_rep_by_centralizer_index():
+    # diag(sgn-sgn, eps-sgn) on the centralizer of (1 2) in S_4
+    cent = cent_of("0000;(1 2)", 4)
+    minus, one, zero = Cyclo.rational(-1), Cyclo.rational(1), Cyclo.rational(0)
+    M = [
+        ((a, zero), (zero, b))
+        for ((a,),), ((b,),) in zip(chi_sgn_sgn(cent).matrices, chi_eps_sgn(cent).matrices)
+    ]
+    rep = Rep(cent, M)
+    assert rep.degree == 2
+    t12, t34 = SignedPermutation.parse("0000;(1 2)"), SignedPermutation.parse("0000;(3 4)")
+    assert rep(t34) == M[cent.find(t34)] == ((minus, zero), (zero, one))
+    # sending (1 2) alone to the identity breaks the product
+    M[cent.find(t12)] = M[0]
+    with pytest.raises(ValueError, match="not multiplicative"):
+        Rep(cent, M)
 
 
-def _left_transversal(ambient, sub):
-    seen = set()
-    out = []
-    for g in sorted(ambient, key=lambda x: x.sort_key()):
-        key = frozenset(g * h for h in sub)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
-def test_induced_rep_trace_matches_frobenius_formula():
-    # induce the sign character of <(1 2)> up to S_3 two independent ways
-    G = Sn(3)
-    cent = cent_of("000;(1 2)", 3)
-    sub = set(cent.elements)
-    rep = chi_sgn_sgn(cent)
-    transversal = _left_transversal(G.elements(), sub)
-    ind = induced_rep(G.elements(), sub, transversal, rep)
-    chi = induced_character(G.elements(), sub, rep)
-    assert ind.degree == 3
-    for g in G.elements():
-        assert ind.character(g) == chi(g)
-    # frozen values: 3 at the identity, 0 off the subgroup's classes
-    ident = SignedPermutation.identity(3)
-    assert chi(ident) == Cyclo.rational(3)
-    assert chi(SignedPermutation.parse("000;(1 2 3)")) == Cyclo.rational(0)
-    assert chi(SignedPermutation.parse("000;(1 2)")) == Cyclo.rational(-1)
-
-
-def test_induced_rep_rejects_bad_transversal():
-    G = Sn(3)
-    cent = cent_of("000;(1 2)", 3)
-    sub = set(cent.elements)
-    rep = chi_sgn_sgn(cent)
-    with pytest.raises(ValueError):
-        induced_rep(G.elements(), sub, [SignedPermutation.identity(3)], rep)
-
-
-def test_outer_tensor_characters_multiply():
-    x = SignedPermutation.parse("00;(1 2)")
-    y = SignedPermutation.parse("100;(1 2 3)")
-    cx = ConjugacyClass(Bn(2), x).centralizer()
-    cy = ConjugacyClass(Bn(3), y).centralizer()
-    big = ConjugacyClass(Bn(5), x.juxtapose(y)).centralizer()
-    r1 = chi_sgn_sgn(cx)
-    r2 = char_from_function(cy, lambda g: g.perm.sign())
-    tens = outer_tensor(r1, r2, big)
-    assert tens.degree == 1
-    for w in big.elements:
-        u, v = split_blocks(w, 2, 3)
-        assert tens.character(w) == r1.character(u) * r2.character(v)
-
-
-def test_split_blocks_rejects_mixing():
-    w = SignedPermutation.parse("000;(1 3)")
-    with pytest.raises(ValueError):
-        split_blocks(w, 2, 1)
+def test_rep_refuses_a_non_identity_identity_row():
+    cent = cent_of("0000;(1 2)", 4)
+    with pytest.raises(ValueError, match="rho\\(identity\\)"):
+        Rep(cent, [((Cyclo.rational(-1),),)] * cent.size)
+    # the same at degree 2, with every row diag(1, -1)
+    one, zero = Cyclo.rational(1), Cyclo.rational(0)
+    with pytest.raises(ValueError, match="rho\\(identity\\)"):
+        Rep(cent, [((one, zero), (zero, -one))] * cent.size)
 
 
 def test_filter_requires_orthogonality_and_q_product():

@@ -1,14 +1,18 @@
 """Modules with compatible action and grading, their braidings, and the
 arrow-module realization."""
 
+import random
+
+import numpy as np
 import pytest
 
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
-from weylrack.groups import Bn, Sn, SignedPermutation
-from weylrack.reps import chi_eps_sgn, chi_sgn_sgn, trivial_rep
+from weylrack.groups import Bn, Sn, SignedPermutation, encode, mul_rows, to_arrays
+from weylrack.reps import Rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
     ArrowYDModule,
+    YDModule,
     build_yd_module,
     psi_isomorphism_check,
 )
@@ -20,19 +24,51 @@ def yd_transpositions(n, char):
     return build_yd_module(cs, chi), cs, chi
 
 
+def check_cocycle_identity(cs, sample: int, seed: int = 0):
+    """The action axiom (gh).w = g.(h.w) on the class level, for sampled
+    g, h and every class index i: gamma(gh, i) = gamma(g, j) gamma(h, i),
+    where j is the class index of h |> t_i (which check_yd_compatibility
+    tests) and both sides move t_i to the same index.  With Rep._check (rho multiplicative) this makes
+    h.(g_i v) = g_j (rho(gamma) v) an action."""
+    rng = random.Random(seed)
+    cls, cent = cs.cls, cs.centralizer
+    every = np.arange(cs.size)
+    for _ in range(sample):
+        g, h = cls.group.random_element(rng), cls.group.random_element(rng)
+        (gP, hP, ghP), (gA, hA, ghA) = to_arrays([g, h, g * h], cls.group.n)
+        J, Ch = cs.zeta(every, hP[None], hA[None])
+        K, Cg = cs.zeta(J, gP[None], gA[None])
+        K2, Cgh = cs.zeta(every, ghP[None], ghA[None])
+        assert K.tolist() == K2.tolist()
+        product = cent.locate(encode(*mul_rows(cent.P[Cg], cent.A[Cg], cent.P[Ch], cent.A[Ch])))
+        assert product.tolist() == Cgh.tolist(), (g, h)
+
+
 def test_compatibility_and_action_exhaustive_small():
     for n in (3, 4):
         for char in (chi_sgn_sgn, chi_eps_sgn):
-            yd, _, _ = yd_transpositions(n, char)
+            yd, cs, _ = yd_transpositions(n, char)
             yd.check_yd_compatibility(sample=None)  # exhaustive over the group
-            yd.check_is_action(sample=60)
+        check_cocycle_identity(cs, sample=60)
 
 
 def test_compatibility_signed_class():
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
     yd = build_yd_module(cls.coset_system(), trivial_rep(cls.centralizer()))
     yd.check_yd_compatibility(sample=None)
-    yd.check_is_action(sample=40)
+    check_cocycle_identity(yd.cosets, sample=40)
+
+
+def test_modules_refuse_a_character_of_another_centralizer():
+    # the centralizers of (1 2) and (1 3) in S_3 have the same order
+    cs = transposition_preset(3)
+    other = ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 3)")).centralizer()
+    assert other.size == cs.centralizer.size
+    chi = chi_sgn_sgn(other)
+    with pytest.raises(ValueError, match="class centralizer"):
+        YDModule(cs, chi)
+    with pytest.raises(ValueError, match="class centralizer"):
+        ArrowYDModule(cs, chi)
 
 
 def test_braid_equation_exhaustive():
@@ -76,18 +112,12 @@ def test_braiding_preserves_total_degree():
 
 def test_arrow_module_rejects_higher_degree():
     cs = transposition_preset(3)
-    cls = ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2)"))
-    from weylrack.reps import induced_rep
-
-    sub = set(cs.centralizer.elements)
-    trans = sorted(
-        {
-            frozenset(g * h for h in sub): g
-            for g in cls.group.elements()
-        }.values(),
-        key=lambda x: x.sort_key(),
-    )
-    big = induced_rep(cls.group.elements(), sub, trans, trivial_rep(cs.centralizer))
+    zero = Cyclo.rational(0)
+    # diag(1, sgn) on the centralizer
+    big = Rep(cs.centralizer, [
+        ((Cyclo.rational(1), zero), (zero, s)) for ((s,),) in chi_sgn_sgn(cs.centralizer).matrices
+    ])
+    assert big.degree == 2
     with pytest.raises(NotImplementedError):
         ArrowYDModule(cs, big)
 
