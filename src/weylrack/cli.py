@@ -210,7 +210,7 @@ def cmd_class_info(args) -> int:
     group = _group(args)
     x = group.parse(args.element)
     cls = ConjugacyClass(group, x)
-    # orbit-stabilizer: no centralizer is closed to print its order
+    # orbit-stabilizer: no centralizer is built to print its order
     centralizer_order = group.order // cls.size
     payload = {
         "element": x.format(),

@@ -2,8 +2,9 @@
 
 A class, a centralizer or a coset system is held as the arrays P, A and
 keys of groups.to_arrays and groups.encode; SignedPermutation objects are
-built on demand.  The class
-element ordering is deterministic: the canonical text-format order
+built on demand.  Classes and centralizers are enumerated in closed form
+from the signed cycle type of their representative, with no search.  The
+class element ordering is deterministic: the canonical text-format order
 (groups.text_order), with the defining representative moved to the front
 as t_1.  Coset representatives g_i are the text-format-least conjugators,
 except for the transposition preset which reproduces the explicit g_{kj}
@@ -26,7 +27,9 @@ from .groups import (
     Permutation,
     SignedPermutation,
     Sn,
-    conjugate_rows,
+    act_rows,
+    conjugate_pairs,
+    element_key,
     encode,
     from_arrays,
     inverse_rows,
@@ -134,10 +137,15 @@ class _Rows:
         return self.locate(encode(*to_arrays(xs, self.group.n)))
 
     def find(self, x) -> int:
-        """The index of x, -1 if x is not an element."""
+        """The index of x, -1 if x is not an element: its key in Python,
+        then one search of the sorted keys."""
         if not isinstance(x, SignedPermutation) or x.n != self.group.n:
             return -1
-        return int(self.find_all([x])[0])
+        key = element_key(x)
+        pos = int(np.searchsorted(self._sorted_keys, key))
+        if pos < self.size and self._sorted_keys[pos] == key:
+            return int(self._key_order[pos])
+        return -1
 
     def __len__(self) -> int:
         return self.size
@@ -154,7 +162,9 @@ class ConjugacyClass(_Rows):
 
     t_1 = rep; the remaining elements are in canonical text-format order
     (groups.text_order).  The class is held as rows (see _Rows), and so
-    are the BFS words taking rep to each element (see words()).
+    are its conjugator words: row i of `words` = (WP, WA) conjugates rep
+    to element i, and the word of t_1 is the identity.  Both come in
+    closed form from rep's signed cycle type (see _class_words).
     """
 
     def __init__(self, group: GroupContext, rep: SignedPermutation):
@@ -174,54 +184,35 @@ class ConjugacyClass(_Rows):
         self.group = group
         self.rep = rep
         self.size = size
-        self._gens = _generators(group)
-        P, A, self._parent, self._gen = _orbit(self._gens, rep)
-        if len(P) != size:
-            raise AssertionError(f"orbit has {len(P)} elements, expected {size}")
-        order = np.concatenate([[0], 1 + text_order(P[1:], A[1:])])
-        # the row of each element in discovery order, which the
-        # conjugator words follow
-        self._row_of = np.argsort(order)
+        WP, WA = _class_words(rep, group.signed)
+        if len(WP) != size:
+            raise AssertionError(f"enumerated {len(WP)} elements, expected {size}")
+        P, A = conjugate_pairs(WP, WA, *to_arrays([rep], group.n))
+        # rep first, then the rest in text order (the texts are distinct)
+        is_rep = encode(P, A) == element_key(rep)
+        order = text_order(P, A)
+        order = np.concatenate([np.flatnonzero(is_rep), order[~is_rep[order]]])
         self._set_rows(P[order], A[order])
+        self.words = WP[order], WA[order]
+        if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
+            raise AssertionError(f"the class of {rep} repeats an element")
+        identity = (self.words[0][0] == np.arange(group.n)).all() and not self.words[1][0].any()
+        if not (is_rep.any() and identity):
+            raise AssertionError(f"the word of {rep} is not the identity")
         self.class_key = rep.signed_cycle_type()
-        self._words = None
         self._centralizer = None
 
     def reorder(self, elements: list) -> "ConjugacyClass":
         """A copy of the class numbered as `elements` (a permutation of
-        it), with arrays and keys to match.  This class keeps its
+        it), with arrays, keys and words to match.  This class keeps its
         numbering, and so do the racks built on it."""
         rows = self.find_all(elements)
         if not np.array_equal(np.sort(rows), np.arange(self.size)):
             raise ValueError("not a renumbering of the class")
         renumbered = copy.copy(self)
-        renumbered._row_of = np.argsort(rows)[self._row_of]
         renumbered._set_rows(self.P[rows], self.A[rows])
+        renumbered.words = self.words[0][rows], self.words[1][rows]
         return renumbered
-
-    def words(self) -> tuple:
-        """(P, A) of the conjugator words in discovery order, built on
-        first use a BFS level at a time: row i > 0 is
-        gens[gen[i]] * (row parent[i]), and row i conjugates rep to the
-        class element in row _row_of[i]."""
-        if self._words is None:
-            n = self.group.n
-            gP, gA = to_arrays(self._gens, n)
-            WP = np.empty((self.size, n), dtype=np.int8)
-            WA = np.zeros((self.size, n), dtype=np.int8)
-            WP[0] = np.arange(n)
-            done = 1
-            while done < self.size:
-                # parents never decrease, so the rows up to the first
-                # one whose parent is not built yet can all be built
-                stop = int(np.searchsorted(self._parent, done))
-                parent, gen = self._parent[done:stop], self._gen[done:stop]
-                WP[done:stop], WA[done:stop] = mul_rows(
-                    gP[gen], gA[gen], WP[parent], WA[parent]
-                )
-                done = stop
-            self._words = WP, WA
-        return self._words
 
     def centralizer(self) -> "Centralizer":
         """G^rep, built on first use and shared by every later caller."""
@@ -236,70 +227,68 @@ class ConjugacyClass(_Rows):
         return f"ConjugacyClass({self.group!r}, {self.rep.format()!r}, size={self.size})"
 
 
-def _generators(group: GroupContext) -> list:
-    """The group generators and their inverses, without repeats."""
-    gens = group.generators()
-    return list(dict.fromkeys(gens + [g.inverse() for g in gens]))
+def _kind(rep: SignedPermutation, cycle: tuple) -> tuple:
+    """(length, sign parity) of a cycle of rep, its signed cycle type entry."""
+    return len(cycle), sum(rep.sign[i] for i in cycle) & 1
 
 
-def _orbit(gens: list, rep: SignedPermutation) -> tuple:
-    """Breadth-first orbit of rep under conjugation by `gens`, one whole
-    frontier per round.  Returns (P, A, parent, gen) in discovery order:
-    frontier-major, generator-minor, first occurrence wins, as a BFS that
-    conjugates one element at a time would find them.  Element i > 0 is
-    gens[gen[i]] |> element parent[i]."""
+def _free(W: np.ndarray) -> np.ndarray:
+    """Which points are not yet an image in each partial word of W, whose
+    unset images are n."""
+    taken = np.zeros((len(W), W.shape[1] + 1), dtype=bool)
+    taken[np.arange(len(W))[:, None], W] = True
+    return ~taken[:, :-1]
+
+
+def _extend(W: np.ndarray, x: int, allowed: np.ndarray) -> np.ndarray:
+    """Each partial word of W once per allowed image of point x, in row
+    order and then point order, with that image set."""
+    rows, images = np.nonzero(allowed)
+    W = W[rows]
+    W[:, x] = images
+    return W
+
+
+def _class_words(rep: SignedPermutation, signed: bool) -> tuple:
+    """(P, A) of one conjugator word g per element g |> rep of its class.
+
+    rep's cycles, fixed points included, grouped by (length, parity) and
+    by least point within a group, are the template.  g maps them onto
+    cycles of the same type, one point at a time, as a canonical
+    assignment: each image cycle starts at its least point, and the
+    images of one group come in order of increasing least point, so each
+    permutation of the class is reached once.  In B_n each image cycle
+    of length l also takes the 2^(l-1) sign patterns that are 0 at its
+    start."""
     n = rep.n
-    gP, gA = to_arrays(gens, n)
-    fP, fA = to_arrays([rep], n)
-    seen = encode(fP, fA)  # sorted keys of everything found so far
-    Ps, As, parents, gen_ids = [fP], [fA], [np.array([-1])], [np.array([-1])]
-    start = 0  # discovery index of the frontier's first element
-    while len(fP) and gens:
-        CP, CA = _conjugates(gP, gA, fP, fA)
-        keys = encode(CP, CA)
-        fresh = np.flatnonzero(~_member(seen, keys))
-        _, first = np.unique(keys[fresh], return_index=True)
-        new = fresh[np.sort(first)]
-        parents.append(start + new // len(gens))
-        gen_ids.append(new % len(gens))
-        start += len(fP)
-        fP, fA = CP[new], CA[new]
-        Ps.append(fP)
-        As.append(fA)
-        seen = np.sort(np.concatenate([seen, keys[new]]))
-    return (
-        np.concatenate(Ps),
-        np.concatenate(As),
-        np.concatenate(parents),
-        np.concatenate(gen_ids),
-    )
-
-
-def _conjugates(gP: np.ndarray, gA: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
-    """(P, A) of every generator row conjugating every row of (P, A):
-    row f * len(gP) + j is generator j |> row f."""
-    images = [conjugate_rows(tau, a, P, A) for tau, a in zip(gP, gA)]
-    n = P.shape[1]
-    return (
-        np.stack([p for p, _ in images], axis=1).reshape(-1, n),
-        np.stack([s for _, s in images], axis=1).reshape(-1, n),
-    )
-
-
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of `keys` occur in the non-empty sorted array `sorted_keys`."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
-
-
-# rows per block of Schreier generators, and of products g_0 c per
-# text_order call in _least_coset_reps
-BLOCK_PRODUCTS = 1 << 14
+    cycles = sorted(rep.perm.cycles(include_fixed=True), key=lambda c: _kind(rep, c))
+    points = np.arange(n)
+    W = np.full((1, n), n, dtype=np.int8)
+    last = {}  # kind -> start of the previous template cycle of that kind
+    for c in cycles:
+        kind = _kind(rep, c)
+        later = sum(len(d) for d in cycles if _kind(rep, d) > kind)
+        # the start lies above the previous start of its kind and leaves
+        # no more free points below it than the later kinds can take
+        free = _free(W)
+        allowed = free & (np.cumsum(free, axis=1) - free <= later)
+        if kind in last:
+            allowed &= points > W[:, last[kind], None]
+        W = _extend(W, c[0], allowed)
+        last[kind] = c[0]
+        for x in c[1:]:
+            W = _extend(W, x, _free(W) & (points > W[:, c[0], None]))
+    loose = [x for c in cycles for x in c[1:]] if signed else []
+    S = np.zeros((1 << len(loose), n), dtype=np.int8)
+    S[:, loose] = (np.arange(len(S))[:, None] >> np.arange(len(loose))) & 1
+    P = np.repeat(W, len(S), axis=0)
+    # the bit of template point x is the sign at its image g(x)
+    return P, act_rows(P, np.tile(S, (len(W), 1)))
 
 
 class Centralizer(_Rows):
-    """G^s = {g in G : gs = sg}, closed from Schreier generators on rows
-    (see _Rows), in text-format order."""
+    """G^s = {g in G : gs = sg} on rows (see _Rows), in text-format
+    order, enumerated in closed form (see _centralizer_rows)."""
 
     def __init__(self, cls: ConjugacyClass):
         self.cls = cls
@@ -312,7 +301,9 @@ class Centralizer(_Rows):
                 f"centralizer of {cls.rep} has {self.size} elements, over the "
                 f"enumeration cap of {MAX_CLASS_SIZE}"
             )
-        P, A = _close(_schreier_generators(cls), self.group.n, self.size)
+        P, A = _centralizer_rows(cls.rep, self.group.signed)
+        if len(P) != self.size:
+            raise AssertionError(f"centralizer has {len(P)} elements, expected {self.size}")
         order = text_order(P, A)
         self._set_rows(P[order], A[order])
 
@@ -321,73 +312,38 @@ class Centralizer(_Rows):
         return self.size
 
 
-def _schreier_generators(cls: ConjugacyClass):
-    """Yield the Schreier generators word[a |> t]^-1 a word[t] of the
-    stabilizer of rep, t in discovery order and a in the generators, as
-    (P, A) blocks of at most BLOCK_PRODUCTS rows."""
-    gens = len(cls._gens)
-    if not gens:
-        return
-    gP, gA = to_arrays(cls._gens, cls.group.n)
-    WP, WA = cls.words()
-    TP, TA = cls.P[cls._row_of], cls.A[cls._row_of]
-    discovery = np.argsort(cls._row_of)
-    step = max(1, BLOCK_PRODUCTS // gens)
-    for start in range(0, cls.size, step):
-        t = slice(start, start + step)
-        # row f * gens + j is for t = row f of the block and a = gens[j]
-        u = discovery[cls.locate(encode(*_conjugates(gP, gA, TP[t], TA[t])))]
-        k = len(u) // gens
-        AWP, AWA = mul_rows(
-            np.tile(gP, (k, 1)),
-            np.tile(gA, (k, 1)),
-            np.repeat(WP[t], gens, axis=0),
-            np.repeat(WA[t], gens, axis=0),
-        )
-        yield mul_rows(*inverse_rows(WP[u], WA[u]), AWP, AWA)
+def _centralizer_rows(rep: SignedPermutation, signed: bool) -> tuple:
+    """(P, A) of the centralizer of rep = (b, sigma).
 
-
-def _close(blocks, n: int, order: int) -> tuple:
-    """(P, A) of the subgroup of B_n with `order` elements generated by
-    the rows of the (P, A) blocks.  A generator s outside the subgroup H
-    closed so far is kept; the coset s H is all new, and a breadth-first
-    search under the kept generators from it closes <H, s>."""
-    Ps = [np.arange(n, dtype=np.int8)[None, :]]
-    As = [np.zeros((1, n), dtype=np.int8)]
-    seen = encode(Ps[0], As[0])  # sorted keys of H
-    kept = []
-    for SP, SA in blocks:
-        keys = encode(SP, SA)
-        while len(seen) < order:
-            outside = np.flatnonzero(~_member(seen, keys))
-            if not outside.size:
-                break
-            i = int(outside[0])
-            s = SP[i : i + 1], SA[i : i + 1]
-            kept.append(s)
-            HP, HA = np.concatenate(Ps), np.concatenate(As)
-            FP, FA = mul_rows(*s, HP, HA)
-            Ps, As = [HP, FP], [HA, FA]
-            seen = np.sort(np.concatenate([seen, np.sort(encode(FP, FA))]), kind="stable")
-            while len(FP) and len(seen) < order:
-                products = [mul_rows(*g, FP, FA) for g in kept]
-                CP = np.concatenate([p for p, _ in products])
-                CA = np.concatenate([a for _, a in products])
-                ckeys = encode(CP, CA)
-                fresh = np.flatnonzero(~_member(seen, ckeys))
-                new_keys, first = np.unique(ckeys[fresh], return_index=True)
-                FP, FA = CP[fresh[first]], CA[fresh[first]]
-                Ps.append(FP)
-                As.append(FA)
-                seen = np.sort(np.concatenate([seen, new_keys]), kind="stable")
-            SP, SA, keys = SP[i + 1 :], SA[i + 1 :], keys[i + 1 :]
-        if len(seen) == order:
-            break
-    if len(seen) != order:
-        raise AssertionError(
-            f"centralizer closure has {len(seen)} elements, expected {order}"
-        )
-    return np.concatenate(Ps), np.concatenate(As)
+    Its permutation tau maps each cycle of sigma onto a cycle of the same
+    type as a rotation: it picks the image of the cycle's start, and
+    sigma forces the rest.  Its signs d solve d_sigma(i) = d_i + delta_sigma(i),
+    delta = b + tau.b, along each cycle from 0 at its start; in B_n each
+    of the 2^k flips of whole cycles is added."""
+    n = rep.n
+    sigma = np.array(rep.perm.images)
+    cycles = rep.perm.cycles(include_fixed=True)
+    kind, cycle_of = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for j, c in enumerate(cycles):
+        kind[list(c)] = 2 * len(c) + _kind(rep, c)[1]
+        cycle_of[list(c)] = j
+    W = np.full((1, n), n, dtype=np.int8)
+    for c in cycles:
+        W = _extend(W, c[0], _free(W) & (kind == kind[c[0]]))
+        for x, y in zip(c, c[1:]):
+            W[:, y] = sigma[W[:, x]]
+    b = np.array(rep.sign, dtype=np.int8)
+    delta = b ^ act_rows(W, b[None, :])
+    D = np.zeros_like(W)
+    for c in cycles:
+        for x, y in zip(c, c[1:]):
+            D[:, y] = D[:, x] ^ delta[:, y]
+    k = len(cycles) if signed else 0
+    flips = ((np.arange(1 << k)[:, None] >> cycle_of) & 1).astype(np.int8)
+    return (
+        np.repeat(W, len(flips), axis=0),
+        np.repeat(D, len(flips), axis=0) ^ np.tile(flips, (len(W), 1)),
+    )
 
 
 class CosetSystem(_Rows):
@@ -428,8 +384,8 @@ class CosetSystem(_Rows):
 
     def _moves(self, P: np.ndarray, A: np.ndarray) -> np.ndarray:
         """The class index of g |> s for each row g of (P, A), -1 outside."""
-        sP, sA = to_arrays([self.cls.rep], self.group.n)
-        return self.cls.locate(encode(*mul_rows(*mul_rows(P, A, sP, sA), *inverse_rows(P, A))))
+        rep = to_arrays([self.cls.rep], self.group.n)
+        return self.cls.locate(encode(*conjugate_pairs(P, A, *rep)))
 
     def __getitem__(self, i: int) -> SignedPermutation:
         return self.element(i)
@@ -450,13 +406,15 @@ class CosetSystem(_Rows):
         return J, C
 
 
+# products g_0 c per text_order call in _least_coset_reps
+BLOCK_PRODUCTS = 1 << 14
+
+
 def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> tuple:
     """(P, A) of the text-format-least element of the coset g_0 C for
-    each t in cls, where g_0 is the BFS word of t (cls.words()) and C is
-    the centralizer; a block of whole cosets is ordered at a time."""
-    WP, WA = cls.words()
-    discovery = np.argsort(cls._row_of)
-    WP, WA = WP[discovery], WA[discovery]  # in the class numbering
+    each t in cls, where g_0 is the word of t (cls.words) and C is the
+    centralizer; a block of whole cosets is ordered at a time."""
+    WP, WA = cls.words
     h = cent.size
     step = max(1, BLOCK_PRODUCTS // h)
     RP, RA = [], []

@@ -25,6 +25,8 @@ from weylrack.groups import (
     Permutation,
     Sn,
     SignedPermutation,
+    conjugate_pairs,
+    encode,
     from_arrays,
     text_order,
     to_arrays,
@@ -76,9 +78,9 @@ def test_centralizer_is_built_once_and_lazily(monkeypatch):
 
 
 def test_centralizer_is_the_commuting_set():
-    # every class of B_1..B_5 and S_1..S_6, the central ones and the
-    # generator-free S_1 included: the closure on rows against the
-    # commuting set, element for element and in text-format order
+    # every class of B_1..B_5 and S_1..S_6, the central ones and S_1
+    # included: the closed-form centralizer against the commuting set,
+    # element for element and in text-format order
     for group, rep in _all_classes(5, 6):
         cent = ConjugacyClass(group, rep).centralizer()
         brute = [g for g in group.elements() if g * rep == rep * g]
@@ -104,6 +106,19 @@ def test_largest_admitted_centralizer_is_closed():
     cent = ConjugacyClass(Bn(7), Bn(7).identity).centralizer()
     assert cent.order == 645120
     assert cent.keys.size == np.unique(cent.keys).size == 645120
+    assert (text_order(cent.P, cent.A) == np.arange(cent.size)).all()
+
+
+def test_largest_admitted_class_is_enumerated():
+    # the 8-cycles of B_8: 645120 elements at the cap, each reached by
+    # its word, the rep first and the rest in text-format order
+    rep = SignedPermutation.parse("00000000;(1 2 3 4 5 6 7 8)")
+    cls = ConjugacyClass(Bn(8), rep)
+    assert cls.size == np.unique(cls.keys).size == 645120
+    assert cls.element(0) == rep
+    assert (text_order(cls.P[1:], cls.A[1:]) == np.arange(cls.size - 1)).all()
+    images = encode(*conjugate_pairs(*cls.words, *to_arrays([rep], 8)))
+    assert np.array_equal(images, cls.keys)
 
 
 def test_negative_cycle_centralizer_is_cyclic():
@@ -115,7 +130,10 @@ def test_negative_cycle_centralizer_is_cyclic():
         )
         cent = ConjugacyClass(Bn(n), x).centralizer()
         assert cent.order == 2 * n
-        assert set(cent.elements) == {x**k for k in range(2 * n)}
+        powers = [SignedPermutation.identity(n)]
+        for _ in range(2 * n - 1):
+            powers.append(powers[-1] * x)
+        assert set(cent.elements) == set(powers)
 
 
 def test_coset_system_zeta_recomposition():
@@ -250,9 +268,21 @@ def test_class_ordering_is_deterministic():
     assert a.elements[1:] == sorted(a.elements[1:], key=lambda x: x.sort_key())
 
 
+def _generators(group):
+    """Adjacent transpositions, plus the first sign flip in B_n."""
+    n = group.n
+    gens = [
+        SignedPermutation.from_perm(Permutation.from_cycles(n, [(i, i + 1)]))
+        for i in range(1, n)
+    ]
+    if group.signed:
+        gens.append(SignedPermutation((1,) + (0,) * (n - 1), Permutation.identity(n)))
+    return gens
+
+
 def _object_orbit(group, rep):
     """One-at-a-time BFS: {element: conjugator} in discovery order."""
-    gens = group.generators()
+    gens = _generators(group)
     gens = gens + [g.inverse() for g in gens]
     transversal = {rep: group.identity}
     frontier = [rep]
@@ -279,13 +309,14 @@ def _all_classes(max_bn: int, max_sn: int):
 
 
 def test_batched_orbit_matches_the_object_bfs():
+    # the class is the object orbit of rep, and word i conjugates rep to
+    # element i, by object arithmetic
     for group, rep in _all_classes(4, 5):
         cls = ConjugacyClass(group, rep)
-        oracle = _object_orbit(group, rep)
-        words = from_arrays(*cls.words())
-        assert words == list(oracle.values())
-        assert [g.conjugate(rep) for g in words] == list(oracle)
-        assert [cls.elements[row] for row in cls._row_of.tolist()] == list(oracle)
+        words = from_arrays(*cls.words)
+        assert words[0] == group.identity
+        assert [g.conjugate(rep) for g in words] == list(cls.elements)
+        assert set(cls.elements) == set(_object_orbit(group, rep))
 
 
 def test_class_size_closed_form_matches_enumeration():
@@ -296,14 +327,19 @@ def test_class_size_closed_form_matches_enumeration():
 def test_class_arrays_stay_aligned_with_elements():
     negative = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
     cs = transposition_preset(4)  # renumbers its class after enumeration
-    for cls in (negative, cs.cls):
+    renumbered = negative.reorder(negative.elements[:1] + negative.elements[:0:-1])
+    for cls in (negative, cs.cls, renumbered):
         assert from_arrays(cls.P, cls.A) == cls.elements
         assert cls.locate(cls.keys).tolist() == list(range(cls.size))
+        words = conjugate_pairs(*cls.words, *to_arrays([cls.rep], cls.group.n))
+        assert np.array_equal(encode(*words), cls.keys)
         assert cls.find_all(list(cls.elements)).tolist() == list(range(cls.size))
         assert [cls.find(t) for t in cls.elements] == list(range(cls.size))
-    # keys of another class are not found
+    # keys of another class are not found, nor elements of another degree
     positive = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2 3)"))
     assert negative.locate(positive.keys).tolist() == [-1] * positive.size
+    assert [negative.find(t) for t in positive.elements] == [-1] * positive.size
+    assert negative.find(SignedPermutation.parse("1000;(1 2 3)")) == -1
 
 
 def test_oversized_class_is_refused_up_front():
@@ -340,11 +376,12 @@ def _check_centralizer_and_cosets(cls, oracle):
 
 
 def test_class_numbering_matches_the_one_at_a_time_oracle():
-    # t_1 = rep, then the text-format order; the conjugator words follow
-    # the one-at-a-time BFS.  Centralizer and coset representatives are
-    # checked on every class up to B_5 and S_7, and on the two B_6
-    # classes with the smallest centralizers: the other B_6 centralizer
-    # closures and the coset oracle take seconds per class.
+    # t_1 = rep, then the text-format order, against the one-at-a-time
+    # BFS; every word row conjugates rep to its element, in one
+    # conjugate_pairs call per class.  Centralizer and coset
+    # representatives are checked on every class up to B_5 and S_7, and
+    # on the two B_6 classes with the smallest centralizers: the object
+    # coset oracle takes seconds on each other B_6 class.
     b6 = []
     for group, rep in _all_classes(6, 7):
         cls = ConjugacyClass(group, rep)
@@ -354,7 +391,9 @@ def test_class_numbering_matches_the_one_at_a_time_oracle():
         assert len(cls) == cls.size == len(elements)
         assert list(cls.elements) == elements
         assert cls.keys.tolist() == [_one_key(t) for t in elements]
-        assert from_arrays(*cls.words()) == list(oracle.values())
+        WP, WA = cls.words
+        assert (WP[0] == np.arange(group.n)).all() and not WA[0].any()
+        assert np.array_equal(encode(*conjugate_pairs(WP, WA, *to_arrays([rep], group.n))), cls.keys)
         if group.order > 5040:
             b6.append(cls)
         else:

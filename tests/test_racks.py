@@ -41,6 +41,14 @@ def random_elem(rng, n):
     return Bn(n).random_element(rng)
 
 
+def _power(p, k):
+    """The permutation p^k, k >= 0, by repeated products."""
+    out = Permutation.identity(p.n)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def conjugate(x, y):
     """x |> y on group elements: the reference for class racks."""
     return x.conjugate(y)
@@ -77,7 +85,7 @@ def test_sq_commuting_form_and_criterion():
     for n in range(2, 7):
         xs = [random_elem(rng, n) for _ in range(60)]
         ys = [
-            SignedPermutation(random_elem(rng, n).sign, x.perm ** rng.randint(0, 2 * n))
+            SignedPermutation(random_elem(rng, n).sign, _power(x.perm, rng.randint(0, 2 * n)))
             for x in xs
         ]
         (P, A), (Q, B) = to_arrays(xs, n), to_arrays(ys, n)

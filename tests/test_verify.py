@@ -6,7 +6,7 @@ import random
 import pytest
 
 from weylrack import verify
-from weylrack.groups import Bn, Permutation, SignedPermutation, Sn, nu_left, nu_right
+from weylrack.groups import Bn, Permutation, SignedPermutation, Sn
 from weylrack.racks import sq
 from weylrack.verify import (
     LEMMA_CHECKS,
@@ -156,6 +156,14 @@ def test_report_json_roundtrip_excludes_runtime_by_default():
 # written on sign tuples.
 
 
+def _power(p, k):
+    """The permutation p^k, k >= 0, by repeated products."""
+    out = Permutation.identity(p.n)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def _xor(u, v):
     return tuple(map(int.__xor__, u, v))
 
@@ -203,7 +211,7 @@ def loop_square_closed_forms(cfg, general=_sq_signed):
         x = G.random_element(rng)
         y = G.random_element(rng)
         if rng.random() < 0.5:
-            y = SignedPermutation(y.sign, x.perm ** rng.randint(0, n))
+            y = SignedPermutation(y.sign, _power(x.perm, rng.randint(0, n)))
         direct = sq(x, y)
         if general(x, y) != (direct.sign, direct.perm):
             return "fail", {"law": "general", "x": x.format(), "y": y.format()}
@@ -277,7 +285,7 @@ def loop_juxtaposition_laws(cfg):
         x2, y2 = Bn(n).random_element(rng), Bn(m).random_element(rng)
         if x.juxtapose(y) * x2.juxtapose(y2) != (x * x2).juxtapose(y * y2):
             return "fail", {"law": "product", "x": x.format(), "y": y.format()}
-        a, b = nu_right(x, m), nu_left(y, n)
+        a, b = x.juxtapose(SignedPermutation.identity(m)), SignedPermutation.identity(n).juxtapose(y)
         if x.juxtapose(y) != a * b or a * b != b * a:
             return "fail", {"law": "factorization", "x": x.format(), "y": y.format()}
         if sq(x.juxtapose(y), x2.juxtapose(y2)) != sq(x, x2).juxtapose(sq(y, y2)):
