@@ -283,16 +283,6 @@ class SignedPermutation:
             self.sign + other.sign, Permutation(images, check=False), check=False
         )
 
-    def embed(self) -> "SignedPermutation":
-        """phi: B_n -> B_{n+1}, (a, tau) |-> ((a, 0), tau)."""
-        return SignedPermutation(
-            self.sign + (0,), Permutation(self.perm.images + (len(self.sign),))
-        )
-
-    def project(self) -> Permutation:
-        """pi: B_n -> S_n, (a, tau) |-> tau."""
-        return self.perm
-
     def is_orthogonal_to(self, other: "SignedPermutation") -> bool:
         """Orthogonal = the two elements share no sign-cycle length."""
         return not (cycle_lengths(self.perm.images) & cycle_lengths(other.perm.images))

@@ -18,6 +18,7 @@ from weylrack.racks import (
     RackEpimorphism,
     TypeDCertificate,
     _SN_CACHE,
+    _closure_failures,
     _closure_from_seeds,
     _commuting_witness,
     _strategy_exhaustive,
@@ -34,7 +35,7 @@ from weylrack.racks import (
     sq_signed_commuting,
     verify_certificate,
 )
-from weylrack.verify import _class_representatives
+from weylrack.verify import _class_representatives, exception_family
 
 
 def random_elem(rng, n):
@@ -630,3 +631,182 @@ def test_orbit_closure_matches_the_worklist_on_every_seed_pair():
                     assert [R.tolist() for R in got] == [sorted(R) for R in expect]
                     outcomes.add(("grown", len(expect[0]) + len(expect[1]) > 2))
     assert outcomes == {"refused", ("grown", False), ("grown", True)}
+
+
+def _pair_check_failures(rack, cert):
+    """The certificate conditions decided pair by pair, in the failure
+    order of verify_certificate: the reference for its proof from
+    generators."""
+    failures = []
+    if not cert.R or not cert.S:
+        failures.append("R and S must be nonempty")
+    if any(not 0 <= i < rack.size for i in cert.R + cert.S):
+        return failures + ["index out of range"]
+    if set(cert.R) & set(cert.S):
+        failures.append(f"R and S overlap: {sorted(set(cert.R) & set(cert.S))}")
+    failures.extend(_closure_failures(rack, cert.R, cert.S))
+    if cert.r not in cert.R:
+        failures.append("r must lie in R")
+    if cert.s not in cert.S:
+        failures.append("s must lie in S")
+    if not failures and rack.sq(cert.r, cert.s) == cert.s:
+        r, s = rack.elements[cert.r], rack.elements[cert.s]
+        failures.append(f"sq({r}, {s}) == {s}")
+    return failures
+
+
+def _perturbed(cert):
+    """The certificate, then with one element of R other than r moved to S,
+    then with the first element outside R u S added to R."""
+    rack, R, S = cert.rack, list(cert.R), list(cert.S)
+    yield cert
+    moved = R[-1] if R[-1] != cert.r else R[0]
+    rest = tuple(x for x in R if x != moved)
+    yield TypeDCertificate(rack, rest, tuple(S) + (moved,), cert.r, cert.s)
+    outside = np.setdiff1d(np.arange(rack.size), R + S)
+    if outside.size:
+        yield TypeDCertificate(rack, tuple(R) + (int(outside[0]),), tuple(S), cert.r, cert.s)
+
+
+def _found_certificates():
+    """Every certificate the search finds at seed 0 for the classes of
+    B_2..B_6 the scan searches, and for the classes of S_3..S_6 with a
+    nontrivial permutation part."""
+    for n in range(2, 7):
+        for rep in _class_representatives(n):
+            key = rep.signed_cycle_type()
+            if all(l == 1 for l, _ in key) or exception_family(key) is not None:
+                continue
+            yield find_type_d_certificate(FiniteRack.from_class(ConjugacyClass(Bn(n), rep)), 0)
+    for n in range(3, 7):
+        for rep in _class_representatives(n):
+            if not any(rep.sign) and not rep.perm.is_identity():
+                yield find_type_d_certificate(FiniteRack.from_class(ConjugacyClass(Sn(n), rep)), 0)
+
+
+def _oracle_cases():
+    """(name, certificate) for the proof-against-pair-check comparisons."""
+    found = [res.certificate for res in _found_certificates() if res]
+    for cert in found:
+        for case in _perturbed(cert):
+            yield "found", case
+    # the seed closures on D_7 all collide, and those on D_8 grow; a
+    # refused seed pair is taken as the two seeds alone
+    for m in (7, 8):
+        rack = dihedral(m)[0]
+        for x, y in permutations(range(m), 2):
+            grown = _closure_from_seeds(rack, x, y, MAX_CLOSURE_SIZE)
+            R, S = ([x], [y]) if grown is None else (grown[0].tolist(), grown[1].tolist())
+            yield "dihedral", TypeDCertificate(rack, tuple(R), tuple(S), R[0], S[0])
+    # the trivial rack: every phi_g is the identity, so every element of
+    # R u S is its own generator; every assignment to {R, S, neither}
+    trivial = FiniteRack.from_table(list(range(6)), [list(range(6))] * 6)
+    for assignment in product((0, 1, 2), repeat=6):
+        R = tuple(i for i, k in enumerate(assignment) if k == 0)
+        S = tuple(i for i, k in enumerate(assignment) if k == 1)
+        if R and S:
+            yield "trivial", TypeDCertificate(trivial, R, S, R[0], S[0])
+    # a class rack without a table: op_rows conjugates class rows
+    cls = ConjugacyClass(Bn(4), SignedPermutation.parse("0100;(3 4)"))
+    rows = FiniteRack(source=cls)
+    assert rows._table is None
+    cert = find_type_d_certificate(rows, 0).certificate
+    for case in _perturbed(cert):
+        yield "rows", case
+
+
+def test_verify_certificate_matches_the_pair_check():
+    seen = {}
+    for name, cert in _oracle_cases():
+        check = verify_certificate(cert.rack, cert)
+        expect = _pair_check_failures(cert.rack, cert)
+        assert check.failures == expect, (name, cert.R, cert.S)
+        assert check.ok == (not expect), (name, cert.R, cert.S)
+        seen[name, check.ok] = seen.get((name, check.ok), 0) + 1
+    assert set(seen) == {
+        ("found", True), ("found", False), ("dihedral", True), ("dihedral", False),
+        ("trivial", False), ("rows", True), ("rows", False),
+    }
+
+
+def test_transports_refuse_an_unclosed_certificate_naming_its_witnesses():
+    # R = {(1 2)}, S = {(1 3)} are disjoint, but (1 2) |> (1 3) = (2 3)
+    # lies in neither
+    rack = FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)")))
+    i12, i13 = (rack.find(SignedPermutation.parse(t)) for t in ("0000;(1 2)", "0000;(1 3)"))
+    witnesses = [
+        "cross closure fails: 0000;(1 2) |> 0000;(1 3) not in S",
+        "cross closure fails: 0000;(1 3) |> 0000;(1 2) not in R",
+    ]
+    with pytest.raises(AssertionError) as info:
+        make_certificate(rack, [i12], [i13], i12, i13, "broken-split", ())
+    assert str(info.value) == f"strategy broken-split produced an invalid certificate: {witnesses}"
+    bad = TypeDCertificate(rack, (i12,), (i13,), i12, i13)
+    with pytest.raises(ValueError) as info:
+        juxtaposition_extend_certificate(bad, SignedPermutation.parse("000;(1 2 3)"))
+    assert str(info.value) == f"input certificate is invalid: {witnesses}"
+
+    up = FiniteRack.from_class(ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2)")))
+    down = FiniteRack.from_class(ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2)")))
+    hom = RackEpimorphism(up, down, lambda x: SignedPermutation.from_perm(x.perm))
+    bad = TypeDCertificate(down, (0,), (1,), 0, 1)
+    witnesses = [
+        f"cross closure fails: {down.elements[0]} |> {down.elements[1]} not in S",
+        f"cross closure fails: {down.elements[1]} |> {down.elements[0]} not in R",
+    ]
+    with pytest.raises(ValueError) as info:
+        pullback_type_d(hom, bad)
+    assert str(info.value) == f"input certificate is invalid: {witnesses}"
+
+
+def _greedy_generators(op, R, S):
+    """The generators the closure proof picks, one operation at a time:
+    the first element of R, then of S, outside the orbit of those picked
+    so far under their maps g |> ."""
+    picked, orbit = [], set()
+    for u in list(R) + list(S):
+        if u in orbit:
+            continue
+        picked.append(u)
+        orbit.add(u)
+        grow = list(orbit)
+        while grow:
+            v = grow.pop()
+            for g in picked:
+                w = op(g, v)
+                if w not in orbit:
+                    orbit.add(w)
+                    grow.append(w)
+    return picked
+
+
+def test_closure_proof_conjugates_by_the_greedy_generators_only(monkeypatch):
+    certs = []
+    rack = dihedral(8)[0]
+    for x, y in permutations(range(8), 2):
+        grown = _closure_from_seeds(rack, x, y, MAX_CLOSURE_SIZE)
+        if grown is not None:
+            R, S = (tuple(side.tolist()) for side in grown)
+            certs.append(TypeDCertificate(rack, R, S, R[0], S[0]))
+    for G, text in ((Bn(4), "0100;(3 4)"), (Bn(5), "00001;(1 2)"), (Bn(5), "10000;(1 2 3 4 5)")):
+        certs.append(find_type_d_certificate(FiniteRack.from_class(ConjugacyClass(G, G.parse(text))), 0).certificate)
+    trivial = FiniteRack.from_table(list(range(6)), [list(range(6))] * 6)
+    certs.append(TypeDCertificate(trivial, (4, 0, 2), (5, 1), 4, 5))
+    counts = []
+    for cert in certs:
+        rows = []
+        op_rows = cert.rack.op_rows
+
+        def spy(X, Y):
+            rows.extend(np.asarray(X).tolist())
+            return op_rows(X, Y)
+
+        monkeypatch.setattr(cert.rack, "op_rows", spy)
+        verify_certificate(cert.rack, cert)
+        monkeypatch.undo()
+        assert rows == _greedy_generators(cert.rack.op, cert.R, cert.S)
+        counts.append(len(rows))
+    # D_8: at most three generators (two for a pair of antipodal
+    # singletons); the three classes of 12, 36 and 32 elements take 4, 5
+    # and 3; the trivial rack needs every element
+    assert max(counts[:-4]) == 3 and counts[-4:] == [4, 5, 3, 5]
