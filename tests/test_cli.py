@@ -196,6 +196,35 @@ def test_character_path_bytes_are_pinned(tmp_path, argv):
     assert hashlib.sha256(data).hexdigest() == CHARACTER_DIGESTS[argv]
 
 
+# SHA-256 of the six graded-dimension commands of the benchmark, recorded
+# before the modular rank split S_k into blocks and the Groebner
+# completion moved onto int coefficients
+GRADED_DIGESTS = {
+    ("nichols-dim", "--n", "3", "--preset", "--char", "sgn-sgn", "--max-degree", "5"):
+        "c93e94afb667d5282ee93e65571e7e3b1c05fed30a854f8af335504040b9f25c",
+    ("nichols-dim", "--n", "3", "--preset", "--char", "eps-sgn", "--max-degree", "5"):
+        "c93e94afb667d5282ee93e65571e7e3b1c05fed30a854f8af335504040b9f25c",
+    ("nichols-dim", "--n", "4", "--preset", "--char", "sgn-sgn", "--max-degree", "4"):
+        "df9c687278d94b9b2e3047e3a7c56a1ee5af11375093ae4d0e77d744def15b61",
+    ("nichols-dim", "--n", "4", "--preset", "--char", "eps-sgn", "--max-degree", "4"):
+        "df9c687278d94b9b2e3047e3a7c56a1ee5af11375093ae4d0e77d744def15b61",
+    ("hilbert", "--algebra", "fk", "--n", "4", "--cap", "13"):
+        "a7bf66cb3f8f7df57e9b26aeaf44b2ef829651015c8cf6b96a89c11da53a3c17",
+    ("hilbert", "--algebra", "fk", "--n", "5", "--cap", "8"):
+        "bb8afc0ee5c8009385d96c97664aa1731c940a26ac3393d5cbc70e05d62c6e08",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GRADED_DIGESTS), ids=" ".join)
+def test_graded_path_bytes_are_pinned(tmp_path, argv):
+    import hashlib
+
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GRADED_DIGESTS[argv]
+
+
 def test_hilbert_and_nichols_dim(tmp_path):
     code, text = run(tmp_path, "hilbert", "--algebra", "fk", "--n", "3", "--cap", "8")
     assert code == 0
