@@ -7,10 +7,12 @@ Q(zeta_N), and `nullspace_rational` works over Q.
 
 Every modular rank goes through `rank_two_primes`, the one agreement
 check: it ranks the matrix mod two 31-bit primes (`rank_mod_p`, vectorized
-elimination in numpy) and raises unless they agree.  The agreed rank is a
-lower bound.  A matrix over Q(zeta_N) is given by its images mod primes
-p = 1 (mod N) (`primes_for_conductor`), where zeta_N becomes a primitive
-N-th root of unity in F_p (`root_of_unity_mod_p`).
+elimination in numpy) and raises unless they agree.  A block-diagonal
+matrix is given as its blocks mod p, ranked one at a time and summed per
+prime before the check.  The agreed rank is a lower bound.  A matrix
+over Q(zeta_N) is given by its images mod primes p = 1 (mod N)
+(`primes_for_conductor`), where zeta_N becomes a primitive N-th root of
+unity in F_p (`root_of_unity_mod_p`).
 """
 
 from __future__ import annotations
@@ -178,12 +180,19 @@ def rank_two_primes(matrix, primes: tuple = DEFAULT_PRIMES) -> int:
     """Modular rank with two independent primes; raises on disagreement.
 
     `matrix` is an integer ndarray, or a function from a prime p to the
-    matrix's image mod p (for a matrix over Q(zeta_N), with the primes of
-    `primes_for_conductor(N)`).  The agreed value is a certified lower
-    bound for the rank over the field and equals it away from finitely
-    many primes; callers must flag the lower-bound semantics.
+    diagonal blocks of a block-diagonal matrix mod p, an iterable of
+    ndarrays whose ranks are summed (for a matrix over Q(zeta_N), with
+    the primes of `primes_for_conductor(N)`).  The agreed value is a
+    certified lower bound for the rank over the field and equals it away
+    from finitely many primes; callers must flag the lower-bound
+    semantics.
     """
-    r0, r1 = (rank_mod_p(matrix(p) if callable(matrix) else matrix, p) for p in primes)
+
+    def rank(p: int) -> int:
+        blocks = matrix(p) if callable(matrix) else [matrix]
+        return sum(rank_mod_p(block, p) for block in blocks)
+
+    r0, r1 = map(rank, primes)
     if r0 != r1:
         raise ArithmeticError(
             f"modular ranks disagree: {r0} mod {primes[0]}, {r1} mod {primes[1]}"

@@ -2,7 +2,9 @@
 bases, and Hilbert series by normal-word counting.
 
 Monomials are tuples of generator indices ordered by degree-lexicographic
-comparison.  The relations are homogeneous, so completion runs degree by
+comparison.  Coefficients are exact: an int whenever the denominator is
+1, a Fraction only otherwise, so integer relations complete in int
+arithmetic.  The relations are homogeneous, so completion runs degree by
 degree up to a cap: pass d resolves the degree-d relations and the overlap
 ambiguities of length d among the leading words found so far, each once,
 and keeps the basis reduced.  Reduction looks subwords up in a dict keyed
@@ -17,6 +19,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 
 
 def _deglex_key(mono: tuple) -> tuple:
@@ -36,7 +39,7 @@ class NCPresentation:
     relations: list = field(default_factory=list)
 
     def add_relation(self, poly: dict):
-        poly = {tuple(m): Fraction(v) for m, v in poly.items() if v}
+        poly = {tuple(m): _exact(Fraction(v)) for m, v in poly.items() if v}
         if not poly:
             return
         degs = {len(m) for m in poly}
@@ -162,13 +165,26 @@ def quadratic_cover_presentation(braiding) -> NCPresentation:
 # -- Groebner machinery ----------------------------------------------------
 
 
-def _normal_form(poly: dict, index: dict, rightmost: bool = False) -> dict:
+def _exact(q):
+    """An int or Fraction q as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _quotient(v, c):
+    """v / c exactly: v // c when c divides the int v, else a Fraction
+    (an int again when the quotient is integral)."""
+    if type(v) is int and type(c) is int and not v % c:
+        return v // c
+    return _exact(Fraction(v) / c)
+
+
+def _normal_form(poly: dict, index: dict) -> dict:
     """Fully reduce `poly` by `index` = {leading word: monic poly}.
 
     The largest monomial is rewritten first, at the leftmost occurrence of
-    a leading word (the rightmost with `rightmost`); only the word lengths
-    present in the index are looked up.  Every rewrite makes smaller
-    monomials only, so a monomial containing no leading word is final."""
+    a leading word; only the word lengths present in the index are looked
+    up.  Every rewrite makes smaller monomials only, so a monomial
+    containing no leading word is final."""
     lengths = sorted({len(w) for w in index})
     poly = dict(poly)
     heap = [(_heap_key(m), m) for m in poly]
@@ -181,7 +197,7 @@ def _normal_form(poly: dict, index: dict, rightmost: bool = False) -> dict:
             continue
         n = len(m)
         hit = None
-        for pos in range(n - 1, -1, -1) if rightmost else range(n):
+        for pos in range(n):
             for L in lengths:
                 if pos + L > n:
                     break
@@ -210,7 +226,7 @@ def _normal_form(poly: dict, index: dict, rightmost: bool = False) -> dict:
 
 def _heap_key(mono: tuple) -> tuple:
     # heapq pops the least key first: deglex-largest monomial first
-    return (-len(mono), tuple(-a for a in mono))
+    return (-len(mono), tuple(map(neg, mono)))
 
 
 def _sub_scaled(acc: dict, poly: dict, c, left: tuple = (), right: tuple = ()):
@@ -219,7 +235,7 @@ def _sub_scaled(acc: dict, poly: dict, c, left: tuple = (), right: tuple = ()):
         key = left + m + right
         w = acc.get(key, 0) - c * v
         if w:
-            acc[key] = w
+            acc[key] = _exact(w)
         else:
             acc.pop(key, None)
 
@@ -260,7 +276,7 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
                 continue
             lead = _leading(poly)
             c = poly[lead]
-            poly = {m: v / c for m, v in poly.items()}
+            poly = {m: _quotient(v, c) for m, v in poly.items()}
             for other in same_degree:
                 g = index[other]
                 if lead in g:
@@ -321,6 +337,7 @@ def hilbert_from_basis(gb: GroebnerBasis, cap: int) -> HilbertData:
     # live generators: degree-1 leading words remove generators entirely
     dead_letters = {w[0] for w in bad if len(w) == 1}
     bad = {w for w in bad if len(w) > 1}
+    lengths = sorted({len(w) for w in bad})
     prefixes = {()}
     for w in bad:
         for k in range(1, len(w)):
@@ -342,7 +359,7 @@ def hilbert_from_basis(gb: GroebnerBasis, cap: int) -> HilbertData:
                 row.append(None)
                 continue
             cand = s + (a,)
-            if any(cand[max(0, len(cand) - len(w)) :] == w for w in bad):
+            if any(cand[-L:] in bad for L in lengths if L <= len(cand)):
                 row.append(None)
             else:
                 row.append(sid[longest_suffix_state(cand)])
@@ -366,16 +383,3 @@ def hilbert_from_basis(gb: GroebnerBasis, cap: int) -> HilbertData:
         d == 0 for d in dims[dims.index(0, 1) :]
     )
     return HilbertData(dims, terminated, len(gb.basis))
-
-
-def confluence_check(gb: GroebnerBasis, words: list) -> bool:
-    """Reduce each word twice, rewriting at the leftmost and at the
-    rightmost occurrence of a leading word, and compare the normal forms.
-    A basis complete through the words' degrees gives equal forms for
-    every word; different forms show an unresolved ambiguity."""
-    index = dict(gb.basis)
-    for w in words:
-        word = {tuple(w): Fraction(1)}
-        if _normal_form(word, index) != _normal_form(word, index, rightmost=True):
-            return False
-    return True

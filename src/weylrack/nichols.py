@@ -13,11 +13,14 @@ coefficients, and each reduced word is lifted over the whole stack at
 once, in int64 when the braiding is integral and no sum can overflow,
 over the braiding's own objects (big ints, `Cyclo`s) otherwise.  Each
 degree takes one exact or one modular rank path, as `nichols_graded_dim`
-describes.
+describes.  The modular rank runs block by block: the connected
+components of the support of S_k, packed into chunks, are diagonal
+blocks, and only one block mod p is built at a time.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -186,10 +189,14 @@ class GradedDims:
 EXACT_LIMIT = 300
 CYCLO_EXACT_LIMIT = 100
 
+# indices per diagonal block of a modular rank (see `_blocks`)
+BLOCK = 128
+
 # default memory budget of one degree, in bytes: n = 4 to degree 5 (a
-# 484 MB dense matrix) fits, degree 6 (17.4 GB) does not.  It counts one
-# dense matrix; a modular rank holds two at once, the matrix mod p and
-# the working copy that rank_mod_p eliminates in
+# 484 MB dense matrix) fits, degree 6 (17.4 GB) does not.  It still counts
+# one dense D^k x D^k matrix, a deliberate over-estimate: the modular
+# rank holds one diagonal block and its working copy at a time, and
+# keeping the count keeps the degrees it admits where they were
 MEMORY_BUDGET = 1 << 29
 # peak bytes per (reduced word, column) term of the lift stack, about 77
 # measured under tracemalloc for a monomial braiding
@@ -197,9 +204,9 @@ LIFT_TERM_BYTES = 80
 
 
 def _degree_bytes(D: int, k: int) -> int:
-    """Bytes that degree k needs at once: the larger of the dense D^k x
-    D^k int64 matrix and the lift stack of `symmetrizer_columns`, which
-    is freed before the matrix is built."""
+    """Bytes that degree k is counted to need at once: the larger of the
+    dense D^k x D^k int64 matrix (see `MEMORY_BUDGET`) and the lift stack
+    of `symmetrizer_columns`, which is freed before any rank runs."""
     size = D**k
     return max(8 * size * size, LIFT_TERM_BYTES * factorial(k) * size)
 
@@ -218,7 +225,8 @@ def nichols_graded_dim(
     exact elimination over Z ("exact-int") while D^k <= EXACT_LIMIT, or
     over Q(zeta_N) ("exact-cyclo") while D^k <= CYCLO_EXACT_LIMIT; beyond,
     the rank mod two agreeing primes p = 1 (mod N), a lower bound ("mod-p",
-    not exact).  A non-integer entry of conductor 1 raises ValueError.
+    not exact), summed per prime over the diagonal blocks of `_blocks`.
+    A non-integer entry of conductor 1 raises ValueError.
     Stops before building a degree whose `_degree_bytes` exceed `budget`
     and records that degree as the truncation.
     """
@@ -254,8 +262,7 @@ def nichols_graded_dim(
                 dims.append(rank_cyclo_exact(rows))
                 methods.add("exact-cyclo")
         else:
-            at_p = partial(_matrix_mod_p, cols, size, N)
-            dims.append(rank_two_primes(at_p, primes_for_conductor(N)))
+            dims.append(_modular_rank(cols, size, N))
             methods.add("mod-p")
             exact = False
     return GradedDims(dims, exact, "+".join(sorted(methods)) or "trivial", truncated)
@@ -275,19 +282,64 @@ def _as_int(v) -> int:
     return q.numerator
 
 
-def _matrix_mod_p(cols: dict, size: int, N: int, p: int) -> np.ndarray:
-    """S_k over F_p, for a prime p = 1 (mod N): entries in Q(zeta_N) are
-    evaluated at `root_of_unity_mod_p(N, p)`, ints are reduced mod p."""
-    z = root_of_unity_mod_p(N, p)
-    M = np.zeros((size, size), dtype=np.int64)
+def _modular_rank(cols: dict, size: int, N: int) -> int:
+    """rank S_k mod the two primes of `primes_for_conductor(N)`, summed
+    over the diagonal blocks of `_blocks`, which are built mod p one at a
+    time."""
+    at_p = partial(_blocks_mod_p, cols, _blocks(cols, size), N)
+    return rank_two_primes(at_p, primes_for_conductor(N))
+
+
+def _blocks(cols: dict, size: int) -> list:
+    """The indices 0..size-1 of S_k grouped into diagonal blocks.
+
+    An entry (r, c) joins r and c.  The connected components of the
+    support are packed, smallest first, into chunks of at most `BLOCK`
+    indices; a larger component is a chunk of its own.  No entry joins
+    two chunks, so each chunk's rows and columns form a diagonal block of
+    S_k under one permutation of both, and rank S_k is the sum of the
+    chunks' ranks over any field."""
+    root = list(range(size))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for c, col in cols.items():
-        for r, v in col.items():
-            if not isinstance(v, int):
-                x, v = Cyclo.coerce(v).promote(N), 0
-                for q in reversed(x.coeffs):
-                    v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
-            M[r, c] = v % p
-    return M
+        for r in col:
+            a, b = find(r), find(c)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    components = defaultdict(list)
+    for i in range(size):
+        components[find(i)].append(i)
+    chunks = []
+    for component in sorted(components.values(), key=len):
+        if chunks and len(chunks[-1]) + len(component) <= BLOCK:
+            chunks[-1] += component
+        else:
+            chunks.append(component)
+    return chunks
+
+
+def _blocks_mod_p(cols: dict, chunks: list, N: int, p: int):
+    """Yield the diagonal block of S_k on each chunk of indices over F_p,
+    for a prime p = 1 (mod N): entries in Q(zeta_N) are evaluated at
+    `root_of_unity_mod_p(N, p)`, ints are reduced mod p."""
+    z = root_of_unity_mod_p(N, p)
+    for chunk in chunks:
+        at = {c: i for i, c in enumerate(chunk)}
+        M = np.zeros((len(chunk), len(chunk)), dtype=np.int64)
+        for c in chunk:
+            for r, v in cols[c].items():
+                if not isinstance(v, int):
+                    x, v = Cyclo.coerce(v).promote(N), 0
+                    for q in reversed(x.coeffs):
+                        v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
+                M[at[r], at[c]] = v % p
+        yield M
 
 
 # -- degree-2 relations -----------------------------------------------------

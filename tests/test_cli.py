@@ -248,6 +248,17 @@ def test_hilbert_and_nichols_dim(tmp_path):
     assert payload["exact"]
 
 
+def test_s4_nichols_dims_through_degree_five(tmp_path):
+    # Fomin-Kirillov: 1, 6, 19, 42, 71, 96, ... (total 576); degree 5 is a
+    # 7776 x 7776 symmetrizer, ranked mod p block by block
+    code, text = run(tmp_path, "nichols-dim", "--n", "4", "--preset", "--max-degree", "5")
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["dims"] == [1, 6, 19, 42, 71, 96]
+    assert payload["truncated_at"] is None
+    assert not payload["exact"]
+
+
 def test_braiding_output(tmp_path):
     code, text = run(tmp_path, "braiding", "--n", "3", "--preset", "--terms")
     assert code == 0

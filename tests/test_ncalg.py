@@ -3,6 +3,7 @@ series; cross-checks against the braiding-based engine."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,8 @@ from weylrack.conjugacy import transposition_preset
 from weylrack.ncalg import (
     GroebnerBasis,
     NCPresentation,
+    _normal_form,
     a_algebra_presentation,
-    confluence_check,
     fk_presentation,
     hilbert_series,
     nc_groebner,
@@ -89,6 +90,47 @@ def seeded_words(generator_count):
     ]
 
 
+def rightmost_normal_form(poly, index):
+    """Reduce `poly` by `index` = {leading word: monic poly}, rewriting
+    the largest monomial at the rightmost occurrence of a leading word."""
+    poly = dict(poly)
+    out = {}
+    while poly:
+        m = max(poly, key=lambda w: (len(w), w))
+        c = poly.pop(m)
+        hits = [
+            (pos, lead)
+            for pos in range(len(m))
+            for lead in index
+            if m[pos : pos + len(lead)] == lead
+        ]
+        if not hits:
+            out[m] = c
+            continue
+        pos, lead = max(hits)
+        for mm, v in index[lead].items():
+            if mm != lead:
+                key = m[:pos] + mm + m[pos + len(lead) :]
+                w = poly.get(key, 0) - c * v
+                if w:
+                    poly[key] = w
+                else:
+                    poly.pop(key, None)
+    return out
+
+
+def confluence_check(gb, words):
+    """Reduce each word twice, by the leftmost rewriting of `_normal_form`
+    and by `rightmost_normal_form`, and compare the normal forms.  A basis
+    complete through the words' degrees gives equal forms for every word;
+    different forms show an unresolved ambiguity."""
+    index = dict(gb.basis)
+    return all(
+        _normal_form({tuple(w): 1}, index) == rightmost_normal_form({tuple(w): 1}, index)
+        for w in words
+    )
+
+
 def test_confluence_on_random_words():
     gb = nc_groebner(fk_presentation(3), 8)
     words = seeded_words(gb.generator_count)
@@ -101,7 +143,7 @@ def test_confluence_check_fails_on_uncompleted_relations():
     basis = []
     for rel in fk_presentation(3).relations:
         lead = max(rel, key=lambda m: (len(m), m))
-        basis.append((lead, {m: v / rel[lead] for m, v in rel.items()}))
+        basis.append((lead, {m: Fraction(v, rel[lead]) for m, v in rel.items()}))
     basis.sort(key=lambda item: (len(item[0]), item[0]))
     gb = GroebnerBasis(basis, 8, 3)
     assert not confluence_check(gb, seeded_words(gb.generator_count))
@@ -242,3 +284,69 @@ def test_completion_matches_frozen_output(name):
     }
     words = [tuple(int(c, 36) for c in w) for w in leads.split()]
     assert nc_groebner(pres, cap).leading_words() == words
+
+
+def scaled(pres, factor):
+    """The presentation with every relation multiplied by `factor`."""
+    out = NCPresentation(list(pres.generators))
+    for rel in pres.relations:
+        out.add_relation({m: factor * v for m, v in rel.items()})
+    return out
+
+
+def is_exact(v):
+    """An int, or a Fraction only where the denominator is not 1 (never a
+    float)."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def assert_exact_monic(pres, gb):
+    """Every relation and basis coefficient is exact, and every basis
+    polynomial is monic."""
+    assert all(is_exact(v) for rel in pres.relations for v in rel.values())
+    for lead, poly in gb.basis:
+        assert type(poly[lead]) is int and poly[lead] == 1
+        assert all(is_exact(v) for v in poly.values()), poly
+
+
+def quantum_plane():
+    """b a = (2/3) a b and b b = a a: a basis with a coefficient that is
+    not an integer."""
+    pres = NCPresentation(["a", "b"])
+    pres.add_relation({(1, 0): 3, (0, 1): -2})
+    pres.add_relation({(1, 1): 1, (0, 0): -1})
+    return pres
+
+
+def rational_relations():
+    """Three generators and relations with fractional coefficients, whose
+    interreduction meets integral values that arise as Fractions."""
+    pres = NCPresentation(["a", "b", "c"])
+    h = Fraction(3, 2)
+    pres.add_relation({(2, 2): h, (1, 0): h})
+    pres.add_relation({(1, 2): -2, (1, 0): h})
+    pres.add_relation({(0, 0): -1, (2, 0): 2, (2, 1): 3})
+    return pres
+
+
+EXACT_CASES = {
+    "fk-4-lt": (lambda: frozen_presentation("fk-4-lt"), 13),
+    "A-4-1": (lambda: frozen_presentation("A-4-1"), 7),
+    "quantum-plane": (quantum_plane, 6),
+    "rational-relations": (rational_relations, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_completion_is_exact_and_does_not_depend_on_scaling(name):
+    make, cap = EXACT_CASES[name]
+    pres = make()
+    gb = nc_groebner(pres, cap)
+    assert_exact_monic(pres, gb)
+    hilbert = hilbert_series(pres, cap).to_json()
+    for factor in (3, Fraction(2, 3)):
+        other = scaled(pres, factor)
+        other_gb = nc_groebner(other, cap)
+        assert_exact_monic(other, other_gb)
+        assert other_gb.basis == gb.basis
+        assert hilbert_series(other, cap).to_json() == hilbert

@@ -13,6 +13,7 @@ from weylrack import nichols
 from weylrack.conjugacy import transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Permutation
+from weylrack.linalg import primes_for_conductor, rank_two_primes, root_of_unity_mod_p
 from weylrack.nichols import (
     GradedDims,
     TABLE1_CASES,
@@ -95,12 +96,14 @@ def test_default_budget_stops_before_degree_six(monkeypatch):
 
 
 def test_modular_rank_holds_one_working_copy(monkeypatch):
-    # n = 4 to degree 4: only degree 4 is ranked mod p, and its dense
-    # 1296 x 1296 int64 matrix has 13436928 bytes.  Building it mod p and
-    # ranking it may hold that matrix and one working copy, not a third
-    # array of residues.
+    # n = 4 to degree 4: only degree 4 is ranked mod p.  Its blocks are
+    # built mod p one at a time, so the rank may hold the largest block,
+    # its working copy and the elimination's temporaries, never the
+    # dense 1296 x 1296 int64 matrix (13436928 bytes).
     peaks = []
+    chunks = []
     rank = nichols.rank_two_primes
+    blocks = nichols._blocks
 
     def traced(matrix, primes):
         tracemalloc.start()
@@ -111,15 +114,21 @@ def test_modular_rank_holds_one_working_copy(monkeypatch):
             tracemalloc.stop()
         return result
 
+    def recorded(cols, size):
+        chunks.extend(blocks(cols, size))
+        return chunks
+
     monkeypatch.setattr(nichols, "rank_two_primes", traced)
+    monkeypatch.setattr(nichols, "_blocks", recorded)
     assert nichols_graded_dim(braiding_for(4, chi_sgn_sgn), 4).dims == [1, 6, 19, 42, 71]
     assert len(peaks) == 1
-    assert peaks[0] < 2.2 * 8 * 1296**2
+    largest = max(map(len, chunks))
+    assert largest < 1296
+    assert peaks[0] < 3 * 8 * largest**2
 
 
-def test_mixed_conductor_entries_use_the_lcm():
-    # diagonal braiding on D = 11 with entries zeta_3 and zeta_4: the
-    # modular path (D^2 = 121 > 100) needs a conductor divisible by both
+def mixed_conductor_braiding():
+    """Diagonal on D = 11 with entries zeta_3 and zeta_4."""
     D = 11
     q = {3: Cyclo.zeta(3), 4: Cyclo.zeta(4)}
     terms = {
@@ -127,11 +136,88 @@ def test_mixed_conductor_entries_use_the_lcm():
         for a in range(D)
         for b in range(D)
     }
-    out = nichols_graded_dim(Braiding(D, terms), max_degree=2)
+    return Braiding(D, terms)
+
+
+def test_mixed_conductor_entries_use_the_lcm():
+    # the modular path (D^2 = 121 > 100) needs a conductor divisible by
+    # both 3 and 4
+    out = nichols_graded_dim(mixed_conductor_braiding(), max_degree=2)
     # id + c is invertible on every 2x2 block and 1 + zeta_4 != 0
     assert out.dims == [1, 11, 121]
     assert not out.exact
     assert out.method == "mod-p"
+
+
+def dense_mod_p(cols, size, N, p):
+    """S_k over F_p as one dense matrix, as the modular rank built it
+    before it went block by block."""
+    z = root_of_unity_mod_p(N, p)
+    M = np.zeros((size, size), dtype=np.int64)
+    for c, col in cols.items():
+        for r, v in col.items():
+            if not isinstance(v, int):
+                x, v = Cyclo.coerce(v).promote(N), 0
+                for q in reversed(x.coeffs):
+                    v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
+            M[r, c] = v % p
+    return M
+
+
+def planted_blocks(seed, size=400):
+    """A sparse integer matrix, as {column: {row: value}} over every
+    column, made of square blocks (one of them larger than
+    `nichols.BLOCK`) with dependent columns, under a random permutation
+    of rows and columns together."""
+    rng = np.random.default_rng(seed)
+    sizes = [150]
+    while sum(sizes) < size:
+        sizes.append(int(min(rng.integers(1, 40), size - sum(sizes))))
+    perm = rng.permutation(size)
+    cols = {c: {} for c in range(size)}
+    start = 0
+    for m in sizes:
+        block = rng.integers(-3, 4, (m, m)) * (rng.random((m, m)) < 4 / m)
+        for c in rng.choice(m, m // 4, replace=False):
+            a, b = rng.integers(0, m, 2)
+            block[:, c] = block[:, a] - 2 * block[:, b]
+        for r, c in zip(*np.nonzero(block)):
+            cols[int(perm[start + c])][int(perm[start + r])] = int(block[r, c])
+        start += m
+    return cols, size
+
+
+def s4_degree4(char):
+    return dict(symmetrizer_columns(integral(braiding_for(4, char)), 4)), 6**4
+
+
+BLOCK_CASES = {
+    "s4-sgn-sgn-degree-4": (lambda: s4_degree4(chi_sgn_sgn), 1, 71),
+    "s4-eps-sgn-degree-4": (lambda: s4_degree4(chi_eps_sgn), 1, 71),
+    "mixed-conductor-degree-2": (
+        lambda: (dict(symmetrizer_columns(mixed_conductor_braiding(), 2)), 121), 12, 121),
+    "planted-seed-5": (lambda: planted_blocks(5), 1, None),
+    "planted-seed-6": (lambda: planted_blocks(6), 1, None),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_rank_matches_the_dense_rank(case):
+    make, N, expected = BLOCK_CASES[case]
+    cols, size = make()
+    chunks = nichols._blocks(cols, size)
+    # the chunks partition the indices and no entry joins two of them
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(size))
+    chunk_of = {i: n for n, chunk in enumerate(chunks) for i in chunk}
+    assert all(chunk_of[r] == chunk_of[c] for c, col in cols.items() for r in col)
+    dense = rank_two_primes(
+        lambda p: [dense_mod_p(cols, size, N, p)], primes_for_conductor(N)
+    )
+    assert nichols._modular_rank(cols, size, N) == dense
+    if expected is not None:
+        assert dense == expected
+    else:
+        assert 0 < dense < size
 
 
 def diagonal_braiding(q):
