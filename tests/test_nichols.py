@@ -115,8 +115,9 @@ def test_modular_rank_holds_one_working_copy(monkeypatch):
         return result
 
     def recorded(cols, size):
-        chunks.extend(blocks(cols, size))
-        return chunks
+        out = blocks(cols, size)
+        chunks.extend(out)
+        return out
 
     monkeypatch.setattr(nichols, "rank_two_primes", traced)
     monkeypatch.setattr(nichols, "_blocks", recorded)
