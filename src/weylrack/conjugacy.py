@@ -2,8 +2,9 @@
 
 A class, a centralizer or a coset system is held as the arrays P, A and
 keys of groups.to_arrays and groups.encode; SignedPermutation objects are
-built on demand.  Classes and centralizers are enumerated in closed form
-from the signed cycle type of their representative, with no search.  The
+built on demand, and no holder sits in a reference cycle.  Classes and
+centralizers are enumerated in closed form from the signed cycle type
+of their representative, with no search, after check_class_budget.  The
 class element ordering is deterministic: the canonical text-format order
 (groups.text_order), with the defining representative moved to the front
 as t_1.  Coset representatives g_i are the text-format-least conjugators,
@@ -58,13 +59,31 @@ def class_size(group: GroupContext, rep: SignedPermutation) -> int:
     return group.order // denom
 
 
+def check_class_budget(group: GroupContext, rep: SignedPermutation) -> int:
+    """|class of rep|, or BudgetExceeded if the class is over the
+    enumeration cap or the group over the key range; nothing is built."""
+    size = class_size(group, rep)
+    if size > MAX_CLASS_SIZE:
+        raise BudgetExceeded(
+            f"class of {rep} has {size} elements, over the enumeration cap "
+            f"of {MAX_CLASS_SIZE}"
+        )
+    if group.n > MAX_KEY_DEGREE:
+        raise BudgetExceeded(
+            f"{group} has degree {group.n}, over the key range of degree "
+            f"{MAX_KEY_DEGREE}"
+        )
+    return size
+
+
 class ClassElements(Sequence):
     """The elements of a class or a centralizer in its numbering, as
     SignedPermutations.
 
-    A view: its length is the number of rows, and item i is built from
-    row i of the arrays until the first iteration, slice or comparison
-    builds every element once for the owner to keep."""
+    A view, new on each read of `elements`: its length is the number of
+    rows, and item i is built from row i of the arrays until the first
+    iteration, slice or comparison builds every element once for the
+    owner to keep."""
 
     __slots__ = ("_cls",)
 
@@ -108,7 +127,6 @@ class _Rows:
         self._key_order = np.argsort(self.keys)
         self._sorted_keys = self.keys[self._key_order]
         self._elements = None
-        self._view = ClassElements(self)
 
     def locate(self, keys: np.ndarray) -> np.ndarray:
         """The element index of each key, -1 for keys outside the rows."""
@@ -117,7 +135,7 @@ class _Rows:
 
     @property
     def elements(self) -> ClassElements:
-        return self._view
+        return ClassElements(self)  # kept here, it would close a cycle
 
     def _objects(self) -> list:
         """Every element as a SignedPermutation, built once."""
@@ -170,23 +188,12 @@ class ConjugacyClass(_Rows):
     def __init__(self, group: GroupContext, rep: SignedPermutation):
         if rep not in group:
             raise ValueError(f"{rep} is not in {group}")
-        size = class_size(group, rep)
-        if size > MAX_CLASS_SIZE:
-            raise BudgetExceeded(
-                f"class of {rep} has {size} elements, over the enumeration cap "
-                f"of {MAX_CLASS_SIZE}"
-            )
-        if group.n > MAX_KEY_DEGREE:
-            raise BudgetExceeded(
-                f"{group} has degree {group.n}, over the key range of degree "
-                f"{MAX_KEY_DEGREE}"
-            )
         self.group = group
         self.rep = rep
-        self.size = size
+        self.size = check_class_budget(group, rep)
         WP, WA = _class_words(rep, group.signed)
-        if len(WP) != size:
-            raise AssertionError(f"enumerated {len(WP)} elements, expected {size}")
+        if len(WP) != self.size:
+            raise AssertionError(f"enumerated {len(WP)} elements, expected {self.size}")
         P, A = conjugate_pairs(WP, WA, *to_arrays([rep], group.n))
         # rep first, then the rest in text order (the texts are distinct)
         is_rep = encode(P, A) == element_key(rep)
@@ -291,8 +298,7 @@ class Centralizer(_Rows):
     order, enumerated in closed form (see _centralizer_rows)."""
 
     def __init__(self, cls: ConjugacyClass):
-        self.cls = cls
-        self.base = cls.rep
+        # no reference back to cls, which keeps this centralizer
         self.group = cls.group
         # |O_s| * |G^s| = |G|
         self.size = self.group.order // cls.size

@@ -6,9 +6,11 @@ together with r in R, s in S such that sq(r, s) != s is a type-D
 certificate; it proves the class is of type D.
 
 Certificate search is constructive-first: closed-form constructions keyed
-by the cycle type, then pullback along the projection to S_n, then a
-two-seed closure search, then randomized bipartition repair.  Absence of a
-certificate is always reported as inconclusive, never as "not of type D".
+by the cycle type, on the permutation rows of the class, then pullback
+along the projection to S_n (its search cached by tau0 and the seed),
+then a two-seed closure search, then randomized bipartition repair.
+Absence of a certificate is always reported as inconclusive, never as
+"not of type D".
 """
 
 from __future__ import annotations
@@ -34,11 +36,6 @@ from .groups import (
     juxtapose_rows,
     to_arrays,
 )
-
-
-def sq(x, y):
-    """sq(x, y) = x |> (y |> (x |> y)) for group elements or rack pairs."""
-    return x.conjugate(y.conjugate(x.conjugate(y)))
 
 
 # -- closed forms for sq in B_n (Lemma-style sign formulas), on rows -------
@@ -411,31 +408,29 @@ def _perm_keys(P: np.ndarray) -> np.ndarray:
     return encode(P, np.zeros_like(P))
 
 
-def perm_cosets(cls: ConjugacyClass) -> dict:
-    """Class element indices grouped by permutation part, in class order:
-    the class meets the sign-vector coset Z_2^n x| {tau} in the elements
-    perm_cosets[tau]; the parts come in order of first appearance."""
-    _, first, inverse = np.unique(_perm_keys(cls.P), return_index=True, return_inverse=True)
-    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return {
-        Permutation(cls.P[first[g]].tolist()): rows[g].tolist()
-        for g in np.argsort(first).tolist()
-    }
+def _perm_parts(cls: ConjugacyClass) -> tuple:
+    """(parts, coset): the distinct permutation parts of the class as
+    rows, in order of first appearance, and coset(g), the class indices
+    of the elements with part g in class order: the class meets the
+    sign-vector coset Z_2^n x| {parts[g]} there.  Row 0 is the
+    representative, so part 0 is its permutation part tau0.  One stable
+    sort of the part keys groups the class."""
+    keys = _perm_keys(cls.P)
+    order = np.argsort(keys, kind="stable")
+    lo = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    hi = np.append(lo[1:], len(order))
+    first = np.argsort(order[lo])  # the groups in order of first appearance
+    lo, hi = lo[first], hi[first]
+    return cls.P[order[lo]], lambda g: order[lo[g] : hi[g]]
 
 
 def fixed_point_split(cls: ConjugacyClass, f: int) -> tuple:
-    """(R, S): the indices of the class elements fixing the 0-based point
-    f, split by their sign bit at f (R positive, S negative), in class
-    order."""
+    """(R, S): the index arrays of the class elements fixing the 0-based
+    point f, split by their sign bit at f (R positive, S negative), in
+    class order."""
     fixing = np.flatnonzero(cls.P[:, f] == f)
     negative = cls.A[fixing, f] == 1
-    return fixing[~negative].tolist(), fixing[negative].tolist()
-
-
-def _first_by_perm(cls: ConjugacyClass, rows: list) -> dict:
-    """{permutation part: first of `rows` with it}, in order of `rows`."""
-    _, first = np.unique(_perm_keys(cls.P[rows]), return_index=True)
-    return {Permutation(cls.P[rows[i]].tolist()): rows[i] for i in np.sort(first).tolist()}
+    return fixing[~negative], fixing[negative]
 
 
 # -- search ----------------------------------------------------------------
@@ -460,20 +455,23 @@ class SearchResult:
         return self.certificate is not None
 
 
-# shared cache of S_n-rack search results, keyed by (n, cycle type, seed),
-# since the seed decides which certificate is found
+# shared cache of S_n-rack search results, keyed by (tau0's images, seed):
+# all that decides the certificate found
 _SN_CACHE: dict = {}
 
 
 def find_type_d_certificate(rack: FiniteRack, seed: int = 0) -> SearchResult:
     """Try the strategies in order; the first certificate found wins.
     Every strategy takes (rack, seed); only the randomized repair, and the
-    pullback through its search downstairs, use the seed."""
+    pullback through its search downstairs, use the seed.  The first three
+    read the class of a class rack and are tried on class racks only."""
     cls = rack.source
-    strategies = [("commuting-perm-pair", _strategy_commuting_pair)]
-    if cls is not None and cls.group.signed:
-        strategies.append(("fixed-point-sign-split", _strategy_fixed_point_split))
-        strategies.append(("projection-pullback", _strategy_pullback))
+    strategies = []
+    if cls is not None:
+        strategies.append(("commuting-perm-pair", _strategy_commuting_pair))
+        if cls.group.signed:
+            strategies.append(("fixed-point-sign-split", _strategy_fixed_point_split))
+            strategies.append(("projection-pullback", _strategy_pullback))
     strategies.append(("seed-closure", _strategy_seed_closure))
     if rack.size <= EXHAUSTIVE_LIMIT:
         strategies.append(("exhaustive-bipartition", _strategy_exhaustive))
@@ -488,10 +486,21 @@ def find_type_d_certificate(rack: FiniteRack, seed: int = 0) -> SearchResult:
     return SearchResult(None, attempted, exhausted="exhaustive-bipartition" in attempted)
 
 
-def _class_rack(rack: FiniteRack) -> ConjugacyClass:
-    if rack.source is None:
-        raise ValueError("strategy needs a conjugacy-class rack")
-    return rack.source
+def _commuting_partners(parts: np.ndarray) -> list:
+    """The partners tried for tau0 = parts[0], as indices into the rows
+    `parts` of _perm_parts: first the powers tau0^2, tau0^3, ... that are
+    parts, then every other part commuting with tau0, in lexicographic
+    order of images; MAX_COMMUTING_PARTNERS in all."""
+    tau0 = parts[:1]
+    index = {k: g for g, k in enumerate(_perm_keys(parts).tolist())}
+    tried, p = [0], compose_rows(tau0, tau0)
+    while (p != tau0).any():
+        tried += [index[k] for k in _perm_keys(p).tolist() if k in index]
+        p = compose_rows(p, tau0)
+    commuting = (compose_rows(parts, tau0) == compose_rows(tau0, parts)).all(axis=1)
+    commuting[tried] = False
+    order = np.lexsort(parts.T[::-1])
+    return (tried[1:] + order[commuting[order]].tolist())[:MAX_COMMUTING_PARTNERS]
 
 
 def _strategy_commuting_pair(rack: FiniteRack, seed: int):
@@ -502,49 +511,31 @@ def _strategy_commuting_pair(rack: FiniteRack, seed: int):
     Z_2^n x| {mu} for commuting conjugate tau != mu.  Witnesses are found
     through the commuting-case sign identity.
     """
-    cls = _class_rack(rack)
+    cls = rack.source
     if not cls.group.signed:
         return None  # sq(r, s) == s identically when signs are absent
-    tau0 = cls.rep.perm
-    if tau0.is_identity():
+    if cls.rep.perm.is_identity():
         return None
-    groups = perm_cosets(cls)
-    # candidate partners: powers of tau0 first, then every commuting
-    # permutation part in the class
-    candidates = []
-    seen = {tau0}
-    p = tau0 * tau0
-    while p != tau0:
-        if p in groups and p not in seen:
-            candidates.append(p)
-            seen.add(p)
-        p = p * tau0
-    for mu in sorted(groups, key=lambda q: q.images):
-        if mu not in seen and mu.commutes_with(tau0):
-            candidates.append(mu)
-            seen.add(mu)
-        if len(candidates) >= MAX_COMMUTING_PARTNERS:
-            break
-
-    R = groups[tau0]
-    for mu in candidates:
-        S = groups[mu]
-        witness = _commuting_witness(cls, R, S, tau0, mu)
+    parts, coset = _perm_parts(cls)
+    R = coset(0)
+    for g in _commuting_partners(parts):
+        S = coset(g)
+        witness = _commuting_witness(cls, R, S, parts[0], parts[g])
         if witness is None:
             continue
         note = (
             "R and S are the class intersected with the sign-vector "
-            f"cosets of {tau0} and {mu}"
+            f"cosets of {cls.rep.perm} and {Permutation(parts[g].tolist())}"
         )
         return make_certificate(rack, R, S, *witness, "commuting-perm-pair", (note,))
     return None
 
 
-def _commuting_witness(cls: ConjugacyClass, R: list, S: list, tau: Permutation, mu: Permutation):
-    """First (r, s) in R x S (index lists) with sq(r, s) != s, via the
-    sign identity on the sign rows; None if the identity holds on all of
-    R x S."""
-    T, M = (np.array([p.images], dtype=np.int8) for p in (tau, mu))
+def _commuting_witness(cls: ConjugacyClass, R, S, tau: np.ndarray, mu: np.ndarray):
+    """First (r, s) in R x S (index lists, with the commuting permutation
+    parts tau and mu) with sq(r, s) != s, via the sign identity on the
+    sign rows; None if the identity holds on all of R x S."""
+    T, M = tau[None, :], mu[None, :]
     lhs = collapse_lhs(cls.A[R], T, M)
     rhs = collapse_rhs(cls.A[S], T, M)
     # the first r pairs with the first s whose row differs from its own;
@@ -552,10 +543,37 @@ def _commuting_witness(cls: ConjugacyClass, R: list, S: list, tau: Permutation, 
     # from all of them, s = S[0] first
     differs = (rhs != lhs[0]).any(axis=1)
     if differs.any():
-        return R[0], S[int(np.argmax(differs))]
+        return int(R[0]), int(S[np.argmax(differs)])
     differs = (lhs != lhs[0]).any(axis=1)
     if differs.any():
-        return R[int(np.argmax(differs))], S[0]
+        return int(R[np.argmax(differs)]), int(S[0])
+    return None
+
+
+def _first_by_part(cls: ConjugacyClass, rows: np.ndarray) -> np.ndarray:
+    """The first of `rows` with each permutation part, in order of `rows`."""
+    _, first = np.unique(_perm_keys(cls.P[rows]), return_index=True)
+    return rows[np.sort(first)]
+
+
+def _part_witness(cls: ConjugacyClass, R: np.ndarray, S: np.ndarray):
+    """The first (r, s) in R x S (index arrays) whose permutation parts
+    xi, lam have sq(xi, lam) != lam, taking only the first of R and of S
+    with each part, row-major in their order; None if there is none.
+    sq runs on the zero-sign rows of the parts, in blocks of one x row,
+    then two, four, ... up to BLOCK_PAIRS pairs, as a hit comes early."""
+    X, Y = _first_by_part(cls, R), _first_by_part(cls, S)
+    i, step = 0, 1
+    while i < len(X):
+        P = cls.P[X[i : i + step]].repeat(len(Y), 0)
+        Q = np.tile(cls.P[Y], (len(P) // len(Y), 1))
+        zeros = np.zeros_like(P)
+        lam, _ = sq_signed(P, zeros, Q, zeros)
+        hits = np.flatnonzero((lam != Q).any(axis=1))
+        if hits.size:
+            k, j = divmod(int(hits[0]), len(Y))
+            return int(X[i + k]), int(Y[j])
+        i, step = i + step, min(2 * step, max(1, BLOCK_PAIRS // len(Y)))
     return None
 
 
@@ -566,41 +584,31 @@ def _strategy_fixed_point_split(rack: FiniteRack, seed: int):
     the witness is any pair whose permutation parts xi, lam satisfy
     sq(xi, lam) != lam.
     """
-    cls = _class_rack(rack)
+    cls = rack.source
     key = cls.class_key
     if (1, 0) not in key or (1, 1) not in key:
         return None
-    fixed = cls.rep.perm.fixed_points()
-    if not fixed:
-        return None
-    f = max(fixed)
+    # swapping f with a fixed point of the other sign moves rep to the
+    # other side, so neither R nor S is empty
+    f = max(cls.rep.perm.fixed_points())
     R, S = fixed_point_split(cls, f)
-    if not R or not S:
-        return None
-    strategy = "fixed-point-sign-split"
-    notes = (f"split on the sign bit at fixed point {f + 1}",)
-    # look for a witness at the level of permutation parts first
-    perms_S = _first_by_perm(cls, S)
-    for xi, r in _first_by_perm(cls, R).items():
-        for lam, s in perms_S.items():
-            if sq(xi, lam) != lam:
-                return make_certificate(rack, R, S, r, s, strategy, notes)
-    # fall back to a direct scan over element pairs
-    witness = _witness_scan(rack, R, S, MAX_WITNESS_PAIRS)
+    # a witness among the permutation parts first, else among element pairs
+    witness = _part_witness(cls, R, S) or _witness_scan(rack, R, S, MAX_WITNESS_PAIRS)
     if witness is None:
         return None
-    return make_certificate(rack, R, S, *witness, strategy, notes)
+    note = f"split on the sign bit at fixed point {f + 1}"
+    return make_certificate(rack, R, S, *witness, "fixed-point-sign-split", (note,))
 
 
 def _strategy_pullback(rack: FiniteRack, seed: int):
     """Project to the S_n class of the permutation part, search there, and
     pull the decomposition back through the rack epimorphism."""
-    cls = _class_rack(rack)
+    cls = rack.source
     tau0 = cls.rep.perm
     if tau0.is_identity():
         return None
     n = cls.group.n
-    key = (n, tau0.cycle_type(), seed)
+    key = (tau0.images, seed)
     if key not in _SN_CACHE:
         target = ConjugacyClass(Sn(n), SignedPermutation.from_perm(tau0))
         _SN_CACHE[key] = find_type_d_certificate(FiniteRack.from_class(target), seed)

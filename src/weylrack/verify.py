@@ -32,6 +32,7 @@ import numpy as np
 from .conjugacy import (
     ConjugacyClass,
     centralizer_factorization,
+    check_class_budget,
     class_juxtaposition,
     transposition_preset,
 )
@@ -64,9 +65,7 @@ from .racks import (
     fixed_point_split,
     juxtaposition_extend_certificate,
     make_certificate,
-    perm_cosets,
     pullback_type_d,
-    sq,
     sq_fixes_second,
     sq_signed,
     sq_signed_commuting,
@@ -740,23 +739,19 @@ def _class_of(n: int, sign: tuple, perm: Permutation) -> ConjugacyClass:
 
 
 def coset_pair_certificate(
-    cls: ConjugacyClass,
-    tau: Permutation,
-    mu: Permutation,
-    r_elem: SignedPermutation,
-    s_elem: SignedPermutation,
-    note: str,
+    tau: Permutation, mu: Permutation, a: tuple, b: tuple, note: str
 ) -> TypeDCertificate:
-    """R and S are the class elements whose permutation part is exactly
-    tau resp. mu; requires tau and mu to commute so the cross closure
-    holds, and a witness pair with sq(r, s) != s."""
-    if not tau.commutes_with(mu):
+    """In the class of r = (a, tau) in B_n, R and S are the elements
+    whose permutation part is exactly tau resp. mu; requires tau and mu
+    to commute so the cross closure holds, and sq(r, s) != s for
+    s = (b, mu).  All four are selected on the class rows."""
+    cls = _class_of(len(a), a, tau)
+    T, M = np.array([tau.images, mu.images], dtype=np.int8)[:, None]
+    if (compose_rows(T, M) != compose_rows(M, T)).any():
         raise ValueError("permutation parts must commute")
-    rack = FiniteRack.from_class(cls)
-    cosets = perm_cosets(cls)
-    return make_certificate(
-        rack, cosets[tau], cosets[mu], cls.find(r_elem), cls.find(s_elem), "coset-pair", (note,)
-    )
+    R, S = (np.flatnonzero((cls.P == X).all(axis=1)) for X in (T, M))
+    r, s = R[(cls.A[R] == a).all(axis=1)][0], S[(cls.A[S] == b).all(axis=1)][0]
+    return make_certificate(FiniteRack.from_class(cls), R, S, r, s, "coset-pair", (note,))
 
 
 def cycle_split_certificate(n: int, negative: bool) -> TypeDCertificate:
@@ -771,12 +766,7 @@ def cycle_split_certificate(n: int, negative: bool) -> TypeDCertificate:
     else:
         a = (0,) * n
         b = (1, 0, 0, 1, 0) if n == 5 else (1, 1) + (0,) * (n - 2)
-    cls = _class_of(n, a, tau)
-    r = SignedPermutation(a, tau)
-    s = SignedPermutation(b, tau * tau)
-    return coset_pair_certificate(
-        cls, tau, tau * tau, r, s, f"cycle split, n={n}, negative={negative}"
-    )
+    return coset_pair_certificate(tau, tau * tau, a, b, f"cycle split, n={n}, negative={negative}")
 
 
 # the four published sign cases for the double-3-cycle class in B_6
@@ -794,10 +784,7 @@ def double_three_cycle_certificate(case: int) -> TypeDCertificate:
     a, b = _DOUBLE3_CASES[case]
     tau = Permutation.from_cycles(6, [(1, 2, 3), (4, 5, 6)])
     mu = Permutation.from_cycles(6, [(1, 3, 2), (4, 5, 6)])
-    cls = _class_of(6, a, tau)
-    r = SignedPermutation(a, tau)
-    s = SignedPermutation(b, mu)
-    return coset_pair_certificate(cls, tau, mu, r, s, f"double-3-cycle case {case}")
+    return coset_pair_certificate(tau, mu, a, b, f"double-3-cycle case {case}")
 
 
 _TWO_TWO_THREE_CASES = [
@@ -813,10 +800,7 @@ def two_two_three_certificate(case: int) -> TypeDCertificate:
     pi = [(5, 6, 7)]
     tau = Permutation.from_cycles(7, pi + [(1, 2), (3, 4)])
     mu = Permutation.from_cycles(7, pi + [(1, 3), (2, 4)])
-    cls = _class_of(7, a, tau)
-    r = SignedPermutation(a, tau)
-    s = SignedPermutation(b, mu)
-    return coset_pair_certificate(cls, tau, mu, r, s, f"(2,2,3) case {case}")
+    return coset_pair_certificate(tau, mu, a, b, f"(2,2,3) case {case}")
 
 
 _FIXED_SPLIT_FAMILIES = {
@@ -850,12 +834,12 @@ def fixed_sign_split_certificate(n: int, family: str) -> TypeDCertificate:
     cls = _class_of(n, a, tau)
     rack = FiniteRack.from_class(cls)
     R, S = fixed_point_split(cls, n - 1)
-    tau0 = Permutation.from_cycles(n, spec["witness"][0])
-    mu0 = Permutation.from_cycles(n, spec["witness"][1])
-    if sq(tau0, mu0) == mu0:
+    witness = [Permutation.from_cycles(n, c).images for c in spec["witness"]]
+    T, M = np.array(witness, dtype=np.int8)[:, None]
+    zeros = np.zeros_like(T)
+    if (sq_signed(T, zeros, M, zeros)[0] == M).all():
         raise AssertionError("witness permutation pair does not separate")
-    r = next(i for i in R if cls.P[i].tolist() == list(tau0.images))
-    s = next(i for i in S if cls.P[i].tolist() == list(mu0.images))
+    r, s = R[(cls.P[R] == T).all(axis=1)][0], S[(cls.P[S] == M).all(axis=1)][0]
     return make_certificate(rack, R, S, r, s, "fixed-sign-split", (f"{family}, n={n}",))
 
 
@@ -1096,25 +1080,26 @@ def count_nontrivial_classes(n: int) -> int:
     return sum(1 for key in _signed_types(n) if any(l > 1 for l, _ in key))
 
 
+# the scan's sign condition, by the number of distinct fixed-point signs
+_SIGN_CONDITIONS = ("no fixed points", "fixed signs equal", "fixed signs mixed")
+
+
 def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
     """Classify every conjugacy class of B_n with nontrivial permutation
     part: exception-list rows are matched by type, everything else gets a
-    certificate search."""
+    certificate search.  A class too large to search is refused with
+    BudgetExceeded before any class is built."""
     config = config or VerifyConfig()
     group = Bn(n)  # refuses n < 1
+    reps = [r for r in _class_representatives(n) if any(l > 1 for l, _ in r.signed_cycle_type())]
+    for rep in reps:
+        if exception_family(rep.signed_cycle_type()) is None:
+            check_class_budget(group, rep)
     rows = []
     deadline = time.monotonic() + config.scan_time_budget
-    for rep in _class_representatives(n):
+    for rep in reps:
         key = rep.signed_cycle_type()
-        if all(l == 1 for l, _ in key):
-            continue
-        fixed_signs = sorted({p for l, p in key if l == 1})
-        if not fixed_signs:
-            sign_condition = "no fixed points"
-        elif len(fixed_signs) == 1:
-            sign_condition = "fixed signs equal"
-        else:
-            sign_condition = "fixed signs mixed"
+        sign_condition = _SIGN_CONDITIONS[len({p for l, p in key if l == 1})]
         family = exception_family(key)
         cert = None
         if family is not None:

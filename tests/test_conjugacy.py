@@ -1,9 +1,11 @@
 """Conjugacy classes, centralizers, coset systems, and the juxtaposition
 factorizations."""
 
+import gc
 import random
 import re
 import time
+import weakref
 from math import comb
 
 import numpy as np
@@ -75,6 +77,25 @@ def test_centralizer_is_built_once_and_lazily(monkeypatch):
     preset = transposition_preset(4)
     assert preset.centralizer is preset.cls.centralizer()
     assert len(built) == 2
+
+
+def test_classes_are_freed_without_the_cyclic_gc():
+    # no class, centralizer or element view closes a reference cycle, so
+    # reference counting alone frees a class, and its centralizer with it
+    gc.disable()
+    try:
+        for built in range(3):
+            cls = ConjugacyClass(Bn(4), SignedPermutation.parse("1000;(1 2 3)"))
+            held = [weakref.ref(cls)]
+            if built >= 1:
+                held.append(weakref.ref(cls.centralizer()))
+            if built >= 2:
+                list(cls.elements)
+                list(cls.centralizer().elements)
+            del cls
+            assert [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
 
 
 def test_centralizer_is_the_commuting_set():

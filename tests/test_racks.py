@@ -1,8 +1,12 @@
 """Racks, the sq test quantity, certificates, and the search."""
 
 import copy
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import permutations, product
 
 import numpy as np
@@ -14,28 +18,86 @@ from weylrack.conjugacy import ConjugacyClass
 from weylrack.groups import Bn, Permutation, Sn, SignedPermutation, from_arrays, to_arrays
 from weylrack.racks import (
     MAX_CLOSURE_SIZE,
+    MAX_COMMUTING_PARTNERS,
     FiniteRack,
     RackEpimorphism,
     TypeDCertificate,
     _SN_CACHE,
     _closure_failures,
     _closure_from_seeds,
+    _commuting_partners,
     _commuting_witness,
+    _part_witness,
+    _perm_parts,
     _strategy_exhaustive,
     collapse_lhs,
     collapse_rhs,
     find_type_d_certificate,
+    fixed_point_split,
     juxtaposition_extend_certificate,
     make_certificate,
-    perm_cosets,
     pullback_type_d,
-    sq,
     sq_fixes_second,
     sq_signed,
     sq_signed_commuting,
     verify_certificate,
 )
 from weylrack.verify import _class_representatives, exception_family
+
+
+# -- object references for the row search ---------------------------------
+
+
+def sq(x, y):
+    """sq(x, y) = x |> (y |> (x |> y)) on group elements or permutations."""
+    return x.conjugate(y.conjugate(x.conjugate(y)))
+
+
+def perm_cosets(cls) -> dict:
+    """{permutation part: the class indices with it, in class order}, the
+    parts in order of first appearance."""
+    cosets = {}
+    for i, x in enumerate(cls.elements):
+        cosets.setdefault(x.perm, []).append(i)
+    return cosets
+
+
+def commuting_partners(cosets: dict, tau0) -> list:
+    """The partners of tau0 in the order the commuting-pair strategy tries
+    them: the powers tau0^2, tau0^3, ... that are parts, then every other
+    commuting part in lexicographic order of images."""
+    candidates, seen = [], {tau0}
+    p = tau0 * tau0
+    while p != tau0:
+        if p in cosets and p not in seen:
+            candidates.append(p)
+            seen.add(p)
+        p = p * tau0
+    for mu in sorted(cosets, key=lambda q: q.images):
+        if mu not in seen and mu.commutes_with(tau0):
+            candidates.append(mu)
+            seen.add(mu)
+        if len(candidates) >= MAX_COMMUTING_PARTNERS:
+            break
+    return candidates
+
+
+def part_witness(elems: list, R: list, S: list):
+    """The first (r, s), over the first of R and of S with each
+    permutation part, whose parts xi, lam have sq(xi, lam) != lam."""
+
+    def first_by_perm(rows):
+        out = {}
+        for i in rows:
+            out.setdefault(elems[i].perm, i)
+        return out
+
+    perms_S = first_by_perm(S)
+    for xi, r in first_by_perm(R).items():
+        for lam, s in perms_S.items():
+            if sq(xi, lam) != lam:
+                return r, s
+    return None
 
 
 def random_elem(rng, n):
@@ -120,20 +182,66 @@ def test_commuting_witness_is_the_first_pair_of_the_object_loop():
             cls = ConjugacyClass(Bn(n), rep)
             groups = perm_cosets(cls)
             R = groups[tau]
+            elems = list(cls.elements)
             for mu in groups:
                 if not mu.commutes_with(tau):
                     continue
                 S = groups[mu]
-                elems = cls.elements
+                T, M = (np.array(p.images, dtype=np.int8) for p in (tau, mu))
                 # with one s, the first r may pair with nothing
                 for RR, SS in [(R, S)] + [(R, [s]) for s in S]:
                     expect = next(
                         ((r, s) for r in RR for s in SS if sq(elems[r], elems[s]) != elems[s]),
                         None,
                     )
-                    assert _commuting_witness(cls, RR, SS, tau, mu) == expect
+                    assert _commuting_witness(cls, RR, SS, T, M) == expect
                     found.add(None if expect is None else expect[0] == RR[0])
     assert found == {True, False, None}
+
+
+def test_row_search_matches_the_object_loops():
+    # on every class of B_2..B_6: the cosets, the partners of the
+    # commuting-pair strategy in the order tried, and the part-level
+    # witness of the fixed-point split at every fixed point; then the
+    # witness where it comes late, after the parts that commute with
+    # tau0, and where there is none
+    witnessed = []
+    for n in range(2, 7):
+        for rep in _class_representatives(n):
+            if rep.perm.is_identity():
+                continue
+            cls = ConjugacyClass(Bn(n), rep)
+            cosets = perm_cosets(cls)
+            parts, coset = _perm_parts(cls)
+            assert [tuple(p) for p in parts.tolist()] == [tau.images for tau in cosets]
+            assert [coset(g).tolist() for g in range(len(parts))] == list(cosets.values())
+            partners = [Permutation(parts[g].tolist()) for g in _commuting_partners(parts)]
+            assert partners == commuting_partners(cosets, rep.perm)
+            elems = list(cls.elements)
+            splits = [tuple(map(list, fixed_point_split(cls, f))) for f in rep.perm.fixed_points()]
+            late = sorted(cosets, key=lambda mu: not mu.commutes_with(rep.perm))
+            splits.append(([i for mu in late for i in cosets[mu]], cosets[rep.perm]))
+            for R, S in splits:
+                if R and S:
+                    expect = part_witness(elems, R, S)
+                    assert _part_witness(cls, np.array(R), np.array(S)) == expect
+                    witnessed.append(expect and R.index(expect[0]))
+    # no witness, a first pair, and late ones
+    assert None in witnessed and 0 in witnessed and max(filter(None, witnessed)) > 100
+
+
+def test_search_on_a_table_rack_skips_the_class_strategies():
+    # the commuting pair, the fixed-point split and the pullback read the
+    # class of a class rack; a table rack starts at the seed closure
+    cls = ConjugacyClass(Bn(4), SignedPermutation.parse("0100;(3 4)"))
+    rack = conjugation_table_rack([x.format() for x in cls.elements])
+    res = find_type_d_certificate(rack)
+    assert res.attempted == ["seed-closure"]
+    assert verify_certificate(rack, res.certificate).ok
+    # the transpositions of S_3 as 2x - y mod 3: no certificate
+    res = find_type_d_certificate(dihedral(3)[0])
+    assert res.attempted == ["seed-closure", "exhaustive-bipartition", "randomized-repair"]
+    assert not res and res.exhausted
 
 
 def test_class_rack_axioms():
@@ -478,16 +586,49 @@ def test_pullback_lifts_certificates():
 
 
 def test_pullback_cache_is_keyed_by_config():
-    # the seed is the search's only setting: each seed gets its own S_n
-    # search, and the certificate does not depend on which ran first
+    # the S_n search is decided by tau0 and the seed: each seed gets its
+    # own, and the certificate does not depend on which ran first
     cls = ConjugacyClass(Bn(6), SignedPermutation.parse("000000;(1 2 3 4)"))
     rack = FiniteRack.from_class(cls)
     certs = [find_type_d_certificate(rack, seed).certificate for seed in (11, 12, 11)]
-    cycle_type = cls.rep.perm.cycle_type()
-    first, second = _SN_CACHE[(6, cycle_type, 11)], _SN_CACHE[(6, cycle_type, 12)]
+    tau0 = cls.rep.perm.images
+    first, second = _SN_CACHE[(tau0, 11)], _SN_CACHE[(tau0, 12)]
     assert first is not second
     assert certs[0].strategy == "projection-pullback"
     assert certs[0].to_json() == certs[1].to_json() == certs[2].to_json()
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _certificates_in_a_fresh_interpreter(texts: list) -> list:
+    """The certificate JSON of the B_5 class of each text, searched in
+    order by one new interpreter, whose S_n search cache starts empty."""
+    script = f"""
+import json, sys
+sys.path.insert(0, "src")
+from weylrack.conjugacy import ConjugacyClass
+from weylrack.groups import Bn, SignedPermutation
+from weylrack.racks import FiniteRack, find_type_d_certificate
+out = []
+for text in {texts!r}:
+    rack = FiniteRack.from_class(ConjugacyClass(Bn(5), SignedPermutation.parse(text)))
+    out.append(find_type_d_certificate(rack).certificate.to_json())
+print(json.dumps(out))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_certificates_do_not_depend_on_what_ran_before():
+    # two classes of one cycle type with different representatives: the
+    # pullback of each numbers its S_5 class from its own tau0
+    first, second = "00000;(1 2 3 4)", "00000;(2 3 4 5)"
+    alone = [_certificates_in_a_fresh_interpreter([t])[0] for t in (first, second)]
+    assert [c["strategy"] for c in alone] == ["projection-pullback"] * 2
+    assert _certificates_in_a_fresh_interpreter([first, second]) == alone
+    assert _certificates_in_a_fresh_interpreter([second, first]) == alone[::-1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from weylrack import verify
-from weylrack.groups import Bn, Permutation, SignedPermutation, Sn
-from weylrack.racks import sq
+from weylrack.conjugacy import ConjugacyClass
+from weylrack.groups import BudgetExceeded, Bn, Permutation, SignedPermutation, Sn
 from weylrack.verify import (
     LEMMA_CHECKS,
     MAX_N,
@@ -24,6 +24,12 @@ from weylrack.verify import (
     scan_classes,
     verify_lemmas,
 )
+
+
+def sq(x, y):
+    """sq(x, y) = x |> (y |> (x |> y)) on group elements: the object
+    reference for the sign closed forms."""
+    return x.conjugate(y.conjugate(x.conjugate(y)))
 
 
 def test_registry_names_are_unique_and_known():
@@ -120,6 +126,22 @@ def test_time_budget_yields_inconclusive_rows():
     rows = scan_classes(5, VerifyConfig(scan_time_budget=0.0))
     assert rows
     assert all(r.outcome in ("inconclusive", "exception-list") for r in rows)
+
+
+def test_scan_refuses_an_oversized_class_before_building_any(monkeypatch):
+    # 72 rows of B_9 are over the class cap; the first of them in scan
+    # order is refused before the scan builds a single class
+    built = []
+    init = ConjugacyClass.__init__
+
+    def counting_init(self, group, rep):
+        built.append(rep)
+        init(self, group, rep)
+
+    monkeypatch.setattr(verify.ConjugacyClass, "__init__", counting_init)
+    with pytest.raises(BudgetExceeded, match=r"class of 001000000;\(4 5 6 7 8 9\) has 967680"):
+        scan_classes(9)
+    assert built == []
 
 
 def test_emit_report_formats():
