@@ -264,6 +264,26 @@ class Cyclo:
         return " + ".join(terms)
 
 
+def integer_value(v) -> int | None:
+    """v as an int if it is a rational integer written without zeta_N: an
+    int, a Fraction or a `Cyclo` of conductor 1 (so zeta_4^2 is not one);
+    None otherwise."""
+    if isinstance(v, Cyclo):
+        if v.N != 1:
+            return None
+        v = v.coeffs[0]
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else None
+
+
+def as_int(v) -> int:
+    """The `integer_value` of v, which must have one."""
+    out = integer_value(v)
+    if out is None:
+        raise ValueError("expected integer entry")
+    return out
+
+
 def _polydivmod(num: list, den: list) -> tuple:
     num = list(num)
     dd = len(den) - 1

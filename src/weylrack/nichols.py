@@ -8,12 +8,13 @@ lift(w) = c_{i_1} ... c_{i_l} for any reduced word s_{i_1} ... s_{i_l}
 of w, with c_i the braiding applied at tensor positions (i, i+1).
 
 S_k is built on index arrays: the D^k basis tuples of a degree are one
-stack of flat indices, the braiding is a table of target pairs and
-coefficients, and each reduced word is lifted over the whole stack at
-once, in int64 when the braiding is integral and no sum can overflow,
-over the braiding's own objects (big ints, `Cyclo`s) otherwise.  Each
-degree takes one exact or one modular rank path, as `nichols_graded_dim`
-describes.  The modular rank runs block by block: the connected
+stack of flat indices, and each reduced word is lifted over the whole
+stack at once by `Braiding._apply_at`, which reads each pair's targets
+and coefficients from the braiding's own lookup arrays: in int64 when the
+braiding is integral and no sum can overflow, as objects (big ints,
+`Cyclo`s) otherwise.  The degree-2 kernel test applies c the same way.
+Each degree takes one exact or one modular rank path, as
+`nichols_graded_dim` describes.  The modular rank runs block by block: the connected
 components of the support of S_k, packed into chunks, are diagonal
 blocks, and only one block mod p is built at a time.
 """
@@ -22,14 +23,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from math import factorial, lcm
 
 import numpy as np
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, as_int
 from .groups import inverse_rows
 from .linalg import (
     nullspace_rational,
@@ -39,7 +39,7 @@ from .linalg import (
     rank_two_primes,
     root_of_unity_mod_p,
 )
-from .ydmodule import Braiding
+from .ydmodule import Braiding, _combine
 
 
 def reduced_word(images: tuple, from_right: bool = False) -> tuple:
@@ -62,86 +62,13 @@ def reduced_word(images: tuple, from_right: bool = False) -> tuple:
         word.append(i)
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """A braiding as lookup arrays: the terms of the pair a*D + b are
-    target[start:start + count] (each a'*D + b') with coefficients
-    coeff[start:start + count], in int64 or as objects."""
-
-    D: int
-    start: np.ndarray
-    count: np.ndarray
-    target: np.ndarray
-    coeff: np.ndarray
-    bijective: bool  # one non-zero term per pair, targets all distinct
-
-
-def _tables(braiding: Braiding, k: int) -> _Tables:
-    """Lookup arrays for `lift_word` on V^(x k).  Coefficients are int64
-    when every braiding coefficient is an int and no entry of S_k or sum
-    on the way can leave int64: with `norm` the largest sum of |coeff|
-    over the terms of one pair, each is at most norm^(k(k-1)/2) * k!.
-    They are objects (ints, `Cyclo`s) otherwise."""
-    D = braiding.D
-    outs = [braiding.terms[divmod(ab, D)] for ab in range(D * D)]
-    count = np.array([len(out) for out in outs], dtype=np.int64)
-    target = [a * D + b for out in outs for (a, b), _ in out]
-    values = [v for out in outs for _, v in out]
-    dtype = object
-    if all(isinstance(v, int) for v in values):
-        norm = max((sum(abs(v) for _, v in out) for out in outs), default=0)
-        if norm ** (k * (k - 1) // 2) * factorial(k) < 2**63:
-            dtype = np.int64
-    coeff = np.empty(len(values), dtype=dtype)
-    coeff[:] = values
-    bijective = bool((count == 1).all()) and len(set(target)) == D * D and all(values)
-    return _Tables(
-        D,
-        np.cumsum(count) - count,
-        count,
-        np.array(target, dtype=np.int64),
-        coeff,
-        bijective,
-    )
-
-
-def _combine(key: np.ndarray, coeff: np.ndarray) -> tuple:
-    """Sum the coefficients of equal keys and drop the zero sums; the
-    keys come back sorted."""
-    key, inverse = np.unique(key, return_inverse=True)
-    sums = np.zeros(len(key), dtype=coeff.dtype)
-    np.add.at(sums, inverse, coeff)
-    nonzero = sums.astype(bool)
-    return key[nonzero], sums[nonzero]
-
-
-def lift_word(tables: _Tables, word: tuple, k: int, stack: tuple) -> tuple:
-    """Apply the lift of a reduced word to a whole stack of terms.
-
-    The stack is (key, coeff): term i is coeff[i] times the basis tuple
-    of flat index key[i] % D^k in column key[i] // D^k.  Each letter reads
-    the pair at its positions out of the keys, writes the pair's target
-    back and multiplies its coefficient in.  Unless the braiding is a
-    bijection of basis pairs, a pair with several terms repeats its rows
-    and the stack is summed by key after each letter."""
-    key, coeff = stack
-    D2 = tables.D * tables.D
+def lift_word(braiding: Braiding, word: tuple, k: int, stack: tuple) -> tuple:
+    """Apply the lift c_{i_1} ... c_{i_l} of a reduced word to a whole
+    stack of terms on V^(x k), one `Braiding._apply_at` per letter from
+    the right; the stack is as `_apply_at` takes it."""
     for pos in reversed(word):
-        place = tables.D ** (k - 2 - pos)
-        pair = key // place % D2
-        if tables.bijective:
-            term = tables.start[pair]
-        else:
-            count = tables.count[pair]
-            rows = np.repeat(np.arange(len(key)), count)
-            offset = np.repeat(tables.start[pair] - (np.cumsum(count) - count), count)
-            term = offset + np.arange(len(rows))
-            key, coeff, pair = key[rows], coeff[rows], pair[rows]
-        key = key + (tables.target[term] - pair) * place
-        coeff = coeff * tables.coeff[term]
-        if not tables.bijective:
-            key, coeff = _combine(key, coeff)
-    return key, coeff
+        stack = braiding._apply_at(stack, pos, k)
+    return stack
 
 
 def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
@@ -151,12 +78,12 @@ def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
     Basis tuples are flat indices in base D, the first tensor position
     most significant.  All D^k columns start as one stack, each reduced
     word lifts the whole stack at once, and the k! results are summed by
-    (column, row)."""
-    tables = _tables(braiding, k)
+    (column, row): k! words of k(k-1)/2 letters, for `int64_stack`."""
     total = braiding.D**k
-    identity = np.arange(total, dtype=np.int64) * (total + 1), np.ones(total, tables.coeff.dtype)
+    dtype = np.int64 if braiding.int64_stack(k * (k - 1) // 2, factorial(k)) else object
+    identity = np.arange(total, dtype=np.int64) * (total + 1), np.ones(total, dtype)
     words = (reduced_word(p, from_right) for p in permutations(range(k)))
-    keys, coeffs = zip(*(lift_word(tables, w, k, identity) for w in words))
+    keys, coeffs = zip(*(lift_word(braiding, w, k, identity) for w in words))
     key, coeff = _combine(np.concatenate(keys), np.concatenate(coeffs))
     col, row = np.divmod(key, total)
     bounds = np.searchsorted(col, np.arange(total + 1)).tolist()
@@ -233,10 +160,6 @@ def nichols_graded_dim(
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     D = braiding.D
-    integral = all(_is_integer(v) for out in braiding.terms.values() for _, v in out)
-    if integral:
-        terms = {ab: [(t, _as_int(v)) for t, v in out] for ab, out in braiding.terms.items()}
-        braiding = Braiding(D, terms)
     dims = [1] + [D] * (max_degree >= 1)
     exact = True
     methods = set()
@@ -248,8 +171,8 @@ def nichols_graded_dim(
         size = D**k
         cols = dict(symmetrizer_columns(braiding, k, from_right))
         N = lcm(1, *(getattr(v, "N", 1) for col in cols.values() for v in col.values()))
-        if N == 1 and not integral:  # a rational degree of a `Cyclo` braiding
-            cols = {c: {r: _as_int(v) for r, v in col.items()} for c, col in cols.items()}
+        if N == 1 and braiding.norm is None:  # a rational degree of a `Cyclo` braiding
+            cols = {c: {r: as_int(v) for r, v in col.items()} for c, col in cols.items()}
         if size <= (EXACT_LIMIT if N == 1 else CYCLO_EXACT_LIMIT):
             rows = [[0] * size for _ in range(size)]
             for c, col in cols.items():
@@ -266,20 +189,6 @@ def nichols_graded_dim(
             methods.add("mod-p")
             exact = False
     return GradedDims(dims, exact, "+".join(sorted(methods)) or "trivial", truncated)
-
-
-def _is_integer(v) -> bool:
-    """Is v a rational integer written without zeta_N (conductor 1)?"""
-    if isinstance(v, Cyclo):
-        return v.N == 1 and v.coeffs[0].denominator == 1
-    return Fraction(v).denominator == 1
-
-
-def _as_int(v) -> int:
-    q = v.as_rational() if isinstance(v, Cyclo) else Fraction(v)
-    if q.denominator != 1:
-        raise ValueError("expected integer entry")
-    return q.numerator
 
 
 def _modular_rank(cols: dict, size: int, N: int) -> int:
@@ -348,25 +257,19 @@ def _blocks_mod_p(cols: dict, chunks: list, N: int, p: int):
 def degree2_kernel(braiding: Braiding) -> list:
     """Basis of ker(id + c) on V (x) V, as Fraction vectors (requires a
     rational braiding matrix)."""
-    n = braiding.D**2
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), out in braiding.terms.items():
-        col = a * braiding.D + b
-        rows[col][col] += 1
-        for (a2, b2), v in out:
-            rows[a2 * braiding.D + b2][col] += v.as_rational()
-    return nullspace_rational(rows)
+    rows = braiding.matrix()
+    return nullspace_rational(
+        [[v.as_rational() + (r == c) for c, v in enumerate(row)] for r, row in enumerate(rows)]
+    )
 
 
 def in_degree2_kernel(braiding: Braiding, combo: dict) -> bool:
     """Is sum coeff * e_a (x) e_b (combo keyed by pairs) killed by id+c?"""
-    acc: dict = {}
-    for (a, b), coeff in combo.items():
-        coeff = Cyclo.coerce(coeff)
-        acc[(a, b)] = acc.get((a, b), Cyclo.rational(0)) + coeff
-        for (a2, b2), v in braiding.terms[(a, b)]:
-            acc[(a2, b2)] = acc.get((a2, b2), Cyclo.rational(0)) + v * coeff
-    return all(v.is_zero() for v in acc.values())
+    key = np.array([a * braiding.D + b for a, b in combo], dtype=np.int64)
+    coeff = np.array(list(combo.values()), dtype=object)
+    image_key, image_coeff = braiding._apply_at((key, coeff), 0, 2)
+    key, _ = _combine(np.concatenate([key, image_key]), np.concatenate([coeff, image_coeff]))
+    return not len(key)
 
 
 # -- transposition-preset relation patterns --------------------------------
@@ -415,7 +318,7 @@ def table1_values(cs, chi) -> dict:
     out = {}
     for label, member in TABLE1_CASES:
         found = {
-            tuple(map(_as_int, row)) for triple, row in zip(triples, values) if member(*triple)
+            tuple(map(as_int, row)) for triple, row in zip(triples, values) if member(*triple)
         }
         if len(found) > 1:
             raise AssertionError(f"case {label} is not constant: {found}")

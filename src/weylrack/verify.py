@@ -36,6 +36,7 @@ from .conjugacy import (
     class_juxtaposition,
     transposition_preset,
 )
+from .cyclotomic import as_int
 from .groups import (
     Bn,
     Permutation,
@@ -50,7 +51,6 @@ from .groups import (
     mul_rows,
 )
 from .nichols import (
-    _as_int,
     cocycle_values,
     pair_relation_lambdas,
     square_relation_holds,
@@ -698,7 +698,7 @@ def check_sign_products(cfg: VerifyConfig) -> tuple:
         triples = list(itertools.permutations(range(1, n + 1), 3))
         for chi in (chi_sgn_sgn(cent), chi_eps_sgn(cent)):
             for triple, (a, b, c) in zip(triples, cocycle_values(cs, chi, triples)):
-                if _as_int(a * b * c) != -1:
+                if as_int(a * b * c) != -1:
                     return "fail", {"n": n, "triple": triple}
                 total += 1
     return "pass", {"triples": total, "max_n": SIGN_PRODUCT_MAX_N}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugacy import CosetSystem
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, integer_value
 from .groups import SignedPermutation, conjugate_rows, encode, to_arrays
 from .racks import FiniteRack
 from .reps import Rep
@@ -42,7 +42,7 @@ class YDModule:
         """Coaction: basis vector g_i v_j has comodule degree t_i."""
         return self.cls.elements[flat // self.d]
 
-    def check_yd_compatibility(self, sample: int | None = None, seed: int = 0):
+    def check_yd_compatibility(self, sample: int | None = None):
         """delta(h.w) = h w_(-1) h^-1 (x) h.w_(0): the action must move a
         vector of degree t_i into the degree-(h |> t_i) component; one
         cocycle call per h."""
@@ -50,7 +50,7 @@ class YDModule:
         if sample is None:
             elems = group.elements()
         else:
-            rng = random.Random(seed)
+            rng = random.Random(0)
             elems = [group.random_element(rng) for _ in range(sample)]
         every = np.arange(self.m)
         for h, hP, hA in zip(elems, *to_arrays(elems, group.n)):
@@ -86,77 +86,128 @@ class YDModule:
 
 @dataclass
 class Braiding:
-    """c on V (x) V, stored per basis pair: c(e_a (x) e_b) =
-    sum of coeff * e_{a'} (x) e_{b'} over terms[(a,b)]."""
+    """c on V (x) V, stored per basis pair: c(e_a (x) e_b) = sum of
+    coeff * e_{a'} (x) e_{b'} over terms[(a,b)], for every pair.
+
+    Built once, the same terms as lookup arrays: the pair p = a*D + b has
+    targets a'*D + b' in target[start[p]:start[p] + count[p]] and the same
+    slice of the object array `coeff`, where the rational integers of
+    conductor 1 are ints.  If all are ints, `norm` is the largest sum of
+    |coeff| over one pair's terms (else None), and `coeff64` is coeff in
+    int64 when that holds it."""
 
     D: int
     terms: dict
 
+    def __post_init__(self):
+        D = self.D
+        outs = [self.terms[divmod(p, D)] for p in range(D * D)]
+        self.count = np.array([len(out) for out in outs], dtype=np.int64)
+        self.start = np.cumsum(self.count) - self.count
+        targets = [a * D + b for out in outs for (a, b), _ in out]
+        self.target = np.array(targets, dtype=np.int64)
+        values = [v for out in outs for _, v in out]
+        ints = [integer_value(v) for v in values]
+        self.coeff = np.empty(len(values), dtype=object)
+        self.coeff[:] = [v if i is None else i for v, i in zip(values, ints)]
+        # one non-zero term per pair, targets all distinct
+        self.bijective = self.is_monomial and len(set(targets)) == D * D and all(self.coeff)
+        self.norm = None
+        if None not in ints:
+            bounds = zip(self.start.tolist(), self.count.tolist())
+            self.norm = max((sum(map(abs, ints[s : s + n])) for s, n in bounds), default=0)
+        self.coeff64 = self.coeff.astype(np.int64) if self.int64_stack(1, 1) else None
+
     @property
     def is_monomial(self) -> bool:
-        return all(len(v) == 1 for v in self.terms.values())
+        return bool((self.count == 1).all())
+
+    def int64_stack(self, letters: int, words: int) -> bool:
+        """Can a stack hold in int64 sums of `words` products of `letters`
+        coefficients each?  Each such sum is at most norm^letters * words."""
+        return self.norm is not None and self.norm**letters * words < 2**63
 
     def matrix(self) -> list:
         """Dense D^2 x D^2 matrix; row/column index is a*D + b."""
         n = self.D * self.D
         rows = [[Cyclo.rational(0)] * n for _ in range(n)]
-        for (a, b), out in self.terms.items():
-            for (a2, b2), v in out:
-                rows[a2 * self.D + b2][a * self.D + b] = rows[a2 * self.D + b2][
-                    a * self.D + b
-                ] + v
+        cols = np.repeat(np.arange(n), self.count).tolist()
+        for col, row, v in zip(cols, self.target.tolist(), self.coeff):
+            rows[row][col] += v
         return rows
 
     def check_invertible(self):
-        if self.is_monomial:
-            imgs = {next(iter(out))[0] for out in self.terms.values()}
-            if len(imgs) != self.D * self.D or any(
-                next(iter(out))[1].is_zero() for out in self.terms.values()
-            ):
-                raise AssertionError("monomial braiding is not invertible")
+        """c is a bijection of basis pairs with non-zero coefficients, or
+        a non-monomial map of full rank."""
+        if self.bijective:
             return
+        if self.is_monomial:
+            raise AssertionError("monomial braiding is not invertible")
         from .linalg import rank_cyclo_exact
 
         if rank_cyclo_exact(self.matrix()) != self.D * self.D:
             raise AssertionError("braiding matrix is singular")
 
-    def _apply_at(self, state: dict, pos: int, width: int) -> dict:
-        """Apply c at tensor positions (pos, pos+1) to a linear
-        combination of basis tuples of length `width`; the coefficients
-        may be ints or `Cyclo`s."""
-        out: dict = {}
-        for tup, coeff in state.items():
-            for (a2, b2), v in self.terms[(tup[pos], tup[pos + 1])]:
-                new = tup[:pos] + (a2, b2) + tup[pos + 2 :]
-                acc = out.get(new)
-                out[new] = v * coeff if acc is None else acc + v * coeff
-        return {t: v for t, v in out.items() if v}
-
-    def check_braid_equation(self, sample: int | None = None, seed: int = 0):
-        """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on basis
-        triples; exhaustive unless sampled."""
-        if sample is None:
-            triples = (
-                (a, b, c)
-                for a in range(self.D)
-                for b in range(self.D)
-                for c in range(self.D)
-            )
+    def _apply_at(self, stack: tuple, pos: int, k: int) -> tuple:
+        """Apply c at tensor positions (pos, pos+1) of V^(x k) to a stack of
+        terms: the one place c is applied.  Term i of the stack (key, coeff)
+        is coeff[i] times the basis tuple of flat index key[i] % D^k (base
+        D, first position most significant) in column key[i] // D^k.  The
+        pair at the positions is read out of the keys, its target written
+        back and its coefficient multiplied in, from `coeff64` on an int64
+        stack and from `coeff` on an object one.  Unless c is a bijection
+        of basis pairs, a pair with several terms repeats its rows and the
+        stack is summed by key."""
+        key, coeff = stack
+        place = self.D ** (k - 2 - pos)
+        pair = key // place % (self.D * self.D)
+        table = self.coeff64 if coeff.dtype == np.int64 else self.coeff
+        if self.bijective:
+            term = self.start[pair]
         else:
-            rng = random.Random(seed)
-            triples = (
-                tuple(rng.randrange(self.D) for _ in range(3)) for _ in range(sample)
-            )
-        for tup in triples:
-            state = {tup: Cyclo.rational(1)}
-            lhs = self._apply_at(
-                self._apply_at(self._apply_at(state, 0, 3), 1, 3), 0, 3
-            )
-            rhs = self._apply_at(
-                self._apply_at(self._apply_at(state, 1, 3), 0, 3), 1, 3
-            )
-            if lhs != rhs:
-                raise AssertionError(f"braid equation fails on basis {tup}")
+            count = self.count[pair]
+            rows = np.repeat(np.arange(len(key)), count)
+            offset = np.repeat(self.start[pair] - (np.cumsum(count) - count), count)
+            term = offset + np.arange(len(rows))
+            key, coeff, pair = key[rows], coeff[rows], pair[rows]
+        key = key + (self.target[term] - pair) * place
+        coeff = coeff * table[term]
+        if not self.bijective:
+            key, coeff = _combine(key, coeff)
+        return key, coeff
+
+    def check_braid_equation(self, sample: int | None = None):
+        """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on basis
+        triples, exhaustive unless sampled: each side lifts all triples as
+        one stack, a column each, in int64 for an integral braiding, and the
+        first column lhs - rhs leaves names the failing triple."""
+        D, D3 = self.D, self.D**3
+        if sample is None:
+            flat = np.arange(D3, dtype=np.int64)
+        else:
+            rng = random.Random(0)
+            triples = [[rng.randrange(D) for _ in range(3)] for _ in range(sample)]
+            flat = np.array(triples, dtype=np.int64).reshape(-1, 3) @ [D * D, D, 1]
+        key = np.arange(len(flat), dtype=np.int64) * D3 + flat
+        ones = np.ones(len(flat), np.int64 if self.int64_stack(3, 2) else object)
+        lhs, rhs = (key, ones), (key, -ones)
+        for p, q in ((0, 1), (1, 0), (0, 1)):
+            lhs, rhs = self._apply_at(lhs, p, 3), self._apply_at(rhs, q, 3)
+        key, _ = _combine(np.concatenate([lhs[0], rhs[0]]), np.concatenate([lhs[1], rhs[1]]))
+        if len(key):
+            t = int(flat[key[0] // D3])
+            tup = (t // (D * D), t // D % D, t % D)
+            raise AssertionError(f"braid equation fails on basis {tup}")
+
+
+def _combine(key: np.ndarray, coeff: np.ndarray) -> tuple:
+    """Sum the coefficients of equal keys and drop the zero sums; the
+    keys come back sorted."""
+    key, inverse = np.unique(key, return_inverse=True)
+    sums = np.zeros(len(key), dtype=coeff.dtype)
+    np.add.at(sums, inverse, coeff)
+    nonzero = sums.astype(bool)
+    return key[nonzero], sums[nonzero]
 
 
 def build_yd_module(cosets: CosetSystem, rep: Rep) -> YDModule:

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # run in a fresh interpreter: install() patches modules process-wide
@@ -59,3 +61,27 @@ def test_tracer_counts_objects_where_they_are_built():
     assert out["tallied"] == out["len"] == out["order"] == 12
     assert out["len_objects"] == [0, 0]
     assert out["product_objects"] == [1, 1]
+
+
+KERNEL = SCRIPT + """
+import contextlib, io, json
+with contextlib.redirect_stdout(io.StringIO()):
+    assert weylrack.cli.main({argv!r}) == 0
+names = ("nichols.lift_word_calls", "ydmodule.apply_at_calls")
+print(json.dumps({{k: tracer.counts[k] for k in names}}))
+"""
+
+
+@pytest.mark.parametrize("argv, lifts, letters", [
+    # one lift per word (2 + 6 + 24), one kernel call per letter (1 + 9 + 72)
+    (["nichols-dim", "--n", "3", "--preset", "--max-degree", "4"], 32, 82),
+    # the braid check: each side lifts all 27 triples at once, 3 letters each
+    (["braiding", "--n", "3", "--preset"], 0, 6),
+])
+def test_tracer_counts_the_braiding_kernel(argv, lifts, letters):
+    # every application of c goes through `Braiding._apply_at`, and each
+    # symmetrizer word through `nichols.lift_word`
+    proc = _run(KERNEL.format(argv=argv))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "nichols.lift_word_calls": lifts, "ydmodule.apply_at_calls": letters}

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -281,10 +282,23 @@ def test_symmetrizer_word_choice_does_not_matter():
     assert a.dims == b.dims
 
 
+def apply_at_tuples(braiding, state, pos):
+    """c at tensor positions (pos, pos+1) of a linear combination of basis
+    tuples, read off `braiding.terms`: the per-tuple form in which c was
+    first applied."""
+    out = {}
+    for tup, coeff in state.items():
+        for (a2, b2), v in braiding.terms[(tup[pos], tup[pos + 1])]:
+            new = tup[:pos] + (a2, b2) + tup[pos + 2 :]
+            acc = out.get(new)
+            out[new] = v * coeff if acc is None else acc + v * coeff
+    return {t: v for t, v in out.items() if v}
+
+
 def oracle_columns(braiding, k, from_right):
     """S_k column by column, the way it was first built: the sum over all
     permutations of the lift of a reduced word, applied to one basis
-    tuple at a time through `Braiding._apply_at`."""
+    tuple at a time through `apply_at_tuples`."""
     D = braiding.D
     out = {}
     for col in range(D**k):
@@ -293,7 +307,7 @@ def oracle_columns(braiding, k, from_right):
         for p in permutations(range(k)):
             state = {tup: 1}
             for pos in reversed(reduced_word(p, from_right)):
-                state = braiding._apply_at(state, pos, k)
+                state = apply_at_tuples(braiding, state, pos)
             for t, v in state.items():
                 acc[t] = acc.get(t, 0) + v
         flat = (sum(x * D ** (k - 1 - i) for i, x in enumerate(t)) for t in acc)
@@ -302,8 +316,8 @@ def oracle_columns(braiding, k, from_right):
 
 
 def integral(braiding):
-    """The braiding with int coefficients, as `nichols_graded_dim` builds
-    S_k for every rational braiding."""
+    """The braiding with int coefficients in its terms, as `Braiding`
+    stores every rational integer in its lookup arrays."""
     return Braiding(
         braiding.D,
         {ab: [(t, int(v.as_rational())) for t, v in out] for ab, out in braiding.terms.items()},
@@ -348,14 +362,23 @@ def test_symmetrizer_matches_the_per_column_oracle(case, from_right):
 
 
 def test_int64_guard_bounds_every_sum():
-    # k! words of k(k-1)/2 letters: 3^28 * 8! < 2^63 <= 3^36 * 9!
+    def fits(braiding, k):  # S_k: k! words of k(k-1)/2 letters
+        return braiding.int64_stack(k * (k - 1) // 2, factorial(k))
+
+    # 3^28 * 8! < 2^63 <= 3^36 * 9!
     c = diagonal_braiding(lambda a, b: 3 if a != b else -1)
-    assert nichols._tables(c, 8).coeff.dtype == np.int64
-    assert nichols._tables(c, 9).coeff.dtype == object
+    assert fits(c, 8)
+    assert not fits(c, 9)
     # the terms of a pair add up: 1 and 3 bound a sum like a single 4,
     # 4^21 * 7! < 2^63 <= 4^28 * 8!, where a single 3 would still fit
-    assert nichols._tables(two_term_braiding(3), 7).coeff.dtype == np.int64
-    assert nichols._tables(two_term_braiding(3), 8).coeff.dtype == object
+    assert fits(two_term_braiding(3), 7)
+    assert not fits(two_term_braiding(3), 8)
+
+
+def test_check_invertible_takes_int_coefficients():
+    # the ints `Braiding` stores rational integers as
+    diagonal_braiding(lambda a, b: 3 if a != b else -1).check_invertible()
+    diagonal_braiding(lambda a, b: Cyclo.rational(3 if a != b else -1)).check_invertible()
 
 
 def test_degree2_kernel_dimension():

@@ -12,6 +12,7 @@ from weylrack.groups import Bn, Sn, SignedPermutation, encode, mul_rows, to_arra
 from weylrack.reps import Rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
     ArrowYDModule,
+    Braiding,
     YDModule,
     build_yd_module,
     psi_isomorphism_check,
@@ -85,8 +86,52 @@ def test_braid_equation_sampled_s4():
     yd, _, _ = yd_transpositions(4, chi_sgn_sgn)
     c = yd.braiding()
     assert c.D == 6
-    c.check_braid_equation(sample=40, seed=0)
+    c.check_braid_equation(sample=40)
     c.check_invertible()
+
+
+def test_braid_equation_names_the_failing_triple():
+    # negative control: the S_3 braiding with the sign of one pair flipped
+    yd, _, _ = yd_transpositions(3, chi_sgn_sgn)
+    c = yd.braiding()
+    terms = dict(c.terms)
+    terms[(0, 1)] = [(t, -v) for t, v in terms[(0, 1)]]
+    bad = Braiding(c.D, terms)
+    with pytest.raises(AssertionError, match=r"fails on basis \(0, 2, 0\)"):
+        bad.check_braid_equation()
+    with pytest.raises(AssertionError, match=r"fails on basis \(1, 2, 1\)"):
+        bad.check_braid_equation(sample=200)
+    # the same flip written as zeta_2 is not an int: the check runs on objects
+    terms[(0, 1)] = [(t, v * Cyclo.zeta(2)) for t, v in c.terms[(0, 1)]]
+    with pytest.raises(AssertionError, match=r"fails on basis \(0, 2, 0\)"):
+        Braiding(c.D, terms).check_braid_equation()
+
+
+def test_braid_equation_holds_for_diagonal_braidings():
+    # c(e_a (x) e_b) = q(a, b) e_b (x) e_a is a braiding for any q: on int64
+    # stacks, on big ints past the int64 guard and on cyclotomic objects
+    z = Cyclo.zeta(3)
+    for q in (lambda a, b: -1, lambda a, b: 2**40 + a, lambda a, b: z ** (a + 2 * b)):
+        c = Braiding(3, {(a, b): [((b, a), q(a, b))] for a in range(3) for b in range(3)})
+        c.check_braid_equation()
+        c.check_braid_equation(sample=50)
+
+
+def test_check_invertible_refuses_singular_braidings():
+    one, zero = Cyclo.rational(1), Cyclo.rational(0)
+    pairs = [(a, b) for a in range(2) for b in range(2)]
+    repeated = Braiding(2, {(a, b): [((0, 0), one)] for a, b in pairs})
+    zeroed = Braiding(2, {(a, b): [((b, a), zero if a == b == 1 else one)] for a, b in pairs})
+    for c in (repeated, zeroed):
+        assert c.is_monomial
+        with pytest.raises(AssertionError, match="not invertible"):
+            c.check_invertible()
+    # c(e_a (x) e_a) = e_0 (x) e_0 + e_1 (x) e_1 for both a: rank 3
+    collapsed = {(a, a): [((0, 0), one), ((1, 1), one)] for a in range(2)}
+    singular = Braiding(2, {**collapsed, (0, 1): [((1, 0), one)], (1, 0): [((0, 1), one)]})
+    assert not singular.is_monomial
+    with pytest.raises(AssertionError, match="singular"):
+        singular.check_invertible()
 
 
 def test_braiding_coefficients_are_signs():
