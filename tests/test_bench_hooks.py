@@ -85,3 +85,24 @@ def test_tracer_counts_the_braiding_kernel(argv, lifts, letters):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "nichols.lift_word_calls": lifts, "ydmodule.apply_at_calls": letters}
+
+
+GRADED = SCRIPT + """
+import contextlib, io, json
+with contextlib.redirect_stdout(io.StringIO()):
+    assert weylrack.cli.main(["nichols-dim", "--n", "3", "--preset", "--max-degree", "4"]) == 0
+    assert weylrack.cli.main(["hilbert", "--algebra", "fk", "--n", "4", "--cap", "13"]) == 0
+names = ("nichols.symmetrizer_columns", "nichols.symmetrizer_nnz",
+         "ncalg.normal_form_calls", "ncalg.basis_size")
+print(json.dumps({k: tracer.counts[k] for k in names}))
+"""
+
+
+def test_tracer_counts_the_graded_layers():
+    # S_2..S_4 on D = 3 have 9 + 27 + 81 columns and 204 non-zeros; the
+    # completion to cap 13 reduces 125 polynomials into 25 basis elements
+    proc = _run(GRADED)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "nichols.symmetrizer_columns": 117, "nichols.symmetrizer_nnz": 204,
+        "ncalg.normal_form_calls": 125, "ncalg.basis_size": 25}

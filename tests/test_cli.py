@@ -212,6 +212,18 @@ GRADED_DIGESTS = {
         "a7bf66cb3f8f7df57e9b26aeaf44b2ef829651015c8cf6b96a89c11da53a3c17",
     ("hilbert", "--algebra", "fk", "--n", "5", "--cap", "8"):
         "bb8afc0ee5c8009385d96c97664aa1731c940a26ac3393d5cbc70e05d62c6e08",
+    # beyond the benchmark's caps, recorded before S_k was ranked from its
+    # arrays and the completion moved onto integer-coded words: a longer
+    # completion, degree-1 leads, a mod-p degree 5, and a mod-p degree 6
+    # followed by a budget truncation at 7
+    ("hilbert", "--algebra", "fk", "--n", "5", "--cap", "9"):
+        "172c4a7fe09328800c83d7a929856d4162ecd639a207cd8810e9807c2e0b1d9d",
+    ("hilbert", "--algebra", "fk", "--n", "4", "--form", "all", "--cap", "9"):
+        "0a1e07a29de3410c7f09765ab28882f8c13dee2836fec9d6115d89e6591308a8",
+    ("nichols-dim", "--n", "4", "--preset", "--char", "eps-sgn", "--max-degree", "5"):
+        "880483c0e7ac4e8dc0d46559669bfe42d7e393c38767fcb943e37039a93ace12",
+    ("nichols-dim", "--n", "3", "--preset", "--char", "eps-sgn", "--max-degree", "7"):
+        "bc710d234fc47898d27062a5ba43449a278901c46d6dab5eaeedc27a712c153e",
 }
 
 

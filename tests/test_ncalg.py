@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from weylrack.conjugacy import transposition_preset
+from weylrack.cyclotomic import Cyclo
 from weylrack.ncalg import (
     GroebnerBasis,
     NCPresentation,
@@ -20,7 +21,7 @@ from weylrack.ncalg import (
 )
 from weylrack.nichols import nichols_graded_dim
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn
-from weylrack.ydmodule import build_yd_module
+from weylrack.ydmodule import Braiding, build_yd_module
 
 
 def braiding_for(n, char):
@@ -335,6 +336,115 @@ EXACT_CASES = {
     "quantum-plane": (quantum_plane, 6),
     "rational-relations": (rational_relations, 5),
 }
+
+
+def reference_normal_form(poly, index):
+    """Fully reduce `poly` by `index` = {leading word: monic poly} on
+    tuple words: the largest monomial first, at the leftmost occurrence of
+    the shortest leading word there, as the completion first did it."""
+    lengths = sorted({len(w) for w in index})
+    poly = dict(poly)
+    out = {}
+    while poly:
+        m = max(poly, key=lambda w: (len(w), w))
+        c = poly.pop(m)
+        hit = next(
+            ((pos, L) for pos in range(len(m)) for L in lengths if m[pos : pos + L] in index),
+            None,
+        )
+        if hit is None:
+            out[m] = c
+            continue
+        pos, L = hit
+        lead = m[pos : pos + L]
+        for mm, v in index[lead].items():
+            if mm != lead:
+                key = m[:pos] + mm + m[pos + L :]
+                w = poly.get(key, 0) - c * v
+                if w:
+                    poly[key] = w
+                else:
+                    poly.pop(key, None)
+    return out
+
+
+def reference_groebner(pres, cap):
+    """The degree-by-degree completion on tuple words, as it ran before
+    words became ints: pass d reduces the degree-d relations, then every
+    overlap S-polynomial of length d, interreducing the degree-d leads."""
+    def sub_scaled(acc, poly, c, left=()):
+        for m, v in poly.items():
+            w = acc.get(left + m, 0) - c * v
+            if w:
+                acc[left + m] = w
+            else:
+                acc.pop(left + m, None)
+
+    index = {}
+    for d in range(1, cap + 1):
+        polys = [r for r in pres.relations if len(next(iter(r))) == d]
+        leads = sorted(index, key=lambda w: (len(w), w))
+        for lf in leads:
+            for k in range(1, len(lf)):
+                for lg in leads:
+                    if k < len(lg) == d - len(lf) + k and lg[:k] == lf[len(lf) - k :]:
+                        sp = {m + lg[k:]: c for m, c in index[lf].items()}
+                        sub_scaled(sp, index[lg], 1, lf[: len(lf) - k])
+                        polys.append(sp)
+        same_degree = []
+        for poly in polys:
+            poly = reference_normal_form(poly, index)
+            if not poly:
+                continue
+            lead = max(poly, key=lambda w: (len(w), w))
+            poly = {m: Fraction(v) / poly[lead] for m, v in poly.items()}
+            for other in same_degree:
+                if lead in index[other]:
+                    sub_scaled(index[other], poly, index[other][lead])
+            index[lead] = poly
+            same_degree.append(lead)
+    return sorted(index.items(), key=lambda item: (len(item[0]), item[0]))
+
+
+def fraction_cover():
+    """The quadratic cover of a diagonal braiding on D = 3 with q_ab =
+    (a + 2) / (b + 2) off the diagonal, so that q_ab q_ba = 1, and q_00 =
+    -1: its relations have Fraction coefficients."""
+    q = {(a, b): Fraction(a + 2, b + 2) if a != b else 1 - 2 * (a == 0)
+         for a in range(3) for b in range(3)}
+    terms = {ab: [((ab[1], ab[0]), Cyclo.rational(v))] for ab, v in q.items()}
+    return quadratic_cover_presentation(Braiding(3, terms))
+
+
+REFERENCE_CASES = {
+    "fk-3-lt": (lambda: fk_presentation(3), 8),
+    "fk-4-lt": (lambda: fk_presentation(4), 13),
+    "fk-5-lt": (lambda: fk_presentation(5), 8),
+    # degree-1 leads
+    "fk-4-all": (lambda: fk_presentation(4, "all"), 9),
+    "A-4-1": (lambda: frozen_presentation("A-4-1"), 7),
+    "A-4-2": (lambda: frozen_presentation("A-4-2"), 7),
+    "A-4-3": (lambda: frozen_presentation("A-4-3"), 7),
+    "fraction-cover": (fraction_cover, 7),
+    # 21 generators: five bits a letter
+    "fk-7-lt": (lambda: fk_presentation(7), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_completion_matches_the_tuple_reference(name):
+    # the reduced truncated basis is unique (Bergman's diamond lemma), so
+    # the leads and every tail coefficient must agree exactly
+    make, cap = REFERENCE_CASES[name]
+    pres = make()
+    basis = nc_groebner(pres, cap).basis
+    assert [lead for lead, _ in basis] == [lead for lead, _ in reference_groebner(pres, cap)]
+    assert basis == reference_groebner(pres, cap)
+
+
+def test_fraction_cover_has_fraction_relations():
+    pres = fraction_cover()
+    assert any(type(v) is Fraction for rel in pres.relations for v in rel.values())
 
 
 @pytest.mark.parametrize("name", list(EXACT_CASES))
