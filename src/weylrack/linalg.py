@@ -7,9 +7,9 @@ Q(zeta_N), and `nullspace_rational` works over Q.
 
 Every modular rank goes through `rank_two_primes`, the one agreement
 check: it ranks the matrix mod two 31-bit primes (`rank_mod_p`, vectorized
-elimination in numpy) and raises unless they agree.  A block-diagonal
-matrix is given as its blocks mod p, ranked one at a time and summed per
-prime before the check.  The agreed rank is a lower bound.  A matrix
+elimination in numpy, in place) and raises unless they agree; a matrix
+may also be given by its rank mod p, a block-diagonal one ranked block
+by block.  The agreed rank is a lower bound.  A matrix
 over Q(zeta_N) is given by its images mod primes p = 1 (mod N)
 (`primes_for_conductor`), where zeta_N becomes a primitive N-th root of
 unity in F_p (`root_of_unity_mod_p`).
@@ -147,32 +147,31 @@ def rank_cyclo_exact(rows: list) -> int:
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix mod p; vectorized elimination on one
-    working copy."""
-    m = np.array(matrix, dtype=np.int64)
+    """Rank of an integer matrix mod p by vectorized elimination: in
+    place on an int64 ndarray, whose values are lost, and on an int64
+    copy of anything else.  Each step jumps to the next column with a
+    non-zero below the pivots found so far."""
+    m = np.asarray(matrix, dtype=np.int64)
     m %= p
-    nrows, ncols = m.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
+    rank = col = 0
+    while rank < len(m):
+        live = np.flatnonzero((m[rank:, col:] != 0).any(axis=0))
+        if not live.size:
             break
-        nz = np.nonzero(m[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            m[[row, i]] = m[[i, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row] = (m[row] * inv) % p
-        colvals = m[row + 1 :, col].copy()
-        mask = colvals != 0
-        if mask.any():
-            m[row + 1 :][mask] = (
-                m[row + 1 :][mask] - colvals[mask, None] * m[row][None, :]
-            ) % p
-        row += 1
+        col += int(live[0])
+        nz = np.flatnonzero(m[rank:, col])
+        i = rank + int(nz[0])
+        if i != rank:
+            m[[rank, i]] = m[[i, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
+        if nz.size > 1:  # rows below with a non-zero in this column
+            below = m[rank + 1 :]
+            # einsum forms the outer product without the buffers that a
+            # broadcast product allocates
+            below -= np.einsum("i,j->ij", below[:, col], m[rank])
+            below %= p
         rank += 1
+        col += 1
     return rank
 
 
@@ -180,17 +179,15 @@ def rank_two_primes(matrix, primes: tuple = DEFAULT_PRIMES) -> int:
     """Modular rank with two independent primes; raises on disagreement.
 
     `matrix` is an integer ndarray, or a function from a prime p to the
-    diagonal blocks of a block-diagonal matrix mod p, an iterable of
-    ndarrays whose ranks are summed (for a matrix over Q(zeta_N), with
+    rank mod p of a matrix it stands for (for a block-diagonal matrix, the
+    sum of its blocks' `rank_mod_p`; for a matrix over Q(zeta_N), with
     the primes of `primes_for_conductor(N)`).  The agreed value is a
     certified lower bound for the rank over the field and equals it away
     from finitely many primes; callers must flag the lower-bound
     semantics.
     """
-
     def rank(p: int) -> int:
-        blocks = matrix(p) if callable(matrix) else [matrix]
-        return sum(rank_mod_p(block, p) for block in blocks)
+        return matrix(p) if callable(matrix) else rank_mod_p(np.array(matrix, dtype=np.int64), p)
 
     r0, r1 = map(rank, primes)
     if r0 != r1:

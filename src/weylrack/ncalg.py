@@ -7,9 +7,11 @@ comparison.  Coefficients are exact: an int whenever the denominator is
 arithmetic.  The relations are homogeneous, so completion runs degree by
 degree up to a cap: pass d resolves the degree-d relations and the overlap
 ambiguities of length d among the leading words found so far, each once,
-and keeps the basis reduced.  Reduction looks subwords up in a dict keyed
-by leading word.  The truncated basis makes the normal-word counts correct
-through the cap.
+and keeps the basis reduced.  The truncated basis makes the normal-word
+counts correct through the cap.  The completion codes a word of length L
+over G generators as an int of L letters of ceil(log2 G) bits, the first
+most significant: words of one length compare as their codes, subwords
+are read by shift and mask, and tuples return only in the basis.
 """
 
 from __future__ import annotations
@@ -19,15 +21,10 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg
 
 
 def _deglex_key(mono: tuple) -> tuple:
     return (len(mono), mono)
-
-
-def _leading(poly: dict) -> tuple:
-    return max(poly, key=_deglex_key)
 
 
 @dataclass
@@ -178,61 +175,76 @@ def _quotient(v, c):
     return _exact(Fraction(v) / c)
 
 
-def _normal_form(poly: dict, index: dict) -> dict:
-    """Fully reduce `poly` by `index` = {leading word: monic poly}.
+def _encode(word: tuple, bits: int) -> int:
+    return sum(letter << bits * i for i, letter in enumerate(reversed(word)))
+
+
+def _decode(code: int, length: int, bits: int) -> tuple:
+    mask = (1 << bits) - 1
+    return tuple(code >> bits * i & mask for i in range(length - 1, -1, -1))
+
+
+def _normal_form(poly: dict, n: int, probes: list, bits: int) -> dict:
+    """Fully reduce `poly`, whose words all have length n, by the leading
+    words of `probes` (see `nc_groebner`).
 
     The largest monomial is rewritten first, at the leftmost occurrence of
-    a leading word; only the word lengths present in the index are looked
-    up.  Every rewrite makes smaller monomials only, so a monomial
-    containing no leading word is final."""
-    lengths = sorted({len(w) for w in index})
+    a leading word, found by `_leftmost_lead`.  Every rewrite makes
+    smaller monomials only, so a monomial containing no leading word is
+    final."""
     poly = dict(poly)
-    heap = [(_heap_key(m), m) for m in poly]
+    heap = [-m for m in poly]
     heapq.heapify(heap)
     out = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heapq.heappop(heap)
         c = poly.pop(m, None)
         if c is None:  # cancelled, or taken from an earlier entry
             continue
-        n = len(m)
-        hit = None
-        for pos in range(n):
-            for L in lengths:
-                if pos + L > n:
-                    break
-                if m[pos : pos + L] in index:
-                    hit = (m[:pos], m[pos : pos + L], m[pos + L :])
-                    break
-            if hit:
-                break
-        if hit is None:
+        found = _leftmost_lead(m, n, probes, bits)
+        if found is None:
             out[m] = c
             continue
-        left, lead, right = hit
-        for mm, v in index[lead].items():
+        shift, lead, g = found
+        for mm, v in g.items():
             if mm == lead:
                 continue
-            key = left + mm + right
+            key = m + (mm - lead << shift)
             w = poly.get(key, 0) - c * v
             if not w:
                 del poly[key]
             else:
                 if key not in poly:
-                    heapq.heappush(heap, (_heap_key(key), key))
+                    heapq.heappush(heap, -key)
                 poly[key] = w
     return out
 
 
-def _heap_key(mono: tuple) -> tuple:
-    # heapq pops the least key first: deglex-largest monomial first
-    return (-len(mono), tuple(map(neg, mono)))
+def _leftmost_lead(m: int, n: int, probes: list, bits: int):
+    """(shift, lead, monic poly) for the leftmost leading word in the word
+    m of length n, which ends `shift` bits from the right; None if there
+    is none.  Each position reads its subwords of the lead lengths,
+    shortest first, and stops at the first that neither is a lead nor
+    begins one."""
+    for rest in range(n, 0, -1):  # letters from the position to the end
+        for L, mask, leads, begins in probes:
+            if L > rest:
+                break
+            shift = bits * (rest - L)
+            word = m >> shift & mask
+            g = leads.get(word)
+            if g is not None:
+                return shift, word, g
+            if word not in begins:
+                break
+    return None
 
 
-def _sub_scaled(acc: dict, poly: dict, c, left: tuple = (), right: tuple = ()):
-    """acc -= c * left * poly * right, dropping the terms that cancel."""
+def _sub_scaled(acc: dict, poly: dict, c, left: int = 0):
+    """acc -= c * u * poly, dropping the terms that cancel, for the word u
+    given as `left`, shifted past the length of poly's words."""
     for m, v in poly.items():
-        key = left + m + right
+        key = left + m
         w = acc.get(key, 0) - c * v
         if w:
             acc[key] = _exact(w)
@@ -262,49 +274,60 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
     monic polynomial.  A remainder is in normal form, so its lead contains
     no earlier lead and is not inside one: inclusion ambiguities never
     arise, and only the tails of the other degree-d members can contain
-    the new lead, which is reduced away there.
+    the new lead, which is reduced away there.  Pass d reduces by
+    `probes`: one (L, mask, leads, begins) per lead length L up to d, with
+    leads = index[L] and begins the length-L prefixes of longer leads.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    index = {}
+    bits = (len(pres.generators) - 1).bit_length()
+    index, begins = {}, {}
     for d in range(1, cap + 1):
-        inputs = [r for r in pres.relations if len(next(iter(r))) == d]
-        same_degree = []
-        for poly in itertools.chain(inputs, _overlaps(index, d)):
-            poly = _normal_form(poly, index)
+        index[d], begins[d] = {}, set()
+        probes = [(L, (1 << bits * L) - 1, index[L], begins[L]) for L in index if index[L] or L == d]
+        inputs = [
+            {_encode(m, bits): v for m, v in r.items()} for r in pres.relations if len(next(iter(r))) == d
+        ]
+        for poly in itertools.chain(inputs, _overlaps(index, d, bits)):
+            poly = _normal_form(poly, d, probes, bits)
             if not poly:
                 continue
-            lead = _leading(poly)
+            lead = max(poly)
             c = poly[lead]
             poly = {m: _quotient(v, c) for m, v in poly.items()}
-            for other in same_degree:
-                g = index[other]
+            for g in index[d].values():
                 if lead in g:
                     _sub_scaled(g, poly, g[lead])
-            index[lead] = poly
-            same_degree.append(lead)
-    basis = sorted(index.items(), key=lambda item: _deglex_key(item[0]))
+            index[d][lead] = poly
+            for L, _, _, prefixes in probes[:-1]:
+                prefixes.add(lead >> bits * (d - L))
+    basis = [
+        (_decode(lead, L, bits), {_decode(m, L, bits): v for m, v in poly.items()})
+        for L, leads in index.items()
+        for lead, poly in sorted(leads.items())
+    ]
     return GroebnerBasis(basis, cap, len(pres.generators))
 
 
-def _overlaps(index: dict, d: int):
+def _overlaps(index: dict, d: int, bits: int):
     """S-polynomials f * v - u * g of the overlap ambiguities of length d:
     leading words lf = u s and lg = s v with s non-empty and shorter than
-    both, and lf v = u lg of length d."""
-    leads = sorted(index, key=_deglex_key)
+    both, and lf v = u lg of length d, in deglex order of lf, then of the
+    length of s, then of lg."""
     by_prefix = defaultdict(list)
-    for lg in leads:
-        for k in range(1, len(lg)):
-            by_prefix[lg[:k]].append(lg)
-    for lf in leads:
-        for k in range(1, len(lf)):
-            for lg in by_prefix.get(lf[len(lf) - k :], ()):
-                if len(lf) + len(lg) - k != d:
-                    continue
-                u, v = lf[: len(lf) - k], lg[k:]
-                sp = {m + v: c for m, c in index[lf].items()}
-                _sub_scaled(sp, index[lg], 1, u)
-                yield sp
+    for c in range(2, d):
+        for lg in sorted(index[c]):
+            for k in range(1, c):
+                by_prefix[c, k, lg >> bits * (c - k)].append(lg)
+    for a in range(2, d):
+        for lf in sorted(index[a]):
+            for k in range(1, a):
+                c = d - a + k
+                for lg in by_prefix.get((c, k, lf & (1 << bits * k) - 1), ()):
+                    v = lg & (1 << bits * (c - k)) - 1
+                    sp = {m << bits * (c - k) | v: x for m, x in index[a][lf].items()}
+                    _sub_scaled(sp, index[c][lg], 1, lf >> bits * k << bits * c)
+                    yield sp
 
 
 @dataclass

@@ -13,17 +13,14 @@ stack at once by `Braiding._apply_at`, which reads each pair's targets
 and coefficients from the braiding's own lookup arrays: in int64 when the
 braiding is integral and no sum can overflow, as objects (big ints,
 `Cyclo`s) otherwise.  The degree-2 kernel test applies c the same way.
-Each degree takes one exact or one modular rank path, as
-`nichols_graded_dim` describes.  The modular rank runs block by block: the connected
-components of the support of S_k, packed into chunks, are diagonal
-blocks, and only one block mod p is built at a time.
+S_k stays in arrays from the lift to the rank: the connected components
+of its support are its diagonal blocks, each ranked on its own on the
+exact or modular path that `nichols_graded_dim` describes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import permutations
 from math import factorial, lcm
 
@@ -36,6 +33,7 @@ from .linalg import (
     primes_for_conductor,
     rank_cyclo_exact,
     rank_int_exact,
+    rank_mod_p,
     rank_two_primes,
     root_of_unity_mod_p,
 )
@@ -72,8 +70,10 @@ def lift_word(braiding: Braiding, word: tuple, k: int, stack: tuple) -> tuple:
 
 
 def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
-    """Yield (column index, {row index: coeff}) for S_k on V^(x k), in the
-    scalars of the braiding's coefficients, for every column in order.
+    """Yield (column index, entries) for S_k on V^(x k), for every column
+    in order: entries is the column's slice of one array of (column, row,
+    coeff) triples sorted by row, in int64 when the lift is, as objects
+    (big ints, `Cyclo`s) otherwise.
 
     Basis tuples are flat indices in base D, the first tensor position
     most significant.  All D^k columns start as one stack, each reduced
@@ -86,11 +86,10 @@ def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
     keys, coeffs = zip(*(lift_word(braiding, w, k, identity) for w in words))
     key, coeff = _combine(np.concatenate(keys), np.concatenate(coeffs))
     col, row = np.divmod(key, total)
+    entries = np.column_stack((col, row, coeff))
     bounds = np.searchsorted(col, np.arange(total + 1)).tolist()
-    row, coeff = row.tolist(), coeff.tolist()
     for c in range(total):
-        lo, hi = bounds[c], bounds[c + 1]
-        yield c, dict(zip(row[lo:hi], coeff[lo:hi]))
+        yield c, entries[bounds[c] : bounds[c + 1]]
 
 
 @dataclass
@@ -116,13 +115,10 @@ class GradedDims:
 EXACT_LIMIT = 300
 CYCLO_EXACT_LIMIT = 100
 
-# indices per diagonal block of a modular rank (see `_blocks`)
-BLOCK = 128
-
 # default memory budget of one degree, in bytes: n = 4 to degree 5 (a
 # 484 MB dense matrix) fits, degree 6 (17.4 GB) does not.  It still counts
 # one dense D^k x D^k matrix, a deliberate over-estimate: the modular
-# rank holds one diagonal block and its working copy at a time, and
+# rank holds one diagonal block at a time, eliminated in place, and
 # keeping the count keeps the degrees it admits where they were
 MEMORY_BUDGET = 1 << 29
 # peak bytes per (reduced word, column) term of the lift stack, about 77
@@ -148,11 +144,12 @@ def nichols_graded_dim(
 
     S_k is built in ints when every braiding coefficient is a rational
     integer of conductor 1, in `Cyclo`s otherwise.  Each degree's path
-    follows the lcm N of its entries' conductors (an int counts as 1):
-    exact elimination over Z ("exact-int") while D^k <= EXACT_LIMIT, or
-    over Q(zeta_N) ("exact-cyclo") while D^k <= CYCLO_EXACT_LIMIT; beyond,
-    the rank mod two agreeing primes p = 1 (mod N), a lower bound ("mod-p",
-    not exact), summed per prime over the diagonal blocks of `_blocks`.
+    follows the lcm N of its entries' conductors (an int counts as 1, and
+    an int64 S_k is read as N = 1 unscanned): exact elimination over Z
+    ("exact-int") while D^k <= EXACT_LIMIT, or over Q(zeta_N)
+    ("exact-cyclo") while D^k <= CYCLO_EXACT_LIMIT; beyond, the rank mod
+    two agreeing primes p = 1 (mod N), a lower bound ("mod-p", not exact).
+    Either way S_k is ranked by the diagonal blocks of `_components`.
     A non-integer entry of conductor 1 raises ValueError.
     Stops before building a degree whose `_degree_bytes` exceed `budget`
     and records that degree as the truncation.
@@ -169,86 +166,94 @@ def nichols_graded_dim(
             truncated = k
             break
         size = D**k
-        cols = dict(symmetrizer_columns(braiding, k, from_right))
-        N = lcm(1, *(getattr(v, "N", 1) for col in cols.values() for v in col.values()))
-        if N == 1 and braiding.norm is None:  # a rational degree of a `Cyclo` braiding
-            cols = {c: {r: as_int(v) for r, v in col.items()} for c, col in cols.items()}
+        triples = np.concatenate([e for _, e in symmetrizer_columns(braiding, k, from_right)])
+        col, row, coeff = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
+        N = 1
+        if coeff.dtype == object:
+            N = lcm(1, *(getattr(v, "N", 1) for v in coeff))
+            if N == 1 and braiding.norm is None:  # a rational degree of a `Cyclo` braiding
+                coeff = np.frompyfunc(as_int, 1, 1)(coeff)
+        single, parts = _components(row, col, size)
         if size <= (EXACT_LIMIT if N == 1 else CYCLO_EXACT_LIMIT):
-            rows = [[0] * size for _ in range(size)]
-            for c, col in cols.items():
-                for r, v in col.items():
-                    rows[r][c] = v
-            if N == 1:
-                dims.append(rank_int_exact(rows))
-                methods.add("exact-int")
-            else:
-                dims.append(rank_cyclo_exact(rows))
-                methods.add("exact-cyclo")
+            rank = rank_int_exact if N == 1 else rank_cyclo_exact
+            blocks = (_dense(m, i, j, coeff[at]).tolist() for m, i, j, at in parts)
+            dims.append(len(single) + sum(map(rank, blocks)))
+            methods.add("exact-int" if N == 1 else "exact-cyclo")
         else:
-            dims.append(_modular_rank(cols, size, N))
+            dims.append(_modular_rank(coeff, single, parts, N))
             methods.add("mod-p")
             exact = False
     return GradedDims(dims, exact, "+".join(sorted(methods)) or "trivial", truncated)
 
 
-def _modular_rank(cols: dict, size: int, N: int) -> int:
-    """rank S_k mod the two primes of `primes_for_conductor(N)`, summed
-    over the diagonal blocks of `_blocks`, which are built mod p one at a
+def _components(row: np.ndarray, col: np.ndarray, size: int) -> tuple:
+    """The connected components of the support of entries (row, col) on
+    indices 0..size-1, where an entry (r, c) joins r and c.  No entry
+    joins two, so each is a diagonal block under one permutation of rows
+    and columns together, and the rank is the sum of the blocks' ranks.
+
+    Each index starts as its own label; a round hooks the larger label of
+    every entry whose two ends differ onto the smaller, then follows the
+    labels to their roots, until each is the least index of its component.
+    Returns the positions of the entries of the one-index components, and
+    one (m, i, j, at) per larger one: its size m and, for its entries at
+    positions `at`, their rows i and columns j among its indices."""
+    label = np.arange(size)
+    while (join := label[row] != label[col]).any():
+        a, b = label[row[join]], label[col[join]]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    extent = np.bincount(label, minlength=size)  # indices per component, at its label
+    order = np.argsort(label, kind="stable")
+    local = np.empty(size, dtype=np.int64)
+    local[order] = np.arange(size) - (np.cumsum(extent) - extent)[label[order]]
+    comp = label[row]
+    per = np.bincount(comp, minlength=size)  # entries per component
+    by, end = np.argsort(comp, kind="stable"), np.cumsum(per)
+    parts = []
+    for r in np.flatnonzero(extent > 1).tolist():
+        at = by[end[r] - per[r] : end[r]]
+        parts.append((int(extent[r]), local[row[at]], local[col[at]], at))
+    return np.flatnonzero(extent[comp] == 1), parts
+
+
+def _dense(m: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The m x m block with values at (i, j) and zeros elsewhere."""
+    block = np.zeros((m, m), dtype=values.dtype)
+    block[i, j] = values
+    return block
+
+
+def _modular_rank(coeff: np.ndarray, single: np.ndarray, parts: list, N: int) -> int:
+    """rank S_k mod the two primes of `primes_for_conductor(N)`, from the
+    diagonal blocks of `_components`: a one-index block counts when its
+    entry is non-zero mod p, and the larger ones are built mod p one at a
     time."""
-    at_p = partial(_blocks_mod_p, cols, _blocks(cols, size), N)
-    return rank_two_primes(at_p, primes_for_conductor(N))
+
+    def rank(p: int) -> int:
+        z = root_of_unity_mod_p(N, p)
+        out = np.count_nonzero(_residues(coeff[single], N, p, z))
+        for m, i, j, at in parts:
+            out += rank_mod_p(_dense(m, i, j, _residues(coeff[at], N, p, z)), p)
+        return int(out)
+
+    return rank_two_primes(rank, primes_for_conductor(N))
 
 
-def _blocks(cols: dict, size: int) -> list:
-    """The indices 0..size-1 of S_k grouped into diagonal blocks.
-
-    An entry (r, c) joins r and c.  The connected components of the
-    support are packed, smallest first, into chunks of at most `BLOCK`
-    indices; a larger component is a chunk of its own.  No entry joins
-    two chunks, so each chunk's rows and columns form a diagonal block of
-    S_k under one permutation of both, and rank S_k is the sum of the
-    chunks' ranks over any field."""
-    root = list(range(size))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for c, col in cols.items():
-        for r in col:
-            a, b = find(r), find(c)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    components = defaultdict(list)
-    for i in range(size):
-        components[find(i)].append(i)
-    chunks = []
-    for component in sorted(components.values(), key=len):
-        if chunks and len(chunks[-1]) + len(component) <= BLOCK:
-            chunks[-1] += component
-        else:
-            chunks.append(component)
-    return chunks
-
-
-def _blocks_mod_p(cols: dict, chunks: list, N: int, p: int):
-    """Yield the diagonal block of S_k on each chunk of indices over F_p,
-    for a prime p = 1 (mod N): entries in Q(zeta_N) are evaluated at
-    `root_of_unity_mod_p(N, p)`, ints are reduced mod p."""
-    z = root_of_unity_mod_p(N, p)
-    for chunk in chunks:
-        at = {c: i for i, c in enumerate(chunk)}
-        M = np.zeros((len(chunk), len(chunk)), dtype=np.int64)
-        for c in chunk:
-            for r, v in cols[c].items():
-                if not isinstance(v, int):
-                    x, v = Cyclo.coerce(v).promote(N), 0
-                    for q in reversed(x.coeffs):
-                        v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
-                M[at[r], at[c]] = v % p
-        yield M
+def _residues(values: np.ndarray, N: int, p: int, z: int) -> np.ndarray:
+    """values mod a prime p = 1 (mod N) as int64, with zeta_N taken to z:
+    ints are reduced at once, `Cyclo`s evaluated entry by entry."""
+    if N > 1:
+        out = []
+        for v in values:
+            if not isinstance(v, int):
+                x, v = Cyclo.coerce(v).promote(N), 0
+                for q in reversed(x.coeffs):
+                    v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
+            out.append(v)
+        values = np.array(out, dtype=object)
+    return (values % p).astype(np.int64, copy=False)
 
 
 # -- degree-2 relations -----------------------------------------------------

@@ -367,7 +367,7 @@ def _closure_holds(rack: FiniteRack, R, S) -> bool:
         reached[k] = True
         images = np.concatenate([maps[-1][reached]] + [m[k : k + 1] for m in maps[:-1]])
         while images.size:
-            fresh = np.unique(images[~reached[images]])
+            fresh = np.flatnonzero(np.bincount(images[~reached[images]], minlength=len(U)))
             reached[fresh] = True
             images = np.concatenate([m[fresh] for m in maps])
     return True
@@ -648,7 +648,7 @@ def _closure_from_seeds(rack: FiniteRack, x: int, y: int, max_size: int):
         side[images[fresh]] = labels[fresh]
         if (side[images] != labels).any():
             return None  # the orbits meet
-        frontier = np.unique(images[fresh])
+        frontier = np.flatnonzero(np.bincount(images[fresh], minlength=rack.size))
         count += len(frontier)
         if count > max_size:
             return None
@@ -809,7 +809,7 @@ class RackEpimorphism:
         outside = np.flatnonzero(self.images < 0)
         if outside.size:
             raise ValueError(f"image {fxs[int(outside[0])]} is not in the target rack")
-        if np.unique(self.images).size != target.size:
+        if not np.bincount(self.images, minlength=target.size).all():
             raise ValueError("mapping is not surjective")
         every = np.arange(source.size)
         tables = zip(source.op_rows(every, every), target.op_rows(self.images, self.images))

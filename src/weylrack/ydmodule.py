@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjugacy import CosetSystem
 from .cyclotomic import Cyclo, integer_value
-from .groups import SignedPermutation, conjugate_rows, encode, to_arrays
+from .groups import SignedPermutation, conjugate_pairs, encode, to_arrays
 from .racks import FiniteRack
 from .reps import Rep
 
@@ -45,19 +45,20 @@ class YDModule:
     def check_yd_compatibility(self, sample: int | None = None):
         """delta(h.w) = h w_(-1) h^-1 (x) h.w_(0): the action must move a
         vector of degree t_i into the degree-(h |> t_i) component; one
-        cocycle call per h."""
+        cocycle call for all pairs (h, i), failing at the first in order."""
         group, cls = self.cls.group, self.cls
         if sample is None:
             elems = group.elements()
         else:
             rng = random.Random(0)
             elems = [group.random_element(rng) for _ in range(sample)]
-        every = np.arange(self.m)
-        for h, hP, hA in zip(elems, *to_arrays(elems, group.n)):
-            J, _ = self.cosets.zeta(every, hP[None], hA[None])
-            bad = np.flatnonzero(cls.keys[J] != encode(*conjugate_rows(hP, hA, cls.P, cls.A)))
-            if bad.size:
-                raise AssertionError(f"YD compatibility fails at h={h}, class index {bad[0]}")
+        HP, HA = (np.repeat(X, self.m, axis=0) for X in to_arrays(elems, group.n))
+        I = np.tile(np.arange(self.m), len(elems))
+        J, _ = self.cosets.zeta(I, HP, HA)
+        bad = np.flatnonzero(cls.keys[J] != encode(*conjugate_pairs(HP, HA, cls.P[I], cls.A[I])))
+        if bad.size:
+            h, i = divmod(int(bad[0]), self.m)
+            raise AssertionError(f"YD compatibility fails at h={elems[h]}, class index {i}")
 
     def braiding(self) -> "Braiding":
         """c(g_i v_p (x) g_j v_q) = t_i.(g_j v_q) (x) g_i v_p, where

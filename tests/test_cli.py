@@ -454,3 +454,26 @@ def test_lemma_reports_do_not_depend_on_what_ran_before(tmp_path):
     assert run(tmp_path, "scan-classes", "--n", "5")[0] == 0
     assert run(tmp_path, *lemmas) == first
     assert first[0] == 0
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # a bare np.unique imports numpy.ma (about 10 ms, once per process)
+    # inside the timed commands; none of them may need it
+    import os
+    import subprocess
+    import sys
+
+    commands = [["scan-classes", "--n", "5"], ["verify-lemmas"]]
+    commands += [list(argv) for argv in list(GRADED_DIGESTS)[:6]]  # the benchmark's six
+    script = (
+        "import sys\n"
+        "sys.path[:0] = ['src']\n"
+        "from weylrack.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        f"    assert main(argv + ['--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -59,7 +59,11 @@ def test_rank_matches_fraction_oracle():
         expected = rank_fraction_oracle(m)
         assert rank_int_exact(m) == expected
         assert rank_mod_p(np.array(m), DEFAULT_PRIMES[0]) == expected
-        assert rank_two_primes(np.array(m)) == expected
+        # rank_mod_p eliminates an int64 array in place; rank_two_primes
+        # ranks copies and leaves its argument as it was
+        held = np.array(m)
+        assert rank_two_primes(held) == expected
+        assert held.tolist() == m
 
 
 def test_nullspace_vectors_are_killed():

@@ -12,7 +12,6 @@ from weylrack.cyclotomic import Cyclo
 from weylrack.ncalg import (
     GroebnerBasis,
     NCPresentation,
-    _normal_form,
     a_algebra_presentation,
     fk_presentation,
     hilbert_series,
@@ -121,13 +120,14 @@ def rightmost_normal_form(poly, index):
 
 
 def confluence_check(gb, words):
-    """Reduce each word twice, by the leftmost rewriting of `_normal_form`
-    and by `rightmost_normal_form`, and compare the normal forms.  A basis
-    complete through the words' degrees gives equal forms for every word;
-    different forms show an unresolved ambiguity."""
+    """Reduce each word twice, by the leftmost rewriting of
+    `reference_normal_form` and by `rightmost_normal_form`, and compare
+    the normal forms.  A basis complete through the words' degrees gives
+    equal forms for every word; different forms show an unresolved
+    ambiguity."""
     index = dict(gb.basis)
     return all(
-        _normal_form({tuple(w): 1}, index) == rightmost_normal_form({tuple(w): 1}, index)
+        reference_normal_form({tuple(w): 1}, index) == rightmost_normal_form({tuple(w): 1}, index)
         for w in words
     )
 

@@ -14,7 +14,7 @@ from weylrack import nichols
 from weylrack.conjugacy import transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Permutation
-from weylrack.linalg import primes_for_conductor, rank_two_primes, root_of_unity_mod_p
+from weylrack.linalg import primes_for_conductor, rank_mod_p, rank_two_primes, root_of_unity_mod_p
 from weylrack.nichols import (
     GradedDims,
     TABLE1_CASES,
@@ -97,14 +97,15 @@ def test_default_budget_stops_before_degree_six(monkeypatch):
 
 
 def test_modular_rank_holds_one_working_copy(monkeypatch):
-    # n = 4 to degree 4: only degree 4 is ranked mod p.  Its blocks are
-    # built mod p one at a time, so the rank may hold the largest block,
-    # its working copy and the elimination's temporaries, never the
-    # dense 1296 x 1296 int64 matrix (13436928 bytes).
+    # n = 4 to degree 4: only degree 4 is ranked mod p.  Its components
+    # are built mod p one at a time, so the rank may hold the largest
+    # component's block, its working copy and the elimination's
+    # temporaries, never the dense 1296 x 1296 int64 matrix (13436928
+    # bytes).
     peaks = []
-    chunks = []
+    sizes = []
     rank = nichols.rank_two_primes
-    blocks = nichols._blocks
+    components = nichols._components
 
     def traced(matrix, primes):
         tracemalloc.start()
@@ -115,16 +116,16 @@ def test_modular_rank_holds_one_working_copy(monkeypatch):
             tracemalloc.stop()
         return result
 
-    def recorded(cols, size):
-        out = blocks(cols, size)
-        chunks.extend(out)
-        return out
+    def recorded(row, col, size):
+        single, parts = components(row, col, size)
+        sizes.append([m for m, *_ in parts])
+        return single, parts
 
     monkeypatch.setattr(nichols, "rank_two_primes", traced)
-    monkeypatch.setattr(nichols, "_blocks", recorded)
+    monkeypatch.setattr(nichols, "_components", recorded)
     assert nichols_graded_dim(braiding_for(4, chi_sgn_sgn), 4).dims == [1, 6, 19, 42, 71]
     assert len(peaks) == 1
-    largest = max(map(len, chunks))
+    largest = max(sizes[-1])
     assert largest < 1296
     assert peaks[0] < 3 * 8 * largest**2
 
@@ -151,71 +152,99 @@ def test_mixed_conductor_entries_use_the_lcm():
     assert out.method == "mod-p"
 
 
-def dense_mod_p(cols, size, N, p):
+def dense_mod_p(row, col, coeff, size, N, p):
     """S_k over F_p as one dense matrix, as the modular rank built it
     before it went block by block."""
     z = root_of_unity_mod_p(N, p)
     M = np.zeros((size, size), dtype=np.int64)
-    for c, col in cols.items():
-        for r, v in col.items():
-            if not isinstance(v, int):
-                x, v = Cyclo.coerce(v).promote(N), 0
-                for q in reversed(x.coeffs):
-                    v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
-            M[r, c] = v % p
+    for r, c, v in zip(row.tolist(), col.tolist(), coeff.tolist()):
+        if not isinstance(v, int):
+            x, v = Cyclo.coerce(v).promote(N), 0
+            for q in reversed(x.coeffs):
+                v = (v * z + q.numerator * pow(q.denominator, p - 2, p)) % p
+        M[r, c] = v % p
     return M
 
 
 def planted_blocks(seed, size=400):
-    """A sparse integer matrix, as {column: {row: value}} over every
-    column, made of square blocks (one of them larger than
-    `nichols.BLOCK`) with dependent columns, under a random permutation
-    of rows and columns together."""
+    """A sparse integer matrix, as (row, col, coeff, size) arrays, made of
+    square blocks (one of 150 indices) with dependent columns, under a
+    random permutation of rows and columns together."""
     rng = np.random.default_rng(seed)
     sizes = [150]
     while sum(sizes) < size:
         sizes.append(int(min(rng.integers(1, 40), size - sum(sizes))))
     perm = rng.permutation(size)
-    cols = {c: {} for c in range(size)}
+    rows, cols, coeffs = [], [], []
     start = 0
     for m in sizes:
         block = rng.integers(-3, 4, (m, m)) * (rng.random((m, m)) < 4 / m)
         for c in rng.choice(m, m // 4, replace=False):
             a, b = rng.integers(0, m, 2)
             block[:, c] = block[:, a] - 2 * block[:, b]
-        for r, c in zip(*np.nonzero(block)):
-            cols[int(perm[start + c])][int(perm[start + r])] = int(block[r, c])
+        r, c = np.nonzero(block)
+        rows.append(perm[start + r])
+        cols.append(perm[start + c])
+        coeffs.append(block[r, c])
         start += m
-    return cols, size
+    return (*map(np.concatenate, (rows, cols, coeffs)), size)
 
 
-def s4_degree4(char):
-    return dict(symmetrizer_columns(integral(braiding_for(4, char)), 4)), 6**4
+def symmetrizer(braiding, k):
+    """S_k as (row, col, coeff, size), drained from `symmetrizer_columns`
+    as `nichols_graded_dim` drains it."""
+    triples = np.concatenate([e for _, e in symmetrizer_columns(braiding, k)])
+    col, row = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64)
+    return row, col, triples[:, 2], braiding.D**k
 
 
 BLOCK_CASES = {
-    "s4-sgn-sgn-degree-4": (lambda: s4_degree4(chi_sgn_sgn), 1, 71),
-    "s4-eps-sgn-degree-4": (lambda: s4_degree4(chi_eps_sgn), 1, 71),
-    "mixed-conductor-degree-2": (
-        lambda: (dict(symmetrizer_columns(mixed_conductor_braiding(), 2)), 121), 12, 121),
+    "s4-sgn-sgn-degree-4": (lambda: symmetrizer(integral(braiding_for(4, chi_sgn_sgn)), 4), 1, 71),
+    "s4-eps-sgn-degree-4": (lambda: symmetrizer(integral(braiding_for(4, chi_eps_sgn)), 4), 1, 71),
+    "mixed-conductor-degree-2": (lambda: symmetrizer(mixed_conductor_braiding(), 2), 12, 121),
     "planted-seed-5": (lambda: planted_blocks(5), 1, None),
     "planted-seed-6": (lambda: planted_blocks(6), 1, None),
+    # S_5 of the S_3 transposition braiding is zero: no entries at all
+    "s3-degree-5": (lambda: symmetrizer(integral(braiding_for(3, chi_sgn_sgn)), 5), 1, 0),
 }
+
+
+def is_connected(m, i, j):
+    root = list(range(m))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in zip(i.tolist(), j.tolist()):
+        root[find(a)] = find(b)
+    return len({find(x) for x in range(m)}) == 1
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_block_rank_matches_the_dense_rank(case):
     make, N, expected = BLOCK_CASES[case]
-    cols, size = make()
-    chunks = nichols._blocks(cols, size)
-    # the chunks partition the indices and no entry joins two of them
-    assert sorted(i for chunk in chunks for i in chunk) == list(range(size))
-    chunk_of = {i: n for n, chunk in enumerate(chunks) for i in chunk}
-    assert all(chunk_of[r] == chunk_of[c] for c, col in cols.items() for r in col)
+    row, col, coeff, size = make()
+    single, parts = nichols._components(row, col, size)
+    # every entry lies in one component: a one-index one on the diagonal,
+    # or a larger one that is connected and maps its indices one to one
+    assert (row[single] == col[single]).all()
+    seen = set(row[single].tolist())
+    for m, i, j, at in parts:
+        assert is_connected(m, i, j)
+        local = {}
+        for g, a in zip(np.r_[row[at], col[at]].tolist(), np.r_[i, j].tolist()):
+            assert local.setdefault(g, a) == a
+        assert sorted(local.values()) == list(range(m))
+        assert not seen & local.keys()
+        seen |= local.keys()
+    placed = np.concatenate([single] + [at for *_, at in parts])
+    assert sorted(placed.tolist()) == list(range(len(row)))
     dense = rank_two_primes(
-        lambda p: [dense_mod_p(cols, size, N, p)], primes_for_conductor(N)
+        lambda p: rank_mod_p(dense_mod_p(row, col, coeff, size, N, p), p), primes_for_conductor(N)
     )
-    assert nichols._modular_rank(cols, size, N) == dense
+    assert nichols._modular_rank(coeff, single, parts, N) == dense
     if expected is not None:
         assert dense == expected
     else:
@@ -358,7 +387,11 @@ def test_symmetrizer_matches_the_per_column_oracle(case, from_right):
     make, top = ORACLE_CASES[case]
     c = make()
     for k in range(top + 1):
-        assert dict(symmetrizer_columns(c, k, from_right)) == oracle_columns(c, k, from_right), k
+        columns = {
+            col: dict(entries[:, 1:].tolist())
+            for col, entries in symmetrizer_columns(c, k, from_right)
+        }
+        assert columns == oracle_columns(c, k, from_right), k
 
 
 def test_int64_guard_bounds_every_sum():

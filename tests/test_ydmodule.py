@@ -2,6 +2,7 @@
 arrow-module realization."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -201,3 +202,24 @@ def test_adjoint_matches_conjugation_on_degrees():
         i2, coeff = arrow.adjoint(g, i)
         assert arrow.degree_of(i2) == g.conjugate(arrow.degree_of(i))
         assert not coeff.is_zero()
+
+
+def test_compatibility_names_the_first_failing_h(monkeypatch):
+    # the cocycle's class index j is corrupted at two pairs (h, i): the
+    # failure names the earlier h, although the later one has a smaller i
+    cls = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
+    cs = cls.coset_system()
+    yd = YDModule(cs, trivial_rep(cls.centralizer()))
+    elems = cls.group.elements()
+    corrupt = {int(encode(*to_arrays([elems[5]], 3))[0]): 2, int(encode(*to_arrays([elems[9]], 3))[0]): 0}
+    zeta = cs.zeta
+
+    def corrupted(I, HP, HA):
+        J, C = zeta(I, HP, HA)
+        keys = np.broadcast_to(encode(HP, HA), np.shape(I)).tolist()
+        hit = [corrupt.get(k) == i for k, i in zip(keys, np.asarray(I).tolist())]
+        return np.where(hit, (J + 1) % cs.size, J), C
+
+    monkeypatch.setattr(cs, "zeta", corrupted)
+    with pytest.raises(AssertionError, match=re.escape(f"fails at h={elems[5]}, class index 2")):
+        yd.check_yd_compatibility(sample=None)
