@@ -161,8 +161,7 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
         col += int(live[0])
         nz = np.flatnonzero(m[rank:, col])
         i = rank + int(nz[0])
-        if i != rank:
-            m[[rank, i]] = m[[i, rank]]
+        m[[rank, i]] = m[[i, rank]]
         m[rank] = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
         if nz.size > 1:  # rows below with a non-zero in this column
             below = m[rank + 1 :]
@@ -186,9 +185,7 @@ def rank_two_primes(matrix, primes: tuple = DEFAULT_PRIMES) -> int:
     from finitely many primes; callers must flag the lower-bound
     semantics.
     """
-    def rank(p: int) -> int:
-        return matrix(p) if callable(matrix) else rank_mod_p(np.array(matrix, dtype=np.int64), p)
-
+    rank = matrix if callable(matrix) else lambda p: rank_mod_p(np.array(matrix, dtype=np.int64), p)
     r0, r1 = map(rank, primes)
     if r0 != r1:
         raise ArithmeticError(

@@ -281,14 +281,15 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
     if cap < 2:
         raise ValueError("cap must be at least 2")
     bits = (len(pres.generators) - 1).bit_length()
+    relations = defaultdict(list)  # by degree
+    for r in pres.relations:
+        relations[len(next(iter(r)))].append({_encode(m, bits): v for m, v in r.items()})
     index, begins = {}, {}
     for d in range(1, cap + 1):
         index[d], begins[d] = {}, set()
-        probes = [(L, (1 << bits * L) - 1, index[L], begins[L]) for L in index if index[L] or L == d]
-        inputs = [
-            {_encode(m, bits): v for m, v in r.items()} for r in pres.relations if len(next(iter(r))) == d
-        ]
-        for poly in itertools.chain(inputs, _overlaps(index, d, bits)):
+        lengths = [L for L in index if index[L] or L == d]
+        probes = [(L, (1 << bits * L) - 1, index[L], begins[L]) for L in lengths]
+        for poly in itertools.chain(relations[d], _overlaps(index, d, bits)):
             poly = _normal_form(poly, d, probes, bits)
             if not poly:
                 continue

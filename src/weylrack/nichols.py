@@ -167,7 +167,7 @@ def nichols_graded_dim(
             break
         size = D**k
         triples = np.concatenate([e for _, e in symmetrizer_columns(braiding, k, from_right)])
-        col, row, coeff = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
+        (col, row), coeff = triples[:, :2].T.astype(np.int64), triples[:, 2]
         N = 1
         if coeff.dtype == object:
             N = lcm(1, *(getattr(v, "N", 1) for v in coeff))

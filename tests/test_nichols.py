@@ -194,7 +194,7 @@ def symmetrizer(braiding, k):
     """S_k as (row, col, coeff, size), drained from `symmetrizer_columns`
     as `nichols_graded_dim` drains it."""
     triples = np.concatenate([e for _, e in symmetrizer_columns(braiding, k)])
-    col, row = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64)
+    col, row = triples[:, :2].T.astype(np.int64)
     return row, col, triples[:, 2], braiding.D**k
 
 
