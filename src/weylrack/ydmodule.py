@@ -203,12 +203,13 @@ class Braiding:
 
 def _combine(key: np.ndarray, coeff: np.ndarray) -> tuple:
     """Sum the coefficients of equal keys and drop the zero sums; the
-    keys come back sorted."""
-    key, inverse = np.unique(key, return_inverse=True)
-    sums = np.zeros(len(key), dtype=coeff.dtype)
-    np.add.at(sums, inverse, coeff)
+    keys come back sorted.  One sort, then np.add.reduceat over the runs."""
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))  # each run's start
+    sums = np.add.reduceat(coeff[order], first)
     nonzero = sums.astype(bool)
-    return key[nonzero], sums[nonzero]
+    return key[first[nonzero]], sums[nonzero]
 
 
 def build_yd_module(cosets: CosetSystem, rep: Rep) -> YDModule:
