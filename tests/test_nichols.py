@@ -98,8 +98,8 @@ def test_default_budget_stops_before_degree_six(monkeypatch):
 
 def test_modular_rank_holds_one_working_copy(monkeypatch):
     # n = 4 to degree 4: only degree 4 is ranked mod p.  Its components
-    # are built mod p one at a time, so the rank may hold the largest
-    # component's block, its working copy and the elimination's
+    # are built mod p one at a time and eliminated in place, so the rank
+    # may hold the largest component's block and the elimination's
     # temporaries, never the dense 1296 x 1296 int64 matrix (13436928
     # bytes).
     peaks = []
