@@ -10,6 +10,7 @@ results without failures, or input that is refused, invalid or unreadable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,7 +226,10 @@ def cmd_class_info(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="weylrack",
         description="exact computations with signed-permutation conjugacy "

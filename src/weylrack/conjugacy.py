@@ -4,10 +4,12 @@ A class, a centralizer or a coset system is held as the arrays P, A and
 keys of groups.to_arrays and groups.encode; SignedPermutation objects are
 built on demand, and no holder sits in a reference cycle.  Classes and
 centralizers are enumerated in closed form from the signed cycle type
-of their representative, with no search, after check_class_budget.  The
-class element ordering is deterministic: the canonical text-format order
-(groups.text_order), with the defining representative moved to the front
-as t_1.  Coset representatives g_i are the text-format-least conjugators,
+of their representative, with no search, after check_class_budget; a
+build writes its rows a block at a time and keeps one copy of each
+array, so its working memory is a small overhead on the rows it keeps.
+The class element ordering is deterministic: the canonical text-format
+order (groups.text_order), with the defining representative moved to the
+front as t_1.  Coset representatives g_i are the text-format-least conjugators,
 except for the transposition preset which reproduces the explicit g_{kj}
 table for the class of (1 2) in S_n.
 """
@@ -45,6 +47,10 @@ from .groups import (
 # 2^8 8! / 16 = 645120 elements.  Larger classes are refused before any
 # allocation.
 MAX_CLASS_SIZE = 645120
+
+# rows per block: the products g_0 c per text_order call in
+# _least_coset_reps, and the rows a class build writes per flat index
+BLOCK_PRODUCTS = 1 << 14
 
 
 def class_size(group: GroupContext, rep: SignedPermutation) -> int:
@@ -121,9 +127,9 @@ class _Rows:
     one of them without that, and `find`/`find_all` look elements up by
     their keys."""
 
-    def _set_rows(self, P: np.ndarray, A: np.ndarray):
+    def _set_rows(self, P: np.ndarray, A: np.ndarray, keys: np.ndarray | None = None):
         self.P, self.A = P, A
-        self.keys = encode(P, A)
+        self.keys = encode(P, A) if keys is None else keys
         self._key_order = np.argsort(self.keys)
         self._sorted_keys = self.keys[self._key_order]
         self._elements = None
@@ -181,8 +187,9 @@ class ConjugacyClass(_Rows):
     t_1 = rep; the remaining elements are in canonical text-format order
     (groups.text_order).  The class is held as rows (see _Rows), and so
     are its conjugator words: row i of `words` = (WP, WA) conjugates rep
-    to element i, and the word of t_1 is the identity.  Both come in
-    closed form from rep's signed cycle type (see _class_words).
+    to element i, and the word of t_1 is the identity.  The words come
+    in closed form from rep's signed cycle type (see _class_words), the
+    rows from the words (see _conjugates).
     """
 
     def __init__(self, group: GroupContext, rep: SignedPermutation):
@@ -194,13 +201,22 @@ class ConjugacyClass(_Rows):
         WP, WA = _class_words(rep, group.signed)
         if len(WP) != self.size:
             raise AssertionError(f"enumerated {len(WP)} elements, expected {self.size}")
-        P, A = conjugate_pairs(WP, WA, *to_arrays([rep], group.n))
+        P, A = _conjugates(WP, WA, rep)
+        keys = encode(P, A)
         # rep first, then the rest in text order (the texts are distinct)
-        is_rep = encode(P, A) == element_key(rep)
+        is_rep = keys == element_key(rep)
         order = text_order(P, A)
         order = np.concatenate([np.flatnonzero(is_rep), order[~is_rep[order]]])
-        self._set_rows(P[order], A[order])
-        self.words = WP[order], WA[order]
+        # one copy of each array: the unordered one goes as its ordered
+        # copy is made (np.take: a row gather, faster than P[order])
+        P = np.take(P, order, axis=0)
+        A = np.take(A, order, axis=0)
+        keys = keys[order]
+        WP = np.take(WP, order, axis=0)
+        WA = np.take(WA, order, axis=0)
+        del order
+        self._set_rows(P, A, keys)
+        self.words = WP, WA
         if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
             raise AssertionError(f"the class of {rep} repeats an element")
         identity = (self.words[0][0] == np.arange(group.n)).all() and not self.words[1][0].any()
@@ -217,7 +233,7 @@ class ConjugacyClass(_Rows):
         if not np.array_equal(np.sort(rows), np.arange(self.size)):
             raise ValueError("not a renumbering of the class")
         renumbered = copy.copy(self)
-        renumbered._set_rows(self.P[rows], self.A[rows])
+        renumbered._set_rows(self.P[rows], self.A[rows], self.keys[rows])
         renumbered.words = self.words[0][rows], self.words[1][rows]
         return renumbered
 
@@ -289,8 +305,38 @@ def _class_words(rep: SignedPermutation, signed: bool) -> tuple:
     S = np.zeros((1 << len(loose), n), dtype=np.int8)
     S[:, loose] = (np.arange(len(S))[:, None] >> np.arange(len(loose))) & 1
     P = np.repeat(W, len(S), axis=0)
-    # the bit of template point x is the sign at its image g(x)
-    return P, act_rows(P, np.tile(S, (len(W), 1)))
+    A = np.empty_like(P)
+    for rows, at in _blocks(len(P), n):
+        # the bit of template point x is the sign at its image g(x)
+        A[rows].reshape(-1)[at + P[rows]] = S[np.arange(rows.start, rows.stop) % len(S)]
+    return P, A
+
+
+def _blocks(k: int, n: int):
+    """(rows, at) for each block of BLOCK_PRODUCTS of k rows of n
+    columns: the slice of the block, and the offset of each of its rows
+    in the block's flat view, as a column."""
+    for start in range(0, k, BLOCK_PRODUCTS):
+        rows = slice(start, min(start + BLOCK_PRODUCTS, k))
+        yield rows, np.arange(rows.stop - start)[:, None] * n
+
+
+def _conjugates(WP: np.ndarray, WA: np.ndarray, rep: SignedPermutation) -> tuple:
+    """(P, A) of x |> rep for each word x = (a, g) of (WP, WA), as
+    SignedPermutation.conjugate with rep = (b, sigma): P[g(j)] =
+    g(sigma(j)) and A[g(j)] = a_g(j) + b_j + a_g(sigma^-1(j)), written
+    through one flat index per block of rows."""
+    n = rep.n
+    sigma = np.array(rep.perm.images)
+    sigma_inv = np.argsort(sigma)
+    b = np.array(rep.sign, dtype=np.int8)
+    P, A = np.empty_like(WP), np.empty_like(WA)
+    for rows, at in _blocks(len(WP), n):
+        g, a = WP[rows], WA[rows].reshape(-1)
+        image = at + g
+        P[rows].reshape(-1)[image] = g[:, sigma]
+        A[rows].reshape(-1)[image] = a[image] ^ b ^ a[at + g[:, sigma_inv]]
+    return P, A
 
 
 class Centralizer(_Rows):
@@ -311,7 +357,10 @@ class Centralizer(_Rows):
         if len(P) != self.size:
             raise AssertionError(f"centralizer has {len(P)} elements, expected {self.size}")
         order = text_order(P, A)
-        self._set_rows(P[order], A[order])
+        P = np.take(P, order, axis=0)
+        A = np.take(A, order, axis=0)
+        del order
+        self._set_rows(P, A)
 
     @property
     def order(self) -> int:
@@ -410,10 +459,6 @@ class CosetSystem(_Rows):
         if (C < 0).any():
             raise ValueError(f"gamma at row {np.argmax(C < 0)} is outside the centralizer")
         return J, C
-
-
-# products g_0 c per text_order call in _least_coset_reps
-BLOCK_PRODUCTS = 1 << 14
 
 
 def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> tuple:

@@ -420,12 +420,47 @@ def conjugate_rows(tau: np.ndarray, a: np.ndarray, P: np.ndarray, A: np.ndarray)
 def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """The row order of sorted(rows, key=SignedPermutation.sort_key).
 
-    The text "a_1..a_n;(c c c)(c c)" is compared as a token string: the
-    sign bits, then per moved point in cycle-walk order (cycles by their
-    minimum, each walked from it) a number token and the separator after
-    it.  Separators ' ' < ')' + end < ')(' are all below the number
-    tokens, which rank str(v + 1) in string order; "()" is the lone token
-    ')' + end.  Stable, like sorted()."""
+    The text "a_1..a_n;(c c c)(c c)" compares its n sign bits first and
+    its cycle text after them.  So the rows are grouped by permutation
+    part (one sort of perm_keys), the u distinct parts are ranked by
+    their cycle text once each (_cycle_text_ranks), and one stable sort
+    of (sign bits, a_1 most significant) * u + part rank orders the rows:
+    equal rows keep their input order, like sorted()."""
+    k, n = P.shape
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    keys = perm_keys(P)
+    by_part = np.argsort(keys)
+    keys = keys[by_part]
+    new = np.empty(k, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    del keys
+    part = np.cumsum(new)
+    part -= 1
+    ranks = _cycle_text_ranks(P[by_part[new]])
+    key = np.empty(k, dtype=np.int64)
+    key[by_part] = np.take(ranks, part, out=part)
+    del by_part, part
+    signs = np.zeros(k, dtype=np.int64)
+    for i in range(n):
+        signs <<= 1
+        signs += A[:, i]
+    signs *= len(ranks)
+    key += signs
+    del signs
+    return np.argsort(key, kind="stable")
+
+
+def _cycle_text_ranks(P: np.ndarray) -> np.ndarray:
+    """The rank of each row's cycle text "(c c c)(c c)" among the rows,
+    which must be distinct permutations.
+
+    The text is compared as a token string: per moved point in
+    cycle-walk order (cycles by their minimum, each walked from it) a
+    number token and the separator after it.  Separators ' ' < ')' + end
+    < ')(' are all below the number tokens, which rank str(v + 1) in
+    string order; "()" is the lone token ')' + end."""
     k, n = P.shape
     points = np.arange(n, dtype=P.dtype)
     # is_start[i, v]: v is the least point of its cycle, and moved
@@ -456,23 +491,24 @@ def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
         start = np.where(closes, following, start)
         cur = np.where(closes, following, after)
         live &= cur < n
-    # pack the sign bits and the 4-bit tokens, most significant first,
-    # into as few int64 sort keys as hold them
-    fields = [(A[:, i], 1) for i in range(n)] + [(t, 4) for t in tokens]
+    # pack the 4-bit tokens, most significant first, into as few int64
+    # sort keys as hold them
     keys, key, used = [], np.zeros(k, dtype=np.int64), 0
-    for column, bits in fields:
-        if used + bits > 63:
+    for t in tokens:
+        if used + 4 > 63:
             keys.append(key)
             key, used = np.zeros(k, dtype=np.int64), 0
-        key = (key << bits) | column.astype(np.int64)
-        used += bits
+        key = (key << 4) | t.astype(np.int64)
+        used += 4
     keys.append(key)
-    return np.lexsort(keys[::-1])
+    ranks = np.empty(k, dtype=np.intp)
+    ranks[np.lexsort(keys[::-1])] = np.arange(k)
+    return ranks
 
 
-def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """One int64 key per row, (sum_i P[i] n^i) 2^n + sum_i A[i] 2^i;
-    injective on B_n for n <= MAX_KEY_DEGREE."""
+def perm_keys(P: np.ndarray) -> np.ndarray:
+    """One int64 key per row for the permutation part alone,
+    sum_i P[i] n^i: encode's key before the sign bits are shifted in."""
     n = P.shape[1]
     if n > MAX_KEY_DEGREE:
         raise ValueError(f"degree {n} exceeds the int64 key range")
@@ -481,7 +517,14 @@ def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     for i in reversed(range(n)):
         keys *= n
         keys += P[:, i]
-    for i in reversed(range(n)):
+    return keys
+
+
+def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """One int64 key per row, (sum_i P[i] n^i) 2^n + sum_i A[i] 2^i;
+    injective on B_n for n <= MAX_KEY_DEGREE."""
+    keys = perm_keys(P)
+    for i in reversed(range(P.shape[1])):
         keys <<= 1
         keys += A[:, i]
     return keys

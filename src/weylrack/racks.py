@@ -34,6 +34,7 @@ from .groups import (
     encode,
     invert_rows,
     juxtapose_rows,
+    perm_keys,
     to_arrays,
 )
 
@@ -404,8 +405,9 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
 
 
 def _perm_keys(P: np.ndarray) -> np.ndarray:
-    """One key per row for the permutation part alone."""
-    return encode(P, np.zeros_like(P))
+    """One key per row for the permutation part alone: encode's key of
+    the row with zero signs."""
+    return perm_keys(P) << P.shape[1]
 
 
 def _perm_parts(cls: ConjugacyClass) -> tuple:

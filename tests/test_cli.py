@@ -237,6 +237,63 @@ def test_graded_path_bytes_are_pinned(tmp_path, argv):
     assert hashlib.sha256(data).hexdigest() == GRADED_DIGESTS[argv]
 
 
+# SHA-256 of `class-info` on the class at the enumeration cap (645120
+# elements), recorded before the class build moved onto blocked flat
+# indices
+CLASS_INFO_DIGESTS = {
+    ("class-info", "--n", "8", "--element", "00000000;(1 2 3 4 5 6 7 8)"):
+        "afb9a50100bb77c36a5d6583b98ce1508b6f653eba23bf6e8c229b8697edd5c5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLASS_INFO_DIGESTS), ids=" ".join)
+def test_class_info_bytes_are_pinned(tmp_path, argv):
+    import hashlib
+
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CLASS_INFO_DIGESTS[argv]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a run of calls, a bad flag
+    # among them, gives the bytes each call gives in a fresh process
+    import os
+    import subprocess
+    import sys
+
+    from weylrack.cli import build_parser
+
+    calls = [
+        ["scan-classes", "--n", "4"],
+        ["scan-classes", "--n", "4", "--no-such-flag"],
+        ["hilbert", "--algebra", "fk", "--n", "4"],
+        ["scan-classes", "--n", "4"],
+    ]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # usage lines wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    for argv in calls:
+        out.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylrack.cli", *argv, "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        fresh = (proc.returncode, proc.stderr, out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        here = (code, capsys.readouterr().err, out.read_bytes() if out.exists() else None)
+        assert here == fresh
+    assert build_parser() is build_parser()
+
+
 def test_hilbert_and_nichols_dim(tmp_path):
     code, text = run(tmp_path, "hilbert", "--algebra", "fk", "--n", "3", "--cap", "8")
     assert code == 0

@@ -2,9 +2,11 @@
 factorizations."""
 
 import gc
+import hashlib
 import random
 import re
 import time
+import tracemalloc
 import weakref
 from math import comb
 
@@ -122,24 +124,84 @@ def test_oversized_centralizer_is_refused_up_front():
     assert time.monotonic() - start < 1.0
 
 
+def _sha256(*arrays) -> list:
+    """The SHA-256 of each int8 array's bytes, in row-major order."""
+    return [
+        hashlib.sha256(np.ascontiguousarray(a, dtype=np.int8).tobytes()).hexdigest()
+        for a in arrays
+    ]
+
+
+# SHA-256 of P, A and the word arrays WP, WA of classes too large for the
+# one-at-a-time oracle, recorded before the class build moved onto
+# blocked flat indices and text_order onto the distinct permutation
+# parts; they pin the numbering independently of text_order
+LARGE_CLASS_DIGESTS = {
+    "0000000;(1 2 3 4 5 6 7)": [
+        "000f172f908180a63c9239c5b66770a57e18471572a960791069f435dec93a3a",
+        "9ab272c8ea962e96227fb00dd3a29aa90948620c668524cc0be2eb7ba3c2ea83",
+        "4e12206cfd1d735288979408b5685ae4507fccc9d17f3e4253245ba1a5b574c1",
+        "0d29435c9ea12196bec9b394e69bccfb5224be22f7d4e9e1b9906160adec3543",
+    ],
+    "00000000;(1 2 3 4 5 6 7 8)": [
+        "c57ff3387361ecd4fa4fbf3d02645eb711e6e613140c036bb3e8a6b3e6003f17",
+        "a758a871c632492349477e24ee237c3d0a340c5546a31bfbf61ae52b267b86d5",
+        "7f3ae926ee08f8d161343ac421c4f09d8920a87d34133c5a6c184a776a587288",
+        "ce5df7bd557fbbffddb09d934a26814e45de9550e07c5938f2c0f6b79cb62682",
+    ],
+}
+
+
 def test_largest_admitted_centralizer_is_closed():
-    # B_7's identity: the whole group, 645120 elements, at the cap
+    # B_7's identity: the whole group, 645120 elements, at the cap, in
+    # the recorded text-format order
     cent = ConjugacyClass(Bn(7), Bn(7).identity).centralizer()
     assert cent.order == 645120
     assert cent.keys.size == np.unique(cent.keys).size == 645120
-    assert (text_order(cent.P, cent.A) == np.arange(cent.size)).all()
+    assert _sha256(cent.P, cent.A) == [
+        "60bebbf9e3635027a7164690efcf9f7d231b24f9b9cf73e8c29abc634bb1a373",
+        "0437ceb6a8bbc57bbe0128176a40ac274e8235ad80f1c38684f48bd2deb237b6",
+    ]
+
+
+def _check_pinned_class(text: str) -> ConjugacyClass:
+    """The class of `text` in B_n: each element reached by its word, the
+    rep first, and rows and words as recorded."""
+    rep = SignedPermutation.parse(text)
+    cls = ConjugacyClass(Bn(rep.n), rep)
+    assert cls.size == np.unique(cls.keys).size
+    assert cls.element(0) == rep
+    images = encode(*conjugate_pairs(*cls.words, *to_arrays([rep], rep.n)))
+    assert np.array_equal(images, cls.keys)
+    assert _sha256(cls.P, cls.A, *cls.words) == LARGE_CLASS_DIGESTS[text]
+    return cls
 
 
 def test_largest_admitted_class_is_enumerated():
-    # the 8-cycles of B_8: 645120 elements at the cap, each reached by
-    # its word, the rep first and the rest in text-format order
-    rep = SignedPermutation.parse("00000000;(1 2 3 4 5 6 7 8)")
-    cls = ConjugacyClass(Bn(8), rep)
-    assert cls.size == np.unique(cls.keys).size == 645120
-    assert cls.element(0) == rep
-    assert (text_order(cls.P[1:], cls.A[1:]) == np.arange(cls.size - 1)).all()
-    images = encode(*conjugate_pairs(*cls.words, *to_arrays([rep], 8)))
-    assert np.array_equal(images, cls.keys)
+    # the 8-cycles of B_8: 645120 elements, at the cap
+    assert _check_pinned_class("00000000;(1 2 3 4 5 6 7 8)").size == 645120
+
+
+def test_seven_cycle_class_numbering_is_pinned():
+    # the 7-cycles of B_7, 46080 elements: the two classes cycle-split
+    # builds are of this size
+    assert _check_pinned_class("0000000;(1 2 3 4 5 6 7)").size == 46080
+
+
+def test_class_build_working_memory_is_bounded():
+    # the 7-cycles of B_7: the build allocates at most 1.5 MB beyond the
+    # 2.4 MB of rows, words and keys the class keeps (3.2 MB when the
+    # whole stack was conjugated and text-ordered at once)
+    rep = SignedPermutation.parse("0000000;(1 2 3 4 5 6 7)")
+    ConjugacyClass(Bn(7), rep)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        cls = ConjugacyClass(Bn(7), rep)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.size == 46080
+    assert peak - held <= 1.5e6
 
 
 def test_negative_cycle_centralizer_is_cyclic():

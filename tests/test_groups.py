@@ -249,6 +249,23 @@ def test_text_order_matches_the_string_sort(case):
     assert text_order(*to_arrays(rows, n)).tolist() == expect
 
 
+def test_text_order_on_many_rows_over_few_parts():
+    # 3000 rows of B_7 over four permutation parts, the identity among
+    # them, with every row drawn twice or more: a tie between equal rows
+    # keeps input order, as sorted() does
+    rng = random.Random(5)
+    n = 7
+    parts = [list(range(n)), [1, 2, 0, 4, 3, 6, 5], [6, 5, 4, 3, 2, 1, 0], [3, 0, 1, 2, 5, 6, 4]]
+    pool = [
+        SignedPermutation([rng.randrange(2) for _ in range(n)], Permutation(rng.choice(parts)))
+        for _ in range(1200)
+    ]
+    rows = pool + [rng.choice(pool) for _ in range(1800)]
+    expect = sorted(range(len(rows)), key=lambda i: rows[i].sort_key())
+    assert len({x.perm for x in rows}) == 4 and len(set(rows)) < 1200
+    assert text_order(*to_arrays(rows, n)).tolist() == expect
+
+
 def _passes_validation(x) -> bool:
     """Whether x, rebuilt through the validating constructors, is x."""
     if isinstance(x, Permutation):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import weakref
 
 import pytest
 
@@ -15,6 +16,7 @@ from weylrack.verify import (
     VerifyConfig,
     count_nontrivial_classes,
     emit_report,
+    _certificate_sizes,
     _class_representatives,
     _earliest_failure,
     _record,
@@ -387,3 +389,23 @@ def test_the_earliest_failure_is_the_earliest_sample_then_its_first_law():
     law, row, (F,) = _earliest_failure(drawn(samples), laws)
     assert (law, row, F[row].tolist()) == (0, 2, [1, 0, 0])
     assert _earliest_failure(drawn(samples[:2]), laws) is None
+
+
+def test_each_certificate_is_released_before_the_next_is_built():
+    # a construction check holds one certificate, and the class under it,
+    # at a time: the generator finds the previous one gone on resuming
+    class Certificate:
+        def __init__(self, size):
+            self.R, self.S = [0] * size, [0] * (size + 1)
+
+    def certificates():
+        previous = None
+        for size in range(3):
+            assert previous is None or previous() is None
+            cert = Certificate(size)
+            previous = weakref.ref(cert)
+            yield f"case-{size}", cert
+            del cert
+
+    sizes = {"case-0": [0, 1], "case-1": [1, 2], "case-2": [2, 3]}
+    assert _certificate_sizes(certificates()) == ("pass", {"certificates": sizes})
