@@ -15,6 +15,7 @@ import json
 import sys
 
 from .conjugacy import ConjugacyClass, transposition_preset
+from .cyclotomic import Cyclo
 from .groups import BudgetExceeded, Bn, Sn
 from .ncalg import a_algebra_presentation, fk_presentation, hilbert_series
 from .nichols import nichols_graded_dim
@@ -155,7 +156,7 @@ def cmd_braiding(args) -> int:
         "monomial": braiding.is_monomial,
         "braid_equation": "verified",
         "terms": {
-            f"{a},{b}": [[list(t), repr(v)] for t, v in out]
+            f"{a},{b}": [[list(t), repr(Cyclo.coerce(v))] for t, v in out]
             for (a, b), out in sorted(braiding.terms.items())
         }
         if args.terms

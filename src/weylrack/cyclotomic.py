@@ -268,6 +268,8 @@ def integer_value(v) -> int | None:
     """v as an int if it is a rational integer written without zeta_N: an
     int, a Fraction or a `Cyclo` of conductor 1 (so zeta_4^2 is not one);
     None otherwise."""
+    if type(v) is int:
+        return v
     if isinstance(v, Cyclo):
         if v.N != 1:
             return None

@@ -142,10 +142,6 @@ class Permutation:
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
-    def commutes_with(self, other: "Permutation") -> bool:
-        a, b = self.images, other.images
-        return all(a[b[i]] == b[a[i]] for i in range(len(a)))
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -255,9 +251,6 @@ class SignedPermutation:
             x = x * self
             k += 1
         return k
-
-    def commutes_with(self, other: "SignedPermutation") -> bool:
-        return self * other == other * self
 
     def is_identity(self) -> bool:
         return not any(self.sign) and self.perm.is_identity()
@@ -593,12 +586,26 @@ class GroupContext:
         return self.signed or not any(x.sign)
 
     def random_row(self, rng) -> tuple:
-        """(images, signs) lists of a uniform random element: one shuffle
-        of the points, then one randrange(2) per sign bit in the signed
-        case.  Every sampled check draws through here."""
-        perm = list(range(self.n))
-        rng.shuffle(perm)
-        sign = [rng.randrange(2) for _ in range(self.n)] if self.signed else [0] * self.n
+        """(images, signs) lists of a uniform random element: the draws of
+        rng.shuffle on the points, then of one rng.randrange(2) per sign
+        bit in the signed case, taken as rand_int takes them.  Every
+        sampled check draws through here."""
+        n, bits = self.n, rng.getrandbits
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = bits(k)
+            while j > i:
+                j = bits(k)
+            perm[i], perm[j] = perm[j], perm[i]
+        if not self.signed:
+            return perm, [0] * n
+        sign = []
+        for _ in range(n):
+            r = bits(2)
+            while r > 1:
+                r = bits(2)
+            sign.append(r)
         return perm, sign
 
     def random_element(self, rng) -> SignedPermutation:
@@ -623,6 +630,22 @@ class GroupContext:
 
     def __repr__(self) -> str:
         return f"{'B' if self.signed else 'S'}{self.n}"
+
+
+def rand_int(rng, a: int, b: int) -> int:
+    """rng.randint(a, b), and rng.randrange(b + 1) for a = 0: the same
+    draw and the same generator state, by the stdlib's own rule for a
+    random.Random (getrandbits of the width's bit length, drawn again
+    while it is not below the width), without randrange's argument
+    handling."""
+    width = b - a + 1
+    if width < 1:
+        raise ValueError(f"empty range for rand_int: [{a}, {b}]")
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return a + r
 
 
 def Bn(n: int) -> GroupContext:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .conjugacy import Centralizer
 from .cyclotomic import Cyclo
-from .groups import SignedPermutation, encode, mul_rows
+from .groups import SignedPermutation, encode, mul_rows, rand_int
 
 FULL_CHECK_LIMIT = 10**4
 
@@ -60,18 +60,28 @@ class Rep:
         else:
             rng = random.Random(0)
             G, H = np.array(
-                [(rng.randrange(k), rng.randrange(k)) for _ in range(FULL_CHECK_LIMIT)]
+                [(rand_int(rng, 0, k - 1), rand_int(rng, 0, k - 1)) for _ in range(FULL_CHECK_LIMIT)]
             ).T
         P, A = self.cent.P, self.cent.A
         GH = self.cent.locate(encode(*mul_rows(P[G], A[G], P[H], A[H])))
-        for g, h, gh in zip(G.tolist(), H.tolist(), GH.tolist()):
-            # a character compares its values, with no 1 x 1 matrix product
-            if (M[gh][0][0] != M[g][0][0] * M[h][0][0]) if self.degree == 1 else (
-                M[gh] != _matmul(M[g], M[h])
-            ):
-                raise ValueError(
-                    f"not multiplicative at ({self.cent.element(g)}, {self.cent.element(h)})"
-                )
+        outside = np.flatnonzero(GH < 0)
+        if outside.size:
+            g, h = int(G[outside[0]]), int(H[outside[0]])
+            raise ValueError(
+                f"product outside the centralizer at ({self.cent.element(g)}, {self.cent.element(h)})"
+            )
+        # the few distinct matrices by index, each product of two of them
+        # formed once: table[u, v] is the index of M_u M_v, -1 if none
+        index = {}
+        idx = np.array([index.setdefault(m, len(index)) for m in M])
+        values = list(index)
+        table = np.array([[index.get(_matmul(u, v), -1) for v in values] for u in values])
+        bad = np.flatnonzero(idx[GH] != table[idx[G], idx[H]])
+        if bad.size:
+            g, h = int(G[bad[0]]), int(H[bad[0]])
+            raise ValueError(
+                f"not multiplicative at ({self.cent.element(g)}, {self.cent.element(h)})"
+            )
 
     def __call__(self, g: SignedPermutation) -> tuple:
         c = self.cent.find(g)

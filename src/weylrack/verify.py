@@ -49,6 +49,7 @@ from .groups import (
     from_arrays,
     juxtapose_rows,
     mul_rows,
+    rand_int,
 )
 from .nichols import (
     cocycle_values,
@@ -231,18 +232,18 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
 
     # blocks of 4, 16, 64, ... samples: a failing run, such as the negative
     # control's, stops soon after its first failure, as a sample loop does
+    signed = {n: Bn(n) for n in range(2, MAX_N + 1)}
     failure, start, block = None, 0, 4
     while failure is None and start < cfg.samples:
         draws = {}
         for i in range(start, min(start + block, cfg.samples)):
-            n = rng.randint(2, MAX_N)
-            G = Bn(n)
-            tau, a = G.random_row(rng)
-            mu, b = G.random_row(rng)
+            n = rand_int(rng, 2, MAX_N)
+            tau, a = signed[n].random_row(rng)
+            mu, b = signed[n].random_row(rng)
             if rng.random() < 0.5:
                 # force a commuting pair: replace mu by a power of tau
                 mu = list(range(n))
-                for _ in range(rng.randint(0, n)):
+                for _ in range(rand_int(rng, 0, n)):
                     mu = [tau[j] for j in mu]
             _record(draws, n, i, tau, a, mu, b)
         failure = _earliest_failure(draws, laws)
@@ -261,29 +262,38 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
     # conjugate-pair special cases: (b,mu) = xi |> (a,tau) with xi.a = a;
     # fewer than `floor` of them within 40 * samples attempts is no pass
     floor, attempts, found = 500, 0, 0
+    unsigned = {n: Sn(n) for n in range(3, 6)}
     draws = {}
     while found < floor and attempts < 40 * cfg.samples:
         attempts += 1
-        n = rng.randint(3, 5)
-        G = Bn(n)
-        xi_p = Permutation(Sn(n).random_row(rng)[0], check=False)
-        # a constant on the orbits of xi so that xi.a = a
-        a = [0] * n
-        for cyc in xi_p.cycles(include_fixed=True):
-            s = rng.randrange(2)
-            for i in cyc:
-                a[i] = s
-        tau = Permutation(G.random_row(rng)[0], check=False) if rng.random() < 0.5 else None
-        if tau is None:
-            # involution stream for the stronger special case
-            pts = list(range(1, n + 1))
-            rng.shuffle(pts)
-            tau = Permutation.from_cycles(n, [tuple(pts[:2])])
-        if not tau.commutes_with(xi_p.conjugate(tau)):
-            continue
-        involution = tau * tau == Permutation.identity(n) and tau.commutes_with(xi_p)
+        n = rand_int(rng, 3, 5)
+        xi = unsigned[n].random_row(rng)[0]
+        # a constant on the orbits of xi so that xi.a = a, one draw per
+        # cycle in the order of their least points
+        a = [None] * n
+        for least in range(n):
+            if a[least] is None:
+                s, i = rand_int(rng, 0, 1), least
+                while a[i] is None:
+                    a[i], i = s, xi[i]
+        if rng.random() < 0.5:
+            tau = signed[n].random_row(rng)[0]
+        else:
+            # involution stream for the stronger special case: the
+            # transposition of the first two shuffled points
+            p, q = unsigned[n].random_row(rng)[0][:2]
+            tau = list(range(n))
+            tau[p], tau[q] = q, p
+        mu = [0] * n  # xi |> tau
+        for i in range(n):
+            mu[xi[i]] = xi[tau[i]]
+        if any(tau[j] != mu[t] for t, j in zip(tau, mu)):
+            continue  # tau and xi |> tau do not commute
+        involution = all(tau[t] == i for i, t in enumerate(tau)) and all(
+            tau[x] == xi[t] for t, x in zip(tau, xi)
+        )
         counts["involution"] += involution
-        _record(draws, n, found, tau.images, a, xi_p.images, [involution])
+        _record(draws, n, found, tau, a, xi, [involution])
         found += 1
 
     def special_laws(T, A, X, flag):
@@ -321,14 +331,14 @@ def check_negative_control(cfg: VerifyConfig) -> tuple:
 # -- juxtaposition laws ----------------------------------------------------
 
 
-def _random_orthogonal_pair(rng, max_total: int) -> tuple:
+def _random_orthogonal_pair(rng, signed: dict, max_total: int) -> tuple:
     """Rows (images, signs) of x in B_n and y in B_m, n + m <= max_total,
-    drawn until x and y share no cycle length."""
+    drawn until x and y share no cycle length; signed[n] is B_n."""
     while True:
-        n = rng.randint(1, max_total - 1)
-        m = rng.randint(1, max_total - n)
-        x = Bn(n).random_row(rng)
-        y = Bn(m).random_row(rng)
+        n = rand_int(rng, 1, max_total - 1)
+        m = rand_int(rng, 1, max_total - n)
+        x = signed[n].random_row(rng)
+        y = signed[m].random_row(rng)
         if not (cycle_lengths(x[0]) & cycle_lengths(y[0])):
             return x, y
 
@@ -360,11 +370,12 @@ def _juxtaposition_broken(P, A, Q, B, P2, A2, Q2, B2) -> list:
 def check_juxtaposition_laws(cfg: VerifyConfig) -> tuple:
     rng = random.Random(cfg.seed)
     n_random = min(cfg.samples, 2000)
+    signed = {n: Bn(n) for n in range(1, 7)}
     draws = {}
     for i in range(n_random):
-        (P, A), (Q, B) = _random_orthogonal_pair(rng, 7)
+        (P, A), (Q, B) = _random_orthogonal_pair(rng, signed, 7)
         n, m = len(P), len(Q)
-        x2, y2 = Bn(n).random_row(rng), Bn(m).random_row(rng)
+        x2, y2 = signed[n].random_row(rng), signed[m].random_row(rng)
         _record(draws, (n, m), i, P, A, Q, B, *x2, *y2)
     failure = _earliest_failure(draws, _juxtaposition_broken)
     if failure is not None:
@@ -614,12 +625,31 @@ _ID_ROWS = [
 ]
 
 
-def _word_perm(m: int, word: list, values: dict) -> Permutation:
-    out = Permutation.identity(m)
+def _assignments(row: dict, m: int) -> list:
+    """The admissible values of a row's variables in 3..m, in the order
+    of itertools.permutations."""
+    names, cond = row["vars"], row.get("cond")
+    out = []
+    for combo in itertools.permutations(range(3, m + 1), len(names)):
+        values = dict(zip(names, combo))
+        if row.get("ordered") and not values["k"] < values["j"]:
+            continue  # rows with left factor (k j) assume k < j
+        if cond is None or cond(values):
+            out.append(values)
+    return out
+
+
+def _word_rows(m: int, word: list, assignments: list) -> np.ndarray:
+    """The permutation of the word under each assignment, one row each:
+    its cycles multiplied left to right by compose_rows."""
+    k = len(assignments)
+    out = np.broadcast_to(np.arange(m, dtype=np.int8), (k, m))
     for cyc in word:
-        out = out * Permutation.from_cycles(
-            m, [tuple(values.get(t, t) for t in cyc)]
-        )
+        points = [np.array([v.get(t, t) - 1 for v in assignments], dtype=np.int8) for t in cyc]
+        C = np.tile(np.arange(m, dtype=np.int8), (k, 1))
+        for a, b in zip(points, points[1:] + points[:1]):
+            C[np.arange(k), a] = b
+        out = compose_rows(out, C)
     return out
 
 
@@ -627,21 +657,12 @@ def check_coset_identities(cfg: VerifyConfig) -> tuple:
     m = MAX_M
     instances = 0
     for row in _ID_ROWS:
-        names = row["vars"]
-        cond = row.get("cond")
-        for combo in itertools.permutations(range(3, m + 1), len(names)):
-            values = dict(zip(names, combo))
-            if row.get("ordered") and not values["k"] < values["j"]:
-                continue  # rows with left factor (k j) assume k < j
-            if cond is not None and not cond(values):
-                continue
-            perms = [_word_perm(m, side, values) for side in row["sides"]]
-            if any(p != perms[0] for p in perms[1:]):
-                return "fail", {
-                    "row": repr(row["sides"]),
-                    "assignment": values,
-                }
-            instances += 1
+        assignments = _assignments(row, m)
+        first, *others = (_word_rows(m, side, assignments) for side in row["sides"])
+        bad = np.flatnonzero(np.any([(side != first).any(axis=1) for side in others], axis=0))
+        if bad.size:
+            return "fail", {"row": repr(row["sides"]), "assignment": assignments[bad[0]]}
+        instances += len(assignments)
     # consequence: every product u = g_st * t_ij factors as g_{s't'} * gamma
     # with gamma in the centralizer of (1 2): the cocycle at h = u and g_1 = id
     cs = transposition_preset(min(m, 6))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjugacy import CosetSystem
 from .cyclotomic import Cyclo, integer_value
-from .groups import SignedPermutation, conjugate_pairs, encode, to_arrays
+from .groups import SignedPermutation, conjugate_pairs, encode, rand_int, to_arrays
 from .racks import FiniteRack
 from .reps import Rep
 
@@ -70,17 +70,20 @@ class YDModule:
         I, J = np.divmod(np.arange(m * m), m)
         _, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
         C = C.reshape(m, m).tolist()
+        # each matrix entry read once, a rational integer as an int
+        matrices = [
+            [[v if (n := integer_value(v)) is None else n for v in row] for row in M]
+            for M in self.matrices
+        ]
         terms = {}
         for i in range(m):
             for p in range(d):
                 a = i * d + p
                 for j in range(m):
-                    M, target = self.matrices[C[i][j]], T[i][j] * d
+                    M, target = matrices[C[i][j]], T[i][j] * d
                     for q in range(d):
                         terms[(a, j * d + q)] = [
-                            ((target + r, a), M[r][q])
-                            for r in range(d)
-                            if not M[r][q].is_zero()
+                            ((target + r, a), M[r][q]) for r in range(d) if M[r][q]
                         ]
         return Braiding(self.D, terms)
 
@@ -187,7 +190,7 @@ class Braiding:
             flat = np.arange(D3, dtype=np.int64)
         else:
             rng = random.Random(0)
-            triples = [[rng.randrange(D) for _ in range(3)] for _ in range(sample)]
+            triples = [[rand_int(rng, 0, D - 1) for _ in range(3)] for _ in range(sample)]
             flat = np.array(triples, dtype=np.int64).reshape(-1, 3) @ [D * D, D, 1]
         key = np.arange(len(flat), dtype=np.int64) * D3 + flat
         ones = np.ones(len(flat), np.int64 if self.int64_stack(3, 2) else object)

@@ -173,6 +173,25 @@ def test_sampled_lemma_report_bytes_are_pinned(tmp_path, argv):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# SHA-256 of the whole `verify-lemmas` report, every check included,
+# recorded before the draws moved onto getrandbits, the character check
+# onto value indices and the coset identities onto permutation rows
+FULL_LEMMA_DIGESTS = {
+    ("--seed", "0"): "0abe173812ef9247e186e3f14c0aded23ddd1cc912ab8af610cc1ab61daf57b8",
+    ("--seed", "7"): "cc6d43574be3d2fdabda170889c5a74fc8ec046fa83011961c8651024039268a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FULL_LEMMA_DIGESTS), ids=" ".join)
+def test_full_lemma_report_bytes_are_pinned(tmp_path, argv):
+    import hashlib
+
+    code, _ = run(tmp_path, "verify-lemmas", *argv)
+    assert code == 0
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FULL_LEMMA_DIGESTS[argv]
+
+
 # SHA-256 of the outputs that read a centralizer character, recorded
 # before representations moved onto centralizer rows
 CHARACTER_CHECKS = "character-table,sign-products,quadratic-relations,arrow-isomorphism,scalar-filter"

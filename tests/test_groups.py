@@ -19,6 +19,7 @@ from weylrack.groups import (
     encode,
     element_key,
     from_arrays,
+    rand_int,
     text_order,
     to_arrays,
 )
@@ -53,6 +54,32 @@ def test_random_row_and_random_element_draw_the_same_stream():
             x = G.random_element(elements)
             assert (tuple(images), tuple(signs)) == (x.perm.images, x.sign)
         assert rows.random() == elements.random()
+
+
+def test_draws_are_the_stdlib_draws_and_leave_the_same_state():
+    # random_row is rng.shuffle of the points then one rng.randrange(2)
+    # per sign bit, and rand_int is rng.randint: the same values, and the
+    # generator left in the same state, so the sampled checks' stream is
+    # the stdlib's
+    for seed in range(21):
+        for n in range(1, 9):
+            for G in (Bn(n), Sn(n)):
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                for _ in range(5):
+                    perm = list(range(n))
+                    stdlib.shuffle(perm)
+                    signs = [stdlib.randrange(2) if G.signed else 0 for _ in range(n)]
+                    assert G.random_row(ours) == (perm, signs)
+                assert ours.getstate() == stdlib.getstate()
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            for a, b in ((0, 1), (0, n), (1, n), (2, 8), (n, n), (0, n - 1), (3, 2**40 + n)):
+                assert rand_int(ours, a, b) == stdlib.randint(a, b)
+            assert ours.getstate() == stdlib.getstate()
+
+
+def test_rand_int_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        rand_int(random.Random(0), 3, 2)
 
 
 def test_product_matches_matrix_model():

@@ -12,7 +12,7 @@ import pytest
 
 from weylrack import nichols
 from weylrack.conjugacy import transposition_preset
-from weylrack.cyclotomic import Cyclo
+from weylrack.cyclotomic import Cyclo, as_int
 from weylrack.groups import Permutation
 from weylrack.linalg import primes_for_conductor, rank_mod_p, rank_two_primes, root_of_unity_mod_p
 from weylrack.nichols import (
@@ -349,7 +349,16 @@ def integral(braiding):
     stores every rational integer in its lookup arrays."""
     return Braiding(
         braiding.D,
-        {ab: [(t, int(v.as_rational())) for t, v in out] for ab, out in braiding.terms.items()},
+        {ab: [(t, as_int(v)) for t, v in out] for ab, out in braiding.terms.items()},
+    )
+
+
+def cyclotomic(braiding):
+    """The braiding with every coefficient in its terms a `Cyclo`, which
+    `Braiding` converts term by term."""
+    return Braiding(
+        braiding.D,
+        {ab: [(t, Cyclo.coerce(v)) for t, v in out] for ab, out in braiding.terms.items()},
     )
 
 
@@ -369,8 +378,8 @@ ORACLE_CASES = {
     "s3-eps-sgn-int": (lambda: integral(braiding_for(3, chi_eps_sgn)), 5),
     "s4-sgn-sgn-int": (lambda: integral(braiding_for(4, chi_sgn_sgn)), 3),
     "s4-eps-sgn-int": (lambda: integral(braiding_for(4, chi_eps_sgn)), 3),
-    "s3-sgn-sgn-cyclo": (lambda: braiding_for(3, chi_sgn_sgn), 3),
-    "s4-eps-sgn-cyclo": (lambda: braiding_for(4, chi_eps_sgn), 3),
+    "s3-sgn-sgn-cyclo": (lambda: cyclotomic(braiding_for(3, chi_sgn_sgn)), 3),
+    "s4-eps-sgn-cyclo": (lambda: cyclotomic(braiding_for(4, chi_eps_sgn)), 3),
     "diagonal-zeta3": (lambda: diagonal_braiding(lambda a, b: Cyclo.zeta(3) ** (a + 2 * b)), 4),
     "diagonal-singular": (lambda: diagonal_braiding(lambda a, b: a + b - 1), 4),
     "two-term-int": (lambda: two_term_braiding(-1), 4),

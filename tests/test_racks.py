@@ -74,7 +74,7 @@ def commuting_partners(cosets: dict, tau0) -> list:
             seen.add(p)
         p = p * tau0
     for mu in sorted(cosets, key=lambda q: q.images):
-        if mu not in seen and mu.commutes_with(tau0):
+        if mu not in seen and mu * tau0 == tau0 * mu:
             candidates.append(mu)
             seen.add(mu)
         if len(candidates) >= MAX_COMMUTING_PARTNERS:
@@ -184,7 +184,7 @@ def test_commuting_witness_is_the_first_pair_of_the_object_loop():
             R = groups[tau]
             elems = list(cls.elements)
             for mu in groups:
-                if not mu.commutes_with(tau):
+                if mu * tau != tau * mu:
                     continue
                 S = groups[mu]
                 T, M = (np.array(p.images, dtype=np.int8) for p in (tau, mu))
@@ -219,7 +219,7 @@ def test_row_search_matches_the_object_loops():
             assert partners == commuting_partners(cosets, rep.perm)
             elems = list(cls.elements)
             splits = [tuple(map(list, fixed_point_split(cls, f))) for f in rep.perm.fixed_points()]
-            late = sorted(cosets, key=lambda mu: not mu.commutes_with(rep.perm))
+            late = sorted(cosets, key=lambda mu: mu * rep.perm != rep.perm * mu)
             splits.append(([i for mu in late for i in cosets[mu]], cosets[rep.perm]))
             for R, S in splits:
                 if R and S:

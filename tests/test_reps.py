@@ -1,6 +1,9 @@
 """Centralizer representations by centralizer index, and the scalar
 admissibility filter."""
 
+import random
+import re
+
 import pytest
 
 from weylrack.conjugacy import ConjugacyClass
@@ -68,6 +71,56 @@ def test_char_from_function_rejects_non_multiplicative():
     with pytest.raises(ValueError, match="not multiplicative"):
         char_from_function(S5, lambda g: -1 if g == t12 else 1)
     assert chi_sgn_sgn(S5).degree == 1
+
+
+def first_broken_pair(cent, fn):
+    """The pair a character with values fn breaks first, found as the
+    check first found it: pair by pair, every pair in order up to
+    FULL_CHECK_LIMIT and the pairs of randrange draws from Random(0)
+    beyond, each product multiplied out on objects."""
+    k = cent.size
+    if k * k <= FULL_CHECK_LIMIT:
+        pairs = [divmod(p, k) for p in range(k * k)]
+    else:
+        rng = random.Random(0)
+        pairs = [(rng.randrange(k), rng.randrange(k)) for _ in range(FULL_CHECK_LIMIT)]
+    for at, (g, h) in enumerate(pairs):
+        x, y = cent.element(g), cent.element(h)
+        if fn(x * y) != fn(x) * fn(y):
+            return at, x, y
+    return None
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_a_non_multiplicative_character_names_the_first_broken_pair(n):
+    # the centralizer of (1 2) in S_n has 12, 48 and 240 elements: its
+    # pairs are all checked for n = 5 and 6 and sampled for n = 7
+    cent = cent_of("0" * n + ";(1 2)", n)
+    assert (cent.size**2 > FULL_CHECK_LIMIT) == (n == 7)
+
+    def fn(g):  # -1 where 3 goes to 4
+        return -1 if g.perm(2) == 3 else 1
+
+    at, x, y = first_broken_pair(cent, fn)
+    assert at > 0
+    with pytest.raises(ValueError, match=re.escape(f"not multiplicative at ({x}, {y})")):
+        char_from_function(cent, fn)
+
+
+def test_a_product_outside_the_centralizer_is_refused(monkeypatch):
+    # a locate that misses one product must not read the value at -1
+    cent = cent_of("00000;(1 2)", 5)
+    locate = cent.locate
+
+    def missing_one(keys):
+        out = locate(keys)
+        if len(out) > 1:
+            out[7] = -1
+        return out
+
+    monkeypatch.setattr(cent, "locate", missing_one)
+    with pytest.raises(ValueError, match="outside the centralizer"):
+        chi_sgn_sgn(cent)
 
 
 def test_char_rep_extension_and_rejection():

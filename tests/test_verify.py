@@ -1,5 +1,6 @@
 """The verification registry, the class scan, and report serialization."""
 
+import itertools
 import json
 import random
 import weakref
@@ -11,6 +12,7 @@ from weylrack.conjugacy import ConjugacyClass
 from weylrack.groups import BudgetExceeded, Bn, Permutation, SignedPermutation, Sn
 from weylrack.verify import (
     LEMMA_CHECKS,
+    MAX_M,
     MAX_N,
     ScanRow,
     VerifyConfig,
@@ -20,6 +22,7 @@ from weylrack.verify import (
     _class_representatives,
     _earliest_failure,
     _record,
+    check_coset_identities,
     check_juxtaposition_laws,
     check_square_closed_forms,
     exception_family,
@@ -240,7 +243,7 @@ def loop_square_closed_forms(cfg, general=_sq_signed):
         if general(x, y) != (direct.sign, direct.perm):
             return "fail", {"law": "general", "x": x.format(), "y": y.format()}
         counts["general"] += 1
-        if x.perm.commutes_with(y.perm):
+        if x.perm * y.perm == y.perm * x.perm:
             c2, lam2 = commuting_form(x, y)
             if (c2, lam2) != (direct.sign, direct.perm):
                 return "fail", {
@@ -272,7 +275,7 @@ def loop_square_closed_forms(cfg, general=_sq_signed):
             rng.shuffle(pts)
             tau = Permutation.from_cycles(n, [tuple(pts[:2])])
         mu = xi_p.conjugate(tau)
-        if not tau.commutes_with(mu):
+        if tau * mu != mu * tau:
             continue
         x = SignedPermutation(a, tau)
         xi = SignedPermutation.from_perm(xi_p)
@@ -283,7 +286,7 @@ def loop_square_closed_forms(cfg, general=_sq_signed):
         if c != expected:
             return "fail", {"law": "conjugate-fixed", "x": x.format(), "xi": xi.format()}
         counts["conjugate-fixed"] += 1
-        if tau * tau == Permutation.identity(n) and tau.commutes_with(xi_p):
+        if tau * tau == Permutation.identity(n) and tau * xi_p == xi_p * tau:
             if c != a:
                 return "fail", {"law": "involution", "x": x.format(), "xi": xi.format()}
             counts["involution"] += 1
@@ -343,6 +346,18 @@ def test_juxtaposition_laws_match_the_sample_loop(monkeypatch, seed, samples):
     monkeypatch.setattr(verify, "class_juxtaposition", lambda *a: None)
     cfg = VerifyConfig(seed=seed, samples=samples)
     assert check_juxtaposition_laws(cfg) == loop_juxtaposition_laws(cfg)
+
+
+def test_sampled_checks_draw_through_getrandbits_only(monkeypatch):
+    # the sampled checks take the stdlib's draws from getrandbits itself;
+    # randrange, randint and shuffle add a method stack per draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled check drew through the random method stack")
+
+    for name in ("randrange", "randint", "shuffle"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    reports = verify_lemmas(["square-closed-forms", "negative-control", "juxtaposition-laws"])
+    assert [r.status for r in reports] == ["pass"] * 3
 
 
 @pytest.mark.parametrize("degrees", [{7}, {3, 7}])
@@ -409,3 +424,54 @@ def test_each_certificate_is_released_before_the_next_is_built():
 
     sizes = {"case-0": [0, 1], "case-1": [1, 2], "case-2": [2, 3]}
     assert _certificate_sizes(certificates()) == ("pass", {"certificates": sizes})
+
+
+def loop_coset_identities(rows, m):
+    """The coset-transposition identities checked as they first were:
+    assignment by assignment in loop order, each side a product of
+    Permutation.from_cycles; the failure, or the count of instances."""
+    instances = 0
+    for row in rows:
+        names, cond = row["vars"], row.get("cond")
+        for combo in itertools.permutations(range(3, m + 1), len(names)):
+            values = dict(zip(names, combo))
+            if row.get("ordered") and not values["k"] < values["j"]:
+                continue
+            if cond is not None and not cond(values):
+                continue
+            perms = []
+            for side in row["sides"]:
+                out = Permutation.identity(m)
+                for cyc in side:
+                    out = out * Permutation.from_cycles(m, [tuple(values.get(t, t) for t in cyc)])
+                perms.append(out)
+            if any(p != perms[0] for p in perms[1:]):
+                return "fail", {"row": repr(row["sides"]), "assignment": values}
+            instances += 1
+    return "pass", instances
+
+
+def test_coset_identities_check_every_instance_of_the_loop():
+    status, detail = check_coset_identities(VerifyConfig())
+    assert status == "pass"
+    assert loop_coset_identities(verify._ID_ROWS, MAX_M) == ("pass", detail["instances"]) == ("pass", 1189)
+
+
+# a side times a commutator with (7 8): equal for the assignments whose
+# cycles miss 7 and 8, so the first failure is not the first assignment
+CORRUPTIONS = [
+    ([[(1, "j")], [(1, "j")]], [(7, 8), (1, "j"), (7, 8), (1, "j")]),
+    ([[("k", "j"), (2, "j1")], [(2, "j1"), ("k", "j")]], [(7, 8), ("k", "j"), (7, 8), ("k", "j")]),
+    ([[(2, "j"), (1, "k"), (2, "j")], [(1, "k")]], [(7, 8), (1, "k"), (7, 8), (1, "k")]),
+]
+
+
+@pytest.mark.parametrize("sides, commutator", CORRUPTIONS)
+def test_a_corrupted_identity_fails_at_the_loops_first_assignment(monkeypatch, sides, commutator):
+    rows = list(verify._ID_ROWS)
+    (at,) = [i for i, row in enumerate(rows) if row["sides"] == sides]
+    rows[at] = {**rows[at], "sides": [sides[0], sides[1] + commutator]}
+    monkeypatch.setattr(verify, "_ID_ROWS", rows)
+    status, detail = check_coset_identities(VerifyConfig())
+    assert (status, detail) == loop_coset_identities(rows, MAX_M)
+    assert status == "fail" and detail["assignment"] != verify._assignments(rows[at], MAX_M)[0]

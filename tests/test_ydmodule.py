@@ -10,7 +10,7 @@ import pytest
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Bn, Sn, SignedPermutation, encode, mul_rows, to_arrays
-from weylrack.reps import Rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
+from weylrack.reps import Rep, char_rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
     ArrowYDModule,
     Braiding,
@@ -106,6 +106,42 @@ def test_braid_equation_names_the_failing_triple():
     terms[(0, 1)] = [(t, v * Cyclo.zeta(2)) for t, v in c.terms[(0, 1)]]
     with pytest.raises(AssertionError, match=r"fails on basis \(0, 2, 0\)"):
         Braiding(c.D, terms).check_braid_equation()
+
+
+def zeta3_module():
+    # the class of (1 2 3) in S_3, whose centralizer <(1 2 3)> sends
+    # (1 2 3) to zeta_3
+    t = SignedPermutation.parse("000;(1 2 3)")
+    cls = ConjugacyClass(Sn(3), t)
+    return build_yd_module(cls.coset_system(), char_rep(cls.centralizer(), {t: Cyclo.zeta(3)}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: yd_transpositions(4, chi_eps_sgn)[0],
+    lambda: yd_transpositions(3, chi_sgn_sgn)[0],
+    zeta3_module,
+])
+def test_braiding_arrays_match_the_per_term_conversion(make):
+    # YDModule.braiding reads each matrix entry's integer once and its
+    # terms carry ints; the same terms as Cyclos, converted one by one,
+    # give the same lookup arrays
+    c = make().braiding()
+    ref = Braiding(c.D, {ab: [(t, Cyclo.coerce(v)) for t, v in out] for ab, out in c.terms.items()})
+    assert [type(v) for v in c.coeff] == [type(v) for v in ref.coeff]
+    assert c.coeff.tolist() == ref.coeff.tolist()
+    assert c.norm == ref.norm
+    assert c.bijective == ref.bijective
+    if ref.coeff64 is None:
+        assert c.coeff64 is None
+    else:
+        assert c.coeff64.tolist() == ref.coeff64.tolist()
+
+
+def test_the_zeta3_braiding_keeps_its_roots_of_unity():
+    c = zeta3_module().braiding()
+    assert {type(v) for v in c.coeff} == {Cyclo}
+    assert c.norm is None and c.coeff64 is None
+    c.check_braid_equation()
 
 
 def test_braid_equation_holds_for_diagonal_braidings():
