@@ -12,10 +12,11 @@ the text format and cycle notation are 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from math import lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -326,10 +327,17 @@ def cycle_lengths(images) -> set:
 # A stack of k elements of B_n is held as two k x n int8 arrays: P, the
 # permutations in one-line notation, and A, the 0/1 sign vectors.  The hot
 # loops (class enumeration, certificate verification) run on these;
-# SignedPermutation stays the parser, the printer and the reference.
+# SignedPermutation stays the parser, the printer and the reference.  A
+# kernel costs a fixed handful of NumPy calls whatever k and n: a
+# row-wise gather or scatter indexes the raveled stack once, at each
+# entry's column plus its row's offset, and a key is one integer matmul
+# per block of rows.
 
 # encode() needs n^n * 2^n < 2^63
 MAX_KEY_DEGREE = 13
+
+# rows per key matmul: NumPy casts the block's int8 rows to int64 for it
+KEY_BLOCK = 1 << 12
 
 
 def to_arrays(elements: list, n: int) -> tuple:
@@ -356,43 +364,60 @@ def juxtapose_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -
     )
 
 
+def _row_offsets(k: int, n: int) -> np.ndarray:
+    """The flat index of the first entry of each row of a C-ordered k x n
+    stack, as an int32 column.  NumPy casts an int32 index in buffers as
+    it indexes, so a gather or scatter makes no int64 copy of it."""
+    return np.arange(0, k * n, n, dtype=np.int32)[:, None]
+
+
 def invert_rows(P: np.ndarray) -> np.ndarray:
-    """The row-wise inverse permutations."""
-    inv = np.empty_like(P)
-    inv[np.arange(len(P))[:, None], P] = np.arange(P.shape[1], dtype=P.dtype)
+    """The row-wise inverse permutations: one scatter of 0..n-1 at the
+    flat index of P."""
+    k, n = P.shape
+    inv = np.empty((k, n), dtype=P.dtype)
+    inv.reshape(-1)[P + _row_offsets(k, n)] = np.arange(n, dtype=P.dtype)
     return inv
 
 
 def compose_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Row-wise permutation products tau mu, (tau mu)(i) = tau(mu(i)), as
-    Permutation.__mul__; either side may be one row for every row of the
-    other."""
-    return np.take_along_axis(P, Q, axis=1)
+    Permutation.__mul__: P[r, Q[r, i]].  Either side may be one row for
+    every row of the other; paired rows are one gather from the raveled P."""
+    if len(P) == 1:
+        return P[0][Q]
+    if len(Q) == 1:
+        return P[:, Q[0]]
+    return np.ravel(P)[Q + _row_offsets(*P.shape)]
 
 
 def act_rows(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Row-wise sign action (tau.a)_i = a_{tau^-1(i)}, as
-    Permutation.act_on_signs: a gather by the inverse permutation.  P may
-    be one row for every row of A."""
-    return np.take_along_axis(A, invert_rows(P), axis=1)
+    Permutation.act_on_signs: one scatter out[r, P[r, i]] = A[r, i].
+    Either side may be one row for every row of the other: one tau for a
+    stack of sign vectors, or one sign vector for a stack of
+    permutations, as _centralizer_rows passes it."""
+    if len(P) == 1:
+        out = np.empty(A.shape, dtype=A.dtype)
+        out[:, P[0]] = A
+        return out
+    out = np.empty(P.shape, dtype=A.dtype)
+    out.reshape(-1)[P + _row_offsets(*P.shape)] = A
+    return out
 
 
 def mul_rows(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
     """Row-wise x * y for x in rows of (P, A) and y in rows of (Q, B), as
     the arrays of SignedPermutation.__mul__: permutation tau mu, signs
     a + tau.b.  Row counts must match or one side must be a single row,
-    which take_along_axis broadcasts against every row of the other."""
-    if len(P) == 1:
-        # one x times every row, as in CosetSystem.zeta with one h: a
-        # gather from tau and a column permutation, 2.3-4x faster than
-        # the broadcast take_along_axis (64 to 645120 rows of B_7, 2 vCPU)
-        return P[0][Q], A ^ B[:, np.argsort(P[0])]
+    which the kernels broadcast against every row of the other."""
     return compose_rows(P, Q), A ^ act_rows(P, B)
 
 
 def inverse_rows(P: np.ndarray, A: np.ndarray) -> tuple:
-    """The row-wise inverses (tau^-1.a, tau^-1), as SignedPermutation.inverse."""
-    return invert_rows(P), np.take_along_axis(A, P, axis=1)
+    """The row-wise inverses (tau^-1.a, tau^-1), as SignedPermutation.inverse:
+    (tau^-1.a)_i = a_{tau(i)}."""
+    return invert_rows(P), compose_rows(A, P)
 
 
 def conjugate_pairs(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> tuple:
@@ -401,13 +426,28 @@ def conjugate_pairs(P: np.ndarray, A: np.ndarray, Q: np.ndarray, B: np.ndarray) 
     return mul_rows(*mul_rows(P, A, Q, B), *inverse_rows(P, A))
 
 
-def conjugate_rows(tau: np.ndarray, a: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
-    """x |> y for the fixed x = (a, tau) and every row y of (P, A), as the
-    arrays of SignedPermutation.conjugate: permutation tau mu tau^-1, signs
-    tau.b + (tau mu tau^-1).a + a."""
-    tinv = np.argsort(tau)
-    NP = tau[P[:, tinv]]
-    return NP, A[:, tinv] ^ a[invert_rows(NP)] ^ a
+def conjugate_rows(T: np.ndarray, Ta: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple:
+    """x |> y for every row x = (a, tau) of (T, Ta) and every row
+    y = (b, mu) of (P, A), as the arrays of SignedPermutation.conjugate:
+    permutation tau mu tau^-1, signs tau.b + (tau mu tau^-1).a + a.  The
+    arrays have shape (len(P), len(T), n), entry [i, j] being x_j |> y_i.
+
+    At w, the permutation is tau(mu(tau^-1 w)), and (tau mu tau^-1).a
+    reads a at tau(mu^-1(tau^-1 w)).  So the rows of mu and of mu^-1 are
+    gathered at tau^-1 (a small index, shared by the rows of y), and tau
+    and a o tau are looked up at the results through one index with each
+    x's row offset.  That index is int16 or int32, which NumPy casts in
+    buffers: no int64 index of the whole block is made."""
+    m, n = T.shape
+    tinv = invert_rows(T)
+    at = np.arange(0, m * n, n, dtype=np.int16 if m * n < 1 << 15 else np.int32)[:, None]
+    index = P[:, tinv] + at
+    NP = np.ravel(T)[index]
+    np.add(invert_rows(P)[:, tinv], at, out=index)
+    NA = compose_rows(Ta, T).ravel()[index]
+    NA ^= A[:, tinv]
+    NA ^= Ta
+    return NP, NA
 
 
 def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -435,13 +475,7 @@ def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     key = np.empty(k, dtype=np.int64)
     key[by_part] = np.take(ranks, part, out=part)
     del by_part, part
-    signs = np.zeros(k, dtype=np.int64)
-    for i in range(n):
-        signs <<= 1
-        signs += A[:, i]
-    signs *= len(ranks)
-    key += signs
-    del signs
+    _add_weighted(key, A, _weights(n).text_sign * len(ranks))
     return np.argsort(key, kind="stable")
 
 
@@ -453,47 +487,46 @@ def _cycle_text_ranks(P: np.ndarray) -> np.ndarray:
     cycle-walk order (cycles by their minimum, each walked from it) a
     number token and the separator after it.  Separators ' ' < ')' + end
     < ')(' are all below the number tokens, which rank str(v + 1) in
-    string order; "()" is the lone token ')' + end."""
+    string order; "()" is the lone token ')' + end.
+
+    Each point's cycle minimum, and its steps forward to it, come from
+    pointer doubling: after r rounds, `low` holds 32 * the least point of
+    the walk v, P(v), ..., P^(2^r - 1)(v) plus the steps to its first
+    occurrence, and J the flat index of P^(2^r)(v); ceil(log2 n) rounds
+    cover every cycle.  One row-wise argsort then puts the points in text
+    order, and the tokens are written as whole arrays."""
     k, n = P.shape
-    points = np.arange(n, dtype=P.dtype)
-    # is_start[i, v]: v is the least point of its cycle, and moved
-    least = points[None, :].repeat(k, axis=0)
-    walk = P
-    for _ in range(n - 1):
-        np.minimum(least, walk, out=least)
-        walk = np.take_along_axis(P, walk, axis=1)
-    is_start = (least == points) & (P != points)
-    # next_start[i, v]: the least cycle start above v, n if none
-    starts = np.where(is_start, points, np.int8(n))
-    next_start = np.minimum.accumulate(starts[:, ::-1], axis=1)[:, ::-1]
-    next_start = np.concatenate([next_start[:, 1:], np.full((k, 1), n, dtype=np.int8)], axis=1)
-    rows = np.arange(k)
-    rank = np.argsort(np.argsort([str(v + 1) for v in range(n)], kind="stable"))
-    tokens = np.zeros((2 * n, k), dtype=np.int8)
-    start = cur = starts.min(axis=1, initial=n)
-    live = cur < n
-    tokens[0, ~live] = 1  # "()"
-    for q in range(n):
-        here = np.where(live, cur, 0)
-        after = P[rows, here]
-        closes = after == start
-        following = next_start[rows, start % n]
-        sep = np.where(closes, np.where(following < n, 2, 1), 0)
-        tokens[2 * q] = np.where(live, 3 + rank[here], 0)
-        tokens[2 * q + 1] = np.where(live, sep, 0)
-        start = np.where(closes, following, start)
-        cur = np.where(closes, following, after)
-        live &= cur < n
-    # pack the 4-bit tokens, most significant first, into as few int64
-    # sort keys as hold them
-    keys, key, used = [], np.zeros(k, dtype=np.int64), 0
-    for t in tokens:
-        if used + 4 > 63:
-            keys.append(key)
-            key, used = np.zeros(k, dtype=np.int64), 0
-        key = (key << 4) | t.astype(np.int64)
-        used += 4
-    keys.append(key)
+    w = _weights(n)
+    at = np.arange(0, k * n, n)[:, None]  # int64: J indexes itself by take
+    points = np.arange(n, dtype=np.int16)
+    low = np.broadcast_to(points << 5, (k, n))
+    J = P + at
+    for r in range((n - 1).bit_length()):
+        ahead = np.ravel(low).take(J)
+        ahead += 1 << r
+        low = np.minimum(low, ahead)
+        J = np.ravel(J).take(J)
+    steps, low = low & 31, low >> 5
+    # cycles by least point, each walked from it; fixed points last
+    walk = np.where(P == points, 1 << 14, (low << 5) | (-steps & 31))
+    order = np.argsort(walk, axis=1)
+    moved = np.count_nonzero(P != points, axis=1)[:, None]
+    live = points < moved
+    # the separator closes a cycle where the next point in text order
+    # has another least point, and ends the text after the last one
+    low = np.ravel(low).take(order + at)
+    closes = np.ones((k, n), dtype=bool)
+    np.not_equal(low[:, 1:], low[:, :-1], out=closes[:, :-1])
+    tokens = np.zeros((k, n, 2), dtype=np.int8)
+    tokens[:, :, 0] = np.where(live, w.token[order], 0)
+    tokens[:, :, 1] = np.where(live & closes, np.where(points == moved - 1, 1, 2), 0)
+    tokens[moved[:, 0] == 0, 0, 0] = 1  # "()"
+    # pack the 4-bit tokens, most significant first, 15 to an int64 key
+    tokens = tokens.reshape(k, 2 * n)
+    keys = []
+    for s in range(0, 2 * n, 15):
+        chunk = tokens[:, s : s + 15]
+        keys.append(_add_weighted(np.zeros(k, dtype=np.int64), chunk, w.pack[-chunk.shape[1] :]))
     ranks = np.empty(k, dtype=np.intp)
     ranks[np.lexsort(keys[::-1])] = np.arange(k)
     return ranks
@@ -505,22 +538,47 @@ def perm_keys(P: np.ndarray) -> np.ndarray:
     n = P.shape[1]
     if n > MAX_KEY_DEGREE:
         raise ValueError(f"degree {n} exceeds the int64 key range")
-    # Horner's rule, one column at a time: no k x n int64 temporaries
-    keys = np.zeros(len(P), dtype=np.int64)
-    for i in reversed(range(n)):
-        keys *= n
-        keys += P[:, i]
-    return keys
+    return _add_weighted(np.zeros(len(P), dtype=np.int64), P, _weights(n).perm)
 
 
 def encode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """One int64 key per row, (sum_i P[i] n^i) 2^n + sum_i A[i] 2^i;
     injective on B_n for n <= MAX_KEY_DEGREE."""
     keys = perm_keys(P)
-    for i in reversed(range(P.shape[1])):
-        keys <<= 1
-        keys += A[:, i]
+    keys <<= P.shape[1]
+    return _add_weighted(keys, A, _weights(P.shape[1]).sign)
+
+
+def _add_weighted(keys: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """keys += M @ w, KEY_BLOCK rows of M at a time; returns keys."""
+    for s in range(0, len(M), KEY_BLOCK):
+        keys[s : s + KEY_BLOCK] += M[s : s + KEY_BLOCK] @ w
     return keys
+
+
+class _Weights(NamedTuple):
+    perm: np.ndarray  # n^i, the permutation part of a key
+    sign: np.ndarray  # 2^i, the sign bits of a key
+    text_sign: np.ndarray  # 2^(n-1-i), the sign bits in text order
+    token: np.ndarray  # 3 + the rank of str(v + 1) in string order
+    pack: np.ndarray  # 16^(14-i), fifteen 4-bit tokens to an int64
+
+
+@functools.cache
+def _weights(n: int) -> _Weights:
+    """The constant rows of the keys of degree n."""
+    powers = np.arange(n, dtype=np.int64)
+    names = [str(v + 1) for v in range(n)]
+    weights = _Weights(
+        n**powers,
+        1 << powers,
+        1 << powers[::-1],
+        np.argsort(np.argsort(names, kind="stable")).astype(np.int8) + 3,
+        16 ** np.arange(14, -1, -1, dtype=np.int64),
+    )
+    for w in weights:
+        w.flags.writeable = False  # shared by every caller
+    return weights
 
 
 def element_key(x: SignedPermutation) -> int:
@@ -550,6 +608,10 @@ class GroupContext:
         self.n = n
         self.signed = signed
         self._elements = None
+        # random_row's constants: each Fisher-Yates position with the bit
+        # width of its draw, and the points it shuffles
+        self._swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+        self._points = list(range(n))
 
     @property
     def order(self) -> int:
@@ -591,9 +653,8 @@ class GroupContext:
         bit in the signed case, taken as rand_int takes them.  Every
         sampled check draws through here."""
         n, bits = self.n, rng.getrandbits
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            k = (i + 1).bit_length()
+        perm = self._points.copy()
+        for i, k in self._swaps:
             j = bits(k)
             while j > i:
                 j = bits(k)

@@ -190,9 +190,8 @@ class FiniteRack:
         """Yield (i, Z) for consecutive blocks of the index list X, where
         Z[k, j] = X[i + k] |> Y[j]: op on the Cartesian product.  A rack
         with a table reads it; a class rack without one conjugates Y by
-        each x of the block, sharing x across the row (a block of the B_6
-        6-cycle class takes 2.1 ms, against 7.1 ms as op's paired rows),
-        and finds all the keys of the block at once."""
+        the whole block of x at once (conjugate_rows) and finds all the
+        keys of the block with one locate."""
         X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
         step = max(1, BLOCK_PAIRS // max(1, len(Y)))
         cls = self.source
@@ -203,10 +202,11 @@ class FiniteRack:
             if self._table is not None:
                 Z = self._table[np.ix_(Xb, Y)]
             else:
-                images = [conjugate_rows(cls.P[x], cls.A[x], PY, AY) for x in Xb]
-                NP = np.concatenate([p for p, _ in images])
-                NA = np.concatenate([a for _, a in images])
-                Z = self._locate(NP, NA).reshape(len(Xb), len(Y))
+                # entry [j, k] of the block is x_k |> y_j
+                NP, NA = conjugate_rows(cls.P[Xb], cls.A[Xb], PY, AY)
+                n = cls.group.n
+                Z = self._locate(NP.reshape(-1, n), NA.reshape(-1, n))
+                Z = Z.reshape(len(Y), len(Xb)).T
             yield i, Z
 
     def table(self) -> np.ndarray:
@@ -460,6 +460,13 @@ class SearchResult:
 # shared cache of S_n-rack search results, keyed by (tau0's images, seed):
 # all that decides the certificate found
 _SN_CACHE: dict = {}
+
+
+def clear_search_cache() -> None:
+    """Empty the cache of S_n searches.  Its keys hold all that decides a
+    search, so this changes no result; scan_classes calls it when it
+    returns, which bounds the cache by the classes of one scan."""
+    _SN_CACHE.clear()
 
 
 def find_type_d_certificate(rack: FiniteRack, seed: int = 0) -> SearchResult:

@@ -62,6 +62,7 @@ from .racks import (
     FiniteRack,
     RackEpimorphism,
     TypeDCertificate,
+    clear_search_cache,
     find_type_d_certificate,
     fixed_point_split,
     juxtaposition_extend_certificate,
@@ -1124,28 +1125,31 @@ def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
             check_class_budget(group, rep)
     rows = []
     deadline = time.monotonic() + config.scan_time_budget
-    for rep in reps:
-        key = rep.signed_cycle_type()
-        sign_condition = _SIGN_CONDITIONS[len({p for l, p in key if l == 1})]
-        family = exception_family(key)
-        cert = None
-        if family is not None:
-            outcome, note = "exception-list", f"family {family}"
-        elif time.monotonic() > deadline:
-            outcome, note = "inconclusive", "time budget exhausted"
-        else:
-            rack = FiniteRack.from_class(ConjugacyClass(group, rep))
-            res = find_type_d_certificate(rack, config.seed)
-            if res:
-                outcome, note = "certificate", ""
-                cert = res.certificate.to_json()
+    try:
+        for rep in reps:
+            key = rep.signed_cycle_type()
+            sign_condition = _SIGN_CONDITIONS[len({p for l, p in key if l == 1})]
+            family = exception_family(key)
+            cert = None
+            if family is not None:
+                outcome, note = "exception-list", f"family {family}"
+            elif time.monotonic() > deadline:
+                outcome, note = "inconclusive", "time budget exhausted"
             else:
-                outcome = "inconclusive"
-                note = (
-                    "no certificate found; "
-                    "the known exception list may not apply at this n"
-                )
-        rows.append(ScanRow(n, _format_type(key), sign_condition, outcome, cert, note))
+                rack = FiniteRack.from_class(ConjugacyClass(group, rep))
+                res = find_type_d_certificate(rack, config.seed)
+                if res:
+                    outcome, note = "certificate", ""
+                    cert = res.certificate.to_json()
+                else:
+                    outcome = "inconclusive"
+                    note = (
+                        "no certificate found; "
+                        "the known exception list may not apply at this n"
+                    )
+            rows.append(ScanRow(n, _format_type(key), sign_condition, outcome, cert, note))
+    finally:
+        clear_search_cache()
     if len(rows) != count_nontrivial_classes(n):
         raise AssertionError("scan rows do not partition the classes")
     return rows

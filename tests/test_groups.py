@@ -1,8 +1,11 @@
 """Group-layer tests: permutation/signed-permutation arithmetic against a
 matrix model, parsing, invariants."""
 
+import itertools
 import random
 from math import lcm
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,17 @@ from weylrack.groups import (
     Permutation,
     Sn,
     SignedPermutation,
+    _cycle_text_ranks,
+    act_rows,
+    compose_rows,
+    conjugate_pairs,
     conjugate_rows,
     encode,
     element_key,
     from_arrays,
+    invert_rows,
+    inverse_rows,
+    mul_rows,
     rand_int,
     text_order,
     to_arrays,
@@ -227,16 +237,102 @@ def element_stacks(draw):
 @given(element_stacks())
 def test_kernel_agrees_with_signed_permutation(case):
     n, x, ys = case
-    (tau,), (a,) = to_arrays([x], n)
+    T, Ta = to_arrays([x], n)
     P, A = to_arrays(ys, n)
     assert from_arrays(P, A) == ys
-    NP, NA = conjugate_rows(tau, a, P, A)
+    NP, NA = (M[:, 0] for M in conjugate_rows(T, Ta, P, A))
     assert from_arrays(NP, NA) == [x.conjugate(y) for y in ys]
     # the keys are injective: equal keys exactly for equal elements
     keys = encode(P, A).tolist()
     assert len(set(zip(keys, ys))) == len(set(keys)) == len(set(ys))
     images = to_arrays([x.conjugate(y) for y in ys], n)
     assert encode(NP, NA).tolist() == encode(*images).tolist()
+
+
+@st.composite
+def paired_stacks(draw):
+    """(n, xs, ys): two stacks of elements of B_n for n from 1 to 13,
+    either paired row by row or one of them a single element for every
+    row of the other; the other may be empty."""
+    n = draw(st.integers(1, 13))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    elements = st.builds(
+        lambda p, a: SignedPermutation(a, Permutation(p)), st.permutations(range(n)), bits
+    )
+    k = draw(st.integers(0, 12))
+    kx, ky = draw(st.sampled_from([(k, k), (1, k), (k, 1)]))
+    xs = draw(st.lists(elements, min_size=kx, max_size=kx))
+    ys = draw(st.lists(elements, min_size=ky, max_size=ky))
+    return n, xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_stacks())
+def test_paired_row_kernels_agree_with_signed_permutation(case):
+    # each kernel on its own against the object operations: the sampled
+    # laws run both of their sides through these kernels, where a kernel
+    # bug could cancel out
+    n, xs, ys = case
+    P, A = to_arrays(xs, n)
+    Q, B = to_arrays(ys, n)
+    if len(xs) == 1:
+        pairs = [(xs[0], y) for y in ys]
+    elif len(ys) == 1:
+        pairs = [(x, ys[0]) for x in xs]
+    else:
+        pairs = list(zip(xs, ys))
+
+    def objects(rows):
+        return [tuple(r) for r in rows.tolist()]
+
+    assert objects(compose_rows(P, Q)) == [(x.perm * y.perm).images for x, y in pairs]
+    assert objects(act_rows(P, B)) == [x.perm.act_on_signs(y.sign) for x, y in pairs]
+    assert from_arrays(*mul_rows(P, A, Q, B)) == [x * y for x, y in pairs]
+    assert from_arrays(*conjugate_pairs(P, A, Q, B)) == [x.conjugate(y) for x, y in pairs]
+    assert objects(invert_rows(P)) == [x.perm.inverse().images for x in xs]
+    assert from_arrays(*inverse_rows(P, A)) == [x.inverse() for x in xs]
+    # the block of every x against every y, entry [i, j] = x_j |> y_i
+    NP, NA = conjugate_rows(P, A, Q, B)
+    assert NP.shape == NA.shape == (len(ys), len(xs), n)
+    assert from_arrays(NP.reshape(-1, n), NA.reshape(-1, n)) == [
+        x.conjugate(y) for y in ys for x in xs
+    ]
+
+
+def test_act_rows_refuses_unpaired_stacks():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        act_rows(np.zeros((3, 2), dtype=np.int8), np.zeros((2, 2), dtype=np.int8))
+
+
+def _text_ranks(perms):
+    """The rank of each permutation's cycle text, from sort_key."""
+    texts = [SignedPermutation.from_perm(Permutation(p)).sort_key() for p in perms]
+    ranks = [0] * len(texts)
+    for r, i in enumerate(sorted(range(len(texts)), key=texts.__getitem__)):
+        ranks[i] = r
+    return ranks
+
+
+def test_cycle_text_ranks_match_the_string_sort():
+    # all of S_n for n <= 7, then random samples up to n = 13, where the
+    # number token "10" sorts before "2"
+    for n in range(1, 8):
+        perms = list(itertools.permutations(range(n)))
+        assert _cycle_text_ranks(np.array(perms, dtype=np.int8)).tolist() == _text_ranks(perms)
+    rng = random.Random(9)
+    for n in range(8, 14):
+        perms = {tuple(range(n))}
+        while len(perms) < 400:
+            p = list(range(n))
+            # few moved points as well as many
+            moved = rng.sample(range(n), rng.randint(2, n))
+            for a, b in zip(moved, moved[1:] + moved[:1]):
+                p[a] = b
+            perms.add(tuple(p))
+            rng.shuffle(p)
+            perms.add(tuple(p))
+        perms = sorted(perms)
+        assert _cycle_text_ranks(np.array(perms, dtype=np.int8)).tolist() == _text_ranks(perms)
 
 
 def test_element_key_matches_encode():

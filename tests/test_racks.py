@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -583,6 +584,22 @@ def test_pullback_lifts_certificates():
     assert res
     lifted = pullback_type_d(hom, res.certificate)
     assert verify_certificate(up, lifted).ok
+
+
+def test_class_rack_table_working_memory_is_bounded():
+    # the S_6 6-cycles: 120 elements, one op_rows block of 14400 pairs
+    # conjugated at once; the build allocates at most 0.8 MB beyond the
+    # table it keeps (0.74 MB when each x was conjugated on its own)
+    cls = ConjugacyClass(Sn(6), SignedPermutation.parse("000000;(1 2 3 4 5 6)"))
+    FiniteRack.from_class(cls)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        rack = FiniteRack.from_class(cls)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.size == 120 and rack._table.shape == (120, 120)
+    assert peak - held <= 0.8e6
 
 
 def test_pullback_cache_is_keyed_by_config():

@@ -127,6 +127,20 @@ def test_scan_is_byte_deterministic():
     assert a == b
 
 
+def test_scan_empties_the_search_cache(capsys):
+    # the S_n searches of the pullback are cached for one scan only, and a
+    # second scan in the same process prints the same bytes
+    from weylrack.cli import main
+    from weylrack.racks import _SN_CACHE
+
+    texts = []
+    for _ in range(2):
+        assert main(["scan-classes", "--n", "5"]) == 0
+        assert not _SN_CACHE
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("[")
+
+
 def test_time_budget_yields_inconclusive_rows():
     rows = scan_classes(5, VerifyConfig(scan_time_budget=0.0))
     assert rows
