@@ -1112,6 +1112,34 @@ def count_nontrivial_classes(n: int) -> int:
 _SIGN_CONDITIONS = ("no fixed points", "fixed signs equal", "fixed signs mixed")
 
 
+def _scan_row(group, rep: SignedPermutation, seed: int, deadline: float) -> ScanRow:
+    """The scan row of the class of rep: matched by type against the
+    exception list, else searched for a certificate before the deadline.
+    The class and its rack are freed when this returns, before the scan
+    builds the next one."""
+    key = rep.signed_cycle_type()
+    sign_condition = _SIGN_CONDITIONS[len({p for l, p in key if l == 1})]
+    family = exception_family(key)
+    cert = None
+    if family is not None:
+        outcome, note = "exception-list", f"family {family}"
+    elif time.monotonic() > deadline:
+        outcome, note = "inconclusive", "time budget exhausted"
+    else:
+        rack = FiniteRack.from_class(ConjugacyClass(group, rep))
+        res = find_type_d_certificate(rack, seed)
+        if res:
+            outcome, note = "certificate", ""
+            cert = res.certificate.to_json()
+        else:
+            outcome = "inconclusive"
+            note = (
+                "no certificate found; "
+                "the known exception list may not apply at this n"
+            )
+    return ScanRow(group.n, _format_type(key), sign_condition, outcome, cert, note)
+
+
 def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
     """Classify every conjugacy class of B_n with nontrivial permutation
     part: exception-list rows are matched by type, everything else gets a
@@ -1123,31 +1151,9 @@ def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
     for rep in reps:
         if exception_family(rep.signed_cycle_type()) is None:
             check_class_budget(group, rep)
-    rows = []
     deadline = time.monotonic() + config.scan_time_budget
     try:
-        for rep in reps:
-            key = rep.signed_cycle_type()
-            sign_condition = _SIGN_CONDITIONS[len({p for l, p in key if l == 1})]
-            family = exception_family(key)
-            cert = None
-            if family is not None:
-                outcome, note = "exception-list", f"family {family}"
-            elif time.monotonic() > deadline:
-                outcome, note = "inconclusive", "time budget exhausted"
-            else:
-                rack = FiniteRack.from_class(ConjugacyClass(group, rep))
-                res = find_type_d_certificate(rack, config.seed)
-                if res:
-                    outcome, note = "certificate", ""
-                    cert = res.certificate.to_json()
-                else:
-                    outcome = "inconclusive"
-                    note = (
-                        "no certificate found; "
-                        "the known exception list may not apply at this n"
-                    )
-            rows.append(ScanRow(n, _format_type(key), sign_condition, outcome, cert, note))
+        rows = [_scan_row(group, rep, config.seed, deadline) for rep in reps]
     finally:
         clear_search_cache()
     if len(rows) != count_nontrivial_classes(n):

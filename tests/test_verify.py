@@ -127,6 +127,21 @@ def test_scan_is_byte_deterministic():
     assert a == b
 
 
+def test_scan_frees_each_class_before_building_the_next(monkeypatch):
+    # two large classes of B_8 held at once were most of the scan's peak
+    built = []
+
+    class Recording(ConjugacyClass):
+        def __init__(self, group, rep):
+            assert all(ref() is None for ref in built), "an earlier class is alive"
+            super().__init__(group, rep)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(verify, "ConjugacyClass", Recording)
+    scan_classes(4, VerifyConfig(seed=0))
+    assert len(built) > 1
+
+
 def test_scan_empties_the_search_cache(capsys):
     # the S_n searches of the pullback are cached for one scan only, and a
     # second scan in the same process prints the same bytes
