@@ -475,7 +475,7 @@ def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     key = np.empty(k, dtype=np.int64)
     key[by_part] = np.take(ranks, part, out=part)
     del by_part, part
-    _add_weighted(key, A, _weights(n).text_sign * len(ranks))
+    _add_weighted(key, A, _weights(n).sign[::-1] * len(ranks))
     return np.argsort(key, kind="stable")
 
 
@@ -559,7 +559,6 @@ def _add_weighted(keys: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
 class _Weights(NamedTuple):
     perm: np.ndarray  # n^i, the permutation part of a key
     sign: np.ndarray  # 2^i, the sign bits of a key
-    text_sign: np.ndarray  # 2^(n-1-i), the sign bits in text order
     token: np.ndarray  # 3 + the rank of str(v + 1) in string order
     pack: np.ndarray  # 16^(14-i), fifteen 4-bit tokens to an int64
 
@@ -572,7 +571,6 @@ def _weights(n: int) -> _Weights:
     weights = _Weights(
         n**powers,
         1 << powers,
-        1 << powers[::-1],
         np.argsort(np.argsort(names, kind="stable")).astype(np.int8) + 3,
         16 ** np.arange(14, -1, -1, dtype=np.int64),
     )
