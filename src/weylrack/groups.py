@@ -473,7 +473,8 @@ def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     part -= 1
     ranks = _cycle_text_ranks(P[by_part[new]])
     key = np.empty(k, dtype=np.int64)
-    key[by_part] = np.take(ranks, part, out=part)
+    # mode="clip": with the default mode NumPy buffers `out` in a copy
+    key[by_part] = np.take(ranks, part, out=part, mode="clip")
     del by_part, part
     _add_weighted(key, A, _weights(n).sign[::-1] * len(ranks))
     return np.argsort(key, kind="stable")
