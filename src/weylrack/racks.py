@@ -190,20 +190,22 @@ class FiniteRack:
         """Yield (i, Z) for consecutive blocks of the index list X, where
         Z[k, j] = X[i + k] |> Y[j]: op on the Cartesian product.  A rack
         with a table reads it; a class rack without one conjugates Y by
-        the whole block of x at once (conjugate_rows) and finds all the
-        keys of the block with one locate."""
+        the whole block of x at once (conjugate_rows, with the inverse
+        rows of Y taken once per call) and finds all the keys of the block
+        with one locate."""
         X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
         step = max(1, BLOCK_PAIRS // max(1, len(Y)))
         cls = self.source
         if self._table is None:
             PY, AY = cls.P[Y], cls.A[Y]
+            PYinv = invert_rows(PY)
         for i in range(0, len(X), step):
             Xb = X[i : i + step]
             if self._table is not None:
                 Z = self._table[np.ix_(Xb, Y)]
             else:
                 # entry [j, k] of the block is x_k |> y_j
-                NP, NA = conjugate_rows(cls.P[Xb], cls.A[Xb], PY, AY)
+                NP, NA = conjugate_rows(cls.P[Xb], cls.A[Xb], PY, AY, PYinv)
                 n = cls.group.n
                 Z = self._locate(NP.reshape(-1, n), NA.reshape(-1, n))
                 Z = Z.reshape(len(Y), len(Xb)).T

@@ -240,7 +240,7 @@ def test_kernel_agrees_with_signed_permutation(case):
     T, Ta = to_arrays([x], n)
     P, A = to_arrays(ys, n)
     assert from_arrays(P, A) == ys
-    NP, NA = (M[:, 0] for M in conjugate_rows(T, Ta, P, A))
+    NP, NA = (M[:, 0] for M in conjugate_rows(T, Ta, P, A, invert_rows(P)))
     assert from_arrays(NP, NA) == [x.conjugate(y) for y in ys]
     # the keys are injective: equal keys exactly for equal elements
     keys = encode(P, A).tolist()
@@ -292,7 +292,7 @@ def test_paired_row_kernels_agree_with_signed_permutation(case):
     assert objects(invert_rows(P)) == [x.perm.inverse().images for x in xs]
     assert from_arrays(*inverse_rows(P, A)) == [x.inverse() for x in xs]
     # the block of every x against every y, entry [i, j] = x_j |> y_i
-    NP, NA = conjugate_rows(P, A, Q, B)
+    NP, NA = conjugate_rows(P, A, Q, B, invert_rows(Q))
     assert NP.shape == NA.shape == (len(ys), len(xs), n)
     assert from_arrays(NP.reshape(-1, n), NA.reshape(-1, n)) == [
         x.conjugate(y) for y in ys for x in xs
