@@ -8,9 +8,13 @@ lift(w) = c_{i_1} ... c_{i_l} for any reduced word s_{i_1} ... s_{i_l}
 of w, with c_i the braiding applied at tensor positions (i, i+1).
 
 S_k is built on index arrays: the D^k basis tuples of a degree are one
-stack of flat indices, and each reduced word is lifted over the whole
-stack at once by `Braiding._apply_at`, which reads each pair's targets
-and coefficients from the braiding's own lookup arrays: in int64 when the
+stack of flat indices, the identity, and S_k is applied to it as the
+product of its coset factors (Andruskiewitsch-Schneider, "Pointed Hopf
+algebras", 2002): S_k = (S_{k-1} (x) id)(id + c_{k-2} + c_{k-2}c_{k-3} +
+... + c_{k-2}...c_0), positions counted from 0, which takes k(k-1)/2
+applications of c instead of one per letter of k! reduced words.  Each one runs over the whole stack
+at once in `Braiding._apply_at`, which reads each pair's targets and
+coefficients from the braiding's own lookup arrays: in int64 when the
 braiding is integral and no sum can overflow, as objects (big ints,
 `Cyclo`s) otherwise.  The degree-2 kernel test applies c the same way.
 S_k stays in arrays from the lift to the rank: the connected components
@@ -40,30 +44,11 @@ from .linalg import (
 from .ydmodule import Braiding, _combine
 
 
-def reduced_word(images: tuple, from_right: bool = False) -> tuple:
-    """A reduced word for the permutation with the given 0-based one-line
-    images, as a tuple of adjacent-transposition positions (0-based).
-
-    Repeatedly resolves the leftmost descent (rightmost when
-    `from_right`); the length equals the inversion number, so the word is
-    reduced.  The two variants give generically different reduced words,
-    which feeds the word-independence property test.
-    """
-    arr = list(images)
-    word = []
-    while True:
-        descents = [i for i in range(len(arr) - 1) if arr[i] > arr[i + 1]]
-        if not descents:
-            return tuple(reversed(word))
-        i = descents[-1] if from_right else descents[0]
-        arr[i], arr[i + 1] = arr[i + 1], arr[i]
-        word.append(i)
-
-
 def lift_word(braiding: Braiding, word: tuple, k: int, stack: tuple) -> tuple:
-    """Apply the lift c_{i_1} ... c_{i_l} of a reduced word to a whole
-    stack of terms on V^(x k), one `Braiding._apply_at` per letter from
-    the right; the stack is as `_apply_at` takes it."""
+    """Apply c_{i_1} ... c_{i_l} to a whole stack of terms on V^(x k), one
+    `Braiding._apply_at` per letter from the right; the stack is as
+    `_apply_at` takes it.  `symmetrizer_columns` lifts one letter at a
+    time."""
     for pos in reversed(word):
         stack = braiding._apply_at(stack, pos, k)
     return stack
@@ -76,17 +61,28 @@ def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
     (big ints, `Cyclo`s) otherwise.
 
     Basis tuples are flat indices in base D, the first tensor position
-    most significant.  All D^k columns start as one stack, each reduced
-    word lifts the whole stack at once, and the k! results are summed by
-    (column, row): k! words of k(k-1)/2 letters, for `int64_stack`."""
+    most significant.  All D^k columns start as one stack, the identity,
+    and the coset factors R_k, ..., R_2 act on it in turn, where
+    R_m = id + c_{m-2}(id + c_{m-3}(... (id + c_0))): one one-letter
+    `lift_word` per step, summed into the stack by `_combine`.
+    `from_right` mirrors them, R_m = id + c_{k-m}(... (id + c_{k-2})).
+    Expanded, the two give the reduced words of the leftmost and of the
+    rightmost descent, so they match the per-word sum term by term, even
+    for a c that fails the braid equation.  Every entry at every step is a
+    partial sum of the same at most k! products of at most k(k-1)/2
+    coefficients, which `int64_stack` bounds."""
     total = braiding.D**k
     dtype = np.int64 if braiding.int64_stack(k * (k - 1) // 2, factorial(k)) else object
-    identity = np.arange(total, dtype=np.int64) * (total + 1), np.ones(total, dtype)
-    words = (reduced_word(p, from_right) for p in permutations(range(k)))
-    keys, coeffs = zip(*(lift_word(braiding, w, k, identity) for w in words))
-    key, coeff = _combine(np.concatenate(keys), np.concatenate(coeffs))
-    col, row = np.divmod(key, total)
-    entries = np.column_stack((col, row, coeff))
+    stack = np.arange(total, dtype=np.int64) * (total + 1), np.ones(total, dtype)
+    for m in range(k, 1, -1):
+        letters = range(k - 2, k - m - 1, -1) if from_right else range(m - 1)
+        acc = stack
+        for pos in letters:
+            image = lift_word(braiding, (pos,), k, acc)
+            acc = _combine(*(np.concatenate(pair) for pair in zip(stack, image)))
+        stack = acc
+    col, row = np.divmod(stack[0], total)
+    entries = np.column_stack((col, row, stack[1]))
     bounds = np.searchsorted(col, np.arange(total + 1)).tolist()
     for c in range(total):
         yield c, entries[bounds[c] : bounds[c + 1]]
@@ -121,15 +117,21 @@ CYCLO_EXACT_LIMIT = 100
 # rank holds one diagonal block at a time, eliminated in place, and
 # keeping the count keeps the degrees it admits where they were
 MEMORY_BUDGET = 1 << 29
-# peak bytes per (reduced word, column) term of the lift stack, about 77
-# measured under tracemalloc for a monomial braiding
+# peak bytes per (word, column) term of the former per-word lift stack,
+# about 77 measured under tracemalloc for a monomial braiding
 LIFT_TERM_BYTES = 80
 
 
 def _degree_bytes(D: int, k: int) -> int:
     """Bytes that degree k is counted to need at once: the larger of the
-    dense D^k x D^k int64 matrix (see `MEMORY_BUDGET`) and the lift stack
-    of `symmetrizer_columns`, which is freed before any rank runs."""
+    dense D^k x D^k int64 matrix (see `MEMORY_BUDGET`) and a stack of k!
+    lifts of every column.  Neither is allocated any more: the coset
+    factors of `symmetrizer_columns` hold one partial product and one
+    step's image at a time (19 MB at the peak for S_4 at degree 5, where
+    the lift term counts 75 MB).  The count stays so that the degrees it
+    admits stay where they were: S_4 stops at degree 6 on both terms, and
+    `nichols-dim --n 3` at degree 7 on the lift term alone, a truncation
+    pinned in the CLI tests' digests."""
     size = D**k
     return max(8 * size * size, LIFT_TERM_BYTES * factorial(k) * size)
 

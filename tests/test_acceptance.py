@@ -5,7 +5,7 @@ import time
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.groups import Bn, SignedPermutation
 from weylrack.ncalg import fk_presentation, hilbert_series
-from weylrack.nichols import nichols_graded_dim, reduced_word
+from weylrack.nichols import nichols_graded_dim
 from weylrack.racks import FiniteRack
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn, tensor_case_admitted
 from weylrack.verify import (
@@ -15,6 +15,8 @@ from weylrack.verify import (
     verify_lemmas,
 )
 from weylrack.ydmodule import ArrowYDModule, build_yd_module, psi_isomorphism_check
+
+from test_nichols import reduced_word
 
 
 def run_checks(names, **cfg):

@@ -73,14 +73,15 @@ print(json.dumps({{k: tracer.counts[k] for k in names}}))
 
 
 @pytest.mark.parametrize("argv, lifts, letters", [
-    # one lift per word (2 + 6 + 24), one kernel call per letter (1 + 9 + 72)
-    (["nichols-dim", "--n", "3", "--preset", "--max-degree", "4"], 32, 82),
+    # one one-letter lift per application of c in the coset factors of
+    # S_2, S_3 and S_4: k(k-1)/2 each, 1 + 3 + 6
+    (["nichols-dim", "--n", "3", "--preset", "--max-degree", "4"], 10, 10),
     # the braid check: each side lifts all 27 triples at once, 3 letters each
     (["braiding", "--n", "3", "--preset"], 0, 6),
 ])
 def test_tracer_counts_the_braiding_kernel(argv, lifts, letters):
     # every application of c goes through `Braiding._apply_at`, and each
-    # symmetrizer word through `nichols.lift_word`
+    # one in the symmetrizer through `nichols.lift_word`
     proc = _run(KERNEL.format(argv=argv))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {

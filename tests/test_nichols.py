@@ -1,6 +1,7 @@
 """Graded dimensions of braided symmetrizer quotients, degree-2 kernels,
 and the transposition cocycle tables."""
 
+import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +23,6 @@ from weylrack.nichols import (
     degree2_kernel,
     nichols_graded_dim,
     pair_relation_lambdas,
-    reduced_word,
     square_relation_holds,
     symmetrizer_columns,
     table1_values,
@@ -281,6 +281,26 @@ def test_non_integer_rational_braiding_is_refused_at_degree_two():
         nichols_graded_dim(c, 2)
 
 
+def reduced_word(images: tuple, from_right: bool = False) -> tuple:
+    """A reduced word for the permutation with the given 0-based one-line
+    images, as a tuple of adjacent-transposition positions (0-based).
+
+    Repeatedly resolves the leftmost descent (rightmost when
+    `from_right`); the length equals the inversion number, so the word is
+    reduced.  The two variants give generically different reduced words,
+    the per-word sums that `oracle_columns` builds for each `from_right`.
+    """
+    arr = list(images)
+    word = []
+    while True:
+        descents = [i for i in range(len(arr) - 1) if arr[i] > arr[i + 1]]
+        if not descents:
+            return tuple(reversed(word))
+        i = descents[-1] if from_right else descents[0]
+        arr[i], arr[i + 1] = arr[i + 1], arr[i]
+        word.append(i)
+
+
 def test_reduced_words_are_reduced():
     # word length equals the inversion number, and the word multiplies
     # back to the permutation
@@ -401,6 +421,45 @@ def test_symmetrizer_matches_the_per_column_oracle(case, from_right):
             for col, entries in symmetrizer_columns(c, k, from_right)
         }
         assert columns == oracle_columns(c, k, from_right), k
+
+
+# SHA-256 of the drained (column, row, coeff) int64 triples of S_k, as
+# `nichols_graded_dim` drains them, recorded from the per-word lift
+SYMMETRIZER_DIGESTS = {
+    (3, "sgn-sgn", 4): "2c9f2d36286b76367f1f13534dae0ea0f870fdf2f9e5ca4b8d350ee71914a512",
+    (3, "eps-sgn", 4): "2c9f2d36286b76367f1f13534dae0ea0f870fdf2f9e5ca4b8d350ee71914a512",
+    (4, "sgn-sgn", 4): "14099c52ba26b3684ec634af33d6ba1a542abe31b40aa6a7c74c50ab999d0ad1",
+    (4, "eps-sgn", 4): "b9d038ec9820a9d1de8b7794bd0a543c086b59c524f98b70a69db474c84dc15d",
+    (4, "sgn-sgn", 5): "abeb8b98f1268877702ac5c3cd8d588007a41e98c57152cc8c9dac08b63b67ea",
+    (4, "eps-sgn", 5): "50a82fb89d762fe836992d6c1dde1545e0660936fe59a6342e6efc9294110b53",
+}
+CHARACTERS = {"sgn-sgn": chi_sgn_sgn, "eps-sgn": chi_eps_sgn}
+
+
+@pytest.mark.parametrize("n, char, k", list(SYMMETRIZER_DIGESTS))
+def test_symmetrizer_bytes_are_pinned(n, char, k):
+    c = braiding_for(n, CHARACTERS[char])
+    for from_right in (False, True):
+        triples = np.concatenate([e for _, e in symmetrizer_columns(c, k, from_right)])
+        assert triples.dtype == np.int64
+        digest = hashlib.sha256(triples.astype("<i8").tobytes()).hexdigest()
+        assert digest == SYMMETRIZER_DIGESTS[n, char, k], from_right
+
+
+def test_symmetrizer_lift_stays_near_its_result():
+    # S_5 of the S_4 transposition braiding: 180864 triples, 4.3 MB.  The
+    # coset factors hold the stack and one step's image, about 19 MB at
+    # the peak under tracemalloc; summing the lifts of all 120 words at
+    # once peaked at 52 MB
+    c = braiding_for(4, chi_sgn_sgn)
+    tracemalloc.start()
+    try:
+        triples = np.concatenate([e for _, e in symmetrizer_columns(c, 5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(triples) == 180864
+    assert peak < 28e6, peak
 
 
 def test_int64_guard_bounds_every_sum():
