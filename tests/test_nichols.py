@@ -251,9 +251,9 @@ def test_block_rank_matches_the_dense_rank(case):
         assert 0 < dense < size
 
 
-def diagonal_braiding(q):
-    """c(e_a (x) e_b) = q(a, b) e_b (x) e_a on D = 2."""
-    return Braiding(2, {(a, b): [((b, a), q(a, b))] for a in range(2) for b in range(2)})
+def diagonal_braiding(q, D=2):
+    """c(e_a (x) e_b) = q(a, b) e_b (x) e_a."""
+    return Braiding(D, {(a, b): [((b, a), q(a, b))] for a in range(D) for b in range(D)})
 
 
 def test_cyclotomic_braiding_ranks_over_the_field():
@@ -407,6 +407,9 @@ ORACLE_CASES = {
     "coefficient-3": (lambda: diagonal_braiding(lambda a, b: 3 if a != b else -1), 4),
     # 2^40 cubed leaves int64, so the guard must pick exact ints
     "coefficient-2^40": (lambda: diagonal_braiding(lambda a, b: 2**40 if a != b else -1), 3),
+    # the longest word on four distinct letters multiplies six 2^11s, 2^66:
+    # the guard must count k(k-1)/2 letters per word, not k
+    "coefficient-2^11": (lambda: diagonal_braiding(lambda a, b: 2**11 if a != b else -1, 4), 4),
 }
 
 
