@@ -31,10 +31,12 @@ from .groups import (
     SignedPermutation,
     Sn,
     act_rows,
+    compose_rows,
     conjugate_pairs,
     element_key,
     encode,
     from_arrays,
+    invert_rows,
     inverse_rows,
     juxtapose_rows,
     mul_rows,
@@ -188,8 +190,8 @@ class ConjugacyClass(_Rows):
     (groups.text_order).  The class is held as rows (see _Rows), and so
     are its conjugator words: row i of `words` = (WP, WA) conjugates rep
     to element i, and the word of t_1 is the identity.  The words come
-    in closed form from rep's signed cycle type (see _class_words), the
-    rows from the words (see _conjugates).
+    in closed form from rep's signed cycle type, and the rows with them
+    (see _class_words).
     """
 
     def __init__(self, group: GroupContext, rep: SignedPermutation):
@@ -198,10 +200,9 @@ class ConjugacyClass(_Rows):
         self.group = group
         self.rep = rep
         self.size = check_class_budget(group, rep)
-        WP, WA = _class_words(rep, group.signed)
+        (WP, WA), (P, A) = _class_words(rep, group.signed)
         if len(WP) != self.size:
             raise AssertionError(f"enumerated {len(WP)} elements, expected {self.size}")
-        P, A = _conjugates(WP, WA, rep)
         keys = encode(P, A)
         # rep first, then the rest in text order (the texts are distinct)
         is_rep = keys == element_key(rep)
@@ -273,7 +274,8 @@ def _extend(W: np.ndarray, x: int, allowed: np.ndarray) -> np.ndarray:
 
 
 def _class_words(rep: SignedPermutation, signed: bool) -> tuple:
-    """(P, A) of one conjugator word g per element g |> rep of its class.
+    """((WP, WA), (P, A)): one conjugator word g per element g |> rep of
+    its class, and that element.
 
     rep's cycles, fixed points included, grouped by (length, parity) and
     by least point within a group, are the template.  g maps them onto
@@ -282,7 +284,12 @@ def _class_words(rep: SignedPermutation, signed: bool) -> tuple:
     images of one group come in order of increasing least point, so each
     permutation of the class is reached once.  In B_n each image cycle
     of length l also takes the 2^(l-1) sign patterns that are 0 at its
-    start."""
+    start: the words are (g.s, g) for each distinct permutation g and
+    each row s of a small table S.  As SignedPermutation.conjugate with
+    rep = (b, sigma), the conjugate of rep by (g.s, g) is
+    (g.(s + b + s o sigma^-1), g sigma g^-1): P[g(j)] = g(sigma(j)), once
+    per distinct g, and A[g(j)] = T_j for the rows of the small table
+    T = S + b + S o sigma^-1, written through the words' flat index."""
     n = rep.n
     cycles = sorted(rep.perm.cycles(include_fixed=True), key=lambda c: _kind(rep, c))
     points = np.arange(n)
@@ -304,12 +311,18 @@ def _class_words(rep: SignedPermutation, signed: bool) -> tuple:
     loose = [x for c in cycles for x in c[1:]] if signed else []
     S = np.zeros((1 << len(loose), n), dtype=np.int8)
     S[:, loose] = (np.arange(len(S))[:, None] >> np.arange(len(loose))) & 1
-    P = np.repeat(W, len(S), axis=0)
-    A = np.empty_like(P)
-    for rows, at in _blocks(len(P), n):
+    sigma = np.array(rep.perm.images)
+    T = S ^ np.array(rep.sign, dtype=np.int8) ^ S[:, np.argsort(sigma)]
+    WP = np.repeat(W, len(S), axis=0)
+    P = np.repeat(compose_rows(W[:, sigma], invert_rows(W)), len(S), axis=0)
+    WA, A = np.empty_like(WP), np.empty_like(P)
+    for rows, at in _blocks(len(WP), n):
         # the bit of template point x is the sign at its image g(x)
-        A[rows].reshape(-1)[at + P[rows]] = S[np.arange(rows.start, rows.stop) % len(S)]
-    return P, A
+        image = at + WP[rows]
+        pattern = np.arange(rows.start, rows.stop) % len(S)
+        WA[rows].reshape(-1)[image] = S[pattern]
+        A[rows].reshape(-1)[image] = T[pattern]
+    return (WP, WA), (P, A)
 
 
 def _blocks(k: int, n: int):
@@ -319,24 +332,6 @@ def _blocks(k: int, n: int):
     for start in range(0, k, BLOCK_PRODUCTS):
         rows = slice(start, min(start + BLOCK_PRODUCTS, k))
         yield rows, np.arange(rows.stop - start)[:, None] * n
-
-
-def _conjugates(WP: np.ndarray, WA: np.ndarray, rep: SignedPermutation) -> tuple:
-    """(P, A) of x |> rep for each word x = (a, g) of (WP, WA), as
-    SignedPermutation.conjugate with rep = (b, sigma): P[g(j)] =
-    g(sigma(j)) and A[g(j)] = a_g(j) + b_j + a_g(sigma^-1(j)), written
-    through one flat index per block of rows."""
-    n = rep.n
-    sigma = np.array(rep.perm.images)
-    sigma_inv = np.argsort(sigma)
-    b = np.array(rep.sign, dtype=np.int8)
-    P, A = np.empty_like(WP), np.empty_like(WA)
-    for rows, at in _blocks(len(WP), n):
-        g, a = WP[rows], WA[rows].reshape(-1)
-        image = at + g
-        P[rows].reshape(-1)[image] = g[:, sigma]
-        A[rows].reshape(-1)[image] = a[image] ^ b ^ a[at + g[:, sigma_inv]]
-    return P, A
 
 
 class Centralizer(_Rows):

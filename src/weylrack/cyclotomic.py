@@ -166,22 +166,20 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
+        """1/x = (product of the other Galois conjugates of x) / N(x): the
+        conjugates send zeta_N to zeta_N^k, gcd(k, N) = 1, and the norm
+        N(x), x times that product, is rational."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.N == 1:
-            return Cyclo(1, [1 / self.coeffs[0]])
-        # extended Euclid in Q[x]: u * self + v * Phi_N = 1
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.N)]
-        r0, r1 = phi, list(self.coeffs)
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _polysub(u0, _polymul(q, u1))
-        lead = next(c for c in reversed(r0) if c)
-        if any(c for i, c in enumerate(r0) if i > 0 and c):
-            raise ArithmeticError("gcd with Phi_N is not constant")
-        return Cyclo(self.N, [c / lead for c in u0])
+        N = self.N
+        others = Cyclo(N, [1])
+        for k in range(2, N):
+            if gcd(k, N) == 1:
+                image = [0] * N
+                for i, c in enumerate(self.coeffs):
+                    image[i * k % N] = c
+                others = others * Cyclo(N, image)
+        return others * (1 / (self * others).as_rational())
 
     def __truediv__(self, other):
         return self * Cyclo.coerce(other).inverse()
@@ -285,33 +283,3 @@ def as_int(v) -> int:
         raise ValueError("expected integer entry")
     return out
 
-
-def _polydivmod(num: list, den: list) -> tuple:
-    num = list(num)
-    dd = len(den) - 1
-    while dd and not den[dd]:
-        dd -= 1
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[k + dd] / den[dd]
-        q[k] = c
-        if c:
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    return q, num[:dd] if dd else [Fraction(0)]
-
-
-def _polymul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

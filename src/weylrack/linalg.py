@@ -2,17 +2,17 @@
 
 Exact ranks are for small matrices: `rank_int_exact` is fraction-free
 Gaussian elimination over the integers with gcd row normalization (pure
-Python big ints), `rank_cyclo_exact` plain Gaussian elimination over
-Q(zeta_N), and `nullspace_rational` works over Q.
+Python big ints).  Over a field there is one elimination, `_echelon`:
+`rank_cyclo_exact` counts its pivots over Q(zeta_N), and
+`nullspace_rational` back-substitutes from it over Q.
 
 Every modular rank goes through `rank_two_primes`, the one agreement
-check: it ranks the matrix mod two 31-bit primes (`rank_mod_p`, vectorized
-elimination in numpy, in place) and raises unless they agree; a matrix
-may also be given by its rank mod p, a block-diagonal one ranked block
-by block.  The agreed rank is a lower bound.  A matrix
-over Q(zeta_N) is given by its images mod primes p = 1 (mod N)
-(`primes_for_conductor`), where zeta_N becomes a primitive N-th root of
-unity in F_p (`root_of_unity_mod_p`).
+check: it calls a rank function at two 31-bit primes and raises unless
+the ranks agree (`rank_mod_p` is vectorized elimination in numpy, in
+place); a block-diagonal matrix is ranked block by block.  The agreed
+rank is a lower bound.  A matrix over Q(zeta_N) is given by its images
+mod primes p = 1 (mod N) (`primes_for_conductor`), where zeta_N becomes a
+primitive N-th root of unity in F_p (`root_of_unity_mod_p`).
 """
 
 from __future__ import annotations
@@ -75,75 +75,46 @@ def rank_int_exact(rows: list) -> int:
     return rank
 
 
-def nullspace_rational(rows: list) -> list:
-    """Right nullspace basis of a matrix with int/Fraction entries.
-
-    Returns a list of Fraction vectors; exact, for small matrices.
-    """
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def _echelon(rows: list) -> tuple:
+    """Forward elimination over a field (Q or Q(zeta_N)) of a list of row
+    lists, which it overwrites: (pivot columns, echelon rows).  Each pivot
+    is the first non-zero at or below its row, scaled to 1, and the rows
+    below it are cleared in its column."""
     pivots = []
-    r_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r_idx, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
             continue
-        rows[r_idx], rows[pivot] = rows[pivot], rows[r_idx]
-        pv = rows[r_idx][col]
-        rows[r_idx] = [x / pv for x in rows[r_idx]]
-        for i in range(len(rows)):
-            if i != r_idx and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r_idx])]
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = 1 / rows[r][col]
+        pivot = rows[r] = [x * inv for x in rows[r]]
+        for k in range(r + 1, len(rows)):
+            if f := rows[k][col]:
+                rows[k] = [x - f * y for x, y in zip(rows[k], pivot)]
         pivots.append(col)
-        r_idx += 1
-        if r_idx == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return pivots, rows[: len(pivots)]
+
+
+def nullspace_rational(rows: list) -> list:
+    """Right nullspace basis of a matrix with int/Fraction entries, as
+    Fraction vectors: one per free column of `_echelon`, 1 there and 0 at
+    the other free columns, the pivot entries back-substituted."""
+    pivots, echelon = _echelon([[Fraction(x) for x in r] for r in rows])
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+        for pc, row in zip(reversed(pivots), reversed(echelon)):
+            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, ncols)), Fraction(0))
         basis.append(v)
     return basis
 
 
 def rank_cyclo_exact(rows: list) -> int:
     """Exact rank over a cyclotomic field; entries are Cyclo/int/Fraction."""
-    rows = [[Cyclo.coerce(x) for x in r] for r in rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rows and col < ncols:
-        pivot_i = next((i for i, r in enumerate(rows) if r[col]), None)
-        if pivot_i is None:
-            col += 1
-            continue
-        pivot_row = rows.pop(pivot_i)
-        inv = pivot_row[col].inverse()
-        pivot_row = [x * inv for x in pivot_row]
-        rank += 1
-        nxt = []
-        for r in rows:
-            if r[col]:
-                f = r[col]
-                r = [x - f * y for x, y in zip(r, pivot_row)]
-            if any(r):
-                nxt.append(r)
-        rows = nxt
-        col += 1
-    return rank
+    return len(_echelon([[Cyclo.coerce(x) for x in r] for r in rows])[0])
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -174,18 +145,16 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def rank_two_primes(matrix, primes: tuple = DEFAULT_PRIMES) -> int:
+def rank_two_primes(rank, primes: tuple) -> int:
     """Modular rank with two independent primes; raises on disagreement.
 
-    `matrix` is an integer ndarray, or a function from a prime p to the
-    rank mod p of a matrix it stands for (for a block-diagonal matrix, the
-    sum of its blocks' `rank_mod_p`; for a matrix over Q(zeta_N), with
-    the primes of `primes_for_conductor(N)`).  The agreed value is a
-    certified lower bound for the rank over the field and equals it away
-    from finitely many primes; callers must flag the lower-bound
-    semantics.
+    `rank` is a function from a prime p to the rank mod p of the matrix
+    it stands for (for a block-diagonal matrix, the sum of its blocks'
+    `rank_mod_p`; for a matrix over Q(zeta_N), with the primes of
+    `primes_for_conductor(N)`).  The agreed value is a certified lower
+    bound for the rank over the field and equals it away from finitely
+    many primes; callers must flag the lower-bound semantics.
     """
-    rank = matrix if callable(matrix) else lambda p: rank_mod_p(np.array(matrix, dtype=np.int64), p)
     r0, r1 = map(rank, primes)
     if r0 != r1:
         raise ArithmeticError(

@@ -337,9 +337,6 @@ class HilbertData:
     terminated: bool
     basis_size: int
 
-    def total(self) -> int:
-        return sum(self.dims)
-
     def to_json(self) -> dict:
         return {
             "dims": self.dims,

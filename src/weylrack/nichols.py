@@ -95,9 +95,6 @@ class GradedDims:
     method: str
     truncated_at: int | None = None  # budget stop, if any
 
-    def total(self) -> int:
-        return sum(self.dims)
-
     def to_json(self) -> dict:
         return {
             "dims": self.dims,

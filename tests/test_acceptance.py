@@ -68,7 +68,7 @@ def test_criterion_4_exact_graded_dimensions():
     c3 = build_yd_module(cs3, chi_sgn_sgn(cs3.centralizer)).braiding()
     d3 = nichols_graded_dim(c3, 5)
     assert d3.dims == [1, 3, 4, 3, 1, 0]
-    assert d3.total() == 12
+    assert sum(d3.dims) == 12
     assert d3.exact
     # the n = 3 quadratic algebra has identical Hilbert data
     h3 = hilbert_series(fk_presentation(3), 5)
@@ -77,7 +77,7 @@ def test_criterion_4_exact_graded_dimensions():
     # the n = 4 quadratic algebra terminates with total dimension 576
     h4 = hilbert_series(fk_presentation(4), 13)
     assert h4.terminated
-    assert h4.total() == 576
+    assert sum(h4.dims) == 576
     # braiding-based dims for S_4 agree with it through degree 4
     cs4 = transposition_preset(4)
     c4 = build_yd_module(cs4, chi_sgn_sgn(cs4.centralizer)).braiding()

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,26 @@ def test_inverse():
         assert v * v.inverse() == Cyclo.rational(1)
     with pytest.raises(ZeroDivisionError):
         Cyclo.rational(0).inverse()
+
+
+def test_inverse_of_random_elements_of_every_conductor_up_to_15():
+    rng = random.Random(24)
+    for N in range(1, 16):
+        degree = len(cyclotomic_polynomial(N)) - 1
+        for _ in range(12):
+            x = Cyclo(N, [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(degree)])
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert inv.N == N
+            assert x * inv == Cyclo.rational(1)
+        with pytest.raises(ZeroDivisionError):
+            Cyclo(N, [0] * degree).inverse()
+    # zeta_4 written as zeta_12^3 is inverted in Q(zeta_12)
+    z = Cyclo.zeta(12, 3)
+    assert z.inverse() == Cyclo.zeta(4, 3) == Cyclo.zeta(12, 9)
+    assert z.inverse().N == 12
+    assert (z + 2).inverse() * (Cyclo.zeta(4) + 2) == Cyclo.rational(1)
 
 
 def test_multiplicative_order():

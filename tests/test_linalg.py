@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylrack.cyclotomic import Cyclo
+from weylrack.cyclotomic import Cyclo, cyclotomic_polynomial
 from weylrack.linalg import (
     DEFAULT_PRIMES,
     nullspace_rational,
+    primes_for_conductor,
     rank_cyclo_exact,
     rank_int_exact,
     rank_mod_p,
     rank_two_primes,
+    root_of_unity_mod_p,
 )
 
 
@@ -59,11 +61,7 @@ def test_rank_matches_fraction_oracle():
         expected = rank_fraction_oracle(m)
         assert rank_int_exact(m) == expected
         assert rank_mod_p(np.array(m), DEFAULT_PRIMES[0]) == expected
-        # rank_mod_p eliminates an int64 array in place; rank_two_primes
-        # ranks copies and leaves its argument as it was
-        held = np.array(m)
-        assert rank_two_primes(held) == expected
-        assert held.tolist() == m
+        assert rank_two_primes(lambda p: rank_mod_p(np.array(m), p), DEFAULT_PRIMES) == expected
 
 
 def test_nullspace_vectors_are_killed():
@@ -76,6 +74,29 @@ def test_nullspace_vectors_are_killed():
         for v in basis:
             for row in m:
                 assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+def test_nullspace_basis_is_canonical():
+    # one vector per free column of the reduced echelon form: 1 there, 0
+    # at the other free columns, and the pivot entries solve the rows
+    rng = random.Random(34)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        m = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * rng.randint(0, 1)
+             for _ in range(ncols)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        # a column is free when it adds nothing to the rank of those before it
+        ranks = [rank_fraction_oracle([r[:c] for r in m]) for c in range(ncols + 1)]
+        free = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
+        basis = nullspace_rational(m)
+        assert len(basis) == len(free)
+        for fc, v in zip(free, basis):
+            assert all(isinstance(x, Fraction) for x in v)
+            assert [v[c] for c in free] == [int(c == fc) for c in free]
+            for row in m:
+                assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 def test_nullspace_basis_is_independent():
@@ -102,15 +123,49 @@ def test_rank_cyclo_roots_of_unity():
     assert rank_cyclo_exact([[Cyclo.rational(0)]]) == 0
 
 
+def test_rank_cyclo_matches_the_residues_mod_two_primes():
+    # the entries' images mod p = 1 (mod N), with zeta_N taken to a
+    # primitive N-th root of unity in F_p, have the same rank away from
+    # finitely many p
+    rng = random.Random(35)
+
+    def residue(x, N, p, z):
+        return sum(
+            c.numerator * pow(c.denominator, -1, p) * pow(z, i, p)
+            for i, c in enumerate(x.promote(N).coeffs)
+        ) % p
+
+    for N in (3, 4, 5, 7, 8, 9, 12):
+        degree = len(cyclotomic_polynomial(N)) - 1
+        for _ in range(4):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+            base = [
+                [Cyclo(N, [rng.randint(-2, 2) for _ in range(degree)]) for _ in range(nc)]
+                for _ in range(rng.randint(1, nr))
+            ]
+            # rows past the first few are combinations of them
+            m = base + [
+                [sum((rng.choice((0, 1, Cyclo.zeta(N))) * r[j] for r in base), Cyclo.rational(0))
+                 for j in range(nc)]
+                for _ in range(nr - len(base))
+            ]
+
+            def rank(p):
+                z = root_of_unity_mod_p(N, p)
+                return rank_mod_p(np.array([[residue(x, N, p, z) for x in r] for r in m]), p)
+
+            assert rank_cyclo_exact(m) == rank_two_primes(rank, primes_for_conductor(N))
+
+
 def test_two_primes_disagreement_is_detected():
     # a matrix divisible by one prime but not the other has different
     # modular ranks, which must raise instead of returning silently
     p0 = DEFAULT_PRIMES[0]
     with pytest.raises(ArithmeticError):
-        rank_two_primes(np.array([[p0]]))
+        rank_two_primes(lambda p: rank_mod_p(np.array([[p0]]), p), DEFAULT_PRIMES)
     # and divisibility by the *second* prime is caught symmetrically
     with pytest.raises(ArithmeticError):
-        rank_two_primes(np.array([[DEFAULT_PRIMES[1]]]))
+        rank_two_primes(lambda p: rank_mod_p(np.array([[DEFAULT_PRIMES[1]]]), p), DEFAULT_PRIMES)
 
 
 def test_default_primes_are_31_bit_and_distinct():

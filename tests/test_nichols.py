@@ -42,7 +42,7 @@ def test_s3_graded_dims_exact():
     c = braiding_for(3, chi_sgn_sgn)
     out = nichols_graded_dim(c, 5)
     assert out.dims == [1, 3, 4, 3, 1, 0]
-    assert out.total() == 12
+    assert sum(out.dims) == 12
     assert out.exact
     assert out.method == "exact-int"
     assert out.truncated_at is None
