@@ -20,12 +20,26 @@ braiding is integral and no sum can overflow, as objects (big ints,
 S_k stays in arrays from the lift to the rank: the connected components
 of its support are its diagonal blocks, each ranked on its own on the
 exact or modular path that `nichols_graded_dim` describes.
+
+A braiding of rack type, c(x_a (x) x_b) = q_ab x_{a>b} (x) x_a, grades
+V^(x k) by rack degree: the degree of a word a_1 ... a_k is the
+permutation phi_{a_1} o ... o phi_{a_k} of the basis, phi_a(b) = a > b.
+Each c_i keeps the degree when > is a rack (phi_{a>b} phi_a = phi_a
+phi_b), so S_k is block diagonal by degree.  If q is also a rack
+2-cocycle, q(x, y>z) q(y, z) = q(x>y, x>z) q(x, z), the map
+x_j -> q_zj x_{z>j} at every tensor position commutes with every c_i,
+and it carries the block of degree g onto that of phi_z g phi_z^-1
+(Andruskiewitsch-Grana, "From racks to pointed Hopf algebras", 2003).
+Conjugate blocks then have equal rank over any field in which the q_zj
+are non-zero, so `nichols_graded_dim` builds and ranks only the columns
+of the least degree of each orbit and counts each rank once per degree
+of the orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations, repeat
 from math import factorial, lcm
 
 import numpy as np
@@ -54,15 +68,18 @@ def lift_word(braiding: Braiding, word: tuple, k: int, stack: tuple) -> tuple:
     return stack
 
 
-def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
+def symmetrizer_columns(
+    braiding: Braiding, k: int, from_right: bool = False, columns: np.ndarray | None = None
+):
     """Yield (column index, entries) for S_k on V^(x k), for every column
-    in order: entries is the column's slice of one array of (column, row,
-    coeff) triples sorted by row, in int64 when the lift is, as objects
-    (big ints, `Cyclo`s) otherwise.
+    in order, or for the ascending flat indices `columns` only: entries
+    is the column's slice of one array of (column, row, coeff) triples
+    sorted by row, in int64 when the lift is, as objects (big ints,
+    `Cyclo`s) otherwise.
 
     Basis tuples are flat indices in base D, the first tensor position
-    most significant.  All D^k columns start as one stack, the identity,
-    and the coset factors R_k, ..., R_2 act on it in turn, where
+    most significant.  The columns start as one stack, the identity on
+    them, and the coset factors R_k, ..., R_2 act on it in turn, where
     R_m = id + c_{m-2}(id + c_{m-3}(... (id + c_0))): one one-letter
     `lift_word` per step, summed into the stack by `_combine`.
     `from_right` mirrors them, R_m = id + c_{k-m}(... (id + c_{k-2})).
@@ -73,7 +90,9 @@ def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
     coefficients, which `int64_stack` bounds."""
     total = braiding.D**k
     dtype = np.int64 if braiding.int64_stack(k * (k - 1) // 2, factorial(k)) else object
-    stack = np.arange(total, dtype=np.int64) * (total + 1), np.ones(total, dtype)
+    if columns is None:
+        columns = np.arange(total, dtype=np.int64)
+    stack = columns * (total + 1), np.ones(len(columns), dtype)
     for m in range(k, 1, -1):
         letters = range(k - 2, k - m - 1, -1) if from_right else range(m - 1)
         acc = stack
@@ -83,9 +102,9 @@ def symmetrizer_columns(braiding: Braiding, k: int, from_right: bool = False):
         stack = acc
     col, row = np.divmod(stack[0], total)
     entries = np.column_stack((col, row, stack[1]))
-    bounds = np.searchsorted(col, np.arange(total + 1)).tolist()
-    for c in range(total):
-        yield c, entries[bounds[c] : bounds[c + 1]]
+    bounds = np.searchsorted(col, np.append(columns, total)).tolist()
+    for i, c in enumerate(columns.tolist()):
+        yield c, entries[bounds[i] : bounds[i + 1]]
 
 
 @dataclass
@@ -141,6 +160,18 @@ def nichols_graded_dim(
 ) -> GradedDims:
     """Graded dimensions dims[k] = rank(S_k) for k = 0..max_degree.
 
+    When `_rack_grading` finds c to be a bijection of rack type with
+    integer scalars q forming a rack 2-cocycle, degree k builds only the
+    columns that `_degree_orbits` keeps at k, one degree per orbit of rack
+    degrees under conjugation, and counts each block's rank once for
+    every degree in its orbit: the module docstring's transport makes
+    the blocks of one orbit isomorphic.  On the modular path that needs
+    every q non-zero mod both primes too.  Otherwise every column is
+    built with weight 1.  Integer scalars keep every degree's conductor
+    at 1 whichever columns are built, so the path each degree takes,
+    chosen by D^k as below, and its label stay what they are for all
+    columns.
+
     S_k is built in ints when every braiding coefficient is a rational
     integer of conductor 1, in `Cyclo`s otherwise.  Each degree's path
     follows the lcm N of its entries' conductors (an int counts as 1, and
@@ -160,12 +191,19 @@ def nichols_graded_dim(
     exact = True
     methods = set()
     truncated = None
+    phi, units = _rack_grading(braiding)
+    orbits = repeat(None) if phi is None else islice(_degree_orbits(phi), 1, None)
     for k in range(2, max_degree + 1):
         if _degree_bytes(D, k) > budget:
             truncated = k
             break
         size = D**k
-        triples = np.concatenate([e for _, e in symmetrizer_columns(braiding, k, from_right)])
+        graded = next(orbits)
+        if graded is None or (size > EXACT_LIMIT and not units):
+            graded = None, np.ones(size, dtype=np.int64)
+        keep, weight = graded
+        columns = symmetrizer_columns(braiding, k, from_right, keep)
+        triples = np.concatenate([e for _, e in columns])
         (col, row), coeff = triples[:, :2].T.astype(np.int64), triples[:, 2]
         N = 1
         if coeff.dtype == object:
@@ -173,16 +211,88 @@ def nichols_graded_dim(
             if N == 1 and braiding.norm is None:  # a rational degree of a `Cyclo` braiding
                 coeff = np.frompyfunc(as_int, 1, 1)(coeff)
         single, parts = _components(row, col, size)
+        weight = weight[row]  # an entry's row and column share a degree
         if size <= (EXACT_LIMIT if N == 1 else CYCLO_EXACT_LIMIT):
             rank = rank_int_exact if N == 1 else rank_cyclo_exact
-            blocks = (_dense(m, i, j, coeff[at]).tolist() for m, i, j, at in parts)
-            dims.append(len(single) + sum(map(rank, blocks)))
+            blocks = ((weight[at[0]], _dense(m, i, j, coeff[at]).tolist()) for m, i, j, at in parts)
+            dims.append(int(weight[single].sum() + sum(w * rank(b) for w, b in blocks)))
             methods.add("exact-int" if N == 1 else "exact-cyclo")
         else:
-            dims.append(_modular_rank(coeff, single, parts, N))
+            dims.append(_modular_rank(coeff, single, parts, N, weight))
             methods.add("mod-p")
             exact = False
     return GradedDims(dims, exact, "+".join(sorted(methods)) or "trivial", truncated)
+
+
+def _rack_grading(braiding: Braiding) -> tuple:
+    """(phi, units) for a bijection c of basis pairs of rack type,
+    c(e_a (x) e_b) = q_ab e_{a>b} (x) e_a, whose scalars q are rational
+    integers, where > is a rack, a > (b > c) = (a > b) > (a > c), and q a
+    rack 2-cocycle, q(a, b>c) q(b, c) = q(a>b, a>c) q(a, c), on every
+    basis triple: phi[a, b] = a > b as a D x D array, and units whether
+    every q_ab is non-zero mod both primes of `primes_for_conductor(1)`.
+    (None, False) for any other braiding."""
+    D = braiding.D
+    if not braiding.bijective or braiding.norm is None:
+        return None, False
+    phi, second = np.divmod(braiding.target.reshape(D, D), D)  # one term per pair
+    if (second != np.arange(D)[:, None]).any():
+        return None, False
+    q = (braiding.coeff64 if braiding.int64_stack(2, 1) else braiding.coeff).reshape(D, D)
+    a, b, c = np.indices((D, D, D)).reshape(3, -1)
+    bc, ab, ac = phi[b, c], phi[a, b], phi[a, c]
+    if (phi[a, bc] != phi[ab, ac]).any() or (q[a, bc] * q[b, c] != q[ab, ac] * q[a, c]).any():
+        return None, False
+    return phi, all(v % p for p in primes_for_conductor(1) for v in braiding.coeff.tolist())
+
+
+def _degree_orbits(phi: np.ndarray):
+    """Yield, for k = 1, 2, ..., the flat indices of V^(x k) whose rack
+    degree is the least of its orbit, ascending, and every index's
+    weight, the size of its degree's orbit.  The degree of a word
+    a_1 ... a_k is the row phi[a_1] o ... o phi[a_k], one letter more
+    per k on the distinct rows, which `_unique_rows` sorts; the orbits
+    are the connected components of the graph joining each degree g to
+    phi[z] g phi[z]^-1 for every z, a permutation of the degrees of
+    length k."""
+    D = len(phi)
+    letters, inverse = np.arange(D), np.argsort(phi, axis=1)
+    degrees, word = letters[None], np.zeros(1, dtype=np.int64)
+    while True:
+        product = degrees[:, phi].reshape(-1, D)  # row d * D + a: degrees[d] o phi[a]
+        first, at = _unique_rows(product)
+        degrees, word = product[first], at[(word[:, None] * D + letters).reshape(-1)]
+        m = len(degrees)
+        conjugates = phi[letters[:, None], degrees[:, inverse]].reshape(-1, D)
+        at = _unique_rows(np.concatenate([degrees, conjugates]))[1][m:]
+        root = _roots(np.repeat(np.arange(m), D), at, m)
+        yield np.flatnonzero(root[word] == word), np.bincount(root, minlength=m)[root][word]
+
+
+def _unique_rows(rows: np.ndarray) -> tuple:
+    """`np.unique` over the rows of an array of ints in 0..65535, sorted
+    lexicographically: the first position of each distinct row, and each
+    row's index among them.  Each row is read as one byte string of
+    big-endian uint16s, which sorts as the row does, a fraction of the
+    cost of `np.unique(axis=0)` on rows this short."""
+    keys = np.ascontiguousarray(rows, dtype=">u2").view(f"V{2 * rows.shape[1]}").ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    return first, at.reshape(-1)
+
+
+def _roots(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """Each index's least index in its connected component of the graph
+    on 0..size-1 with the edges (a[i], b[i]).  Each index starts as its
+    own label; a round hooks the larger label of every edge whose two
+    ends differ onto the smaller, then follows the labels to their
+    roots, until no edge joins two labels."""
+    label = np.arange(size)
+    while (join := label[a] != label[b]).any():
+        x, y = label[a[join]], label[b[join]]
+        np.minimum.at(label, np.maximum(x, y), np.minimum(x, y))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
 
 
 def _components(row: np.ndarray, col: np.ndarray, size: int) -> tuple:
@@ -191,18 +301,11 @@ def _components(row: np.ndarray, col: np.ndarray, size: int) -> tuple:
     joins two, so each is a diagonal block under one permutation of rows
     and columns together, and the rank is the sum of the blocks' ranks.
 
-    Each index starts as its own label; a round hooks the larger label of
-    every entry whose two ends differ onto the smaller, then follows the
-    labels to their roots, until each is the least index of its component.
-    Returns the positions of the entries of the one-index components, and
-    one (m, i, j, at) per larger one: its size m and, for its entries at
-    positions `at`, their rows i and columns j among its indices."""
-    label = np.arange(size)
-    while (join := label[row] != label[col]).any():
-        a, b = label[row[join]], label[col[join]]
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
+    The components are labelled by `_roots`.  Returns the positions of
+    the entries of the one-index components, and one (m, i, j, at) per
+    larger one: its size m and, for its entries at positions `at`, their
+    rows i and columns j among its indices."""
+    label = _roots(row, col, size)
     extent = np.bincount(label, minlength=size)  # indices per component, at its label
     order = np.argsort(label, kind="stable")
     local = np.empty(size, dtype=np.int64)
@@ -224,17 +327,22 @@ def _dense(m: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> np.ndarr
     return block
 
 
-def _modular_rank(coeff: np.ndarray, single: np.ndarray, parts: list, N: int) -> int:
+def _modular_rank(
+    coeff: np.ndarray, single: np.ndarray, parts: list, N: int, weight: np.ndarray | None = None
+) -> int:
     """rank S_k mod the two primes of `primes_for_conductor(N)`, from the
     diagonal blocks of `_components`: a one-index block counts when its
     entry is non-zero mod p, and the larger ones are built mod p one at a
-    time."""
+    time.  Each block's rank counts `weight` times, read at any of its
+    entries (1 by default)."""
+    if weight is None:
+        weight = np.ones(len(coeff), dtype=np.int64)
 
     def rank(p: int) -> int:
         z = root_of_unity_mod_p(N, p)
-        out = np.count_nonzero(_residues(coeff[single], N, p, z))
+        out = weight[single][_residues(coeff[single], N, p, z) != 0].sum()
         for m, i, j, at in parts:
-            out += rank_mod_p(_dense(m, i, j, _residues(coeff[at], N, p, z)), p)
+            out += weight[at[0]] * rank_mod_p(_dense(m, i, j, _residues(coeff[at], N, p, z)), p)
         return int(out)
 
     return rank_two_primes(rank, primes_for_conductor(N))

@@ -100,10 +100,12 @@ print(json.dumps({k: tracer.counts[k] for k in names}))
 
 
 def test_tracer_counts_the_graded_layers():
-    # S_2..S_4 on D = 3 have 9 + 27 + 81 columns and 204 non-zeros; the
-    # completion to cap 13 reduces 125 polynomials into 25 basis elements
+    # S_2..S_4 on D = 3 are built on the columns of one rack degree per
+    # conjugacy orbit, 6 + 9 + 54 of 9 + 27 + 81, with 166 non-zeros,
+    # whichever degree stands for its orbit; the completion to cap 13
+    # reduces 125 polynomials into 25 basis elements
     proc = _run(GRADED)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "nichols.symmetrizer_columns": 117, "nichols.symmetrizer_nnz": 204,
+        "nichols.symmetrizer_columns": 69, "nichols.symmetrizer_nnz": 166,
         "ncalg.normal_form_calls": 125, "ncalg.basis_size": 25}

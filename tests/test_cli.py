@@ -243,6 +243,15 @@ GRADED_DIGESTS = {
         "880483c0e7ac4e8dc0d46559669bfe42d7e393c38767fcb943e37039a93ace12",
     ("nichols-dim", "--n", "3", "--preset", "--char", "eps-sgn", "--max-degree", "7"):
         "bc710d234fc47898d27062a5ba43449a278901c46d6dab5eaeedc27a712c153e",
+    # racks other than the S_3 and S_4 presets, recorded before S_k was
+    # built on one rack degree per conjugacy orbit: D = 8 through a mod-p
+    # degree 4, D = 6 through a mod-p degree 5, and D = 10
+    ("nichols-dim", "--group", "bn", "--n", "3", "--element", "100;(1 2 3)", "--max-degree", "4"):
+        "3ff56149c07013094bbab084a33fe8c5e9208537bfad44a0a5e4434b3377e588",
+    ("nichols-dim", "--group", "bn", "--n", "3", "--element", "000;(1 2)", "--max-degree", "5"):
+        "880483c0e7ac4e8dc0d46559669bfe42d7e393c38767fcb943e37039a93ace12",
+    ("nichols-dim", "--n", "5", "--preset", "--max-degree", "3"):
+        "da0df692c88a3d15bb98560019468edfb5f5df7063450603beab87857d24c396",
 }
 
 

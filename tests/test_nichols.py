@@ -5,17 +5,23 @@ import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
 import pytest
 
 from weylrack import nichols
-from weylrack.conjugacy import transposition_preset
+from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo, as_int
-from weylrack.groups import Permutation
-from weylrack.linalg import primes_for_conductor, rank_mod_p, rank_two_primes, root_of_unity_mod_p
+from weylrack.groups import Bn, Permutation
+from weylrack.linalg import (
+    primes_for_conductor,
+    rank_int_exact,
+    rank_mod_p,
+    rank_two_primes,
+    root_of_unity_mod_p,
+)
 from weylrack.nichols import (
     GradedDims,
     TABLE1_CASES,
@@ -81,9 +87,9 @@ def test_default_budget_stops_before_degree_six(monkeypatch):
     # out, so the test allocates neither large dense matrix.
     built = []
 
-    def columns(braiding, k, from_right=False):
+    def columns(braiding, k, from_right=False, columns=None):
         built.append(k)
-        return symmetrizer_columns(braiding, k, from_right)
+        return symmetrizer_columns(braiding, k, from_right, columns)
 
     monkeypatch.setattr(nichols, "symmetrizer_columns", columns)
     monkeypatch.setattr(nichols, "rank_two_primes", lambda matrix, primes: -1)
@@ -483,6 +489,158 @@ def test_check_invertible_takes_int_coefficients():
     # the ints `Braiding` stores rational integers as
     diagonal_braiding(lambda a, b: 3 if a != b else -1).check_invertible()
     diagonal_braiding(lambda a, b: Cyclo.rational(3 if a != b else -1)).check_invertible()
+
+
+def class_braiding(element, n=3):
+    cs = ConjugacyClass(Bn(n), Bn(n).parse(element)).coset_system()
+    return build_yd_module(cs, chi_sgn_sgn(cs.centralizer)).braiding()
+
+
+def rack_degree(braiding, word):
+    """phi_{a_1} o ... o phi_{a_k} as a tuple of images, a > b read off
+    the first term of c(e_a (x) e_b) = q_ab e_{a>b} (x) e_a."""
+    out = tuple(range(braiding.D))
+    for a in word:
+        out = tuple(out[braiding.terms[(a, b)][0][0][0]] for b in range(braiding.D))
+    return out
+
+
+def degree_blocks(braiding, k, from_right=False):
+    """The rank of every diagonal block of the full S_k by rack degree,
+    each built densely from all D^k columns and ranked on the path its
+    size takes in `nichols_graded_dim`, and each word's degree; asserts
+    that no entry joins two degrees."""
+    degree = [rack_degree(braiding, w) for w in product(range(braiding.D), repeat=k)]
+    words = {}
+    for flat, g in enumerate(degree):
+        words.setdefault(g, []).append(flat)
+    local = {flat: i for flats in words.values() for i, flat in enumerate(flats)}
+    blocks = {g: np.zeros((len(flats),) * 2, dtype=object) for g, flats in words.items()}
+    for col, entries in symmetrizer_columns(braiding, k, from_right):
+        for row, v in entries[:, 1:].tolist():
+            assert degree[row] == degree[col]
+            blocks[degree[col]][local[row], local[col]] = v
+
+    def rank(block):
+        if braiding.D**k <= nichols.EXACT_LIMIT:
+            return rank_int_exact(block.tolist())
+        mod = lambda p: rank_mod_p((block % p).astype(np.int64), p)  # noqa: E731
+        return rank_two_primes(mod, primes_for_conductor(1))
+
+    return {g: rank(block) for g, block in blocks.items()}, degree
+
+
+def conjugation_orbits(braiding, degrees):
+    """The orbits of the degrees under g -> phi_z g phi_z^-1, z in X."""
+    phis = [rack_degree(braiding, (z,)) for z in range(braiding.D)]
+    inverses = [tuple(sorted(range(len(phi)), key=phi.__getitem__)) for phi in phis]
+    orbits, seen = [], set()
+    for g in degrees:
+        if g in seen:
+            continue
+        orbit, todo = {g}, [g]
+        while todo:
+            h = todo.pop()
+            for phi, inv in zip(phis, inverses):
+                conj = tuple(phi[h[inv[x]]] for x in range(len(h)))
+                if conj not in orbit:
+                    orbit.add(conj)
+                    todo.append(conj)
+        orbits.append(orbit)
+        seen |= orbit
+    return orbits
+
+
+TRANSPORT_CASES = {
+    "s3-sgn-sgn": lambda: braiding_for(3, chi_sgn_sgn),
+    "s3-eps-sgn": lambda: braiding_for(3, chi_eps_sgn),
+    "s4-sgn-sgn": lambda: braiding_for(4, chi_sgn_sgn),
+    "s4-eps-sgn": lambda: braiding_for(4, chi_eps_sgn),
+    "b3-100-(1 2 3)": lambda: class_braiding("100;(1 2 3)"),
+    "b3-000-(1 2)": lambda: class_braiding("000;(1 2)"),
+}
+
+
+@pytest.mark.parametrize("from_right", [False, True])
+@pytest.mark.parametrize("case", list(TRANSPORT_CASES))
+def test_conjugate_degree_blocks_have_equal_ranks(case, from_right):
+    # every block of the full S_k has its orbit representative's rank, so
+    # the weighted ranks of the kept columns are the sum over all blocks
+    c = TRANSPORT_CASES[case]()
+    dims = nichols_graded_dim(c, 4, from_right=from_right).dims
+    phi, _ = nichols._rack_grading(c)
+    assert phi is not None
+    for k, (keep, weight) in zip(range(1, 5), nichols._degree_orbits(phi)):
+        ranks, degree = degree_blocks(c, k, from_right)
+        orbits = conjugation_orbits(c, ranks)
+        assert sum(map(len, orbits)) == len(ranks)
+        least = {g: min(orbit) for orbit in orbits for g in orbit}
+        assert all(ranks[g] == ranks[least[g]] for g in ranks), k
+        assert dims[k] == sum(ranks.values()), k
+        assert keep.tolist() == [w for w, g in enumerate(degree) if least[g] == g]
+        sizes = {g: len(orbit) for orbit in orbits for g in orbit}
+        assert weight.tolist() == [sizes[g] for g in degree]
+
+
+def built_columns(monkeypatch, braiding, max_degree):
+    """nichols_graded_dim's dims and the number of columns it builds in
+    each degree from 2 on."""
+    built = {}
+
+    def counted(braiding, k, from_right=False, columns=None):
+        out = list(symmetrizer_columns(braiding, k, from_right, columns))
+        built[k] = len(out)
+        return iter(out)
+
+    monkeypatch.setattr(nichols, "symmetrizer_columns", counted)
+    dims = nichols_graded_dim(braiding, max_degree).dims
+    return dims, [built[k] for k in range(2, max_degree + 1)]
+
+
+def test_a_trivial_rack_keeps_every_column(monkeypatch):
+    # c(e_a (x) e_b) = q_ab e_b (x) e_a has one rack degree; the zeta_3
+    # scalars are not integers, the -1s are
+    zeta = diagonal_braiding(lambda a, b: Cyclo.zeta(3) ** (a + 2 * b))
+    assert built_columns(monkeypatch, zeta, 5) == ([1, 2, 3, 4, 5, 6], [4, 8, 16, 32])
+    minus = diagonal_braiding(lambda a, b: -1, 3)
+    assert nichols._rack_grading(minus)[0] is not None
+    assert built_columns(monkeypatch, minus, 4) == ([1, 3, 3, 1, 0], [9, 27, 81])
+
+
+def sign_flipped(braiding, pair):
+    """The braiding with the sign of q at one basis pair flipped."""
+    terms = dict(braiding.terms)
+    terms[pair] = [(t, -v) for t, v in terms[pair]]
+    return Braiding(braiding.D, terms)
+
+
+def test_a_braiding_off_the_cocycle_keeps_every_column(monkeypatch):
+    # one sign of the S_3 preset flipped: still a bijection of rack type
+    # over the same rack, but q is no longer a 2-cocycle, and conjugate
+    # blocks differ (weighting the kept columns would give 6 at degree 2)
+    c = sign_flipped(integral(braiding_for(3, chi_sgn_sgn)), (0, 1))
+    assert c.bijective
+    assert nichols._rack_grading(c) == (None, False)
+    dims, built = built_columns(monkeypatch, c, 4)
+    assert built == [9, 27, 81]
+    assert dims == [1, 3] + [sum(degree_blocks(c, k)[0].values()) for k in range(2, 5)]
+    assert dims == [1, 3, 5, 8, 13]
+
+
+def test_scalars_that_vanish_mod_p_keep_every_modular_column(monkeypatch):
+    # the S_6 transposition preset with q scaled by both primes of the
+    # modular path: a rack 2-cocycle still, graded at degree 2 (225
+    # columns, exact), every column at degree 3 (3375, mod p), where S_3
+    # is the identity mod p
+    scale = np.prod(primes_for_conductor(1), dtype=object)
+    base = braiding_for(6, chi_sgn_sgn)
+    terms = {ab: [(t, as_int(v) * scale) for t, v in out] for ab, out in base.terms.items()}
+    c = Braiding(base.D, terms)
+    phi, units = nichols._rack_grading(c)
+    assert phi is not None and not units
+    dims, built = built_columns(monkeypatch, c, 3)
+    assert built[0] < 225 and built[1] == 3375
+    assert dims[3] == 3375
 
 
 def test_degree2_kernel_dimension():
