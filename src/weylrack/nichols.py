@@ -160,17 +160,17 @@ def nichols_graded_dim(
 ) -> GradedDims:
     """Graded dimensions dims[k] = rank(S_k) for k = 0..max_degree.
 
-    When `_rack_grading` finds c to be a bijection of rack type with
-    integer scalars q forming a rack 2-cocycle, degree k builds only the
-    columns that `_degree_orbits` keeps at k, one degree per orbit of rack
-    degrees under conjugation, and counts each block's rank once for
-    every degree in its orbit: the module docstring's transport makes
-    the blocks of one orbit isomorphic.  On the modular path that needs
-    every q non-zero mod both primes too.  Otherwise every column is
-    built with weight 1.  Integer scalars keep every degree's conductor
-    at 1 whichever columns are built, so the path each degree takes,
-    chosen by D^k as below, and its label stay what they are for all
-    columns.
+    When `_rack_grading`, run once the budget admits degree 2, finds c
+    to be a bijection of rack type with integer scalars q forming a rack
+    2-cocycle, degree k builds only the columns that `_degree_orbits`
+    keeps at k, one degree per orbit of rack degrees under conjugation,
+    and counts each block's rank once for every degree in its orbit:
+    the module docstring's transport makes the blocks of one orbit
+    isomorphic.  On the modular path that needs every q non-zero mod
+    both primes too.  Otherwise every column is built with weight 1.
+    Integer scalars keep every degree's conductor at 1 whichever columns
+    are built, so the path each degree takes, chosen by D^k as below,
+    and its label stay what they are for all columns.
 
     S_k is built in ints when every braiding coefficient is a rational
     integer of conductor 1, in `Cyclo`s otherwise.  Each degree's path
@@ -191,12 +191,14 @@ def nichols_graded_dim(
     exact = True
     methods = set()
     truncated = None
-    phi, units = _rack_grading(braiding)
-    orbits = repeat(None) if phi is None else islice(_degree_orbits(phi), 1, None)
+    orbits = None
     for k in range(2, max_degree + 1):
         if _degree_bytes(D, k) > budget:
             truncated = k
             break
+        if orbits is None:  # D^3 steps, taken once degree 2 is admitted
+            phi, units = _rack_grading(braiding)
+            orbits = repeat(None) if phi is None else islice(_degree_orbits(phi), 1, None)
         size = D**k
         graded = next(orbits)
         if graded is None or (size > EXACT_LIMIT and not units):
@@ -239,10 +241,10 @@ def _rack_grading(braiding: Braiding) -> tuple:
     if (second != np.arange(D)[:, None]).any():
         return None, False
     q = (braiding.coeff64 if braiding.int64_stack(2, 1) else braiding.coeff).reshape(D, D)
-    a, b, c = np.indices((D, D, D)).reshape(3, -1)
-    bc, ab, ac = phi[b, c], phi[a, b], phi[a, c]
-    if (phi[a, bc] != phi[ab, ac]).any() or (q[a, bc] * q[b, c] != q[ab, ac] * q[a, c]).any():
-        return None, False
+    for a in range(D):  # the triples (a, b, c) as one D x D slice per a
+        square = np.ix_(phi[a], phi[a])
+        if (phi[a][phi] != phi[square]).any() or (q[a][phi] * q != q[square] * q[a]).any():
+            return None, False
     return phi, all(v % p for p in primes_for_conductor(1) for v in braiding.coeff.tolist())
 
 
@@ -251,33 +253,25 @@ def _degree_orbits(phi: np.ndarray):
     degree is the least of its orbit, ascending, and every index's
     weight, the size of its degree's orbit.  The degree of a word
     a_1 ... a_k is the row phi[a_1] o ... o phi[a_k], one letter more
-    per k on the distinct rows, which `_unique_rows` sorts; the orbits
-    are the connected components of the graph joining each degree g to
-    phi[z] g phi[z]^-1 for every z, a permutation of the degrees of
-    length k."""
+    per k on the distinct rows, which `np.unique` sorts.  Conjugation by
+    phi[z] takes the degree of a word to that of the word z > a_1 ...
+    z > a_k (phi[z] phi[a] phi[z]^-1 = phi[z > a] in a rack), so one
+    spelling of each degree finds its conjugates, and the orbits are the
+    connected components of the graph joining each degree to them."""
     D = len(phi)
-    letters, inverse = np.arange(D), np.argsort(phi, axis=1)
+    letters = np.arange(D)
     degrees, word = letters[None], np.zeros(1, dtype=np.int64)
+    spelling = np.zeros((1, 0), dtype=np.int64)
     while True:
         product = degrees[:, phi].reshape(-1, D)  # row d * D + a: degrees[d] o phi[a]
-        first, at = _unique_rows(product)
-        degrees, word = product[first], at[(word[:, None] * D + letters).reshape(-1)]
-        m = len(degrees)
-        conjugates = phi[letters[:, None], degrees[:, inverse]].reshape(-1, D)
-        at = _unique_rows(np.concatenate([degrees, conjugates]))[1][m:]
-        root = _roots(np.repeat(np.arange(m), D), at, m)
+        degrees, first, at = np.unique(product, axis=0, return_index=True, return_inverse=True)
+        word = at.reshape(-1)[(word[:, None] * D + letters).reshape(-1)]
+        d, a = np.divmod(first, D)
+        spelling = np.column_stack((spelling[d], a))  # a word of each degree
+        m, k = spelling.shape
+        conjugates = word[phi[:, spelling] @ D ** np.arange(k - 1, -1, -1)]  # (z, degree)
+        root = _roots(np.tile(np.arange(m), D), conjugates.reshape(-1), m)
         yield np.flatnonzero(root[word] == word), np.bincount(root, minlength=m)[root][word]
-
-
-def _unique_rows(rows: np.ndarray) -> tuple:
-    """`np.unique` over the rows of an array of ints in 0..65535, sorted
-    lexicographically: the first position of each distinct row, and each
-    row's index among them.  Each row is read as one byte string of
-    big-endian uint16s, which sorts as the row does, a fraction of the
-    cost of `np.unique(axis=0)` on rows this short."""
-    keys = np.ascontiguousarray(rows, dtype=">u2").view(f"V{2 * rows.shape[1]}").ravel()
-    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
-    return first, at.reshape(-1)
 
 
 def _roots(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:

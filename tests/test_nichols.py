@@ -643,6 +643,33 @@ def test_scalars_that_vanish_mod_p_keep_every_modular_column(monkeypatch):
     assert dims[3] == 3375
 
 
+def traced_peak(f, *args):
+    """f(*args) and its peak allocation under tracemalloc, in bytes."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_rack_checks_stay_within_the_degree_budget():
+    # the dihedral rack a > b = 2a - b mod 120 with q = 1 passes every
+    # grading check, which reads D^3 triples; degree 2 (counted as a
+    # dense 14400 x 14400 matrix) is over the default budget, so a run
+    # to degree 1 or 2 stops before the checks and holds less than one
+    # D x D int64 array, and the checks go one D x D slice at a time
+    D = 120
+    c = Braiding(D, {(a, b): [(((2 * a - b) % D, a), 1)] for a in range(D) for b in range(D)})
+    for max_degree, truncated in ((1, None), (2, 2)):
+        out, peak = traced_peak(nichols_graded_dim, c, max_degree)
+        assert (out.dims, out.truncated_at) == ([1, D], truncated)
+        assert peak < 8 * D * D
+    (phi, units), peak = traced_peak(nichols._rack_grading, c)
+    assert phi is not None and units
+    assert peak < 10 * 8 * D * D
+
+
 def test_degree2_kernel_dimension():
     # D = 3: the kernel of id + c on the 9-dimensional square has
     # dimension 9 - 4 = 5, matching the degree-2 graded dimension
