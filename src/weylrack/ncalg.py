@@ -11,7 +11,12 @@ and keeps the basis reduced.  The truncated basis makes the normal-word
 counts correct through the cap.  The completion codes a word of length L
 over G generators as an int of L letters of ceil(log2 G) bits, the first
 most significant: words of one length compare as their codes, subwords
-are read by shift and mask, and tuples return only in the basis.
+are read by shift and mask, and tuples return only in the basis.  Each
+basis element is also compiled to a rewrite rule, its tail as (word -
+lead, coefficient) pairs: a rewrite of the lead ending `shift` bits from
+the right of m adds each term at m + (delta << shift), and the
+S-polynomial of the overlap w = lf v = u lg, where the leads cancel, is
+tail(f) v - u tail(g), read off the two rules at w.
 """
 
 from __future__ import annotations
@@ -184,15 +189,17 @@ def _decode(code: int, length: int, bits: int) -> tuple:
     return tuple(code >> bits * i & mask for i in range(length - 1, -1, -1))
 
 
-def _normal_form(poly: dict, n: int, probes: list, bits: int) -> dict:
-    """Fully reduce `poly`, whose words all have length n, by the leading
-    words of `probes` (see `nc_groebner`).
+def _normal_form(poly: dict, plan: list) -> dict:
+    """Fully reduce `poly` by the rules of `plan` (see `nc_groebner`);
+    `poly` is used up.
 
-    The largest monomial is rewritten first, at the leftmost occurrence of
-    a leading word, found by `_leftmost_lead`.  Every rewrite makes
-    smaller monomials only, so a monomial containing no leading word is
-    final."""
-    poly = dict(poly)
+    The largest monomial m is rewritten first, at the leftmost occurrence
+    of a leading word, ending `shift` bits from the right: m + (delta <<
+    shift) gets -v times m's coefficient for each (delta, v) of the lead's
+    rule.  Each position reads its subwords of the lead lengths, shortest
+    first, and stops at the first that neither is a lead nor begins one.
+    Every rewrite makes smaller monomials only, so a monomial containing
+    no leading word is final."""
     heap = [-m for m in poly]
     heapq.heapify(heap)
     out = {}
@@ -201,15 +208,19 @@ def _normal_form(poly: dict, n: int, probes: list, bits: int) -> dict:
         c = poly.pop(m, None)
         if c is None:  # cancelled, or taken from an earlier entry
             continue
-        found = _leftmost_lead(m, n, probes, bits)
-        if found is None:
+        for probes in plan:  # none is empty, so each binds `rule`
+            for shift, mask, rules, begins in probes:
+                word = m >> shift & mask
+                rule = rules.get(word)
+                if rule is not None or word not in begins:
+                    break
+            if rule is not None:
+                break
+        else:
             out[m] = c
             continue
-        shift, lead, g = found
-        for mm, v in g.items():
-            if mm == lead:
-                continue
-            key = m + (mm - lead << shift)
+        for delta, v in rule:
+            key = m + (delta << shift)
             w = poly.get(key, 0) - c * v
             if not w:
                 del poly[key]
@@ -220,30 +231,16 @@ def _normal_form(poly: dict, n: int, probes: list, bits: int) -> dict:
     return out
 
 
-def _leftmost_lead(m: int, n: int, probes: list, bits: int):
-    """(shift, lead, monic poly) for the leftmost leading word in the word
-    m of length n, which ends `shift` bits from the right; None if there
-    is none.  Each position reads its subwords of the lead lengths,
-    shortest first, and stops at the first that neither is a lead nor
-    begins one."""
-    for rest in range(n, 0, -1):  # letters from the position to the end
-        for L, mask, leads, begins in probes:
-            if L > rest:
-                break
-            shift = bits * (rest - L)
-            word = m >> shift & mask
-            g = leads.get(word)
-            if g is not None:
-                return shift, word, g
-            if word not in begins:
-                break
-    return None
+def _rule(lead: int, poly: dict) -> tuple:
+    """The monic `poly` compiled to a rewrite rule: (word - lead, coefficient)
+    for each term but the lead."""
+    return tuple((m - lead, v) for m, v in poly.items() if m != lead)
 
 
-def _sub_scaled(acc: dict, poly: dict, c, left: int = 0):
-    """acc -= c * u * poly, dropping the terms that cancel, for the word u
-    given as `left`, shifted past the length of poly's words."""
-    for m, v in poly.items():
+def _sub_scaled(acc: dict, terms, c, left: int = 0):
+    """acc[left + m] -= c * v for each term (m, v), dropping the terms
+    that cancel."""
+    for m, v in terms:
         key = left + m
         w = acc.get(key, 0) - c * v
         if w:
@@ -274,9 +271,14 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
     monic polynomial.  A remainder is in normal form, so its lead contains
     no earlier lead and is not inside one: inclusion ambiguities never
     arise, and only the tails of the other degree-d members can contain
-    the new lead, which is reduced away there.  Pass d reduces by
-    `probes`: one (L, mask, leads, begins) per lead length L up to d, with
-    leads = index[L] and begins the length-L prefixes of longer leads.
+    the new lead, which is reduced away there.  Beside index[L], the
+    monic polynomials by leading word, rules[L] holds each compiled by
+    `_rule`, rebuilt whenever that interreduction changes its polynomial.
+    Pass d reduces by `plan`, one list of probes per position of a
+    length-d word from the left, as long as a lead fits there: one
+    (shift, mask, rules[L], begins[L]) for each lead length L that fits,
+    shortest first, reading the length-L subword at the position, with
+    begins[L] the length-L prefixes of longer leads.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
@@ -284,24 +286,29 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
     relations = defaultdict(list)  # by degree
     for r in pres.relations:
         relations[len(next(iter(r)))].append({_encode(m, bits): v for m, v in r.items()})
-    index, begins = {}, {}
+    index, rules, begins = {}, {}, {}
     for d in range(1, cap + 1):
-        index[d], begins[d] = {}, set()
+        index[d], rules[d], begins[d] = {}, {}, set()
         lengths = [L for L in index if index[L] or L == d]
-        probes = [(L, (1 << bits * L) - 1, index[L], begins[L]) for L in lengths]
-        for poly in itertools.chain(relations[d], _overlaps(index, d, bits)):
-            poly = _normal_form(poly, d, probes, bits)
+        plan = [  # `rest` letters from the position to the end
+            [(bits * (rest - L), (1 << bits * L) - 1, rules[L], begins[L])
+             for L in lengths if L <= rest]
+            for rest in range(d, lengths[0] - 1, -1)
+        ]
+        for poly in itertools.chain(relations[d], _overlaps(rules, d, bits)):
+            poly = _normal_form(poly, plan)
             if not poly:
                 continue
             lead = max(poly)
             c = poly[lead]
             poly = {m: _quotient(v, c) for m, v in poly.items()}
-            for g in index[d].values():
+            for glead, g in index[d].items():
                 if lead in g:
-                    _sub_scaled(g, poly, g[lead])
-            index[d][lead] = poly
-            for L, _, _, prefixes in probes[:-1]:
-                prefixes.add(lead >> bits * (d - L))
+                    _sub_scaled(g, poly.items(), g[lead])
+                    rules[d][glead] = _rule(glead, g)
+            index[d][lead], rules[d][lead] = poly, _rule(lead, poly)
+            for L in lengths[:-1]:
+                begins[L].add(lead >> bits * (d - L))
     basis = [
         (_decode(lead, L, bits), {_decode(m, L, bits): v for m, v in poly.items()})
         for L, leads in index.items()
@@ -310,24 +317,28 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
     return GroebnerBasis(basis, cap, len(pres.generators))
 
 
-def _overlaps(index: dict, d: int, bits: int):
-    """S-polynomials f * v - u * g of the overlap ambiguities of length d:
-    leading words lf = u s and lg = s v with s non-empty and shorter than
-    both, and lf v = u lg of length d, in deglex order of lf, then of the
-    length of s, then of lg."""
+def _overlaps(rules: dict, d: int, bits: int):
+    """S-polynomials f * v - u * g of the overlap ambiguities of length d,
+    read off the rules: leading words lf = u s and lg = s v with s
+    non-empty and shorter than both, and w = lf v = u lg of length d, in
+    deglex order of lf, then of the length of s, then of lg.  The leads
+    cancel in w, leaving tail(f) v - u tail(g): a rule term (delta, x) of
+    f gives the word w + (delta << bits |v|), one of g the word w + delta.
+    """
     by_prefix = defaultdict(list)
     for c in range(2, d):
-        for lg in sorted(index[c]):
+        for lg in sorted(rules[c]):
             for k in range(1, c):
                 by_prefix[c, k, lg >> bits * (c - k)].append(lg)
     for a in range(2, d):
-        for lf in sorted(index[a]):
+        for lf in sorted(rules[a]):
             for k in range(1, a):
                 c = d - a + k
+                shift = bits * (c - k)
                 for lg in by_prefix.get((c, k, lf & (1 << bits * k) - 1), ()):
-                    v = lg & (1 << bits * (c - k)) - 1
-                    sp = {m << bits * (c - k) | v: x for m, x in index[a][lf].items()}
-                    _sub_scaled(sp, index[c][lg], 1, lf >> bits * k << bits * c)
+                    w = lf << shift | lg & (1 << shift) - 1
+                    sp = {w + (delta << shift): x for delta, x in rules[a][lf]}
+                    _sub_scaled(sp, rules[c][lg], 1, w)
                     yield sp
 
 
@@ -352,39 +363,39 @@ def hilbert_series(pres: NCPresentation, cap: int) -> HilbertData:
 
 def hilbert_from_basis(gb: GroebnerBasis, cap: int) -> HilbertData:
     """Count words avoiding the leading words, degree by degree, with an
-    Aho-Corasick style suffix automaton."""
+    Aho-Corasick automaton.  Its nodes are the prefixes of the leading
+    words; node s moves on letter a to s + (a,) when that is a node, else
+    where its suffix link moves on a, so each move lands on the longest
+    suffix that is a node, in one step.  A node is forbidden when a
+    leading word ends it: it is one, or its link is forbidden.  The
+    states are the other nodes; moves to a forbidden node, and on the
+    generators that are degree-1 leading words, are dropped."""
     bad = set(gb.leading_words())
     alphabet = range(gb.generator_count)
     # live generators: degree-1 leading words remove generators entirely
     dead_letters = {w[0] for w in bad if len(w) == 1}
     bad = {w for w in bad if len(w) > 1}
-    lengths = sorted({len(w) for w in bad})
-    prefixes = {()}
-    for w in bad:
-        for k in range(1, len(w)):
-            prefixes.add(w[:k])
-
-    def longest_suffix_state(word: tuple):
-        for k in range(len(word)):
-            if word[k:] in prefixes:
-                return word[k:]
-        return ()
-
-    states = sorted(prefixes, key=_deglex_key)
-    sid = {s: i for i, s in enumerate(states)}
-    trans = []
-    for s in states:
-        row = []
+    nodes = {()} | {w[:k] for w in bad for k in range(1, len(w) + 1)}
+    order = sorted(nodes, key=_deglex_key)
+    move, link, forbidden = {}, {}, set(bad)
+    for s in order:  # a link is shorter than its node, so it has moved
+        back = move[link[s]] if s else [()] * len(alphabet)
+        move[s] = []
         for a in alphabet:
-            if a in dead_letters:
-                row.append(None)
-                continue
-            cand = s + (a,)
-            if any(cand[-L:] in bad for L in lengths if L <= len(cand)):
-                row.append(None)
+            child = s + (a,)
+            if child in nodes:
+                link[child] = back[a]
+                if link[child] in forbidden:
+                    forbidden.add(child)
+                move[s].append(child)
             else:
-                row.append(sid[longest_suffix_state(cand)])
-        trans.append(row)
+                move[s].append(back[a])
+    states = [s for s in order if s not in forbidden]
+    sid = {s: i for i, s in enumerate(states)}
+    moves = [
+        [sid[t] for a, t in enumerate(move[s]) if a not in dead_letters and t not in forbidden]
+        for s in states
+    ]
 
     dims = [1]
     counts = [0] * len(states)
@@ -392,11 +403,8 @@ def hilbert_from_basis(gb: GroebnerBasis, cap: int) -> HilbertData:
     for _ in range(cap):
         nxt = [0] * len(states)
         for i, c in enumerate(counts):
-            if not c:
-                continue
-            for a in alphabet:
-                t = trans[i][a]
-                if t is not None:
+            if c:
+                for t in moves[i]:
                     nxt[t] += c
         counts = nxt
         dims.append(sum(counts))

@@ -18,9 +18,14 @@ import numpy as np
 
 from .conjugacy import CosetSystem
 from .cyclotomic import Cyclo, integer_value
-from .groups import SignedPermutation, conjugate_pairs, encode, rand_int, to_arrays
+from .groups import BudgetExceeded, SignedPermutation, conjugate_pairs, encode, rand_int, to_arrays
 from .racks import FiniteRack
 from .reps import Rep
+
+# peak bytes per basis pair of `YDModule.braiding`'s per-pair term lists,
+# about 525 measured under tracemalloc on the B_5 3-cycles (D = 80), so
+# the default memory budget admits D up to about 980
+BRAIDING_PAIR_BYTES = 560
 
 
 class YDModule:
@@ -64,7 +69,16 @@ class YDModule:
         """c(g_i v_p (x) g_j v_q) = t_i.(g_j v_q) (x) g_i v_p, where
         t_i g_j = g_{i |> j} gamma: the targets i |> j are read from the
         rack table of the class, the coefficients rho(gamma)[r][q] by
-        centralizer index from one cocycle call for every pair (i, j)."""
+        centralizer index from one cocycle call for every pair (i, j).
+        Refused with BudgetExceeded before any of it is built when its D^2
+        pairs at `BRAIDING_PAIR_BYTES` each exceed the memory budget."""
+        from .nichols import MEMORY_BUDGET
+
+        if self.D**2 * BRAIDING_PAIR_BYTES > MEMORY_BUDGET:
+            raise BudgetExceeded(
+                f"a braiding of D = {self.D} needs {self.D**2} basis pairs, over the memory budget"
+                f" of {MEMORY_BUDGET} bytes at {BRAIDING_PAIR_BYTES} bytes a pair"
+            )
         m, d, cls = self.m, self.d, self.cls
         T = FiniteRack.from_class(cls).table().tolist()
         I, J = np.divmod(np.arange(m * m), m)

@@ -463,6 +463,11 @@ def test_markdown_format(tmp_path):
         (["nichols-dim", "--preset", "--n", "3", "--max-degree", "-1"], "max_degree"),
         (["scan-classes", "--n", "0"], "degree must be positive"),
         (["scan-classes", "--n", "-1"], "degree must be positive"),
+        # the B_6 6-cycles, D = 3840: 14.7 M braiding pairs, refused before
+        # they are built instead of running out of memory
+        (["nichols-dim", "--group", "bn", "--n", "6", "--element", "000000;(1 2 3 4 5 6)",
+          "--max-degree", "2"],
+         "memory budget"),
     ],
 )
 def test_refused_or_invalid_input_is_one_error_line(capsys, argv, needle):

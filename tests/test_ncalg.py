@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylrack import ncalg
 from weylrack.conjugacy import transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.ncalg import (
@@ -368,29 +369,39 @@ def reference_normal_form(poly, index):
     return out
 
 
+def sub_scaled(acc, poly, c, left=()):
+    """acc -= c * left * poly on tuple words."""
+    for m, v in poly.items():
+        w = acc.get(left + m, 0) - c * v
+        if w:
+            acc[left + m] = w
+        else:
+            acc.pop(left + m, None)
+
+
+def reference_overlaps(index, d):
+    """The S-polynomials f * v - u * g of length d on tuple words, copied
+    and subtracted term by term from `index` = {leading word: monic poly}
+    of the leads shorter than d, in deglex order of lf = u s, then of the
+    length of s, then of lg = s v."""
+    leads = sorted((w for w in index if len(w) < d), key=lambda w: (len(w), w))
+    for lf in leads:
+        for k in range(1, len(lf)):
+            for lg in leads:
+                if k < len(lg) == d - len(lf) + k and lg[:k] == lf[len(lf) - k :]:
+                    sp = {m + lg[k:]: c for m, c in index[lf].items()}
+                    sub_scaled(sp, index[lg], 1, lf[: len(lf) - k])
+                    yield sp
+
+
 def reference_groebner(pres, cap):
     """The degree-by-degree completion on tuple words, as it ran before
     words became ints: pass d reduces the degree-d relations, then every
     overlap S-polynomial of length d, interreducing the degree-d leads."""
-    def sub_scaled(acc, poly, c, left=()):
-        for m, v in poly.items():
-            w = acc.get(left + m, 0) - c * v
-            if w:
-                acc[left + m] = w
-            else:
-                acc.pop(left + m, None)
-
     index = {}
     for d in range(1, cap + 1):
         polys = [r for r in pres.relations if len(next(iter(r))) == d]
-        leads = sorted(index, key=lambda w: (len(w), w))
-        for lf in leads:
-            for k in range(1, len(lf)):
-                for lg in leads:
-                    if k < len(lg) == d - len(lf) + k and lg[:k] == lf[len(lf) - k :]:
-                        sp = {m + lg[k:]: c for m, c in index[lf].items()}
-                        sub_scaled(sp, index[lg], 1, lf[: len(lf) - k])
-                        polys.append(sp)
+        polys += list(reference_overlaps(index, d))
         same_degree = []
         for poly in polys:
             poly = reference_normal_form(poly, index)
@@ -460,3 +471,50 @@ def test_completion_is_exact_and_does_not_depend_on_scaling(name):
         assert_exact_monic(other, other_gb)
         assert other_gb.basis == gb.basis
         assert hilbert_series(other, cap).to_json() == hilbert
+
+
+def record_completion(monkeypatch, name):
+    """Complete a `REFERENCE_CASES` entry, keeping the live rule tables
+    that `_overlaps` reads and a copy of each S-polynomial it yields, by
+    length, taken before the polynomial is reduced."""
+    make, cap = REFERENCE_CASES[name]
+    seen = {"spolys": []}
+    overlaps = ncalg._overlaps
+
+    def recording(rules, d, bits):
+        seen["rules"], seen["bits"] = rules, bits
+        for sp in overlaps(rules, d, bits):
+            seen["spolys"].append((d, dict(sp)))
+            yield sp
+
+    monkeypatch.setattr(ncalg, "_overlaps", recording)
+    return nc_groebner(make(), cap), seen
+
+
+def test_every_rule_is_the_tail_of_its_basis_polynomial(monkeypatch):
+    # fk n = 5 interreduces 7 times on the way to cap 8, and a rule left
+    # stale there still rewrites correctly, so the tables are read here
+    gb, seen = record_completion(monkeypatch, "fk-5-lt")
+    encode = lambda w: ncalg._encode(w, seen["bits"])
+    tails = {}
+    for lead, poly in gb.basis:
+        tail = sorted((encode(m) - encode(lead), v) for m, v in poly.items() if m != lead)
+        tails.setdefault(len(lead), {})[encode(lead)] = tail
+    rules = {L: {lead: sorted(rule) for lead, rule in leads.items()} for L, leads in seen["rules"].items()}
+    assert {L: leads for L, leads in rules.items() if leads} == tails
+
+
+@pytest.mark.parametrize("name", ["fk-5-lt", "fraction-cover"])
+def test_s_polynomials_read_off_the_rules_are_f_v_minus_u_g(monkeypatch, name):
+    # the leads of length below d are final by pass d, so the finished
+    # basis gives the f and g that each pass read
+    gb, seen = record_completion(monkeypatch, name)
+    encode = lambda w: ncalg._encode(w, seen["bits"])
+    index = dict(gb.basis)
+    expected = [
+        (d, {encode(m): v for m, v in sp.items()})
+        for d in range(1, gb.cap + 1)
+        for sp in reference_overlaps(index, d)
+    ]
+    assert expected
+    assert seen["spolys"] == expected

@@ -3,15 +3,19 @@ arrow-module realization."""
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weylrack import nichols
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
-from weylrack.groups import Bn, Sn, SignedPermutation, encode, mul_rows, to_arrays
+from weylrack.groups import BudgetExceeded, Bn, Sn, SignedPermutation, encode, mul_rows, to_arrays
+from weylrack.racks import FiniteRack
 from weylrack.reps import Rep, char_rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
+    BRAIDING_PAIR_BYTES,
     ArrowYDModule,
     Braiding,
     YDModule,
@@ -259,3 +263,36 @@ def test_compatibility_names_the_first_failing_h(monkeypatch):
     monkeypatch.setattr(cs, "zeta", corrupted)
     with pytest.raises(AssertionError, match=re.escape(f"fails at h={elems[5]}, class index 2")):
         yd.check_yd_compatibility(sample=None)
+
+
+def test_braiding_over_the_memory_budget_is_refused_before_it_is_built(monkeypatch):
+    yd, _, _ = yd_transpositions(4, chi_sgn_sgn)
+    need = BRAIDING_PAIR_BYTES * yd.D**2
+    built = yd.braiding()
+    monkeypatch.setattr(nichols, "MEMORY_BUDGET", need - 1)
+
+    def table(self):
+        raise AssertionError("the rack table was built")
+
+    monkeypatch.setattr(FiniteRack, "table", table)
+    with pytest.raises(BudgetExceeded, match="memory budget"):
+        yd.braiding()
+    monkeypatch.undo()
+    monkeypatch.setattr(nichols, "MEMORY_BUDGET", need)
+    assert yd.braiding().terms == built.terms
+
+
+def test_braiding_pair_bytes_bounds_the_measured_peak():
+    # the B_5 3-cycles, D = 80: the per-pair term lists peak at about 525
+    # B a pair under tracemalloc (510 on the B_5 5-cycles, D = 384)
+    cls = ConjugacyClass(Bn(5), SignedPermutation.parse("00000;(1 2 3)"))
+    cs = cls.coset_system()
+    yd = build_yd_module(cs, chi_sgn_sgn(cs.centralizer))
+    yd.braiding()  # first-call caches
+    tracemalloc.start()
+    try:
+        yd.braiding()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * BRAIDING_PAIR_BYTES < peak / yd.D**2 <= BRAIDING_PAIR_BYTES
