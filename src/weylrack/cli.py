@@ -151,16 +151,19 @@ def cmd_braiding(args) -> int:
     braiding = mod.braiding()
     braiding.check_invertible()
     braiding.check_braid_equation(sample=None if braiding.D <= 30 else 500)
+    terms = "omitted (use --terms)"
+    if args.terms:
+        q = braiding.q.tolist()
+        terms = {
+            f"{a},{b}": [[[target, a], repr(Cyclo.coerce(q[a][b]))]]
+            for a, row in enumerate(braiding.phi.tolist())
+            for b, target in enumerate(row)
+        }
     payload = {
         "dimension": braiding.D,
-        "monomial": braiding.is_monomial,
+        "monomial": True,
         "braid_equation": "verified",
-        "terms": {
-            f"{a},{b}": [[list(t), repr(Cyclo.coerce(v))] for t, v in out]
-            for (a, b), out in sorted(braiding.terms.items())
-        }
-        if args.terms
-        else "omitted (use --terms)",
+        "terms": terms,
     }
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0

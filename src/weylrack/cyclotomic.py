@@ -61,7 +61,8 @@ def _trace_weights(N: int) -> tuple:
 
 
 def _reduce_mod_phi(coeffs: list, N: int) -> tuple:
-    """Reduce a coefficient list modulo Phi_N; result has deg < phi(N)."""
+    """Reduce a list of Fraction coefficients modulo Phi_N; the result,
+    Fractions still, has deg < phi(N)."""
     phi = cyclotomic_polynomial(N)
     deg = len(phi) - 1
     coeffs = list(coeffs)
@@ -72,7 +73,7 @@ def _reduce_mod_phi(coeffs: list, N: int) -> tuple:
                 coeffs[k - deg + i] -= q * c
     out = coeffs[:deg]
     out += [Fraction(0)] * (deg - len(out))
-    return tuple(Fraction(c) for c in out)
+    return tuple(out)
 
 
 class Cyclo:

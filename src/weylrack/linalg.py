@@ -1,10 +1,8 @@
-"""Exact and modular rank/nullspace computations.
+"""Exact and modular rank computations.
 
 Exact ranks are for small matrices: `rank_int_exact` is fraction-free
 Gaussian elimination over the integers with gcd row normalization (pure
-Python big ints).  Over a field there is one elimination, `_echelon`:
-`rank_cyclo_exact` counts its pivots over Q(zeta_N), and
-`nullspace_rational` back-substitutes from it over Q.
+Python big ints), and `rank_cyclo_exact` eliminates over Q(zeta_N).
 
 Every modular rank goes through `rank_two_primes`, the one agreement
 check: it calls a rank function at two 31-bit primes and raises unless
@@ -17,7 +15,6 @@ primitive N-th root of unity in F_p (`root_of_unity_mod_p`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 
@@ -75,46 +72,24 @@ def rank_int_exact(rows: list) -> int:
     return rank
 
 
-def _echelon(rows: list) -> tuple:
-    """Forward elimination over a field (Q or Q(zeta_N)) of a list of row
-    lists, which it overwrites: (pivot columns, echelon rows).  Each pivot
-    is the first non-zero at or below its row, scaled to 1, and the rows
-    below it are cleared in its column."""
-    pivots = []
+def rank_cyclo_exact(rows: list) -> int:
+    """Exact rank over a cyclotomic field; entries are Cyclo/int/Fraction.
+    Forward elimination: each pivot is the first non-zero at or below its
+    row, scaled to 1, and the rows below it are cleared in its column."""
+    rows = [[Cyclo.coerce(x) for x in r] for r in rows]
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if i is None:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = 1 / rows[r][col]
-        pivot = rows[r] = [x * inv for x in rows[r]]
-        for k in range(r + 1, len(rows)):
+        rows[rank], rows[i] = rows[i], rows[rank]
+        inv = 1 / rows[rank][col]
+        pivot = rows[rank] = [x * inv for x in rows[rank]]
+        for k in range(rank + 1, len(rows)):
             if f := rows[k][col]:
                 rows[k] = [x - f * y for x, y in zip(rows[k], pivot)]
-        pivots.append(col)
-    return pivots, rows[: len(pivots)]
-
-
-def nullspace_rational(rows: list) -> list:
-    """Right nullspace basis of a matrix with int/Fraction entries, as
-    Fraction vectors: one per free column of `_echelon`, 1 there and 0 at
-    the other free columns, the pivot entries back-substituted."""
-    pivots, echelon = _echelon([[Fraction(x) for x in r] for r in rows])
-    ncols = len(rows[0]) if rows else 0
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in zip(reversed(pivots), reversed(echelon)):
-            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, ncols)), Fraction(0))
-        basis.append(v)
-    return basis
-
-
-def rank_cyclo_exact(rows: list) -> int:
-    """Exact rank over a cyclotomic field; entries are Cyclo/int/Fraction."""
-    return len(_echelon([[Cyclo.coerce(x) for x in r] for r in rows])[0])
+        rank += 1
+    return rank
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:

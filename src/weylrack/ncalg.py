@@ -156,11 +156,7 @@ def quadratic_cover_presentation(braiding) -> NCPresentation:
 
     pres = NCPresentation([f"v{i}" for i in range(braiding.D)])
     for vec in degree2_kernel(braiding):
-        poly = {}
-        for flat, coeff in enumerate(vec):
-            if coeff:
-                poly[(flat // braiding.D, flat % braiding.D)] = coeff
-        pres.add_relation(poly)
+        pres.add_relation(vec)
     return pres
 
 

@@ -13,10 +13,11 @@ product of its coset factors (Andruskiewitsch-Schneider, "Pointed Hopf
 algebras", 2002): S_k = (S_{k-1} (x) id)(id + c_{k-2} + c_{k-2}c_{k-3} +
 ... + c_{k-2}...c_0), positions counted from 0, which takes k(k-1)/2
 applications of c instead of one per letter of k! reduced words.  Each one runs over the whole stack
-at once in `Braiding._apply_at`, which reads each pair's targets and
-coefficients from the braiding's own lookup arrays: in int64 when the
-braiding is integral and no sum can overflow, as objects (big ints,
-`Cyclo`s) otherwise.  The degree-2 kernel test applies c the same way.
+at once in `Braiding._apply_at`, which sends each pair x_a (x) x_b to
+x_{a>b} (x) x_a and multiplies in q_ab, both read from the braiding's two
+D x D arrays: the stack is int64 when every q is an int and no sum can
+overflow, Python objects (big ints, `Cyclo`s) otherwise.  The degree-2
+kernel test applies c the same way.
 S_k stays in arrays from the lift to the rank: the connected components
 of its support are its diagonal blocks, each ranked on its own on the
 exact or modular path that `nichols_graded_dim` describes.
@@ -39,6 +40,7 @@ of the orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, permutations, repeat
 from math import factorial, lcm
 
@@ -47,7 +49,6 @@ import numpy as np
 from .cyclotomic import Cyclo, as_int
 from .groups import inverse_rows
 from .linalg import (
-    nullspace_rational,
     primes_for_conductor,
     rank_cyclo_exact,
     rank_int_exact,
@@ -55,7 +56,18 @@ from .linalg import (
     rank_two_primes,
     root_of_unity_mod_p,
 )
-from .ydmodule import Braiding, _combine
+from .ydmodule import Braiding
+
+
+def _combine(key: np.ndarray, coeff: np.ndarray) -> tuple:
+    """Sum the coefficients of equal keys and drop the zero sums; the
+    keys come back sorted.  One sort, then np.add.reduceat over the runs."""
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))  # each run's start
+    sums = np.add.reduceat(coeff[order], first)
+    nonzero = sums.astype(bool)
+    return key[first[nonzero]], sums[nonzero]
 
 
 def lift_word(braiding: Braiding, word: tuple, k: int, stack: tuple) -> tuple:
@@ -227,25 +239,22 @@ def nichols_graded_dim(
 
 
 def _rack_grading(braiding: Braiding) -> tuple:
-    """(phi, units) for a bijection c of basis pairs of rack type,
-    c(e_a (x) e_b) = q_ab e_{a>b} (x) e_a, whose scalars q are rational
-    integers, where > is a rack, a > (b > c) = (a > b) > (a > c), and q a
-    rack 2-cocycle, q(a, b>c) q(b, c) = q(a>b, a>c) q(a, c), on every
-    basis triple: phi[a, b] = a > b as a D x D array, and units whether
-    every q_ab is non-zero mod both primes of `primes_for_conductor(1)`.
-    (None, False) for any other braiding."""
-    D = braiding.D
-    if not braiding.bijective or braiding.norm is None:
+    """(phi, units) for an invertible c whose scalars q are rational
+    integers and which satisfies the braid equation: with every q_ab
+    non-zero, `check_braid_equation` then finds > a rack,
+    a > (b > c) = (a > b) > (a > c), and q a rack 2-cocycle,
+    q(a, b>c) q(b, c) = q(a>b, a>c) q(a, c), on every basis triple; units
+    is whether every q_ab is non-zero mod both primes of
+    `primes_for_conductor(1)`.  (None, False) for any other braiding."""
+    if braiding.norm is None:
         return None, False
-    phi, second = np.divmod(braiding.target.reshape(D, D), D)  # one term per pair
-    if (second != np.arange(D)[:, None]).any():
+    try:
+        braiding.check_invertible()
+        braiding.check_braid_equation()
+    except AssertionError:
         return None, False
-    q = (braiding.coeff64 if braiding.int64_stack(2, 1) else braiding.coeff).reshape(D, D)
-    for a in range(D):  # the triples (a, b, c) as one D x D slice per a
-        square = np.ix_(phi[a], phi[a])
-        if (phi[a][phi] != phi[square]).any() or (q[a][phi] * q != q[square] * q[a]).any():
-            return None, False
-    return phi, all(v % p for p in primes_for_conductor(1) for v in braiding.coeff.tolist())
+    q = braiding.q.reshape(-1).tolist()
+    return braiding.phi, all(v % p for p in primes_for_conductor(1) for v in q)
 
 
 def _degree_orbits(phi: np.ndarray):
@@ -361,12 +370,30 @@ def _residues(values: np.ndarray, N: int, p: int, z: int) -> np.ndarray:
 
 
 def degree2_kernel(braiding: Braiding) -> list:
-    """Basis of ker(id + c) on V (x) V, as Fraction vectors (requires a
-    rational braiding matrix)."""
-    rows = braiding.matrix()
-    return nullspace_rational(
-        [[v.as_rational() + (r == c) for c, v in enumerate(row)] for r, row in enumerate(rows)]
-    )
+    """Basis of ker(id + c) on V (x) V for an invertible c with rational
+    scalars, each vector a dict of Fractions keyed by basis pairs.  c
+    permutes the pairs, so the kernel splits by its orbits: an orbit
+    p_0 -> ... -> p_{l-1} carries one vector, v_0 = 1 and
+    v_{i+1} = -q(p_i) v_i, when the product of its q is (-1)^l, and none
+    otherwise.  The orbits are taken from their least pairs, in order."""
+    braiding.check_invertible()
+    D = braiding.D
+    step = braiding.target.tolist()
+    q = braiding.q.reshape(-1).tolist()
+    q = [v if type(v) is int else Cyclo.coerce(v).as_rational() for v in q]
+    seen = [False] * (D * D)
+    basis = []
+    for start in range(D * D):
+        if seen[start]:
+            continue
+        p, v, vec = start, Fraction(1), {}
+        while not seen[p]:
+            seen[p] = True
+            vec[divmod(p, D)] = v
+            v, p = -q[p] * v, step[p]
+        if v == 1:
+            basis.append(vec)
+    return basis
 
 
 def in_degree2_kernel(braiding: Braiding, combo: dict) -> bool:

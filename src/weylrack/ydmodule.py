@@ -3,10 +3,11 @@ the arrow-module realization.
 
 The module attached to a class with numeration t_1, ..., t_m, coset
 representatives g_i (g_i conjugates the base point to t_i) and a
-centralizer representation rho has basis g_i (x) v_j.  The group acts by
-h.(g_i v) = g_{i'}(gamma.v) where h g_i = g_{i'} gamma, the coaction
-tags g_i v with degree t_i, and the braiding is
-c(g_i v (x) g_j w) = t_i.(g_j w) (x) g_i v.
+character chi of the centralizer has basis x_i = g_i v.  The group acts
+by h.x_i = chi(gamma) x_{i'} where h g_i = g_{i'} gamma, the coaction
+tags x_i with degree t_i, and the braiding is
+c(x_i (x) x_j) = t_i.x_j (x) x_i = chi(gamma) x_{i |> j} (x) x_i, where
+t_i g_j = g_{i |> j} gamma: a rack and a scalar per basis pair.
 """
 
 from __future__ import annotations
@@ -17,35 +18,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugacy import CosetSystem
-from .cyclotomic import Cyclo, integer_value
+from .cyclotomic import integer_value
 from .groups import BudgetExceeded, SignedPermutation, conjugate_pairs, encode, rand_int, to_arrays
 from .racks import FiniteRack
 from .reps import Rep
 
-# peak bytes per basis pair of `YDModule.braiding`'s per-pair term lists,
-# about 525 measured under tracemalloc on the B_5 3-cycles (D = 80), so
-# the default memory budget admits D up to about 980
-BRAIDING_PAIR_BYTES = 560
+# peak bytes per basis pair of `YDModule.braiding`, most of it the cocycle
+# call on all pairs: about 107 measured under tracemalloc on the B_5
+# 3-cycles (D = 80) and 98 on the B_5 5-cycles (D = 384), so the default
+# memory budget admits D up to about 2100
+BRAIDING_PAIR_BYTES = 120
 
 
 class YDModule:
     def __init__(self, cosets: CosetSystem, rep: Rep):
+        if rep.degree != 1:
+            raise NotImplementedError(
+                "Yetter-Drinfeld modules are implemented for one-dimensional characters"
+            )
         self.cosets = cosets
         self.cls = cosets.cls
-        # rho by centralizer index, as the cocycle gives gamma, so the rep
-        # must be on the coset system's centralizer
+        # chi by centralizer index, as the cocycle gives gamma, so the
+        # character must be on the coset system's centralizer
         if not np.array_equal(rep.cent.keys, cosets.centralizer.keys):
             raise ValueError("rep is not a rep of the class centralizer")
         self.matrices = rep.matrices
         self.m = self.cls.size
-        self.d = rep.degree
-        self.D = self.m * self.d
 
-    # basis index (i, j) <-> flat i*d + j
-
-    def degree_of(self, flat: int) -> SignedPermutation:
-        """Coaction: basis vector g_i v_j has comodule degree t_i."""
-        return self.cls.elements[flat // self.d]
+    def degree_of(self, i: int) -> SignedPermutation:
+        """Coaction: the basis vector x_i has comodule degree t_i."""
+        return self.cls.elements[i]
 
     def check_yd_compatibility(self, sample: int | None = None):
         """delta(h.w) = h w_(-1) h^-1 (x) h.w_(0): the action must move a
@@ -66,167 +68,122 @@ class YDModule:
             raise AssertionError(f"YD compatibility fails at h={elems[h]}, class index {i}")
 
     def braiding(self) -> "Braiding":
-        """c(g_i v_p (x) g_j v_q) = t_i.(g_j v_q) (x) g_i v_p, where
-        t_i g_j = g_{i |> j} gamma: the targets i |> j are read from the
-        rack table of the class, the coefficients rho(gamma)[r][q] by
-        centralizer index from one cocycle call for every pair (i, j).
-        Refused with BudgetExceeded before any of it is built when its D^2
-        pairs at `BRAIDING_PAIR_BYTES` each exceed the memory budget."""
+        """c(x_i (x) x_j) = chi(gamma) x_{i |> j} (x) x_i, where
+        t_i g_j = g_{i |> j} gamma: phi is the rack table of the class, and
+        q = chi(gamma) is read by centralizer index from one cocycle call
+        for every pair (i, j), each character value a rational integer as
+        an int.  Refused with BudgetExceeded before any of it is built when
+        its m^2 pairs at `BRAIDING_PAIR_BYTES` each exceed the memory
+        budget."""
         from .nichols import MEMORY_BUDGET
 
-        if self.D**2 * BRAIDING_PAIR_BYTES > MEMORY_BUDGET:
+        m, cls = self.m, self.cls
+        if m**2 * BRAIDING_PAIR_BYTES > MEMORY_BUDGET:
             raise BudgetExceeded(
-                f"a braiding of D = {self.D} needs {self.D**2} basis pairs, over the memory budget"
+                f"a braiding of D = {m} needs {m**2} basis pairs, over the memory budget"
                 f" of {MEMORY_BUDGET} bytes at {BRAIDING_PAIR_BYTES} bytes a pair"
             )
-        m, d, cls = self.m, self.d, self.cls
-        T = FiniteRack.from_class(cls).table().tolist()
+        phi = FiniteRack.from_class(cls).table()
         I, J = np.divmod(np.arange(m * m), m)
         _, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
-        C = C.reshape(m, m).tolist()
-        # each matrix entry read once, a rational integer as an int
-        matrices = [
-            [[v if (n := integer_value(v)) is None else n for v in row] for row in M]
-            for M in self.matrices
-        ]
-        terms = {}
-        for i in range(m):
-            for p in range(d):
-                a = i * d + p
-                for j in range(m):
-                    M, target = matrices[C[i][j]], T[i][j] * d
-                    for q in range(d):
-                        terms[(a, j * d + q)] = [
-                            ((target + r, a), M[r][q]) for r in range(d) if M[r][q]
-                        ]
-        return Braiding(self.D, terms)
+        chi = _scalars([M[0][0] for M in self.matrices])
+        return Braiding(phi, chi[C.reshape(m, m)])
 
 
-@dataclass
 class Braiding:
-    """c on V (x) V, stored per basis pair: c(e_a (x) e_b) = sum of
-    coeff * e_{a'} (x) e_{b'} over terms[(a,b)], for every pair.
+    """c(x_a (x) x_b) = q[a, b] x_{phi[a, b]} (x) x_a on V (x) V, as two
+    D x D arrays: phi[a, b] = a |> b, and the scalar q of each basis pair.
+    q holds rational integers as ints, in int64 when they fit, and other
+    scalars (big ints, `Cyclo`s) as objects; `norm` is the largest |q|
+    when every q is an int, else None.  `target` is phi read as flat pair
+    indices, for `_apply_at`."""
 
-    Built once, the same terms as lookup arrays: the pair p = a*D + b has
-    targets a'*D + b' in target[start[p]:start[p] + count[p]] and the same
-    slice of the object array `coeff`, where the rational integers of
-    conductor 1 are ints.  If all are ints, `norm` is the largest sum of
-    |coeff| over one pair's terms (else None), and `coeff64` is coeff in
-    int64 when that holds it."""
-
-    D: int
-    terms: dict
-
-    def __post_init__(self):
-        D = self.D
-        outs = [self.terms[divmod(p, D)] for p in range(D * D)]
-        self.count = np.array([len(out) for out in outs], dtype=np.int64)
-        self.start = np.cumsum(self.count) - self.count
-        targets = [a * D + b for out in outs for (a, b), _ in out]
-        self.target = np.array(targets, dtype=np.int64)
-        values = [v for out in outs for _, v in out]
-        ints = [integer_value(v) for v in values]
-        self.coeff = np.empty(len(values), dtype=object)
-        self.coeff[:] = [v if i is None else i for v, i in zip(values, ints)]
-        # one non-zero term per pair, targets all distinct
-        self.bijective = self.is_monomial and len(set(targets)) == D * D and all(self.coeff)
-        self.norm = None
-        if None not in ints:
-            bounds = zip(self.start.tolist(), self.count.tolist())
-            self.norm = max((sum(map(abs, ints[s : s + n])) for s, n in bounds), default=0)
-        self.coeff64 = self.coeff.astype(np.int64) if self.int64_stack(1, 1) else None
+    def __init__(self, phi, q):
+        self.phi = np.asarray(phi, dtype=np.int64)
+        D = self.D = len(self.phi)
+        if not (isinstance(q, np.ndarray) and q.dtype == np.int64):
+            q = _scalars(np.array(q, dtype=object).reshape(-1).tolist())
+        self.q = q.reshape(D, D)
+        if self.q.dtype == np.int64:
+            self.norm = max(int(self.q.max()), -int(self.q.min()))
+        elif all(type(v) is int for v in self.q.flat):
+            self.norm = max(map(abs, self.q.flat))
+        else:
+            self.norm = None
+        # the flat pair that c sends the pair a*D + b to, phi[a, b]*D + a
+        self.target = (self.phi * D + np.arange(D)[:, None]).reshape(-1)
 
     @property
-    def is_monomial(self) -> bool:
-        return bool((self.count == 1).all())
+    def bijective(self) -> bool:
+        """Is c a bijection of basis pairs with non-zero scalars, every
+        row of phi a permutation and every q non-zero?"""
+        perms = (np.sort(self.phi, axis=1) == np.arange(self.D)).all()
+        return bool(perms and self.q.astype(bool).all())
 
     def int64_stack(self, letters: int, words: int) -> bool:
         """Can a stack hold in int64 sums of `words` products of `letters`
-        coefficients each?  Each such sum is at most norm^letters * words."""
+        scalars each?  Each such sum is at most norm^letters * words."""
         return self.norm is not None and self.norm**letters * words < 2**63
 
-    def matrix(self) -> list:
-        """Dense D^2 x D^2 matrix; row/column index is a*D + b."""
-        n = self.D * self.D
-        rows = [[Cyclo.rational(0)] * n for _ in range(n)]
-        cols = np.repeat(np.arange(n), self.count).tolist()
-        for col, row, v in zip(cols, self.target.tolist(), self.coeff):
-            rows[row][col] += v
-        return rows
-
     def check_invertible(self):
-        """c is a bijection of basis pairs with non-zero coefficients, or
-        a non-monomial map of full rank."""
-        if self.bijective:
-            return
-        if self.is_monomial:
-            raise AssertionError("monomial braiding is not invertible")
-        from .linalg import rank_cyclo_exact
-
-        if rank_cyclo_exact(self.matrix()) != self.D * self.D:
-            raise AssertionError("braiding matrix is singular")
+        """c is invertible exactly when it is `bijective`."""
+        if not self.bijective:
+            raise AssertionError("braiding is not invertible")
 
     def _apply_at(self, stack: tuple, pos: int, k: int) -> tuple:
         """Apply c at tensor positions (pos, pos+1) of V^(x k) to a stack of
         terms: the one place c is applied.  Term i of the stack (key, coeff)
         is coeff[i] times the basis tuple of flat index key[i] % D^k (base
         D, first position most significant) in column key[i] // D^k.  The
-        pair at the positions is read out of the keys, its target written
-        back and its coefficient multiplied in, from `coeff64` on an int64
-        stack and from `coeff` on an object one.  Unless c is a bijection
-        of basis pairs, a pair with several terms repeats its rows and the
-        stack is summed by key."""
+        pair at the positions is read out of the keys, its `target`
+        written back and its scalar multiplied in, from q on an int64 stack
+        and from q as objects on an object one."""
         key, coeff = stack
         place = self.D ** (k - 2 - pos)
         pair = key // place % (self.D * self.D)
-        table = self.coeff64 if coeff.dtype == np.int64 else self.coeff
-        if self.bijective:
-            term = self.start[pair]
-        else:
-            count = self.count[pair]
-            rows = np.repeat(np.arange(len(key)), count)
-            offset = np.repeat(self.start[pair] - (np.cumsum(count) - count), count)
-            term = offset + np.arange(len(rows))
-            key, coeff, pair = key[rows], coeff[rows], pair[rows]
-        key = key + (self.target[term] - pair) * place
-        coeff = coeff * table[term]
-        if not self.bijective:
-            key, coeff = _combine(key, coeff)
-        return key, coeff
+        q = self.q.reshape(-1)
+        if q.dtype != coeff.dtype:
+            q = q.astype(object)
+        return key + (self.target[pair] - pair) * place, coeff * q[pair]
 
     def check_braid_equation(self, sample: int | None = None):
         """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on basis
-        triples, exhaustive unless sampled: each side lifts all triples as
-        one stack, a column each, in int64 for an integral braiding, and the
-        first column lhs - rhs leaves names the failing triple."""
-        D, D3 = self.D, self.D**3
+        triples, exhaustive unless sampled.  On x_a (x) x_b (x) x_c the
+        left side is L x_{(a|>b)|>(a|>c)} (x) x_{a|>b} (x) x_a with
+        L = q_ab q_ac q_{a|>b,a|>c}, the right side R x_{a|>(b|>c)} (x)
+        x_{a|>b} (x) x_a with R = q_bc q_{a,b|>c} q_ab, so a triple holds
+        when L = R and, unless L = 0, the first targets agree.  Exhaustive,
+        the triples go one D x D slice of (b, c) per a; sampled, as one
+        array; either way the first failing one is named."""
+        D, phi = self.D, self.phi
+        q = self.q if self.int64_stack(3, 1) else self.q.astype(object)
         if sample is None:
-            flat = np.arange(D3, dtype=np.int64)
+            every = np.arange(D)
+            chunks = ((a, every[:, None], every) for a in range(D))
         else:
             rng = random.Random(0)
             triples = [[rand_int(rng, 0, D - 1) for _ in range(3)] for _ in range(sample)]
-            flat = np.array(triples, dtype=np.int64).reshape(-1, 3) @ [D * D, D, 1]
-        key = np.arange(len(flat), dtype=np.int64) * D3 + flat
-        ones = np.ones(len(flat), np.int64 if self.int64_stack(3, 2) else object)
-        lhs, rhs = (key, ones), (key, -ones)
-        for p, q in ((0, 1), (1, 0), (0, 1)):
-            lhs, rhs = self._apply_at(lhs, p, 3), self._apply_at(rhs, q, 3)
-        key, _ = _combine(np.concatenate([lhs[0], rhs[0]]), np.concatenate([lhs[1], rhs[1]]))
-        if len(key):
-            t = int(flat[key[0] // D3])
-            tup = (t // (D * D), t // D % D, t % D)
-            raise AssertionError(f"braid equation fails on basis {tup}")
+            chunks = [np.array(triples, dtype=np.int64).reshape(-1, 3).T]
+        for a, b, c in chunks:
+            ab, ac, bc = phi[a, b], phi[a, c], phi[b, c]
+            L = q[a, b] * q[a, c] * q[ab, ac]
+            fails = (L != q[b, c] * q[a, bc] * q[a, b]) | ((L != 0) & (phi[ab, ac] != phi[a, bc]))
+            if fails.any():
+                at = int(np.argmax(fails))
+                tup = tuple(int(np.broadcast_to(x, fails.shape).flat[at]) for x in (a, b, c))
+                raise AssertionError(f"braid equation fails on basis {tup}")
 
 
-def _combine(key: np.ndarray, coeff: np.ndarray) -> tuple:
-    """Sum the coefficients of equal keys and drop the zero sums; the
-    keys come back sorted.  One sort, then np.add.reduceat over the runs."""
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))  # each run's start
-    sums = np.add.reduceat(coeff[order], first)
-    nonzero = sums.astype(bool)
-    return key[first[nonzero]], sums[nonzero]
+def _scalars(values: list) -> np.ndarray:
+    """The scalars as one flat array, each rational integer as an int
+    (`integer_value`): int64 when all are ints that fit, objects
+    otherwise."""
+    values = [v if (n := integer_value(v)) is None else n for v in values]
+    if all(type(v) is int and -(2**63) < v < 2**63 for v in values):
+        return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
 
 def build_yd_module(cosets: CosetSystem, rep: Rep) -> YDModule:
@@ -318,8 +275,6 @@ def psi_isomorphism_check(yd: YDModule, arrow: ArrowYDModule) -> PsiCheckResult:
     it is a comodule map (matching degrees) and a module map (the group
     action coefficients agree) for every group element and basis vector.
     """
-    if yd.d != 1:
-        return PsiCheckResult(False, {"reason": "character case only"})
     if yd.cls is not arrow.cls and yd.cls.elements != arrow.cls.elements:
         return PsiCheckResult(False, {"reason": "different classes"})
     for i in range(yd.m):

@@ -76,8 +76,8 @@ print(json.dumps({{k: tracer.counts[k] for k in names}}))
     # one one-letter lift per application of c in the coset factors of
     # S_2, S_3 and S_4: k(k-1)/2 each, 1 + 3 + 6
     (["nichols-dim", "--n", "3", "--preset", "--max-degree", "4"], 10, 10),
-    # the braid check: each side lifts all 27 triples at once, 3 letters each
-    (["braiding", "--n", "3", "--preset"], 0, 6),
+    # the braid check reads phi and q directly and applies c nowhere
+    (["braiding", "--n", "3", "--preset"], 0, 0),
 ])
 def test_tracer_counts_the_braiding_kernel(argv, lifts, letters):
     # every application of c goes through `Braiding._apply_at`, and each

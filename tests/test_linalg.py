@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from weylrack.cyclotomic import Cyclo, cyclotomic_polynomial
 from weylrack.linalg import (
     DEFAULT_PRIMES,
-    nullspace_rational,
     primes_for_conductor,
     rank_cyclo_exact,
     rank_int_exact,
@@ -62,48 +61,6 @@ def test_rank_matches_fraction_oracle():
         assert rank_int_exact(m) == expected
         assert rank_mod_p(np.array(m), DEFAULT_PRIMES[0]) == expected
         assert rank_two_primes(lambda p: rank_mod_p(np.array(m), p), DEFAULT_PRIMES) == expected
-
-
-def test_nullspace_vectors_are_killed():
-    rng = random.Random(32)
-    for _ in range(60):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        basis = nullspace_rational(m)
-        ncols = len(m[0])
-        assert len(basis) == ncols - rank_fraction_oracle(m)
-        for v in basis:
-            for row in m:
-                assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
-
-
-def test_nullspace_basis_is_canonical():
-    # one vector per free column of the reduced echelon form: 1 there, 0
-    # at the other free columns, and the pivot entries solve the rows
-    rng = random.Random(34)
-    for _ in range(60):
-        ncols = rng.randint(1, 6)
-        m = [
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * rng.randint(0, 1)
-             for _ in range(ncols)]
-            for _ in range(rng.randint(1, 5))
-        ]
-        # a column is free when it adds nothing to the rank of those before it
-        ranks = [rank_fraction_oracle([r[:c] for r in m]) for c in range(ncols + 1)]
-        free = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
-        basis = nullspace_rational(m)
-        assert len(basis) == len(free)
-        for fc, v in zip(free, basis):
-            assert all(isinstance(x, Fraction) for x in v)
-            assert [v[c] for c in free] == [int(c == fc) for c in free]
-            for row in m:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-def test_nullspace_basis_is_independent():
-    m = [[1, 2, 3], [2, 4, 6]]
-    basis = nullspace_rational(m)
-    assert len(basis) == 2
-    assert rank_fraction_oracle(basis) == 2
 
 
 def test_rank_cyclo_matches_int_on_integer_input():

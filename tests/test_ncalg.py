@@ -5,11 +5,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylrack import ncalg
-from weylrack.conjugacy import transposition_preset
+from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
+from weylrack.groups import Bn
 from weylrack.ncalg import (
     GroebnerBasis,
     NCPresentation,
@@ -19,7 +21,8 @@ from weylrack.ncalg import (
     nc_groebner,
     quadratic_cover_presentation,
 )
-from weylrack.nichols import nichols_graded_dim
+from weylrack.linalg import DEFAULT_PRIMES, rank_cyclo_exact
+from weylrack.nichols import degree2_kernel, in_degree2_kernel, nichols_graded_dim
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn
 from weylrack.ydmodule import Braiding, build_yd_module
 
@@ -417,14 +420,18 @@ def reference_groebner(pres, cap):
     return sorted(index.items(), key=lambda item: (len(item[0]), item[0]))
 
 
+def fraction_braiding():
+    """A diagonal braiding on D = 3 (a > b = b) with q_ab = (a + 2) / (b + 2)
+    off the diagonal, so that q_ab q_ba = 1, and q_00 = -1."""
+    q = [[Cyclo.rational(Fraction(a + 2, b + 2) if a != b else 1 - 2 * (a == 0)) for b in range(3)]
+         for a in range(3)]
+    return Braiding([[0, 1, 2]] * 3, q)
+
+
 def fraction_cover():
-    """The quadratic cover of a diagonal braiding on D = 3 with q_ab =
-    (a + 2) / (b + 2) off the diagonal, so that q_ab q_ba = 1, and q_00 =
-    -1: its relations have Fraction coefficients."""
-    q = {(a, b): Fraction(a + 2, b + 2) if a != b else 1 - 2 * (a == 0)
-         for a in range(3) for b in range(3)}
-    terms = {ab: [((ab[1], ab[0]), Cyclo.rational(v))] for ab, v in q.items()}
-    return quadratic_cover_presentation(Braiding(3, terms))
+    """The quadratic cover of `fraction_braiding`: its relations have
+    Fraction coefficients."""
+    return quadratic_cover_presentation(fraction_braiding())
 
 
 REFERENCE_CASES = {
@@ -451,6 +458,71 @@ def test_completion_matches_the_tuple_reference(name):
     basis = nc_groebner(pres, cap).basis
     assert [lead for lead, _ in basis] == [lead for lead, _ in reference_groebner(pres, cap)]
     assert basis == reference_groebner(pres, cap)
+
+
+def class_braiding(n, element):
+    cs = ConjugacyClass(Bn(n), Bn(n).parse(element)).coset_system()
+    return build_yd_module(cs, chi_sgn_sgn(cs.centralizer)).braiding()
+
+
+def id_plus_c(braiding):
+    """id + c on V (x) V as a dense D^2 x D^2 object array, column a*D + b
+    holding e_ab + q_ab e_{a>b, a}."""
+    D = braiding.D
+    M = np.zeros((D * D, D * D), dtype=object)
+    for (a, b), target in np.ndenumerate(braiding.phi):
+        M[a * D + b, a * D + b] += 1
+        M[target * D + a, a * D + b] += braiding.q[a, b]
+    return M
+
+
+def dense_rank_mod_p(M, p):
+    """The rank mod p of an integer matrix, by Gaussian elimination on the
+    dense int64 array, one pivot column at a time.  Only the rows with an
+    entry in the pivot column are updated, so the 1024 x 1024 id + c of
+    D = 32 takes a fraction of a second, where `linalg.rank_mod_p`'s
+    scans of the whole remaining block take about 3 s per prime."""
+    M = (M % p).astype(np.int64)
+    rank = 0
+    for col in range(M.shape[1]):
+        rows = rank + np.flatnonzero(M[rank:, col])
+        if not rows.size:
+            continue
+        M[[rank, rows[0]]] = M[[rows[0], rank]]
+        M[rank] = M[rank] * pow(int(M[rank, col]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(M[rank + 1 :, col])
+        M[below] = (M[below] - M[below, col][:, None] * M[rank]) % p
+        rank += 1
+    return rank
+
+
+KERNEL_CASES = {
+    "s3-preset": lambda: braiding_for(3, chi_sgn_sgn),
+    "s4-preset": lambda: braiding_for(4, chi_eps_sgn),
+    "b3-000-(1 2)": lambda: class_braiding(3, "000;(1 2)"),
+    "b3-100-(1 2 3)": lambda: class_braiding(3, "100;(1 2 3)"),
+    "fraction-cover": fraction_braiding,
+    "b4-0000-(1 2 3)": lambda: class_braiding(4, "0000;(1 2 3)"),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_degree2_kernel_matches_dense_elimination(case):
+    # each orbit vector is killed by id + c, and the vectors have disjoint
+    # supports, so they are independent: their count is at most D^2 minus
+    # the rank over Q, which is at most D^2 minus the rank mod p.  The
+    # count reaching the dense rank's bound proves it is the whole kernel.
+    c = KERNEL_CASES[case]()
+    kernel = degree2_kernel(c)
+    assert all(in_degree2_kernel(c, vec) for vec in kernel)
+    support = [pair for vec in kernel for pair in vec]
+    assert len(support) == len(set(support))
+    M = id_plus_c(c)
+    if c.norm is None:  # Fraction scalars: exact elimination over Q
+        rank = rank_cyclo_exact(M.tolist())
+    else:
+        rank = dense_rank_mod_p(M, DEFAULT_PRIMES[0])
+    assert len(kernel) == c.D**2 - rank
 
 
 def test_fraction_cover_has_fraction_relations():

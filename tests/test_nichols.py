@@ -138,14 +138,8 @@ def test_modular_rank_holds_one_working_copy(monkeypatch):
 
 def mixed_conductor_braiding():
     """Diagonal on D = 11 with entries zeta_3 and zeta_4."""
-    D = 11
     q = {3: Cyclo.zeta(3), 4: Cyclo.zeta(4)}
-    terms = {
-        (a, b): [((b, a), q[3] if (a + b) % 2 else q[4])]
-        for a in range(D)
-        for b in range(D)
-    }
-    return Braiding(D, terms)
+    return diagonal_braiding(lambda a, b: q[3] if (a + b) % 2 else q[4], 11)
 
 
 def test_mixed_conductor_entries_use_the_lcm():
@@ -258,8 +252,8 @@ def test_block_rank_matches_the_dense_rank(case):
 
 
 def diagonal_braiding(q, D=2):
-    """c(e_a (x) e_b) = q(a, b) e_b (x) e_a."""
-    return Braiding(D, {(a, b): [((b, a), q(a, b))] for a in range(D) for b in range(D)})
+    """c(e_a (x) e_b) = q(a, b) e_b (x) e_a: the trivial rack, a > b = b."""
+    return Braiding(np.tile(np.arange(D), (D, 1)), [[q(a, b) for b in range(D)] for a in range(D)])
 
 
 def test_cyclotomic_braiding_ranks_over_the_field():
@@ -339,14 +333,16 @@ def test_symmetrizer_word_choice_does_not_matter():
 
 def apply_at_tuples(braiding, state, pos):
     """c at tensor positions (pos, pos+1) of a linear combination of basis
-    tuples, read off `braiding.terms`: the per-tuple form in which c was
-    first applied."""
+    tuples, c(e_a (x) e_b) = q_ab e_{a>b} (x) e_a read off `braiding.phi`
+    and `braiding.q` one pair at a time: the per-tuple form in which c
+    was first applied."""
+    phi, q = braiding.phi.tolist(), braiding.q.tolist()
     out = {}
     for tup, coeff in state.items():
-        for (a2, b2), v in braiding.terms[(tup[pos], tup[pos + 1])]:
-            new = tup[:pos] + (a2, b2) + tup[pos + 2 :]
-            acc = out.get(new)
-            out[new] = v * coeff if acc is None else acc + v * coeff
+        a, b = tup[pos], tup[pos + 1]
+        new = tup[:pos] + (phi[a][b], a) + tup[pos + 2 :]
+        acc = out.get(new)
+        out[new] = q[a][b] * coeff if acc is None else acc + q[a][b] * coeff
     return {t: v for t, v in out.items() if v}
 
 
@@ -371,32 +367,15 @@ def oracle_columns(braiding, k, from_right):
 
 
 def integral(braiding):
-    """The braiding with int coefficients in its terms, as `Braiding`
-    stores every rational integer in its lookup arrays."""
-    return Braiding(
-        braiding.D,
-        {ab: [(t, as_int(v)) for t, v in out] for ab, out in braiding.terms.items()},
-    )
+    """The braiding rebuilt from Python int scalars, as `Braiding` stores
+    every rational integer in q."""
+    return Braiding(braiding.phi, [[as_int(v) for v in row] for row in braiding.q.tolist()])
 
 
 def cyclotomic(braiding):
-    """The braiding with every coefficient in its terms a `Cyclo`, which
-    `Braiding` converts term by term."""
-    return Braiding(
-        braiding.D,
-        {ab: [(t, Cyclo.coerce(v)) for t, v in out] for ab, out in braiding.terms.items()},
-    )
-
-
-def two_term_braiding(scalar):
-    """A non-monomial braiding on D = 2: the pairs (0, 1) and (1, 1) have
-    two terms each, and one coefficient is 0."""
-    return Braiding(2, {
-        (0, 0): [((0, 0), -1)],
-        (0, 1): [((1, 0), 1), ((0, 1), scalar)],
-        (1, 0): [((0, 1), 2)],
-        (1, 1): [((1, 1), -1), ((0, 0), 0)],
-    })
+    """The braiding rebuilt from `Cyclo` scalars, which `Braiding`
+    converts pair by pair."""
+    return Braiding(braiding.phi, [[Cyclo.coerce(v) for v in row] for row in braiding.q.tolist()])
 
 
 ORACLE_CASES = {
@@ -408,8 +387,6 @@ ORACLE_CASES = {
     "s4-eps-sgn-cyclo": (lambda: cyclotomic(braiding_for(4, chi_eps_sgn)), 3),
     "diagonal-zeta3": (lambda: diagonal_braiding(lambda a, b: Cyclo.zeta(3) ** (a + 2 * b)), 4),
     "diagonal-singular": (lambda: diagonal_braiding(lambda a, b: a + b - 1), 4),
-    "two-term-int": (lambda: two_term_braiding(-1), 4),
-    "two-term-zeta4": (lambda: two_term_braiding(Cyclo.zeta(4)), 4),
     "coefficient-3": (lambda: diagonal_braiding(lambda a, b: 3 if a != b else -1), 4),
     # 2^40 cubed leaves int64, so the guard must pick exact ints
     "coefficient-2^40": (lambda: diagonal_braiding(lambda a, b: 2**40 if a != b else -1), 3),
@@ -479,10 +456,6 @@ def test_int64_guard_bounds_every_sum():
     c = diagonal_braiding(lambda a, b: 3 if a != b else -1)
     assert fits(c, 8)
     assert not fits(c, 9)
-    # the terms of a pair add up: 1 and 3 bound a sum like a single 4,
-    # 4^21 * 7! < 2^63 <= 4^28 * 8!, where a single 3 would still fit
-    assert fits(two_term_braiding(3), 7)
-    assert not fits(two_term_braiding(3), 8)
 
 
 def test_check_invertible_takes_int_coefficients():
@@ -498,10 +471,11 @@ def class_braiding(element, n=3):
 
 def rack_degree(braiding, word):
     """phi_{a_1} o ... o phi_{a_k} as a tuple of images, a > b read off
-    the first term of c(e_a (x) e_b) = q_ab e_{a>b} (x) e_a."""
+    `braiding.phi` one pair at a time."""
+    phi = braiding.phi.tolist()
     out = tuple(range(braiding.D))
     for a in word:
-        out = tuple(out[braiding.terms[(a, b)][0][0][0]] for b in range(braiding.D))
+        out = tuple(out[phi[a][b]] for b in range(braiding.D))
     return out
 
 
@@ -609,9 +583,9 @@ def test_a_trivial_rack_keeps_every_column(monkeypatch):
 
 def sign_flipped(braiding, pair):
     """The braiding with the sign of q at one basis pair flipped."""
-    terms = dict(braiding.terms)
-    terms[pair] = [(t, -v) for t, v in terms[pair]]
-    return Braiding(braiding.D, terms)
+    q = braiding.q.copy()
+    q[pair] *= -1
+    return Braiding(braiding.phi, q)
 
 
 def test_a_braiding_off_the_cocycle_keeps_every_column(monkeypatch):
@@ -634,8 +608,7 @@ def test_scalars_that_vanish_mod_p_keep_every_modular_column(monkeypatch):
     # is the identity mod p
     scale = np.prod(primes_for_conductor(1), dtype=object)
     base = braiding_for(6, chi_sgn_sgn)
-    terms = {ab: [(t, as_int(v) * scale) for t, v in out] for ab, out in base.terms.items()}
-    c = Braiding(base.D, terms)
+    c = Braiding(base.phi, base.q.astype(object) * scale)
     phi, units = nichols._rack_grading(c)
     assert phi is not None and not units
     dims, built = built_columns(monkeypatch, c, 3)
@@ -660,7 +633,8 @@ def test_the_rack_checks_stay_within_the_degree_budget():
     # to degree 1 or 2 stops before the checks and holds less than one
     # D x D int64 array, and the checks go one D x D slice at a time
     D = 120
-    c = Braiding(D, {(a, b): [(((2 * a - b) % D, a), 1)] for a in range(D) for b in range(D)})
+    every = np.arange(D)
+    c = Braiding((2 * every[:, None] - every) % D, np.ones((D, D), dtype=np.int64))
     for max_degree, truncated in ((1, None), (2, 2)):
         out, peak = traced_peak(nichols_graded_dim, c, max_degree)
         assert (out.dims, out.truncated_at) == ([1, D], truncated)

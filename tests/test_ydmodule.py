@@ -4,6 +4,7 @@ arrow-module realization."""
 import random
 import re
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,16 @@ import pytest
 from weylrack import nichols
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
-from weylrack.groups import BudgetExceeded, Bn, Sn, SignedPermutation, encode, mul_rows, to_arrays
+from weylrack.groups import (
+    BudgetExceeded,
+    Bn,
+    Sn,
+    SignedPermutation,
+    encode,
+    mul_rows,
+    rand_int,
+    to_arrays,
+)
 from weylrack.racks import FiniteRack
 from weylrack.reps import Rep, char_rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
@@ -82,7 +92,6 @@ def test_braid_equation_exhaustive():
         yd, _, _ = yd_transpositions(3, char)
         c = yd.braiding()
         assert c.D == 3
-        assert c.is_monomial
         c.check_braid_equation(sample=None)  # all 27 basis triples
         c.check_invertible()
 
@@ -99,17 +108,18 @@ def test_braid_equation_names_the_failing_triple():
     # negative control: the S_3 braiding with the sign of one pair flipped
     yd, _, _ = yd_transpositions(3, chi_sgn_sgn)
     c = yd.braiding()
-    terms = dict(c.terms)
-    terms[(0, 1)] = [(t, -v) for t, v in terms[(0, 1)]]
-    bad = Braiding(c.D, terms)
+    q = c.q.copy()
+    q[0, 1] *= -1
+    bad = Braiding(c.phi, q)
     with pytest.raises(AssertionError, match=r"fails on basis \(0, 2, 0\)"):
         bad.check_braid_equation()
     with pytest.raises(AssertionError, match=r"fails on basis \(1, 2, 1\)"):
         bad.check_braid_equation(sample=200)
     # the same flip written as zeta_2 is not an int: the check runs on objects
-    terms[(0, 1)] = [(t, v * Cyclo.zeta(2)) for t, v in c.terms[(0, 1)]]
+    q = c.q.astype(object)
+    q[0, 1] *= Cyclo.zeta(2)
     with pytest.raises(AssertionError, match=r"fails on basis \(0, 2, 0\)"):
-        Braiding(c.D, terms).check_braid_equation()
+        Braiding(c.phi, q).check_braid_equation()
 
 
 def zeta3_module():
@@ -126,25 +136,21 @@ def zeta3_module():
     zeta3_module,
 ])
 def test_braiding_arrays_match_the_per_term_conversion(make):
-    # YDModule.braiding reads each matrix entry's integer once and its
-    # terms carry ints; the same terms as Cyclos, converted one by one,
-    # give the same lookup arrays
+    # YDModule.braiding reads each character value's integer once; the
+    # same scalars as Cyclos, converted pair by pair, give the same q
     c = make().braiding()
-    ref = Braiding(c.D, {ab: [(t, Cyclo.coerce(v)) for t, v in out] for ab, out in c.terms.items()})
-    assert [type(v) for v in c.coeff] == [type(v) for v in ref.coeff]
-    assert c.coeff.tolist() == ref.coeff.tolist()
+    ref = Braiding(c.phi, [[Cyclo.coerce(v) for v in row] for row in c.q.tolist()])
+    assert c.q.dtype == ref.q.dtype
+    assert [type(v) for v in c.q.flat] == [type(v) for v in ref.q.flat]
+    assert c.q.tolist() == ref.q.tolist()
     assert c.norm == ref.norm
     assert c.bijective == ref.bijective
-    if ref.coeff64 is None:
-        assert c.coeff64 is None
-    else:
-        assert c.coeff64.tolist() == ref.coeff64.tolist()
 
 
 def test_the_zeta3_braiding_keeps_its_roots_of_unity():
     c = zeta3_module().braiding()
-    assert {type(v) for v in c.coeff} == {Cyclo}
-    assert c.norm is None and c.coeff64 is None
+    assert {type(v) for v in c.q.flat} == {Cyclo}
+    assert c.norm is None and c.q.dtype == object
     c.check_braid_equation()
 
 
@@ -153,43 +159,121 @@ def test_braid_equation_holds_for_diagonal_braidings():
     # stacks, on big ints past the int64 guard and on cyclotomic objects
     z = Cyclo.zeta(3)
     for q in (lambda a, b: -1, lambda a, b: 2**40 + a, lambda a, b: z ** (a + 2 * b)):
-        c = Braiding(3, {(a, b): [((b, a), q(a, b))] for a in range(3) for b in range(3)})
+        c = Braiding([[0, 1, 2]] * 3, [[q(a, b) for b in range(3)] for a in range(3)])
         c.check_braid_equation()
         c.check_braid_equation(sample=50)
 
 
+def braid_oracle(c, triples):
+    """The first of `triples` on which the two sides of the braid equation
+    differ, or None: each side is applied to e_a (x) e_b (x) e_c one c at
+    a time, c(e_a (x) e_b) = q_ab e_{a>b} (x) e_a on a dict of basis
+    tuples, and the two dicts are compared."""
+    phi, q = c.phi.tolist(), c.q.tolist()
+
+    def apply(state, pos):
+        out = {}
+        for tup, v in state.items():
+            a, b = tup[pos], tup[pos + 1]
+            new = tup[:pos] + (phi[a][b], a) + tup[pos + 2 :]
+            out[new] = out.get(new, 0) + q[a][b] * v
+        return out
+
+    for triple in triples:
+        lhs, rhs = {triple: 1}, {triple: 1}
+        for p, r in ((0, 1), (1, 0), (0, 1)):
+            lhs, rhs = apply(lhs, p), apply(rhs, r)
+        diff = {t: lhs.get(t, 0) - rhs.get(t, 0) for t in {**lhs, **rhs}}
+        if any(diff.values()):
+            return triple
+    return None
+
+
+def flipped(c, pair, factor=-1):
+    """The braiding with q at one basis pair multiplied by `factor`."""
+    q = c.q.astype(object)
+    q[pair] = q[pair] * factor
+    return Braiding(c.phi, q)
+
+
+def scaled(c, factor=2**40):
+    """The braiding with every q multiplied by `factor`."""
+    return Braiding(c.phi, c.q.astype(object) * factor)
+
+
+# phi_0 swaps 0 and 1, phi_1 = phi_2 = id: a > (b > c) = (a > b) > (a > c)
+# fails on the triples (0, b, c) with b, c < 2, and only there
+NOT_A_RACK = [[1, 0, 2], [0, 1, 2], [0, 1, 2]]
+
+
+def preset(n, char=chi_sgn_sgn):
+    return yd_transpositions(n, char)[0].braiding()
+
+
+BRAID_CASES = {
+    # q_00 = q_01 = 0 kills both sides of every triple where the rack law
+    # fails (q_ab is a factor of each): L = R = 0 there, and c braids
+    "zero-q": (lambda: Braiding(NOT_A_RACK, [[0, 0, 1], [1, 1, 1], [1, 1, 1]]), None),
+    "not-self-distributive": (lambda: Braiding(NOT_A_RACK, [[1] * 3] * 3), "fails"),
+    "off-the-cocycle": (lambda: flipped(preset(4, chi_eps_sgn), (2, 3)), "fails"),
+    # every q times 2^40, whose cube is past the int64 guard: the check
+    # runs on Python ints
+    "big-ints": (lambda: scaled(preset(3)), None),
+    "big-ints-off-the-cocycle": (lambda: flipped(scaled(preset(3)), (1, 2)), "fails"),
+    # the S_3 3-cycles commute, so any q braids on them; the transpositions
+    # do not, and one q_ab times zeta_3 leaves the cocycle
+    "zeta3": (lambda: zeta3_module().braiding(), None),
+    "zeta3-off-the-cocycle": (lambda: flipped(preset(3), (0, 1), Cyclo.zeta(3)), "fails"),
+}
+
+
+@pytest.mark.parametrize("sample", [None, 30])
+@pytest.mark.parametrize("case", list(BRAID_CASES))
+def test_braid_check_matches_the_per_triple_oracle(case, sample):
+    # the verdict and the named triple of `check_braid_equation` against
+    # both sides evaluated per triple, over the same triples in the same
+    # order: all of them, or the sampled draws
+    make, verdict = BRAID_CASES[case]
+    c = make()
+    if sample is None:
+        triples = list(product(range(c.D), repeat=3))
+    else:
+        rng = random.Random(0)
+        triples = [tuple(rand_int(rng, 0, c.D - 1) for _ in range(3)) for _ in range(sample)]
+    first = braid_oracle(c, triples)
+    if sample is None:
+        assert (first is not None) == (verdict == "fails")
+    if first is None:
+        c.check_braid_equation(sample=sample)
+    else:
+        with pytest.raises(AssertionError, match=re.escape(f"fails on basis {first}")):
+            c.check_braid_equation(sample=sample)
+
+
 def test_check_invertible_refuses_singular_braidings():
     one, zero = Cyclo.rational(1), Cyclo.rational(0)
-    pairs = [(a, b) for a in range(2) for b in range(2)]
-    repeated = Braiding(2, {(a, b): [((0, 0), one)] for a, b in pairs})
-    zeroed = Braiding(2, {(a, b): [((b, a), zero if a == b == 1 else one)] for a, b in pairs})
+    # row 0 of phi is not a permutation: (0, 0) and (0, 1) both go to (0, 0)
+    repeated = Braiding([[0, 0], [0, 1]], [[one, one], [one, one]])
+    zeroed = Braiding([[0, 1], [0, 1]], [[one, one], [one, zero]])
     for c in (repeated, zeroed):
-        assert c.is_monomial
         with pytest.raises(AssertionError, match="not invertible"):
             c.check_invertible()
-    # c(e_a (x) e_a) = e_0 (x) e_0 + e_1 (x) e_1 for both a: rank 3
-    collapsed = {(a, a): [((0, 0), one), ((1, 1), one)] for a in range(2)}
-    singular = Braiding(2, {**collapsed, (0, 1): [((1, 0), one)], (1, 0): [((0, 1), one)]})
-    assert not singular.is_monomial
-    with pytest.raises(AssertionError, match="singular"):
-        singular.check_invertible()
 
 
 def test_braiding_coefficients_are_signs():
     # with a sign-valued character every braiding coefficient is +-1
     yd, _, _ = yd_transpositions(4, chi_eps_sgn)
     c = yd.braiding()
-    for out in c.terms.values():
-        ((_, coeff),) = out
-        assert coeff in (Cyclo.rational(1), Cyclo.rational(-1))
+    assert c.q.dtype == np.int64
+    assert set(c.q.reshape(-1).tolist()) == {1, -1}
 
 
 def test_braiding_preserves_total_degree():
     # c sends degrees (s, t) to (s |> t, s); the product s t is invariant
     yd, _, _ = yd_transpositions(3, chi_sgn_sgn)
     c = yd.braiding()
-    for (a, b), out in c.terms.items():
-        ((a1, b1), _) = out[0]
+    for (a, b), a1 in np.ndenumerate(c.phi):
+        b1 = a
         s, t = yd.degree_of(a), yd.degree_of(b)
         assert yd.degree_of(a1) == s.conjugate(t)
         assert yd.degree_of(b1) == s
@@ -204,8 +288,9 @@ def test_arrow_module_rejects_higher_degree():
         ((Cyclo.rational(1), zero), (zero, s)) for ((s,),) in chi_sgn_sgn(cs.centralizer).matrices
     ])
     assert big.degree == 2
-    with pytest.raises(NotImplementedError):
-        ArrowYDModule(cs, big)
+    for module in (ArrowYDModule, YDModule):
+        with pytest.raises(NotImplementedError):
+            module(cs, big)
 
 
 def test_psi_isomorphism_both_characters():
@@ -267,7 +352,7 @@ def test_compatibility_names_the_first_failing_h(monkeypatch):
 
 def test_braiding_over_the_memory_budget_is_refused_before_it_is_built(monkeypatch):
     yd, _, _ = yd_transpositions(4, chi_sgn_sgn)
-    need = BRAIDING_PAIR_BYTES * yd.D**2
+    need = BRAIDING_PAIR_BYTES * yd.m**2
     built = yd.braiding()
     monkeypatch.setattr(nichols, "MEMORY_BUDGET", need - 1)
 
@@ -279,12 +364,14 @@ def test_braiding_over_the_memory_budget_is_refused_before_it_is_built(monkeypat
         yd.braiding()
     monkeypatch.undo()
     monkeypatch.setattr(nichols, "MEMORY_BUDGET", need)
-    assert yd.braiding().terms == built.terms
+    again = yd.braiding()
+    assert np.array_equal(again.phi, built.phi)
+    assert np.array_equal(again.q, built.q)
 
 
 def test_braiding_pair_bytes_bounds_the_measured_peak():
-    # the B_5 3-cycles, D = 80: the per-pair term lists peak at about 525
-    # B a pair under tracemalloc (510 on the B_5 5-cycles, D = 384)
+    # the B_5 3-cycles, D = 80: the build peaks at about 107 B a pair
+    # under tracemalloc (98 on the B_5 5-cycles, D = 384)
     cls = ConjugacyClass(Bn(5), SignedPermutation.parse("00000;(1 2 3)"))
     cs = cls.coset_system()
     yd = build_yd_module(cs, chi_sgn_sgn(cs.centralizer))
@@ -295,4 +382,4 @@ def test_braiding_pair_bytes_bounds_the_measured_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.8 * BRAIDING_PAIR_BYTES < peak / yd.D**2 <= BRAIDING_PAIR_BYTES
+    assert 0.8 * BRAIDING_PAIR_BYTES < peak / yd.m**2 <= BRAIDING_PAIR_BYTES
