@@ -426,7 +426,7 @@ def cocycle_values(cs, chi, triples: list) -> list:
     ]
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     _, C = cs.zeta(a, *inverse_rows(cs.cls.P[b], cs.cls.A[b]))
-    return [tuple(chi.matrices[c][0][0] for c in row) for row in C.reshape(-1, 3).tolist()]
+    return [tuple(chi.values[c] for c in row) for row in C.reshape(-1, 3).tolist()]
 
 
 TABLE1_CASES = [

@@ -16,7 +16,7 @@ Absence of a certificate is always reported as inconclusive, never as
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice, permutations
 
 import numpy as np
@@ -242,7 +242,9 @@ class FiniteRack:
 class TypeDCertificate:
     """Witness that a rack is of type D.
 
-    R, S, r, s are indices into the rack's element ordering.
+    R, S, r, s are indices into the rack's element ordering.  `sq` is the
+    index of sq(r, s) as make_certificate's verification found it, not
+    compared; a certificate built without it computes it in to_json.
     """
 
     rack: FiniteRack
@@ -252,14 +254,16 @@ class TypeDCertificate:
     s: int
     strategy: str = ""
     notes: tuple = ()
+    sq: int | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
+        sq = self.rack.sq(self.r, self.s) if self.sq is None else self.sq
         payload = {
             "R": list(self.R),
             "S": list(self.S),
             "r": self.r,
             "s": self.s,
-            "sq_value": str(self.rack.elements[self.rack.sq(self.r, self.s)]),
+            "sq_value": str(self.rack.elements[sq]),
             "strategy": self.strategy,
         }
         if self.rack.source is not None:
@@ -292,13 +296,17 @@ def make_certificate(
         raise AssertionError(
             f"strategy {strategy} produced an invalid certificate: {check.failures}"
         )
-    return cert
+    return replace(cert, sq=check.sq)
 
 
 @dataclass
 class CertificateCheck:
+    """The verdict, the failures found, and the index of sq(r, s) when the
+    check got as far as computing it."""
+
     ok: bool
     failures: list = field(default_factory=list)
+    sq: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -397,10 +405,11 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
         failures.append("r must lie in R")
     if cert.s not in set(cert.S):
         failures.append("s must lie in S")
-    if not failures and rack.sq(cert.r, cert.s) == cert.s:
+    sq = None if failures else rack.sq(cert.r, cert.s)
+    if sq == cert.s:
         r, s = rack.elements[cert.r], rack.elements[cert.s]
         failures.append(f"sq({r}, {s}) == {s}")
-    return CertificateCheck(closed and not failures, failures)
+    return CertificateCheck(closed and not failures, failures, sq)
 
 
 # -- the subsets the closed-form constructions split along -----------------

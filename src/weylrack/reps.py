@@ -1,7 +1,8 @@
-"""Matrix representations of centralizers over exact cyclotomic scalars.
+"""One-dimensional characters of centralizers over exact cyclotomic
+scalars.
 
-A representation is indexed like its centralizer: matrix c is the image
-of centralizer element c (the centralizers that occur here are small).
+A character is indexed like its centralizer: value c is the scalar of
+centralizer element c (the centralizers that occur here are small).
 Constructors: characters from a value function or a generator
 assignment.  The finiteness filter applies the necessary conditions on
 the scalar q-values of a tensor-factor pair.
@@ -21,40 +22,24 @@ from .groups import SignedPermutation, encode, mul_rows, rand_int
 FULL_CHECK_LIMIT = 10**4
 
 
-def _matmul(A: tuple, B: tuple) -> tuple:
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(len(B))), Cyclo.rational(0))
-            for j in range(len(B[0]))
-        )
-        for i in range(len(A))
-    )
-
-
-def _identity_matrix(d: int) -> tuple:
-    one, zero = Cyclo.rational(1), Cyclo.rational(0)
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-
-
-class Rep:
-    """A representation of the centralizer `cent`: `matrices[c]` is the
-    d x d Cyclo matrix of centralizer element c, in the centralizer's
-    text order.  rho(1) = id and multiplicativity are checked on
-    construction, on every index pair when there are at most
-    FULL_CHECK_LIMIT of them and on a seeded sample beyond.
+class Character:
+    """A character of the centralizer `cent`: `values[c]` is the Cyclo
+    scalar of centralizer element c, in the centralizer's text order.
+    chi(1) = 1 and multiplicativity are checked on construction, on every
+    index pair when there are at most FULL_CHECK_LIMIT of them and on a
+    seeded sample beyond.
     """
 
-    def __init__(self, cent: Centralizer, matrices: list, check: bool = True):
+    def __init__(self, cent: Centralizer, values: list, check: bool = True):
         self.cent = cent
-        self.matrices = matrices
-        self.degree = len(matrices[0])
+        self.values = values
         if check:
             self._check()
 
     def _check(self):
-        M, k = self.matrices, self.cent.size
-        if M[self.cent.find(self.cent.group.identity)] != _identity_matrix(self.degree):
-            raise ValueError("rho(identity) is not the identity matrix")
+        V, k = self.values, self.cent.size
+        if V[self.cent.find(self.cent.group.identity)] != 1:
+            raise ValueError("chi(identity) is not 1")
         if k * k <= FULL_CHECK_LIMIT:
             G, H = np.divmod(np.arange(k * k), k)
         else:
@@ -70,12 +55,12 @@ class Rep:
             raise ValueError(
                 f"product outside the centralizer at ({self.cent.element(g)}, {self.cent.element(h)})"
             )
-        # the few distinct matrices by index, each product of two of them
-        # formed once: table[u, v] is the index of M_u M_v, -1 if none
+        # the few distinct values by index, each product of two of them
+        # formed once: table[u, v] is the index of u v, -1 if none
         index = {}
-        idx = np.array([index.setdefault(m, len(index)) for m in M])
-        values = list(index)
-        table = np.array([[index.get(_matmul(u, v), -1) for v in values] for u in values])
+        idx = np.array([index.setdefault(v, len(index)) for v in V])
+        distinct = list(index)
+        table = np.array([[index.get(u * v, -1) for v in distinct] for u in distinct])
         bad = np.flatnonzero(idx[GH] != table[idx[G], idx[H]])
         if bad.size:
             g, h = int(G[bad[0]]), int(H[bad[0]])
@@ -83,20 +68,20 @@ class Rep:
                 f"not multiplicative at ({self.cent.element(g)}, {self.cent.element(h)})"
             )
 
-    def __call__(self, g: SignedPermutation) -> tuple:
+    def __call__(self, g: SignedPermutation) -> Cyclo:
         c = self.cent.find(g)
         if c < 0:
             raise ValueError(f"{g} is not in the centralizer")
-        return self.matrices[c]
+        return self.values[c]
 
 
-def char_from_function(cent: Centralizer, fn, check: bool = True) -> Rep:
-    """Degree-1 rep from a value function on the centralizer."""
-    return Rep(cent, [((Cyclo.coerce(fn(g)),),) for g in cent.elements], check=check)
+def char_from_function(cent: Centralizer, fn, check: bool = True) -> Character:
+    """The character with a value function on the centralizer."""
+    return Character(cent, [Cyclo.coerce(fn(g)) for g in cent.elements], check=check)
 
 
-def char_rep(cent: Centralizer, assignment: dict) -> Rep:
-    """Degree-1 rep from values on a generating set, extended by closure.
+def char_rep(cent: Centralizer, assignment: dict) -> Character:
+    """The character with values on a generating set, extended by closure.
 
     `assignment` maps group elements to scalars.  The extension is built
     by multiplying out words, a breadth-first level of centralizer
@@ -130,19 +115,19 @@ def char_rep(cent: Centralizer, assignment: dict) -> Rep:
         raise ValueError(
             f"assignment generates only {len(values)} of {cent.order} elements"
         )
-    return Rep(cent, [((values[c],),) for c in range(cent.size)])
+    return Character(cent, [values[c] for c in range(cent.size)])
 
 
-def trivial_rep(cent: Centralizer) -> Rep:
+def trivial_rep(cent: Centralizer) -> Character:
     return char_from_function(cent, lambda g: 1, check=False)
 
 
-def chi_sgn_sgn(cent: Centralizer) -> Rep:
+def chi_sgn_sgn(cent: Centralizer) -> Character:
     """The global sign character: g maps to sgn of its permutation part."""
     return char_from_function(cent, lambda g: g.perm.sign())
 
 
-def chi_eps_sgn(cent: Centralizer) -> Rep:
+def chi_eps_sgn(cent: Centralizer) -> Character:
     """-1 exactly on elements whose permutation part swaps 1 and 2.
 
     On the centralizer of (1 2) in S_n, i.e. <(1 2)> x S_{3..n}, this is
@@ -154,14 +139,10 @@ def chi_eps_sgn(cent: Centralizer) -> Rep:
 # -- finiteness necessary conditions --------------------------------------
 
 
-def _scalar_order(q: Cyclo) -> int:
-    return q.multiplicative_order()
-
-
 def finiteness_filter(
     x: SignedPermutation, y: SignedPermutation, q1, q2
 ) -> dict:
-    """Necessary conditions on the q-values of a tensor pair rho1 (x) rho2
+    """Necessary conditions on the q-values of a tensor pair chi1 (x) chi2
     over the class of x # y (x, y orthogonal).  Returns a verdict:
     "violates" means infinite dimension is forced, with the list of rules
     that fired; "consistent" means no rule fired.
@@ -171,14 +152,14 @@ def finiteness_filter(
     q1, q2 = Cyclo.coerce(q1), Cyclo.coerce(q2)
     ox, oy = x.order(), y.order()
     fired = []
-    if ox % _scalar_order(q1) or oy % _scalar_order(q2):
+    if ox % q1.multiplicative_order() or oy % q2.multiplicative_order():
         fired.append("scalar-order divides element order")
     if q1 * q2 != -1:
         fired.append("q-product must be -1")
     # low-order factor forces the other scalar (both orientations)
-    if oy <= 2 and _scalar_order(q1) != 1 and not (q2 == 1 and q1 == -1):
+    if oy <= 2 and q1.multiplicative_order() != 1 and not (q2 == 1 and q1 == -1):
         fired.append("order<=2 second factor forces (q1,q2)=(-1,1)")
-    if ox <= 2 and _scalar_order(q2) != 1 and not (q1 == 1 and q2 == -1):
+    if ox <= 2 and q2.multiplicative_order() != 1 and not (q1 == 1 and q2 == -1):
         fired.append("order<=2 first factor forces (q1,q2)=(1,-1)")
     if gcd(ox, oy) == 1 and oy % 2 == 1 and not (q2 == 1 and q1 == -1):
         fired.append("coprime orders with odd second factor force (q1,q2)=(-1,1)")

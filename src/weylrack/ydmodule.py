@@ -21,7 +21,7 @@ from .conjugacy import CosetSystem
 from .cyclotomic import integer_value
 from .groups import BudgetExceeded, SignedPermutation, conjugate_pairs, encode, rand_int, to_arrays
 from .racks import FiniteRack
-from .reps import Rep
+from .reps import Character
 
 # peak bytes per basis pair of `YDModule.braiding`, most of it the cocycle
 # call on all pairs: about 107 measured under tracemalloc on the B_5
@@ -31,18 +31,14 @@ BRAIDING_PAIR_BYTES = 120
 
 
 class YDModule:
-    def __init__(self, cosets: CosetSystem, rep: Rep):
-        if rep.degree != 1:
-            raise NotImplementedError(
-                "Yetter-Drinfeld modules are implemented for one-dimensional characters"
-            )
+    def __init__(self, cosets: CosetSystem, chi: Character):
         self.cosets = cosets
         self.cls = cosets.cls
         # chi by centralizer index, as the cocycle gives gamma, so the
         # character must be on the coset system's centralizer
-        if not np.array_equal(rep.cent.keys, cosets.centralizer.keys):
-            raise ValueError("rep is not a rep of the class centralizer")
-        self.matrices = rep.matrices
+        if not np.array_equal(chi.cent.keys, cosets.centralizer.keys):
+            raise ValueError("character is not a character of the class centralizer")
+        self.chi = chi
         self.m = self.cls.size
 
     def degree_of(self, i: int) -> SignedPermutation:
@@ -86,8 +82,7 @@ class YDModule:
         phi = FiniteRack.from_class(cls).table()
         I, J = np.divmod(np.arange(m * m), m)
         _, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
-        chi = _scalars([M[0][0] for M in self.matrices])
-        return Braiding(phi, chi[C.reshape(m, m)])
+        return Braiding(phi, _scalars(self.chi.values)[C.reshape(m, m)])
 
 
 class Braiding:
@@ -186,10 +181,10 @@ def _scalars(values: list) -> np.ndarray:
     return out
 
 
-def build_yd_module(cosets: CosetSystem, rep: Rep) -> YDModule:
+def build_yd_module(cosets: CosetSystem, chi: Character) -> YDModule:
     """The module, with its Yetter-Drinfeld compatibility checked: on every
     group element up to 2000 of them, on 500 samples beyond."""
-    mod = YDModule(cosets, rep)
+    mod = YDModule(cosets, chi)
     n_elems = cosets.cls.group.order
     mod.check_yd_compatibility(sample=None if n_elems <= 2000 else 500)
     return mod
@@ -208,11 +203,7 @@ class ArrowYDModule:
     adjoint action g |> a = g.a.g^-1 closes on the basis arrows.
     """
 
-    def __init__(self, cosets: CosetSystem, chi: Rep):
-        if chi.degree != 1:
-            raise NotImplementedError(
-                "arrow modules are implemented for one-dimensional characters"
-            )
+    def __init__(self, cosets: CosetSystem, chi: Character):
         if not np.array_equal(chi.cent.keys, cosets.centralizer.keys):
             raise ValueError("character is not a character of the class centralizer")
         self.cosets = cosets
@@ -242,8 +233,7 @@ class ArrowYDModule:
     def right_action(self, i: int, g: SignedPermutation) -> tuple:
         """a_{t_i,1}.g = coeff * a_{t_i g, g}; returns (arrow, coeff)."""
         _, gamma = self.cocycle(i, g)
-        coeff = self.chi(gamma)[0][0]
-        return (self.cls.elements[i] * g, g), coeff
+        return (self.cls.elements[i] * g, g), self.chi(gamma)
 
     def adjoint(self, g: SignedPermutation, i: int) -> tuple:
         """g |> a_{t_i,1} = g.(a_{t_i,1}.g^-1); returns (i', coeff), i' = -1
@@ -289,7 +279,7 @@ def psi_isomorphism_check(yd: YDModule, arrow: ArrowYDModule) -> PsiCheckResult:
     for k, h in enumerate(elements):
         J, C = yd.cosets.zeta(every, HP[k : k + 1], HA[k : k + 1])
         for i in range(yd.m):
-            i_yd, coeff_yd = int(J[i]), yd.matrices[C[i]][0][0]
+            i_yd, coeff_yd = int(J[i]), yd.chi.values[C[i]]
             i_ar, coeff_ar = arrow.adjoint(h, i)
             if i_yd != i_ar or coeff_yd != coeff_ar:
                 return PsiCheckResult(

@@ -486,6 +486,23 @@ def test_make_certificate_raises_naming_the_strategy():
         make_certificate(rack, [i12, i13], [i34], i12, i34, "broken-split", ())
 
 
+def test_a_certificate_computes_sq_once(monkeypatch):
+    # make_certificate keeps the sq(r, s) its verification computed and
+    # to_json prints it; a certificate built without it computes its own
+    rack = FiniteRack.from_class(ConjugacyClass(Bn(5), SignedPermutation.parse("10000;(1 2 3 4 5)")))
+    found = find_type_d_certificate(rack, 0).certificate
+    payload = found.to_json()
+    parts = (found.R, found.S, found.r, found.s, found.strategy, found.notes)
+    calls = []
+    rack_sq = FiniteRack.sq
+    monkeypatch.setattr(FiniteRack, "sq", lambda self, x, y: calls.append((x, y)) or rack_sq(self, x, y))
+    cert = make_certificate(rack, *parts)
+    assert cert.to_json() == payload
+    assert calls == [(found.r, found.s)]
+    assert cert == found == TypeDCertificate(rack, *parts)
+    assert TypeDCertificate(rack, *parts).to_json() == payload
+
+
 def test_juxtaposition_extension_rejects_invalid_input():
     cls = ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)"))
     rack = FiniteRack.from_class(cls)

@@ -1,4 +1,4 @@
-"""Centralizer representations by centralizer index, and the scalar
+"""Centralizer characters by centralizer index, and the scalar
 admissibility filter."""
 
 import random
@@ -6,12 +6,12 @@ import re
 
 import pytest
 
-from weylrack.conjugacy import ConjugacyClass
+from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import Bn, Sn, SignedPermutation
 from weylrack.reps import (
     FULL_CHECK_LIMIT,
-    Rep,
+    Character,
     char_from_function,
     char_rep,
     chi_eps_sgn,
@@ -32,7 +32,7 @@ def test_global_sign_character_values():
     cent = cent_of("0000;(1 2)", 4)
     assert cent.order == 4
     rep = chi_sgn_sgn(cent)
-    vals = {g.format(): M[0][0] for g, M in zip(cent.elements, rep.matrices)}
+    vals = {g.format(): v for g, v in zip(cent.elements, rep.values)}
     assert vals["0000;()"] == Cyclo.rational(1)
     assert vals["0000;(1 2)"] == Cyclo.rational(-1)
     assert vals["0000;(3 4)"] == Cyclo.rational(-1)
@@ -43,18 +43,18 @@ def test_swap_detecting_character_values():
     # -1 exactly on elements that swap points 1 and 2
     cent = cent_of("0000;(1 2)", 4)
     rep = chi_eps_sgn(cent)
-    for g, M in zip(cent.elements, rep.matrices):
+    for g, v in zip(cent.elements, rep.values):
         expected = -1 if g.perm(0) == 1 else 1
-        assert M == ((Cyclo.rational(expected),),)
+        assert v == Cyclo.rational(expected)
 
 
 def test_q_values_at_the_base_point():
     base = SignedPermutation.parse("0000;(1 2)")
     cent = cent_of("0000;(1 2)", 4)
-    assert chi_sgn_sgn(cent)(base) == ((Cyclo.rational(-1),),)
-    assert chi_eps_sgn(cent)(base) == ((Cyclo.rational(-1),),)
-    assert trivial_rep(cent)(base) == ((Cyclo.rational(1),),)
-    # an element outside the centralizer has no matrix
+    assert chi_sgn_sgn(cent)(base) == Cyclo.rational(-1)
+    assert chi_eps_sgn(cent)(base) == Cyclo.rational(-1)
+    assert trivial_rep(cent)(base) == Cyclo.rational(1)
+    # an element outside the centralizer has no value
     with pytest.raises(ValueError, match="not in the centralizer"):
         trivial_rep(cent)(SignedPermutation.parse("0000;(1 3)"))
 
@@ -70,7 +70,7 @@ def test_char_from_function_rejects_non_multiplicative():
     t12 = SignedPermutation.parse("00000;(1 2)")
     with pytest.raises(ValueError, match="not multiplicative"):
         char_from_function(S5, lambda g: -1 if g == t12 else 1)
-    assert chi_sgn_sgn(S5).degree == 1
+    assert len(chi_sgn_sgn(S5).values) == S5.size
 
 
 def first_broken_pair(cent, fn):
@@ -128,9 +128,9 @@ def test_char_rep_extension_and_rejection():
     t12 = SignedPermutation.parse("0000;(1 2)")
     t34 = SignedPermutation.parse("0000;(3 4)")
     rep = char_rep(cent, {t12: -1, t34: 1})
-    assert rep(t12) == ((Cyclo.rational(-1),),)
-    assert rep(t12 * t34) == ((Cyclo.rational(-1),),)
-    assert rep.matrices == chi_eps_sgn(cent).matrices
+    assert rep(t12) == Cyclo.rational(-1)
+    assert rep(t12 * t34) == Cyclo.rational(-1)
+    assert rep.values == chi_eps_sgn(cent).values
     # an order-2 generator cannot take a cube root of unity
     with pytest.raises(ValueError):
         char_rep(cent, {t12: Cyclo.zeta(3), t34: 1})
@@ -142,32 +142,36 @@ def test_char_rep_extension_and_rejection():
         char_rep(cent, {SignedPermutation.parse("0000;(1 3)"): -1})
 
 
-def test_degree_two_rep_by_centralizer_index():
-    # diag(sgn-sgn, eps-sgn) on the centralizer of (1 2) in S_4
-    cent = cent_of("0000;(1 2)", 4)
-    minus, one, zero = Cyclo.rational(-1), Cyclo.rational(1), Cyclo.rational(0)
-    M = [
-        ((a, zero), (zero, b))
-        for ((a,),), ((b,),) in zip(chi_sgn_sgn(cent).matrices, chi_eps_sgn(cent).matrices)
-    ]
-    rep = Rep(cent, M)
-    assert rep.degree == 2
-    t12, t34 = SignedPermutation.parse("0000;(1 2)"), SignedPermutation.parse("0000;(3 4)")
-    assert rep(t34) == M[cent.find(t34)] == ((minus, zero), (zero, one))
-    # sending (1 2) alone to the identity breaks the product
-    M[cent.find(t12)] = M[0]
-    with pytest.raises(ValueError, match="not multiplicative"):
-        Rep(cent, M)
-
-
 def test_rep_refuses_a_non_identity_identity_row():
     cent = cent_of("0000;(1 2)", 4)
-    with pytest.raises(ValueError, match="rho\\(identity\\)"):
-        Rep(cent, [((Cyclo.rational(-1),),)] * cent.size)
-    # the same at degree 2, with every row diag(1, -1)
-    one, zero = Cyclo.rational(1), Cyclo.rational(0)
-    with pytest.raises(ValueError, match="rho\\(identity\\)"):
-        Rep(cent, [((one, zero), (zero, -one))] * cent.size)
+    with pytest.raises(ValueError, match="chi\\(identity\\) is not 1"):
+        Character(cent, [Cyclo.rational(-1)] * cent.size)
+
+
+def parity(row):
+    """(-1)^(n - cycles) of a permutation row, counted cycle by cycle."""
+    seen, cycles = set(), 0
+    for start in range(len(row)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = row[start]
+    return (-1) ** (len(row) - cycles)
+
+
+@pytest.mark.parametrize("n, signed", [(3, False), (4, False), (5, False), (6, False), (4, True)])
+def test_constructors_match_the_centralizer_rows(n, signed):
+    # the transposition presets of S_3..S_6, and the centralizer of (1 2)
+    # in B_4, read from the permutation part of each centralizer row
+    if signed:
+        cent = cent_of("0" * n + ";(1 2)", n, signed=True)
+    else:
+        cent = transposition_preset(n).centralizer
+    rows = cent.P.tolist()
+    assert chi_sgn_sgn(cent).values == [parity(row) for row in rows]
+    assert chi_eps_sgn(cent).values == [-1 if row[0] == 1 else 1 for row in rows]
+    assert trivial_rep(cent).values == [1] * cent.size
 
 
 def test_filter_requires_orthogonality_and_q_product():

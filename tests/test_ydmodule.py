@@ -23,7 +23,7 @@ from weylrack.groups import (
     to_arrays,
 )
 from weylrack.racks import FiniteRack
-from weylrack.reps import Rep, char_rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
+from weylrack.reps import char_rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
 from weylrack.ydmodule import (
     BRAIDING_PAIR_BYTES,
     ArrowYDModule,
@@ -44,8 +44,8 @@ def check_cocycle_identity(cs, sample: int, seed: int = 0):
     """The action axiom (gh).w = g.(h.w) on the class level, for sampled
     g, h and every class index i: gamma(gh, i) = gamma(g, j) gamma(h, i),
     where j is the class index of h |> t_i (which check_yd_compatibility
-    tests) and both sides move t_i to the same index.  With Rep._check (rho multiplicative) this makes
-    h.(g_i v) = g_j (rho(gamma) v) an action."""
+    tests) and both sides move t_i to the same index.  With Character._check (chi multiplicative) this
+    makes h.(g_i v) = chi(gamma) g_j v an action."""
     rng = random.Random(seed)
     cls, cent = cs.cls, cs.centralizer
     every = np.arange(cs.size)
@@ -278,19 +278,6 @@ def test_braiding_preserves_total_degree():
         assert yd.degree_of(a1) == s.conjugate(t)
         assert yd.degree_of(b1) == s
         assert yd.degree_of(a1) * yd.degree_of(b1) == s * t
-
-
-def test_arrow_module_rejects_higher_degree():
-    cs = transposition_preset(3)
-    zero = Cyclo.rational(0)
-    # diag(1, sgn) on the centralizer
-    big = Rep(cs.centralizer, [
-        ((Cyclo.rational(1), zero), (zero, s)) for ((s,),) in chi_sgn_sgn(cs.centralizer).matrices
-    ])
-    assert big.degree == 2
-    for module in (ArrowYDModule, YDModule):
-        with pytest.raises(NotImplementedError):
-            module(cs, big)
 
 
 def test_psi_isomorphism_both_characters():
