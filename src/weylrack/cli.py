@@ -28,6 +28,7 @@ from .verify import (
     scan_classes,
     verify_lemmas,
 )
+from .ydmodule import build_yd_module
 
 
 # keys a config file may carry besides "schema", each an int with the
@@ -144,8 +145,6 @@ def cmd_type_d(args) -> int:
 
 
 def cmd_braiding(args) -> int:
-    from .ydmodule import build_yd_module
-
     cs, chi = _class_and_char(args)
     mod = build_yd_module(cs, chi)
     braiding = mod.braiding()
@@ -170,8 +169,6 @@ def cmd_braiding(args) -> int:
 
 
 def cmd_nichols_dim(args) -> int:
-    from .ydmodule import build_yd_module
-
     cs, chi = _class_and_char(args)
     braiding = build_yd_module(cs, chi).braiding()
     payload = nichols_graded_dim(braiding, args.max_degree).to_json()

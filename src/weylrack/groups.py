@@ -726,3 +726,11 @@ def Sn(n: int) -> GroupContext:
 
 class BudgetExceeded(RuntimeError):
     """An enumeration or search exceeded its configured budget."""
+
+
+# default memory budget, in bytes, of a Yetter-Drinfeld module's braiding
+# and of one Nichols degree, which still counts one dense D^k x D^k
+# matrix, a deliberate over-estimate that keeps the degrees it admits
+# where they were: n = 4 to degree 5 (484 MB) fits, degree 6 (17.4 GB)
+# does not
+MEMORY_BUDGET = 1 << 29

@@ -149,17 +149,6 @@ def a_algebra_presentation(n: int, alpha, beta, gamma, lam) -> NCPresentation:
     return pres
 
 
-def quadratic_cover_presentation(braiding) -> NCPresentation:
-    """The quadratic algebra T(V)/(ker(id + c)): its Hilbert dimensions
-    dominate the Nichols graded dimensions degreewise."""
-    from .nichols import degree2_kernel
-
-    pres = NCPresentation([f"v{i}" for i in range(braiding.D)])
-    for vec in degree2_kernel(braiding):
-        pres.add_relation(vec)
-    return pres
-
-
 # -- Groebner machinery ----------------------------------------------------
 
 

@@ -47,7 +47,7 @@ from math import factorial, lcm
 import numpy as np
 
 from .cyclotomic import Cyclo, as_int
-from .groups import inverse_rows
+from .groups import MEMORY_BUDGET, inverse_rows
 from .linalg import (
     primes_for_conductor,
     rank_cyclo_exact,
@@ -56,6 +56,7 @@ from .linalg import (
     rank_two_primes,
     root_of_unity_mod_p,
 )
+from .ncalg import NCPresentation
 from .ydmodule import Braiding
 
 
@@ -139,12 +140,6 @@ class GradedDims:
 EXACT_LIMIT = 300
 CYCLO_EXACT_LIMIT = 100
 
-# default memory budget of one degree, in bytes: n = 4 to degree 5 (a
-# 484 MB dense matrix) fits, degree 6 (17.4 GB) does not.  It still counts
-# one dense D^k x D^k matrix, a deliberate over-estimate: the modular
-# rank holds one diagonal block at a time, eliminated in place, and
-# keeping the count keeps the degrees it admits where they were
-MEMORY_BUDGET = 1 << 29
 # peak bytes per (word, column) term of the former per-word lift stack,
 # about 77 measured under tracemalloc for a monomial braiding
 LIFT_TERM_BYTES = 80
@@ -330,16 +325,12 @@ def _dense(m: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> np.ndarr
     return block
 
 
-def _modular_rank(
-    coeff: np.ndarray, single: np.ndarray, parts: list, N: int, weight: np.ndarray | None = None
-) -> int:
+def _modular_rank(coeff: np.ndarray, single: np.ndarray, parts: list, N: int, weight: np.ndarray) -> int:
     """rank S_k mod the two primes of `primes_for_conductor(N)`, from the
     diagonal blocks of `_components`: a one-index block counts when its
     entry is non-zero mod p, and the larger ones are built mod p one at a
     time.  Each block's rank counts `weight` times, read at any of its
-    entries (1 by default)."""
-    if weight is None:
-        weight = np.ones(len(coeff), dtype=np.int64)
+    entries."""
 
     def rank(p: int) -> int:
         z = root_of_unity_mod_p(N, p)
@@ -394,6 +385,15 @@ def degree2_kernel(braiding: Braiding) -> list:
         if v == 1:
             basis.append(vec)
     return basis
+
+
+def quadratic_cover_presentation(braiding: Braiding) -> NCPresentation:
+    """The quadratic algebra T(V)/(ker(id + c)): its Hilbert dimensions
+    dominate the Nichols graded dimensions degreewise."""
+    pres = NCPresentation([f"v{i}" for i in range(braiding.D)])
+    for vec in degree2_kernel(braiding):
+        pres.add_relation(vec)
+    return pres
 
 
 def in_degree2_kernel(braiding: Braiding, combo: dict) -> bool:

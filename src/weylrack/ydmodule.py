@@ -19,13 +19,20 @@ import numpy as np
 
 from .conjugacy import CosetSystem
 from .cyclotomic import integer_value
-from .groups import BudgetExceeded, SignedPermutation, conjugate_pairs, encode, rand_int, to_arrays
-from .racks import FiniteRack
+from .groups import (
+    MEMORY_BUDGET,
+    BudgetExceeded,
+    SignedPermutation,
+    conjugate_pairs,
+    encode,
+    rand_int,
+    to_arrays,
+)
 from .reps import Character
 
 # peak bytes per basis pair of `YDModule.braiding`, most of it the cocycle
-# call on all pairs: about 107 measured under tracemalloc on the B_5
-# 3-cycles (D = 80) and 98 on the B_5 5-cycles (D = 384), so the default
+# call on all pairs: about 99 measured under tracemalloc on the B_5
+# 3-cycles (D = 80) and 90 on the B_5 5-cycles (D = 384), so the default
 # memory budget admits D up to about 2100
 BRAIDING_PAIR_BYTES = 120
 
@@ -39,7 +46,14 @@ class YDModule:
         if not np.array_equal(chi.cent.keys, cosets.centralizer.keys):
             raise ValueError("character is not a character of the class centralizer")
         self.chi = chi
-        self.m = self.cls.size
+        m = self.m = self.cls.size
+        # refused before anything is computed when the m^2 basis pairs of
+        # its braiding, at `BRAIDING_PAIR_BYTES` each, exceed the budget
+        if m**2 * BRAIDING_PAIR_BYTES > MEMORY_BUDGET:
+            raise BudgetExceeded(
+                f"a braiding of D = {m} needs {m**2} basis pairs, over the memory budget"
+                f" of {MEMORY_BUDGET} bytes at {BRAIDING_PAIR_BYTES} bytes a pair"
+            )
 
     def degree_of(self, i: int) -> SignedPermutation:
         """Coaction: the basis vector x_i has comodule degree t_i."""
@@ -65,24 +79,14 @@ class YDModule:
 
     def braiding(self) -> "Braiding":
         """c(x_i (x) x_j) = chi(gamma) x_{i |> j} (x) x_i, where
-        t_i g_j = g_{i |> j} gamma: phi is the rack table of the class, and
-        q = chi(gamma) is read by centralizer index from one cocycle call
-        for every pair (i, j), each character value a rational integer as
-        an int.  Refused with BudgetExceeded before any of it is built when
-        its m^2 pairs at `BRAIDING_PAIR_BYTES` each exceed the memory
-        budget."""
-        from .nichols import MEMORY_BUDGET
-
+        t_i g_j = g_{i |> j} gamma: one cocycle call for every pair (i, j)
+        gives both, phi = i |> j as its class indices (the rack table of
+        the class) and q = chi(gamma) read by centralizer index, each
+        character value a rational integer as an int."""
         m, cls = self.m, self.cls
-        if m**2 * BRAIDING_PAIR_BYTES > MEMORY_BUDGET:
-            raise BudgetExceeded(
-                f"a braiding of D = {m} needs {m**2} basis pairs, over the memory budget"
-                f" of {MEMORY_BUDGET} bytes at {BRAIDING_PAIR_BYTES} bytes a pair"
-            )
-        phi = FiniteRack.from_class(cls).table()
         I, J = np.divmod(np.arange(m * m), m)
-        _, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
-        return Braiding(phi, _scalars(self.chi.values)[C.reshape(m, m)])
+        phi, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
+        return Braiding(phi.reshape(m, m), _scalars(self.chi.values)[C.reshape(m, m)])
 
 
 class Braiding:
@@ -274,12 +278,13 @@ def psi_isomorphism_check(yd: YDModule, arrow: ArrowYDModule) -> PsiCheckResult:
             )
     group = yd.cls.group
     elements = group.elements()
-    HP, HA = to_arrays(elements, group.n)
-    every = np.arange(yd.m)
+    # one cocycle call for all pairs (h, i), h major
+    HP, HA = (np.repeat(X, yd.m, axis=0) for X in to_arrays(elements, group.n))
+    pairs = yd.cosets.zeta(np.tile(np.arange(yd.m), len(elements)), HP, HA)
+    J, C = (X.reshape(-1, yd.m).tolist() for X in pairs)
     for k, h in enumerate(elements):
-        J, C = yd.cosets.zeta(every, HP[k : k + 1], HA[k : k + 1])
         for i in range(yd.m):
-            i_yd, coeff_yd = int(J[i]), yd.chi.values[C[i]]
+            i_yd, coeff_yd = J[k][i], yd.chi.values[C[k][i]]
             i_ar, coeff_ar = arrow.adjoint(h, i)
             if i_yd != i_ar or coeff_yd != coeff_ar:
                 return PsiCheckResult(

@@ -19,10 +19,14 @@ from weylrack.ncalg import (
     fk_presentation,
     hilbert_series,
     nc_groebner,
-    quadratic_cover_presentation,
 )
 from weylrack.linalg import DEFAULT_PRIMES, rank_cyclo_exact
-from weylrack.nichols import degree2_kernel, in_degree2_kernel, nichols_graded_dim
+from weylrack.nichols import (
+    degree2_kernel,
+    in_degree2_kernel,
+    nichols_graded_dim,
+    quadratic_cover_presentation,
+)
 from weylrack.reps import chi_eps_sgn, chi_sgn_sgn
 from weylrack.ydmodule import Braiding, build_yd_module
 

@@ -244,7 +244,7 @@ def test_block_rank_matches_the_dense_rank(case):
     dense = rank_two_primes(
         lambda p: rank_mod_p(dense_mod_p(row, col, coeff, size, N, p), p), primes_for_conductor(N)
     )
-    assert nichols._modular_rank(coeff, single, parts, N) == dense
+    assert nichols._modular_rank(coeff, single, parts, N, np.ones(len(coeff), dtype=np.int64)) == dense
     if expected is not None:
         assert dense == expected
     else:

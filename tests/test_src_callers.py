@@ -2,7 +2,8 @@
 that only tests reach belongs in the tests.  A method counts as called
 only through an attribute reference (`x.name`), not through a bare name
 that happens to match it.  The few exceptions are listed with their
-reasons."""
+reasons.  The modules import one another at module level only, and
+never in a cycle: each layer stands on the ones below it."""
 
 import ast
 import os
@@ -14,9 +15,17 @@ NO_CALLER_IN_SRC = {
     "SignedPermutation.sort_key": "the reference for groups.text_order, counted by the bench",
     "reps.char_rep": "named in bench/tracing.py's span list",
     "reps.trivial_rep": "named in bench/tracing.py's span list",
-    "ncalg.quadratic_cover_presentation": "ROADMAP item 1 wires it",
+    "nichols.quadratic_cover_presentation": "ROADMAP item 1 wires it",
     "FiniteRack.from_table": "builds the generic racks the rack tests search",
 }
+
+
+def _modules():
+    """(module name, syntax tree) of every module of the package."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name[:-3], ast.parse(fh.read())
 
 
 def _definitions(tree, module):
@@ -53,14 +62,11 @@ def _references(tree):
 
 def test_every_src_function_has_a_caller_in_src():
     defined, bare, attribute = [], set(), set()
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC, name)) as fh:
-                tree = ast.parse(fh.read())
-            defined += _definitions(tree, name[:-3])
-            names, attrs = _references(tree)
-            bare |= names
-            attribute |= attrs
+    for module, tree in _modules():
+        defined += _definitions(tree, module)
+        names, attrs = _references(tree)
+        bare |= names
+        attribute |= attrs
     # dunders are called by the language, not by name
     uncalled = {
         qual for qual, name, method in defined
@@ -68,3 +74,34 @@ def test_every_src_function_has_a_caller_in_src():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert uncalled == set(NO_CALLER_IN_SRC)
+
+
+def test_no_relative_import_sits_inside_a_function():
+    inside = {
+        f"{module}.{node.name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(sub, ast.ImportFrom) and sub.level for sub in ast.walk(node))
+    }
+    assert inside == set()
+
+
+def test_the_module_import_graph_is_acyclic():
+    # each module's package imports at module level, `from .x import ...`
+    # and `from . import x` alike; peel off the modules whose imports are
+    # all peeled until none is left, or a cycle remains
+    graph = {
+        module: {
+            name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+        for module, tree in _modules()
+    }
+    done = set()
+    while len(done) < len(graph):
+        ready = {module for module, deps in graph.items() if module not in done and deps <= done}
+        assert ready, f"import cycle among {sorted(graph.keys() - done)}"
+        done |= ready

@@ -9,8 +9,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from weylrack import nichols
-from weylrack.conjugacy import ConjugacyClass, transposition_preset
+from weylrack import ydmodule
+from weylrack.conjugacy import ConjugacyClass, CosetSystem, transposition_preset
 from weylrack.cyclotomic import Cyclo
 from weylrack.groups import (
     BudgetExceeded,
@@ -338,22 +338,55 @@ def test_compatibility_names_the_first_failing_h(monkeypatch):
 
 
 def test_braiding_over_the_memory_budget_is_refused_before_it_is_built(monkeypatch):
-    yd, _, _ = yd_transpositions(4, chi_sgn_sgn)
+    yd, cs, chi = yd_transpositions(4, chi_sgn_sgn)
     need = BRAIDING_PAIR_BYTES * yd.m**2
     built = yd.braiding()
-    monkeypatch.setattr(nichols, "MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(ydmodule, "MEMORY_BUDGET", need - 1)
 
-    def table(self):
-        raise AssertionError("the rack table was built")
+    def zeta(self, I, HP, HA):
+        raise AssertionError("the cocycle was called")
 
-    monkeypatch.setattr(FiniteRack, "table", table)
+    monkeypatch.setattr(CosetSystem, "zeta", zeta)
     with pytest.raises(BudgetExceeded, match="memory budget"):
-        yd.braiding()
+        YDModule(cs, chi).braiding()
     monkeypatch.undo()
-    monkeypatch.setattr(nichols, "MEMORY_BUDGET", need)
-    again = yd.braiding()
+    monkeypatch.setattr(ydmodule, "MEMORY_BUDGET", need)
+    again = YDModule(cs, chi).braiding()
     assert np.array_equal(again.phi, built.phi)
     assert np.array_equal(again.q, built.q)
+
+
+def test_a_module_over_the_memory_budget_is_refused_before_its_compatibility_check(monkeypatch):
+    # the check puts 500 sampled pairs per basis vector into one cocycle
+    # call, so an over-budget module must be refused before it runs
+    cs = transposition_preset(4)
+    chi = chi_sgn_sgn(cs.centralizer)
+    monkeypatch.setattr(ydmodule, "MEMORY_BUDGET", BRAIDING_PAIR_BYTES * cs.size**2 - 1)
+
+    def check(self, sample=None):
+        raise AssertionError("the compatibility check ran")
+
+    monkeypatch.setattr(YDModule, "check_yd_compatibility", check)
+    with pytest.raises(BudgetExceeded, match="memory budget"):
+        build_yd_module(cs, chi)
+
+
+PHI_CASES = [(n, char) for n in (3, 4, 5, 6) for char in (chi_sgn_sgn, chi_eps_sgn)] + [
+    (element, chi_sgn_sgn)
+    for element in ("0000;(1 2)", "00000;(1 2 3)", "00000;(1 2 3 4 5)", "10000;(1 2 3 4 5)")
+]
+
+
+@pytest.mark.parametrize("case, char", PHI_CASES, ids=lambda v: getattr(v, "__name__", None))
+def test_braiding_phi_is_the_rack_table_of_the_class(case, char):
+    # phi comes from the cocycle's class indices: t_i g_j = g_{i |> j} gamma
+    if isinstance(case, int):
+        cs = transposition_preset(case)
+    else:
+        t = SignedPermutation.parse(case)
+        cs = ConjugacyClass(Bn(t.n), t).coset_system()
+    yd = YDModule(cs, char(cs.centralizer))
+    assert np.array_equal(yd.braiding().phi, FiniteRack.from_class(cs.cls).table())
 
 
 def test_braiding_pair_bytes_bounds_the_measured_peak():
