@@ -216,14 +216,16 @@ class Cyclo:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def multiplicative_order(self, cap: int = 10000) -> int:
+    def multiplicative_order(self) -> int:
+        """The least k >= 1 with x^k = 1.  The roots of unity in Q(zeta_N)
+        are the lcm(2, N)-th ones, so k <= 2N or x is not one."""
         x = self
         one = Cyclo.rational(1)
-        for k in range(1, cap + 1):
+        for k in range(1, 2 * self.N + 1):
             if x == one:
                 return k
             x = x * self
-        raise ValueError("not a root of unity within cap")
+        raise ValueError(f"{self} is not a root of unity")
 
     def __eq__(self, other) -> bool:
         try:

@@ -465,26 +465,29 @@ def text_order(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     part (one sort of perm_keys), the u distinct parts are ranked by
     their cycle text once each (_cycle_text_ranks), and one stable sort
     of (sign bits, a_1 most significant) * u + part rank orders the rows:
-    equal rows keep their input order, like sorted()."""
+    equal rows keep their input order, like sorted().  The keys are
+    overwritten by part indices, a block of rows in part order at a time:
+    the rows of the blocks after it are not written yet."""
     k, n = P.shape
     if k == 0:
         return np.zeros(0, dtype=np.intp)
     keys = perm_keys(P)
     by_part = np.argsort(keys)
-    keys = keys[by_part]
-    new = np.empty(k, dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    del keys
-    part = np.cumsum(new)
-    part -= 1
-    ranks = _cycle_text_ranks(P[by_part[new]])
-    key = np.empty(k, dtype=np.int64)
+    first, part, prev = [], -1, None  # the first row of each part
+    for s in range(0, k, KEY_BLOCK):
+        rows = by_part[s : s + KEY_BLOCK]
+        block = keys[rows]
+        new = np.concatenate([[block[0] != prev], block[1:] != block[:-1]])
+        prev = block[-1]
+        first.append(rows[new])
+        keys[rows] = np.cumsum(new) + part
+        part = keys[rows[-1]]
+    del by_part, rows  # a view of by_part
+    ranks = _cycle_text_ranks(P[np.concatenate(first)])
     # mode="clip": with the default mode NumPy buffers `out` in a copy
-    key[by_part] = np.take(ranks, part, out=part, mode="clip")
-    del by_part, part
-    _add_weighted(key, A, _weights(n).sign[::-1] * len(ranks))
-    return np.argsort(key, kind="stable")
+    np.take(ranks, keys, out=keys, mode="clip")
+    _add_weighted(keys, A, _weights(n).sign[::-1] * len(ranks))
+    return np.argsort(keys, kind="stable")
 
 
 def _cycle_text_ranks(P: np.ndarray) -> np.ndarray:

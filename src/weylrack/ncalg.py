@@ -27,6 +27,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .groups import BudgetExceeded
+
+# overlap ambiguities one pass may resolve: FK_5 peaks at 302 (pass 8),
+# FK_6 has 3141 at pass 8 (0.6 s to cap 8) and 7337 at pass 9
+MAX_OVERLAPS = 5000
+
 
 def _deglex_key(mono: tuple) -> tuple:
     return (len(mono), mono)
@@ -224,7 +230,7 @@ def _rule(lead: int, poly: dict) -> tuple:
 
 def _sub_scaled(acc: dict, terms, c, left: int = 0):
     """acc[left + m] -= c * v for each term (m, v), dropping the terms
-    that cancel."""
+    that cancel; returns acc."""
     for m, v in terms:
         key = left + m
         w = acc.get(key, 0) - c * v
@@ -232,6 +238,7 @@ def _sub_scaled(acc: dict, terms, c, left: int = 0):
             acc[key] = _exact(w)
         else:
             acc.pop(key, None)
+    return acc
 
 
 @dataclass
@@ -309,12 +316,15 @@ def _overlaps(rules: dict, d: int, bits: int):
     deglex order of lf, then of the length of s, then of lg.  The leads
     cancel in w, leaving tail(f) v - u tail(g): a rule term (delta, x) of
     f gives the word w + (delta << bits |v|), one of g the word w + delta.
+    All are found when this is called, and more than MAX_OVERLAPS raise
+    BudgetExceeded before any is formed (their tails stay fixed in pass d).
     """
     by_prefix = defaultdict(list)
     for c in range(2, d):
         for lg in sorted(rules[c]):
             for k in range(1, c):
                 by_prefix[c, k, lg >> bits * (c - k)].append(lg)
+    found = []  # (w, shift, tail of f, tail of g)
     for a in range(2, d):
         for lf in sorted(rules[a]):
             for k in range(1, a):
@@ -322,9 +332,15 @@ def _overlaps(rules: dict, d: int, bits: int):
                 shift = bits * (c - k)
                 for lg in by_prefix.get((c, k, lf & (1 << bits * k) - 1), ()):
                     w = lf << shift | lg & (1 << shift) - 1
-                    sp = {w + (delta << shift): x for delta, x in rules[a][lf]}
-                    _sub_scaled(sp, rules[c][lg], 1, w)
-                    yield sp
+                    found.append((w, shift, rules[a][lf], rules[c][lg]))
+    if len(found) > MAX_OVERLAPS:
+        raise BudgetExceeded(
+            f"Groebner pass {d} has {len(found)} overlap ambiguities, over the cap of {MAX_OVERLAPS}"
+        )
+    return (
+        _sub_scaled({w + (delta << shift): x for delta, x in f}, g, 1, w)
+        for w, shift, f, g in found
+    )
 
 
 @dataclass

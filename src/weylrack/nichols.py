@@ -81,9 +81,7 @@ def lift_word(braiding: Braiding, word: tuple, k: int, stack: tuple) -> tuple:
     return stack
 
 
-def symmetrizer_columns(
-    braiding: Braiding, k: int, from_right: bool = False, columns: np.ndarray | None = None
-):
+def symmetrizer_columns(braiding: Braiding, k: int, columns: np.ndarray | None = None):
     """Yield (column index, entries) for S_k on V^(x k), for every column
     in order, or for the ascending flat indices `columns` only: entries
     is the column's slice of one array of (column, row, coeff) triples
@@ -95,10 +93,9 @@ def symmetrizer_columns(
     them, and the coset factors R_k, ..., R_2 act on it in turn, where
     R_m = id + c_{m-2}(id + c_{m-3}(... (id + c_0))): one one-letter
     `lift_word` per step, summed into the stack by `_combine`.
-    `from_right` mirrors them, R_m = id + c_{k-m}(... (id + c_{k-2})).
-    Expanded, the two give the reduced words of the leftmost and of the
-    rightmost descent, so they match the per-word sum term by term, even
-    for a c that fails the braid equation.  Every entry at every step is a
+    Expanded, they give the reduced words of the leftmost descent, so
+    they match that per-word sum term by term, even for a c that fails
+    the braid equation.  Every entry at every step is a
     partial sum of the same at most k! products of at most k(k-1)/2
     coefficients, which `int64_stack` bounds."""
     total = braiding.D**k
@@ -107,9 +104,8 @@ def symmetrizer_columns(
         columns = np.arange(total, dtype=np.int64)
     stack = columns * (total + 1), np.ones(len(columns), dtype)
     for m in range(k, 1, -1):
-        letters = range(k - 2, k - m - 1, -1) if from_right else range(m - 1)
         acc = stack
-        for pos in letters:
+        for pos in range(m - 1):
             image = lift_word(braiding, (pos,), k, acc)
             acc = _combine(*(np.concatenate(pair) for pair in zip(stack, image)))
         stack = acc
@@ -159,12 +155,7 @@ def _degree_bytes(D: int, k: int) -> int:
     return max(8 * size * size, LIFT_TERM_BYTES * factorial(k) * size)
 
 
-def nichols_graded_dim(
-    braiding: Braiding,
-    max_degree: int,
-    budget: int = MEMORY_BUDGET,
-    from_right: bool = False,
-) -> GradedDims:
+def nichols_graded_dim(braiding: Braiding, max_degree: int) -> GradedDims:
     """Graded dimensions dims[k] = rank(S_k) for k = 0..max_degree.
 
     When `_rack_grading`, run once the budget admits degree 2, finds c
@@ -188,8 +179,8 @@ def nichols_graded_dim(
     two agreeing primes p = 1 (mod N), a lower bound ("mod-p", not exact).
     Either way S_k is ranked by the diagonal blocks of `_components`.
     A non-integer entry of conductor 1 raises ValueError.
-    Stops before building a degree whose `_degree_bytes` exceed `budget`
-    and records that degree as the truncation.
+    Stops before building a degree whose `_degree_bytes` exceed
+    `MEMORY_BUDGET` (read at each call) and records it as the truncation.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
@@ -200,7 +191,7 @@ def nichols_graded_dim(
     truncated = None
     orbits = None
     for k in range(2, max_degree + 1):
-        if _degree_bytes(D, k) > budget:
+        if _degree_bytes(D, k) > MEMORY_BUDGET:
             truncated = k
             break
         if orbits is None:  # D^3 steps, taken once degree 2 is admitted
@@ -211,7 +202,7 @@ def nichols_graded_dim(
         if graded is None or (size > EXACT_LIMIT and not units):
             graded = None, np.ones(size, dtype=np.int64)
         keep, weight = graded
-        columns = symmetrizer_columns(braiding, k, from_right, keep)
+        columns = symmetrizer_columns(braiding, k, keep)
         triples = np.concatenate([e for _, e in columns])
         (col, row), coeff = triples[:, :2].T.astype(np.int64), triples[:, 2]
         N = 1

@@ -312,58 +312,18 @@ class CertificateCheck:
         return self.ok
 
 
-def _closure_failures(rack: FiniteRack, R, S):
-    """Yield a message for every pair that breaks subrack or cross
-    closure of R and S (index lists), in the order of the pair loops
-    R x R, S x S, then R x S with x |> y before y |> x.  Every pair is
-    computed, a block of index rows at a time."""
-    elems = rack.elements
-    in_R = np.zeros(rack.size, dtype=bool)
-    in_R[list(R)] = True
-    in_S = np.zeros(rack.size, dtype=bool)
-    in_S[list(S)] = True
+def _generators(rack: FiniteRack, U: np.ndarray):
+    """Yield (g, Z) for greedy generators g of the rack indices U, with
+    Z = g |> U from one op_rows call, until the orbit of the generators
+    under their maps phi_g covers U.  g is the first element of U not
+    reached yet; the orbit grows on the index maps only when the caller
+    asks for the next g, having accepted that Z lies in U.  The work is
+    |G| |U| conjugations, at worst |U|^2 on a trivial rack.
 
-    def misses(X, Y, member):
-        """(i, j) with x_i |> y_j outside member, in order."""
-        for i, Z in rack.op_rows(X, Y):
-            rows, cols = np.nonzero(~member[Z])
-            yield from zip((rows + i).tolist(), cols.tolist())
-
-    for X, member, name in ((R, in_R, "R"), (S, in_S, "S")):
-        for i, j in misses(X, X, member):
-            yield f"{name} not closed: {elems[X[i]]} |> {elems[X[j]]}"
-    # R |> S and S |> R, merged into the order of the loop over R x S
-    cross = [(i, j, 0) for i, j in misses(R, S, in_S)]
-    cross += [(i, j, 1) for j, i in misses(S, R, in_R)]
-    for i, j, flipped in sorted(cross):
-        x, y = elems[R[i]], elems[S[j]]
-        if flipped:
-            yield f"cross closure fails: {y} |> {x} not in R"
-        else:
-            yield f"cross closure fails: {x} |> {y} not in S"
-
-
-def _closure_holds(rack: FiniteRack, R, S) -> bool:
-    """Whether the disjoint index lists R and S satisfy R |> R in R,
-    S |> S in S, R |> S in S and S |> R in R, proved from generators.
-
-    Lemma.  Let H = {a : phi_a(R) = R and phi_a(S) = S}.  As
-    phi_{a |> b} = phi_a phi_b phi_a^-1 (Joyce 1982), H is closed under
-    |>.  An injective map of a finite set that maps R into R maps it onto
-    R.  So if every g in G maps R into R and S into S, and the orbit of G
-    under the maps phi_g (g in G) covers R u S, then R u S lies in H,
-    which is all four conditions.  The lemma needs the rack axioms, which
-    a class (conjugation) and a table (from_table checks them) satisfy.
-
-    G is picked greedily: the first element of R, then of S, that the
-    orbit has not reached yet.  phi_g is computed on all of R u S (one
-    op_rows call), the proof fails at the first image on the wrong side
-    or outside R u S, and the orbit grows on the index maps already
-    computed.  The work is |G| |R u S| conjugations; the trivial rack,
-    where every element is its own generator, is the worst case."""
-    U = np.concatenate([np.asarray(R, dtype=np.int64), np.asarray(S, dtype=np.int64)])
-    side = np.full(rack.size, -1, dtype=np.int8)
-    side[U] = np.repeat([0, 1], [len(R), len(S)])
+    As phi_{a |> b} = phi_a phi_b phi_a^-1 (Joyce 1982), the a whose phi_a
+    has a property that phi_{a |> b} inherits from phi_a and phi_b form a
+    subrack: when every generator has it, so has the orbit, all of U.
+    verify_certificate and RackEpimorphism read their facts off this."""
     at = np.zeros(rack.size, dtype=np.int64)  # rack index -> position in U
     at[U] = np.arange(len(U))
     reached = np.zeros(len(U), dtype=bool)
@@ -371,8 +331,7 @@ def _closure_holds(rack: FiniteRack, R, S) -> bool:
     while not reached.all():
         k = int(np.argmin(reached))
         ((_, Z),) = rack.op_rows(U[k : k + 1], U)
-        if (side[Z[0]] != side[U]).any():
-            return False
+        yield int(U[k]), Z[0]
         maps.append(at[Z[0]])
         # the new map acts on all of the orbit, the old maps on g alone
         reached[k] = True
@@ -381,16 +340,23 @@ def _closure_holds(rack: FiniteRack, R, S) -> bool:
             fresh = np.flatnonzero(np.bincount(images[~reached[images]], minlength=len(U)))
             reached[fresh] = True
             images = np.concatenate([m[fresh] for m in maps])
-    return True
 
 
 def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateCheck:
     """Full check: nonemptiness, disjointness, subrack closure, cross
-    closure, and sq(r, s) != s.  Closure is decided by _closure_holds;
-    only a certificate it rejects runs the pair loop of _closure_failures,
-    whose failures carry concrete witnesses."""
+    closure, and sq(r, s) != s.  Once R and S are nonempty and disjoint,
+    R |> R in R, S |> S in S, R |> S in S and S |> R in R are proved from
+    generators, and a failure names one pair.
+
+    Lemma.  Let H = {a : phi_a(R) = R and phi_a(S) = S}; it is closed
+    under |> (see _generators).  An injective map of a finite set that
+    maps R into R maps it onto R.  So if every generator g of R u S maps
+    R into R and S into S, R u S lies in H, which is all four conditions.
+    The lemma needs the rack axioms, which a class (conjugation) and a
+    table (from_table checks them) satisfy.  The first map with an image
+    on the wrong side, or outside R u S, names its first such u."""
     failures = []
-    m = rack.size
+    m, elems = rack.size, rack.elements
     if not cert.R or not cert.S:
         failures.append("R and S must be nonempty")
     if any(not 0 <= i < m for i in cert.R) or any(not 0 <= i < m for i in cert.S):
@@ -398,18 +364,28 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
         return CertificateCheck(False, failures)
     if set(cert.R) & set(cert.S):
         failures.append(f"R and S overlap: {sorted(set(cert.R) & set(cert.S))}")
-    closed = not failures and _closure_holds(rack, cert.R, cert.S)
-    if not closed:
-        failures.extend(_closure_failures(rack, cert.R, cert.S))
-    if cert.r not in set(cert.R):
+    U = np.array([*cert.R, *cert.S], dtype=np.int64)
+    side = np.full(m, -1, dtype=np.int8)
+    side[U] = np.repeat([0, 1], [len(cert.R), len(cert.S)])
+    for g, Z in () if failures else _generators(rack, U):
+        bad = np.flatnonzero(side[Z] != side[U])
+        if bad.size:
+            u = int(U[bad[0]])
+            x, y, name = elems[g], elems[u], "RS"[side[u]]
+            if side[g] == side[u]:
+                failures.append(f"{name} not closed: {x} |> {y}")
+            else:
+                failures.append(f"cross closure fails: {x} |> {y} not in {name}")
+            break
+    if cert.r not in cert.R:
         failures.append("r must lie in R")
-    if cert.s not in set(cert.S):
+    if cert.s not in cert.S:
         failures.append("s must lie in S")
     sq = None if failures else rack.sq(cert.r, cert.s)
     if sq == cert.s:
-        r, s = rack.elements[cert.r], rack.elements[cert.s]
+        r, s = elems[cert.r], elems[cert.s]
         failures.append(f"sq({r}, {s}) == {s}")
-    return CertificateCheck(closed and not failures, failures, sq)
+    return CertificateCheck(not failures, failures, sq)
 
 
 # -- the subsets the closed-form constructions split along -----------------
@@ -637,8 +613,8 @@ def _strategy_pullback(rack: FiniteRack, seed: int):
         return None
     down = result.certificate
     # pi(x) = x.perm, found by key in the S_n class (zero signs); pi is
-    # not checked as a RackEpimorphism, whose pair check is quadratic in
-    # the class size
+    # not checked as a RackEpimorphism: it is the restriction of the group
+    # homomorphism B_n -> S_n, so it respects conjugation
     images = down.rack.source.locate(_perm_keys(cls.P))
     R, S, r, s = _preimage(images, down)
     note = (
@@ -813,9 +789,12 @@ class RackEpimorphism:
 
     `mapping` takes source elements to target elements, and `images[i]`
     is the target index of the image of source element i.  Homomorphy,
-    f(x |> y) = f(x) |> f(y), is checked on the index tables of `op_rows`
-    as images[Z_source] == Z_target; the first failing pair, in
-    source-element order, is named."""
+    f(g |> y) = f(g) |> f(y), is checked for the generators g of the
+    source (_generators) and every y, as images[g |> .] == f(g) |> images,
+    and the first failing (g, y) is named.  That suffices: once a and b
+    pass, f((a |> b) |> y) = f(a) |> (f(b) |> (f(a) |>^-1 f(y))) =
+    (f(a) |> f(b)) |> f(y), so the x that pass form a subrack, and the
+    generators' orbit is the whole source."""
 
     def __init__(self, source: FiniteRack, target: FiniteRack, mapping):
         self.source = source
@@ -831,22 +810,18 @@ class RackEpimorphism:
             raise ValueError(f"image {fxs[int(outside[0])]} is not in the target rack")
         if not np.bincount(self.images, minlength=target.size).all():
             raise ValueError("mapping is not surjective")
-        every = np.arange(source.size)
-        tables = zip(source.op_rows(every, every), target.op_rows(self.images, self.images))
-        for (i, Z), (_, W) in tables:
-            bad = np.argwhere(self.images[Z] != W)
-            if len(bad):
-                k, j = bad[0].tolist()
-                x, y = source.elements[i + k], source.elements[j]
+        for g, Z in _generators(source, np.arange(source.size)):
+            ((_, W),) = target.op_rows(self.images[g : g + 1], self.images)
+            bad = np.flatnonzero(self.images[Z] != W[0])
+            if bad.size:
+                x, y = source.elements[g], source.elements[int(bad[0])]
                 raise ValueError(f"not a rack homomorphism at ({x}, {y})")
 
     def __call__(self, x):
         return self.mapping(x)
 
 
-def pullback_type_d(
-    hom: RackEpimorphism, cert: TypeDCertificate
-) -> TypeDCertificate:
+def pullback_type_d(hom: RackEpimorphism, cert: TypeDCertificate) -> TypeDCertificate:
     """Pull a certificate back along a rack epimorphism: preimages of R
     and S with any lifts of r and s."""
     if cert.rack is not hom.target:

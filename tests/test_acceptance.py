@@ -16,7 +16,7 @@ from weylrack.verify import (
 )
 from weylrack.ydmodule import ArrowYDModule, build_yd_module, psi_isomorphism_check
 
-from test_nichols import reduced_word
+from test_nichols import mirrored_dims, reduced_word
 
 
 def run_checks(names, **cfg):
@@ -117,9 +117,7 @@ def test_criterion_6_structural_suites():
     # word-choice independence of the symmetrizer through degree 4
     cs = transposition_preset(3)
     c = build_yd_module(cs, chi_sgn_sgn(cs.centralizer)).braiding()
-    left = nichols_graded_dim(c, 4, from_right=False)
-    right = nichols_graded_dim(c, 4, from_right=True)
-    assert left.dims == right.dims
+    assert nichols_graded_dim(c, 4).dims == mirrored_dims(c, 4)
     import itertools
 
     for k in (2, 3, 4):

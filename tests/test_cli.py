@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, config merging."""
 
 import json
+import time
 
 import pytest
 
@@ -413,6 +414,16 @@ def config_error(capsys, tmp_path, config, *argv) -> str:
     assert err.startswith("weylrack: error: ")
     assert err.count("\n") == 1
     return err
+
+
+def test_hilbert_refuses_a_groebner_pass_it_cannot_finish(capsys):
+    # FK_6 has 3141 overlap ambiguities at pass 8 and 7337 at pass 9,
+    # which would run for minutes up to cap 12
+    start = time.monotonic()
+    assert main(["hilbert", "--algebra", "fk", "--n", "6", "--cap", "12"]) == 2
+    assert time.monotonic() - start < 5
+    err = capsys.readouterr().err
+    assert err == "weylrack: error: Groebner pass 9 has 7337 overlap ambiguities, over the cap of 5000\n"
 
 
 def test_bad_config_schema_is_rejected(tmp_path, capsys):

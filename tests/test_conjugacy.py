@@ -204,6 +204,23 @@ def test_class_build_working_memory_is_bounded():
     assert peak - held <= 1.5e6
 
 
+def test_text_order_holds_two_row_arrays():
+    # the keys and the order, and the index of the perm-key sort beside
+    # the keys before that: 2.3 int64 row arrays above the input on the
+    # 46080 rows of the B_7 7-cycles (3.1 when the part ranks were
+    # scattered through that index into a third array)
+    cls = ConjugacyClass(Bn(7), SignedPermutation.parse("0000000;(1 2 3 4 5 6 7)"))
+    text_order(cls.P[:10], cls.A[:10])  # first-call caches
+    tracemalloc.start()
+    try:
+        order = text_order(cls.P, cls.A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(order, np.arange(cls.size))  # its rep is the least text
+    assert peak <= 2.5 * 8 * cls.size
+
+
 def test_negative_cycle_centralizer_is_cyclic():
     # a negative n-cycle generates its own centralizer, order 2n
     for n in (3, 5):

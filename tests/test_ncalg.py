@@ -11,7 +11,7 @@ import pytest
 from weylrack import ncalg
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
 from weylrack.cyclotomic import Cyclo
-from weylrack.groups import Bn
+from weylrack.groups import Bn, BudgetExceeded
 from weylrack.ncalg import (
     GroebnerBasis,
     NCPresentation,
@@ -594,3 +594,19 @@ def test_s_polynomials_read_off_the_rules_are_f_v_minus_u_g(monkeypatch, name):
     ]
     assert expected
     assert seen["spolys"] == expected
+
+
+def test_a_pass_over_the_overlap_cap_is_refused_before_its_normal_forms(monkeypatch):
+    # FK_4 has 34 overlap ambiguities at pass 3 and 21 at pass 4; with the
+    # cap at 33, pass 3 is refused before any of its S-polynomials is
+    # reduced: the only normal forms are those of the degree-2 relations
+    reduced = []
+    normal_form = ncalg._normal_form
+    monkeypatch.setattr(ncalg, "_normal_form", lambda poly, plan: reduced.append(1) or normal_form(poly, plan))
+    monkeypatch.setattr(ncalg, "MAX_OVERLAPS", 33)
+    pres = fk_presentation(4)
+    with pytest.raises(BudgetExceeded, match="pass 3 has 34 overlap ambiguities, over the cap of 33"):
+        nc_groebner(pres, 13)
+    assert len(reduced) == len(pres.relations)
+    monkeypatch.setattr(ncalg, "MAX_OVERLAPS", 34)
+    assert sum(hilbert_series(pres, 13).dims) == 576

@@ -71,11 +71,12 @@ def test_s4_graded_dims_modular():
     assert "mod-p" in out.method
 
 
-def test_budget_truncation_is_flagged():
+def test_budget_truncation_is_flagged(monkeypatch):
     # a byte budget: the dense 216 x 216 int64 matrix of degree 3 fits,
     # the 1296 x 1296 one of degree 4 does not
+    monkeypatch.setattr(nichols, "MEMORY_BUDGET", 8 * 216**2)
     c = braiding_for(4, chi_sgn_sgn)
-    out = nichols_graded_dim(c, 6, budget=8 * 216**2)
+    out = nichols_graded_dim(c, 6)
     assert out.truncated_at == 4
     assert out.dims == [1, 6, 19, 42]
 
@@ -87,9 +88,9 @@ def test_default_budget_stops_before_degree_six(monkeypatch):
     # out, so the test allocates neither large dense matrix.
     built = []
 
-    def columns(braiding, k, from_right=False, columns=None):
+    def columns(braiding, k, columns=None):
         built.append(k)
-        return symmetrizer_columns(braiding, k, from_right, columns)
+        return symmetrizer_columns(braiding, k, columns)
 
     monkeypatch.setattr(nichols, "symmetrizer_columns", columns)
     monkeypatch.setattr(nichols, "rank_two_primes", lambda matrix, primes: -1)
@@ -323,12 +324,25 @@ def test_reduced_words_are_reduced():
             assert acc == p
 
 
+def mirrored_dims(braiding, top: int) -> list:
+    """The ranks of S_k for k = 0..top, summed over the reduced words of
+    the rightmost descent (`oracle_columns`): the mirror of the leftmost
+    words that `symmetrizer_columns` factors."""
+    dims = []
+    for k in range(top + 1):
+        size = braiding.D**k
+        dense = [[0] * size for _ in range(size)]
+        for col, rows in oracle_columns(braiding, k, True).items():
+            for row, v in rows.items():
+                dense[row][col] = v
+        dims.append(rank_int_exact(dense))
+    return dims
+
+
 def test_symmetrizer_word_choice_does_not_matter():
     # Matsumoto: ranks agree whichever reduced-word convention is used
     c = braiding_for(3, chi_sgn_sgn)
-    a = nichols_graded_dim(c, 4, from_right=False)
-    b = nichols_graded_dim(c, 4, from_right=True)
-    assert a.dims == b.dims
+    assert nichols_graded_dim(c, 4).dims == mirrored_dims(c, 4)
 
 
 def apply_at_tuples(braiding, state, pos):
@@ -401,10 +415,12 @@ ORACLE_CASES = {
 def test_symmetrizer_matches_the_per_column_oracle(case, from_right):
     make, top = ORACLE_CASES[case]
     c = make()
+    # with from_right, against the mirrored words: every case satisfies
+    # the braid equation, so both sums are S_k (Matsumoto)
     for k in range(top + 1):
         columns = {
             col: dict(entries[:, 1:].tolist())
-            for col, entries in symmetrizer_columns(c, k, from_right)
+            for col, entries in symmetrizer_columns(c, k)
         }
         assert columns == oracle_columns(c, k, from_right), k
 
@@ -425,11 +441,10 @@ CHARACTERS = {"sgn-sgn": chi_sgn_sgn, "eps-sgn": chi_eps_sgn}
 @pytest.mark.parametrize("n, char, k", list(SYMMETRIZER_DIGESTS))
 def test_symmetrizer_bytes_are_pinned(n, char, k):
     c = braiding_for(n, CHARACTERS[char])
-    for from_right in (False, True):
-        triples = np.concatenate([e for _, e in symmetrizer_columns(c, k, from_right)])
-        assert triples.dtype == np.int64
-        digest = hashlib.sha256(triples.astype("<i8").tobytes()).hexdigest()
-        assert digest == SYMMETRIZER_DIGESTS[n, char, k], from_right
+    triples = np.concatenate([e for _, e in symmetrizer_columns(c, k)])
+    assert triples.dtype == np.int64
+    digest = hashlib.sha256(triples.astype("<i8").tobytes()).hexdigest()
+    assert digest == SYMMETRIZER_DIGESTS[n, char, k]
 
 
 def test_symmetrizer_lift_stays_near_its_result():
@@ -483,15 +498,20 @@ def degree_blocks(braiding, k, from_right=False):
     """The rank of every diagonal block of the full S_k by rack degree,
     each built densely from all D^k columns and ranked on the path its
     size takes in `nichols_graded_dim`, and each word's degree; asserts
-    that no entry joins two degrees."""
+    that no entry joins two degrees.  S_k is `symmetrizer_columns`, or
+    with `from_right` the mirrored per-word sum of `oracle_columns`."""
     degree = [rack_degree(braiding, w) for w in product(range(braiding.D), repeat=k)]
     words = {}
     for flat, g in enumerate(degree):
         words.setdefault(g, []).append(flat)
     local = {flat: i for flats in words.values() for i, flat in enumerate(flats)}
     blocks = {g: np.zeros((len(flats),) * 2, dtype=object) for g, flats in words.items()}
-    for col, entries in symmetrizer_columns(braiding, k, from_right):
-        for row, v in entries[:, 1:].tolist():
+    if from_right:
+        entries = oracle_columns(braiding, k, True).items()
+    else:
+        entries = ((col, dict(e[:, 1:].tolist())) for col, e in symmetrizer_columns(braiding, k))
+    for col, rows in entries:
+        for row, v in rows.items():
             assert degree[row] == degree[col]
             blocks[degree[col]][local[row], local[col]] = v
 
@@ -541,7 +561,7 @@ def test_conjugate_degree_blocks_have_equal_ranks(case, from_right):
     # every block of the full S_k has its orbit representative's rank, so
     # the weighted ranks of the kept columns are the sum over all blocks
     c = TRANSPORT_CASES[case]()
-    dims = nichols_graded_dim(c, 4, from_right=from_right).dims
+    dims = nichols_graded_dim(c, 4).dims
     phi, _ = nichols._rack_grading(c)
     assert phi is not None
     for k, (keep, weight) in zip(range(1, 5), nichols._degree_orbits(phi)):
@@ -561,8 +581,8 @@ def built_columns(monkeypatch, braiding, max_degree):
     each degree from 2 on."""
     built = {}
 
-    def counted(braiding, k, from_right=False, columns=None):
-        out = list(symmetrizer_columns(braiding, k, from_right, columns))
+    def counted(braiding, k, columns=None):
+        out = list(symmetrizer_columns(braiding, k, columns))
         built[k] = len(out)
         return iter(out)
 

@@ -24,7 +24,6 @@ from weylrack.racks import (
     RackEpimorphism,
     TypeDCertificate,
     _SN_CACHE,
-    _closure_failures,
     _closure_from_seeds,
     _commuting_partners,
     _commuting_witness,
@@ -315,37 +314,26 @@ def test_verify_certificate_rejects_bad_data():
 
 
 def test_verify_certificate_failure_lists_are_pinned():
-    # every closure failure is reported, in R x R, S x S, then R x S order
-    # (x |> y before y |> x), with R and S walked in certificate order
+    # a closure failure names one pair: the first image on the wrong side
+    # under the first generator (R first, then S) whose map moves one
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2)"))
     rack = FiniteRack.from_class(cls)
     check = verify_certificate(rack, TypeDCertificate(rack, (0, 1), (2, 4), 0, 2))
     assert not check.ok
-    assert check.failures == [
-        "R not closed: 000;(1 2) |> 000;(1 3)",
-        "R not closed: 000;(1 3) |> 000;(1 2)",
-        "S not closed: 000;(2 3) |> 101;(1 3)",
-        "S not closed: 101;(1 3) |> 000;(2 3)",
-        "cross closure fails: 000;(1 2) |> 000;(2 3) not in S",
-        "cross closure fails: 000;(1 2) |> 101;(1 3) not in S",
-        "cross closure fails: 101;(1 3) |> 000;(1 2) not in R",
-        "cross closure fails: 000;(1 3) |> 000;(2 3) not in S",
-    ]
+    assert check.failures == ["R not closed: 000;(1 2) |> 000;(1 3)"]
+    # R = {110;(1 2)} is closed and keeps S in place; (1 2) |> (1 3) = (2 3)
+    check = verify_certificate(rack, TypeDCertificate(rack, (5,), (0, 1, 3), 5, 0))
+    assert check.failures == ["S not closed: 000;(1 2) |> 000;(1 3)"]
     # the dihedral rack x |> y = 2x - y mod 5, from its table
     table = [[(2 * i - j) % 5 for j in range(5)] for i in range(5)]
     rack = FiniteRack.from_table(list(range(5)), table)
     check = verify_certificate(rack, TypeDCertificate(rack, (1, 0), (3, 2), 1, 3))
     assert not check.ok
-    assert check.failures == [
-        "R not closed: 1 |> 0",
-        "R not closed: 0 |> 1",
-        "S not closed: 3 |> 2",
-        "S not closed: 2 |> 3",
-        "cross closure fails: 1 |> 3 not in S",
-        "cross closure fails: 1 |> 2 not in S",
-        "cross closure fails: 2 |> 1 not in R",
-        "cross closure fails: 2 |> 0 not in R",
-    ]
+    assert check.failures == ["R not closed: 1 |> 0"]
+    check = verify_certificate(rack, TypeDCertificate(rack, (0, 1, 4), (2,), 0, 2))
+    assert check.failures == ["cross closure fails: 0 |> 2 not in S"]
+    check = verify_certificate(rack, TypeDCertificate(rack, (0,), (1, 2, 3, 4), 0, 1))
+    assert check.failures == ["cross closure fails: 1 |> 0 not in R"]
 
 
 def test_a_class_rack_refuses_a_conjugate_outside_its_rows():
@@ -398,7 +386,10 @@ def test_batched_closure_check_matches_the_object_loops():
                 op, [rack.elements[i] for i in R], [rack.elements[i] for i in S]
             )
             failures = verify_certificate(rack, cert).failures
-            assert [f for f in failures if not f.startswith("sq(")] == expect
+            named = [f for f in failures if not f.startswith("sq(")]
+            # rejected on closure iff the loops find a failure, naming one
+            assert len(named) == bool(expect)
+            assert set(named) <= set(expect)
 
 
 def test_batched_exhaustive_search_matches_the_assignment_loop():
@@ -482,7 +473,8 @@ def test_make_certificate_raises_naming_the_strategy():
     t12, t13, t34 = (SignedPermutation.parse(t) for t in ("0000;(1 2)", "0000;(1 3)", "0000;(3 4)"))
     i12, i13, i34 = (rack.find(t) for t in (t12, t13, t34))
     # (1 2) |> (1 3) = (2 3) is outside R = {(1 2), (1 3)}
-    with pytest.raises(AssertionError, match="strategy broken-split .*R not closed"):
+    witness = "['R not closed: 0000;(1 2) |> 0000;(1 3)']"
+    with pytest.raises(AssertionError, match=re.escape(f"strategy broken-split produced an invalid certificate: {witness}")):
         make_certificate(rack, [i12, i13], [i34], i12, i34, "broken-split", ())
 
 
@@ -536,50 +528,68 @@ def _first_non_homomorphic_pair(source, f, op, target_op):
     return None
 
 
-def test_epimorphism_names_the_first_pair_that_is_not_homomorphic(monkeypatch):
-    from weylrack import racks
+def _epimorphism_agrees_with_the_pair_loop(up, down, images, op, target_op):
+    """RackEpimorphism accepts `images` (a dict on the elements) iff the
+    object loop finds no failing pair, and the pair it names fails; returns
+    the named x, or None."""
+    f = images.__getitem__
+    if _first_non_homomorphic_pair(up, f, op, target_op) is None:
+        RackEpimorphism(up, down, f)
+        return None
+    with pytest.raises(ValueError, match="not a rack homomorphism at") as info:
+        RackEpimorphism(up, down, f)
+    named = {f"not a rack homomorphism at ({x}, {y})": (x, y) for x in up.elements for y in up.elements}
+    x, y = named[str(info.value)]
+    assert f(op(x, y)) != target_op(f(x), f(y))
+    return x
 
+
+def test_epimorphism_names_the_first_pair_that_is_not_homomorphic():
     up = FiniteRack.from_class(ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)")))
     down = FiniteRack.from_class(ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2 3)")))
-    monkeypatch.setattr(racks, "BLOCK_PAIRS", 5)  # one source row per block
-    first_rows = set()
-    index = {x: i for i, x in enumerate(up.elements)}
+    named = set()
     # every surjective map of the 8 elements onto the 2 of the target
     for bits in product((0, 1), repeat=up.size):
         if len(set(bits)) < 2:
             continue
         images = dict(zip(up.elements, (down.elements[b] for b in bits)))
-        pair = _first_non_homomorphic_pair(up, images.__getitem__, conjugate, conjugate)
-        if pair is None:
-            RackEpimorphism(up, down, images.__getitem__)
-            continue
-        x, y = pair
-        first_rows.add(index[x])
-        with pytest.raises(ValueError, match=re.escape(f"not a rack homomorphism at ({x}, {y})")):
-            RackEpimorphism(up, down, images.__getitem__)
-    assert max(first_rows) > 0  # some first failures lie past the first block
+        named.add(_epimorphism_agrees_with_the_pair_loop(up, down, images, conjugate, conjugate))
+    # accepted maps, and rejections at the first and at a later generator
+    assert None in named and up.elements[0] in named and len(named) > 2
 
 
-def test_epimorphism_checks_table_and_object_racks_on_the_index_tables(monkeypatch):
-    from weylrack import racks
-
+def test_epimorphism_checks_table_and_object_racks_on_the_index_tables():
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
     # the same rack as a table on its elements, filled in by conjugation
     up = conjugation_table_rack([t.format() for t in cls.elements])
     # two commuting elements: the trivial rack on two points
     down = FiniteRack.from_table(["a", "b"], [[0, 1], [0, 1]])
-    monkeypatch.setattr(racks, "BLOCK_PAIRS", 5)
     for bits in product((0, 1), repeat=up.size):
         if len(set(bits)) < 2:
             continue
         images = dict(zip(up.elements, ("ab"[b] for b in bits)))
-        pair = _first_non_homomorphic_pair(up, images.__getitem__, conjugate, lambda u, v: v)
-        if pair is None:
-            RackEpimorphism(up, down, images.__getitem__)
-            continue
-        x, y = pair
-        with pytest.raises(ValueError, match=re.escape(f"not a rack homomorphism at ({x}, {y})")):
-            RackEpimorphism(up, down, images.__getitem__)
+        _epimorphism_agrees_with_the_pair_loop(up, down, images, conjugate, lambda u, v: v)
+
+
+def test_epimorphism_evaluates_linearly_many_pairs(monkeypatch):
+    # the projection-pullback lemma's B_5 class onto the S_5 4-cycles:
+    # |X| = 240, so the full tables were 2 * 240^2 = 115200 pairs; the
+    # generators' maps take at most 4 |X| on each side
+    cls = ConjugacyClass(Bn(5), SignedPermutation.parse("10000;(1 2 3 4)"))
+    up = FiniteRack.from_class(cls)
+    down = FiniteRack.from_class(ConjugacyClass(Sn(5), SignedPermutation.parse("00000;(1 2 3 4)")))
+    pairs = {}
+    for side, rack in (("source", up), ("target", down)):
+        op_rows = rack.op_rows
+
+        def counted(X, Y, side=side, op_rows=op_rows):
+            pairs[side] = pairs.get(side, 0) + len(X) * len(Y)
+            return op_rows(X, Y)
+
+        monkeypatch.setattr(rack, "op_rows", counted)
+    RackEpimorphism(up, down, lambda x: SignedPermutation.from_perm(x.perm))
+    assert up.size == 240
+    assert 0 < pairs["source"] <= 4 * up.size and 0 < pairs["target"] <= 4 * up.size
 
 
 def test_epimorphism_rejects_an_image_outside_the_target():
@@ -808,10 +818,42 @@ def test_orbit_closure_matches_the_worklist_on_every_seed_pair():
     assert outcomes == {"refused", ("grown", False), ("grown", True)}
 
 
+def _closure_pair_failures(rack, R, S):
+    """A message for every pair that breaks subrack or cross closure of R
+    and S (index lists), in the order of the pair loops R x R, S x S, then
+    R x S with x |> y before y |> x, every pair computed a block of index
+    rows at a time: the reference for the proof from generators."""
+    elems = rack.elements
+    in_R = np.zeros(rack.size, dtype=bool)
+    in_R[list(R)] = True
+    in_S = np.zeros(rack.size, dtype=bool)
+    in_S[list(S)] = True
+
+    def misses(X, Y, member):
+        """(i, j) with x_i |> y_j outside member, in order."""
+        for i, Z in rack.op_rows(X, Y):
+            rows, cols = np.nonzero(~member[Z])
+            yield from zip((rows + i).tolist(), cols.tolist())
+
+    out = []
+    for X, member, name in ((R, in_R, "R"), (S, in_S, "S")):
+        out += [f"{name} not closed: {elems[X[i]]} |> {elems[X[j]]}" for i, j in misses(X, X, member)]
+    # R |> S and S |> R, merged into the order of the loop over R x S
+    cross = [(i, j, 0) for i, j in misses(R, S, in_S)]
+    cross += [(i, j, 1) for j, i in misses(S, R, in_R)]
+    for i, j, flipped in sorted(cross):
+        x, y = elems[R[i]], elems[S[j]]
+        if flipped:
+            out.append(f"cross closure fails: {y} |> {x} not in R")
+        else:
+            out.append(f"cross closure fails: {x} |> {y} not in S")
+    return out
+
+
 def _pair_check_failures(rack, cert):
     """The certificate conditions decided pair by pair, in the failure
-    order of verify_certificate: the reference for its proof from
-    generators."""
+    order of verify_certificate, with every closure failure listed: the
+    reference for its proof from generators, which names one of them."""
     failures = []
     if not cert.R or not cert.S:
         failures.append("R and S must be nonempty")
@@ -819,7 +861,8 @@ def _pair_check_failures(rack, cert):
         return failures + ["index out of range"]
     if set(cert.R) & set(cert.S):
         failures.append(f"R and S overlap: {sorted(set(cert.R) & set(cert.S))}")
-    failures.extend(_closure_failures(rack, cert.R, cert.S))
+    if not failures:
+        failures.extend(_closure_pair_failures(rack, cert.R, cert.S))
     if cert.r not in cert.R:
         failures.append("r must lie in R")
     if cert.s not in cert.S:
@@ -895,7 +938,11 @@ def test_verify_certificate_matches_the_pair_check():
     for name, cert in _oracle_cases():
         check = verify_certificate(cert.rack, cert)
         expect = _pair_check_failures(cert.rack, cert)
-        assert check.failures == expect, (name, cert.R, cert.S)
+        closure = [f for f in expect if "closed:" in f or "closure fails:" in f]
+        # the closure failures collapse to the first one the proof meets
+        named = [f for f in check.failures if f in closure]
+        assert len(named) == bool(closure), (name, cert.R, cert.S)
+        assert check.failures == [f for f in expect if f not in closure or f in named], (name, cert.R, cert.S)
         assert check.ok == (not expect), (name, cert.R, cert.S)
         seen[name, check.ok] = seen.get((name, check.ok), 0) + 1
     assert set(seen) == {
@@ -909,10 +956,7 @@ def test_transports_refuse_an_unclosed_certificate_naming_its_witnesses():
     # lies in neither
     rack = FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)")))
     i12, i13 = (rack.find(SignedPermutation.parse(t)) for t in ("0000;(1 2)", "0000;(1 3)"))
-    witnesses = [
-        "cross closure fails: 0000;(1 2) |> 0000;(1 3) not in S",
-        "cross closure fails: 0000;(1 3) |> 0000;(1 2) not in R",
-    ]
+    witnesses = ["cross closure fails: 0000;(1 2) |> 0000;(1 3) not in S"]
     with pytest.raises(AssertionError) as info:
         make_certificate(rack, [i12], [i13], i12, i13, "broken-split", ())
     assert str(info.value) == f"strategy broken-split produced an invalid certificate: {witnesses}"
@@ -925,10 +969,7 @@ def test_transports_refuse_an_unclosed_certificate_naming_its_witnesses():
     down = FiniteRack.from_class(ConjugacyClass(Sn(3), SignedPermutation.parse("000;(1 2)")))
     hom = RackEpimorphism(up, down, lambda x: SignedPermutation.from_perm(x.perm))
     bad = TypeDCertificate(down, (0,), (1,), 0, 1)
-    witnesses = [
-        f"cross closure fails: {down.elements[0]} |> {down.elements[1]} not in S",
-        f"cross closure fails: {down.elements[1]} |> {down.elements[0]} not in R",
-    ]
+    witnesses = [f"cross closure fails: {down.elements[0]} |> {down.elements[1]} not in S"]
     with pytest.raises(ValueError) as info:
         pullback_type_d(hom, bad)
     assert str(info.value) == f"input certificate is invalid: {witnesses}"

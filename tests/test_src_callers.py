@@ -1,9 +1,11 @@
 """Every function and class in `src/weylrack` has a caller in `src/`: code
 that only tests reach belongs in the tests.  A method counts as called
 only through an attribute reference (`x.name`), not through a bare name
-that happens to match it.  The few exceptions are listed with their
-reasons.  The modules import one another at module level only, and
-never in a cycle: each layer stands on the ones below it."""
+that happens to match it.  Likewise every parameter with a default is
+passed by some call in `src/`: an option that only tests set belongs in
+the tests.  The few exceptions are listed with their reasons.  The
+modules import one another at module level only, and never in a cycle:
+each layer stands on the ones below it."""
 
 import ast
 import os
@@ -17,6 +19,11 @@ NO_CALLER_IN_SRC = {
     "reps.trivial_rep": "named in bench/tracing.py's span list",
     "nichols.quadratic_cover_presentation": "ROADMAP item 1 wires it",
     "FiniteRack.from_table": "builds the generic racks the rack tests search",
+}
+
+# qualified parameter -> why no call in src/ passes it
+DEFAULT_NOT_PASSED_IN_SRC = {
+    "cli.main.argv": "bench/worker.py and the tests call main in-process",
 }
 
 
@@ -105,3 +112,77 @@ def test_the_module_import_graph_is_acyclic():
         ready = {module for module, deps in graph.items() if module not in done and deps <= done}
         assert ready, f"import cycle among {sorted(graph.keys() - done)}"
         done |= ready
+
+
+def _defaulted(tree, module):
+    """(qualified parameter, callee names, position) of every parameter
+    with a default: the names a call may reach the function by, and the
+    parameter's index among the positional arguments a call passes (None
+    for a keyword-only one).  A method is reached through an attribute,
+    `__init__` through its class's name or `cls(...)` in its class, and a
+    function through its bare name or an attribute."""
+    out = []
+
+    def walk(node, owner, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                skip = 1 if cls and not static else 0  # self or cls
+                names = {child.name}
+                if child.name == "__init__":
+                    names = {cls, f"cls@{cls}", "__init__"}
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out.append((f"{owner}.{child.name}.{arg.arg}", names, i - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((f"{owner}.{child.name}.{arg.arg}", names, None))
+                walk(child, owner, None)
+            else:
+                walk(child, owner, cls)
+
+    walk(tree, module, None)
+    return out
+
+
+def _calls(tree):
+    """(callee name, positional count, keywords, starred) of every call;
+    `cls(...)` inside class C is named `cls@C`."""
+    out = []
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "cls" and cls:
+                    name = f"cls@{cls}"
+                starred = any(isinstance(a, ast.Starred) for a in child.args) or any(
+                    k.arg is None for k in child.keywords
+                )
+                out.append((name, len(child.args), {k.arg for k in child.keywords}, starred))
+            walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    walk(tree, None)
+    return out
+
+
+def test_every_default_parameter_is_passed_by_a_call_in_src():
+    defaulted, calls = [], []
+    for module, tree in _modules():
+        defaulted += _defaulted(tree, module)
+        calls += _calls(tree)
+    never = {
+        qual
+        for qual, names, position in defaulted
+        if not any(
+            name in names
+            and (starred or qual.rsplit(".", 1)[1] in keywords or (position is not None and position < count))
+            for name, count, keywords, starred in calls
+        )
+    }
+    assert never == set(DEFAULT_NOT_PASSED_IN_SRC)
