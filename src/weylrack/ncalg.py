@@ -44,7 +44,7 @@ class NCPresentation:
     degree at most 2, with rational coefficients."""
 
     generators: list
-    relations: list = field(default_factory=list)
+    relations: list = field(default_factory=list, init=False)
 
     def add_relation(self, poly: dict):
         poly = {tuple(m): _exact(Fraction(v)) for m, v in poly.items() if v}

@@ -108,33 +108,15 @@ BLOCK_PAIRS = 1 << 14
 
 
 class FiniteRack:
-    """A finite rack on the indices 0..m-1, backed either by a conjugacy
-    class, where x |> y = x y x^-1 is computed on the class rows, or by an
-    m x m index table.  A small class rack keeps its table as well (see
+    """A conjugacy class as a finite rack on its indices 0..m-1, where
+    x |> y = x y x^-1 is computed on the class rows, whose numbering never
+    changes.  A small class keeps its m x m index table as well (see
     from_class).  `elements` are what the reports print."""
 
-    def __init__(self, *, source: ConjugacyClass | None = None, elements: list = (), table=None):
-        """Use from_class or from_table."""
-        # a class rack reads elements and size from its class, whose
-        # numbering never changes
+    def __init__(self, *, source: ConjugacyClass):
+        """Use from_class; a rack built here has no table."""
         self.source = source
-        if source is None:
-            self._elements = list(elements)
-            if len(set(self._elements)) != len(self._elements):
-                raise ValueError("duplicate rack elements")
-        self._table = table
-
-    @classmethod
-    def from_table(cls, elements: list, table) -> "FiniteRack":
-        """The rack on `elements` with i |> j = table[i][j]; refuses a
-        table that is not m x m over 0..m-1 or breaks the rack axioms."""
-        m = len(elements)
-        T = np.asarray(table)
-        if T.shape != (m, m) or T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= m:
-            raise ValueError(f"a rack table on {m} elements must be {m} x {m} over 0..{m - 1}")
-        rack = cls(elements=elements, table=T.astype(np.int64))
-        rack.check_axioms()
-        return rack
+        self._table = None
 
     @classmethod
     def from_class(cls, conj_class: ConjugacyClass) -> "FiniteRack":
@@ -148,17 +130,11 @@ class FiniteRack:
 
     @property
     def elements(self):
-        return self._elements if self.source is None else self.source.elements
+        return self.source.elements
 
     @property
     def size(self) -> int:
-        return len(self._elements) if self.source is None else self.source.size
-
-    def find(self, x) -> int:
-        """The index of the element x, -1 if x is not in the rack."""
-        if self.source is not None:
-            return self.source.find(x)
-        return self._elements.index(x) if x in self._elements else -1
+        return self.source.size
 
     def _locate(self, P: np.ndarray, A: np.ndarray) -> np.ndarray:
         """The class indices of the rows (P, A); a row outside the class
@@ -189,10 +165,9 @@ class FiniteRack:
     def op_rows(self, X, Y):
         """Yield (i, Z) for consecutive blocks of the index list X, where
         Z[k, j] = X[i + k] |> Y[j]: op on the Cartesian product.  A rack
-        with a table reads it; a class rack without one conjugates Y by
-        the whole block of x at once (conjugate_rows, with the inverse
-        rows of Y taken once per call) and finds all the keys of the block
-        with one locate."""
+        with a table reads it; one without conjugates Y by the whole block
+        of x at once (conjugate_rows, with the inverse rows of Y taken once
+        per call) and finds all the keys of the block with one locate."""
         X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
         step = max(1, BLOCK_PAIRS // max(1, len(Y)))
         cls = self.source
@@ -215,24 +190,6 @@ class FiniteRack:
         """The m x m index table of x |> y."""
         every = np.arange(self.size)
         return np.concatenate([Z for _, Z in self.op_rows(every, every)])
-
-    def check_axioms(self) -> None:
-        """Left-invertibility and self-distributivity, exhaustively on the
-        index table; a failure names the first x (then y, z) it finds."""
-        T = self.table()
-        elems = self.elements
-        every = np.arange(self.size)
-        broken = np.flatnonzero((np.sort(T, axis=1) != every).any(axis=1))
-        if broken.size:
-            raise AssertionError(f"y -> {elems[int(broken[0])]} |> y is not a bijection")
-        for x in range(self.size):
-            # [y, z]: x |> (y |> z) against (x |> y) |> (x |> z)
-            bad = np.argwhere(T[x][T] != T[np.ix_(T[x], T[x])])
-            if len(bad):
-                y, z = bad[0].tolist()
-                raise AssertionError(
-                    f"self-distributivity fails at ({elems[x]}, {elems[y]}, {elems[z]})"
-                )
 
 
 # -- certificates ----------------------------------------------------------
@@ -265,10 +222,9 @@ class TypeDCertificate:
             "s": self.s,
             "sq_value": str(self.rack.elements[sq]),
             "strategy": self.strategy,
+            "class": self.rack.source.rep.format(),
+            "group": repr(self.rack.source.group),
         }
-        if self.rack.source is not None:
-            payload["class"] = self.rack.source.rep.format()
-            payload["group"] = repr(self.rack.source.group)
         if self.notes:
             payload["notes"] = list(self.notes)
         return payload
@@ -343,18 +299,18 @@ def _generators(rack: FiniteRack, U: np.ndarray):
 
 
 def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateCheck:
-    """Full check: nonemptiness, disjointness, subrack closure, cross
-    closure, and sq(r, s) != s.  Once R and S are nonempty and disjoint,
-    R |> R in R, S |> S in S, R |> S in S and S |> R in R are proved from
-    generators, and a failure names one pair.
+    """Full check: nonemptiness, no repeated index, disjointness, subrack
+    closure, cross closure, and sq(r, s) != s.  Once R and S are nonempty
+    and disjoint, R |> R in R, S |> S in S, R |> S in S and S |> R in R
+    are proved from generators, and a failure names one pair.
 
     Lemma.  Let H = {a : phi_a(R) = R and phi_a(S) = S}; it is closed
     under |> (see _generators).  An injective map of a finite set that
     maps R into R maps it onto R.  So if every generator g of R u S maps
     R into R and S into S, R u S lies in H, which is all four conditions.
-    The lemma needs the rack axioms, which a class (conjugation) and a
-    table (from_table checks them) satisfy.  The first map with an image
-    on the wrong side, or outside R u S, names its first such u."""
+    The lemma needs the rack axioms, which conjugation satisfies.  The
+    first map with an image on the wrong side, or outside R u S, names its
+    first such u."""
     failures = []
     m, elems = rack.size, rack.elements
     if not cert.R or not cert.S:
@@ -362,6 +318,12 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
     if any(not 0 <= i < m for i in cert.R) or any(not 0 <= i < m for i in cert.S):
         failures.append("index out of range")
         return CertificateCheck(False, failures)
+    for name, X in (("R", cert.R), ("S", cert.S)):
+        X = np.asarray(X, dtype=np.int64)
+        order = np.argsort(X, kind="stable")  # the places of each index in turn
+        repeats = order[1:][np.diff(X[order]) == 0]  # the places after its first
+        if repeats.size:
+            failures.append(f"{name} repeats index {X[repeats.min()]}")
     if set(cert.R) & set(cert.S):
         failures.append(f"R and S overlap: {sorted(set(cert.R) & set(cert.S))}")
     U = np.array([*cert.R, *cert.S], dtype=np.int64)
@@ -459,15 +421,12 @@ def clear_search_cache() -> None:
 def find_type_d_certificate(rack: FiniteRack, seed: int = 0) -> SearchResult:
     """Try the strategies in order; the first certificate found wins.
     Every strategy takes (rack, seed); only the randomized repair, and the
-    pullback through its search downstairs, use the seed.  The first three
-    read the class of a class rack and are tried on class racks only."""
-    cls = rack.source
-    strategies = []
-    if cls is not None:
-        strategies.append(("commuting-perm-pair", _strategy_commuting_pair))
-        if cls.group.signed:
-            strategies.append(("fixed-point-sign-split", _strategy_fixed_point_split))
-            strategies.append(("projection-pullback", _strategy_pullback))
+    pullback through its search downstairs, use the seed.  The fixed-point
+    split and the pullback are tried on classes of B_n only."""
+    strategies = [("commuting-perm-pair", _strategy_commuting_pair)]
+    if rack.source.group.signed:
+        strategies.append(("fixed-point-sign-split", _strategy_fixed_point_split))
+        strategies.append(("projection-pullback", _strategy_pullback))
     strategies.append(("seed-closure", _strategy_seed_closure))
     if rack.size <= EXHAUSTIVE_LIMIT:
         strategies.append(("exhaustive-bipartition", _strategy_exhaustive))
@@ -612,11 +571,9 @@ def _strategy_pullback(rack: FiniteRack, seed: int):
     if not result:
         return None
     down = result.certificate
-    # pi(x) = x.perm, found by key in the S_n class (zero signs); pi is
-    # not checked as a RackEpimorphism: it is the restriction of the group
-    # homomorphism B_n -> S_n, so it respects conjugation
-    images = down.rack.source.locate(_perm_keys(cls.P))
-    R, S, r, s = _preimage(images, down)
+    # pi is not checked as a RackEpimorphism: it is the restriction of the
+    # group homomorphism B_n -> S_n, so it respects conjugation
+    R, S, r, s = _preimage(projection(cls, down.rack.source), down)
     note = (
         f"pulled back along pi from the S_{n} class of {tau0} "
         f"(downstairs strategy: {down.strategy})"
@@ -759,8 +716,6 @@ def juxtaposition_extend_certificate(
     every certificate element with the fixed element y."""
     _require_valid(cert)
     cls = cert.rack.source
-    if cls is None:
-        raise ValueError("certificate must come from a conjugacy-class rack")
     x = cls.rep
     ambient = GroupContext(x.n + y.n, signed=True)
     big = ConjugacyClass(ambient, x.juxtapose(y))
@@ -784,41 +739,42 @@ def juxtaposition_extend_certificate(
     )
 
 
+def projection(cls: ConjugacyClass, down: ConjugacyClass) -> np.ndarray:
+    """pi(x) = x.perm for each element x of the B_n class cls, as its index
+    in the S_n class down (-1 where it is not there), found by the keys of
+    the permutation parts with zero signs."""
+    return down.locate(_perm_keys(cls.P))
+
+
 class RackEpimorphism:
-    """A surjective rack homomorphism, verified on construction.
+    """A surjective rack homomorphism f, verified on construction.
 
-    `mapping` takes source elements to target elements, and `images[i]`
-    is the target index of the image of source element i.  Homomorphy,
-    f(g |> y) = f(g) |> f(y), is checked for the generators g of the
-    source (_generators) and every y, as images[g |> .] == f(g) |> images,
-    and the first failing (g, y) is named.  That suffices: once a and b
-    pass, f((a |> b) |> y) = f(a) |> (f(b) |> (f(a) |>^-1 f(y))) =
-    (f(a) |> f(b)) |> f(y), so the x that pass form a subrack, and the
-    generators' orbit is the whole source."""
+    `images[i]` is the target index of f of source element i; an array
+    of another length, or with an index outside the target, is refused
+    first.  Homomorphy, f(g |> y) = f(g) |> f(y), is checked for the
+    generators g of the source (_generators) and every y, as
+    images[g |> .] == f(g) |> images, and the first failing (g, y) is
+    named.  That suffices: once a and b pass, f((a |> b) |> y) =
+    f(a) |> (f(b) |> (f(a) |>^-1 f(y))) = (f(a) |> f(b)) |> f(y), so the
+    x that pass form a subrack, and the generators' orbit is the whole
+    source."""
 
-    def __init__(self, source: FiniteRack, target: FiniteRack, mapping):
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-        fxs = [mapping(x) for x in source.elements]
-        if target.source is None:
-            self.images = np.array([target.find(fx) for fx in fxs], dtype=np.int64)
-        else:
-            self.images = target.source.find_all(fxs)
-        outside = np.flatnonzero(self.images < 0)
-        if outside.size:
-            raise ValueError(f"image {fxs[int(outside[0])]} is not in the target rack")
-        if not np.bincount(self.images, minlength=target.size).all():
-            raise ValueError("mapping is not surjective")
+    def __init__(self, source: FiniteRack, target: FiniteRack, images):
+        self.source, self.target = source, target
+        self.images = images = np.asarray(images)
+        if images.shape != (source.size,) or images.dtype.kind != "i":
+            raise ValueError(f"images must be {source.size} target indices, one per source element")
+        k = np.flatnonzero((images < 0) | (images >= target.size))[:1]
+        if k.size:
+            raise ValueError(f"image {images[k[0]]} of element {k[0]} is not in 0..{target.size - 1}")
+        if not np.bincount(images, minlength=target.size).all():
+            raise ValueError("the map is not surjective")
         for g, Z in _generators(source, np.arange(source.size)):
-            ((_, W),) = target.op_rows(self.images[g : g + 1], self.images)
-            bad = np.flatnonzero(self.images[Z] != W[0])
+            ((_, W),) = target.op_rows(images[g : g + 1], images)
+            bad = np.flatnonzero(images[Z] != W[0])
             if bad.size:
                 x, y = source.elements[g], source.elements[int(bad[0])]
                 raise ValueError(f"not a rack homomorphism at ({x}, {y})")
-
-    def __call__(self, x):
-        return self.mapping(x)
 
 
 def pullback_type_d(hom: RackEpimorphism, cert: TypeDCertificate) -> TypeDCertificate:

@@ -67,6 +67,7 @@ from .racks import (
     fixed_point_split,
     juxtaposition_extend_certificate,
     make_certificate,
+    projection,
     pullback_type_d,
     sq_fixes_second,
     sq_signed,
@@ -81,13 +82,14 @@ from .ydmodule import ArrowYDModule, build_yd_module, psi_isomorphism_check
 MAX_N = 8
 MAX_M = 8
 SIGN_PRODUCT_MAX_N = 6
+# seconds a scan searches before its later rows are inconclusive (read per scan)
+SCAN_TIME_BUDGET = 1800.0
 
 
 @dataclass
 class VerifyConfig:
     seed: int = 0
     samples: int = 10000
-    scan_time_budget: float = 1800.0
     mutate: bool = False
 
     def __post_init__(self):
@@ -930,7 +932,7 @@ def check_projection_pullback(cfg: VerifyConfig) -> tuple:
         ConjugacyClass(Sn(n), SignedPermutation.from_perm(tau))
     )
     # construction of the epimorphism certifies homomorphy and surjectivity
-    hom = RackEpimorphism(up, down, lambda x: SignedPermutation.from_perm(x.perm))
+    hom = RackEpimorphism(up, down, projection(up.source, down.source))
     res = find_type_d_certificate(down, cfg.seed)
     if not res:
         return "inconclusive", {"reason": "no certificate on the projected rack"}
@@ -1151,7 +1153,7 @@ def scan_classes(n: int, config: VerifyConfig | None = None) -> list:
     for rep in reps:
         if exception_family(rep.signed_cycle_type()) is None:
             check_class_budget(group, rep)
-    deadline = time.monotonic() + config.scan_time_budget
+    deadline = time.monotonic() + SCAN_TIME_BUDGET
     try:
         rows = [_scan_row(group, rep, config.seed, deadline) for rep in reps]
     finally:

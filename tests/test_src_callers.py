@@ -1,9 +1,9 @@
 """Every function and class in `src/weylrack` has a caller in `src/`: code
 that only tests reach belongs in the tests.  A method counts as called
 only through an attribute reference (`x.name`), not through a bare name
-that happens to match it.  Likewise every parameter with a default is
-passed by some call in `src/`: an option that only tests set belongs in
-the tests.  The few exceptions are listed with their reasons.  The
+that happens to match it.  Likewise every parameter with a default, and
+every dataclass field with one, is passed by some call in `src/`: an
+option that only tests set belongs in the tests.  The few exceptions are listed with their reasons.  The
 modules import one another at module level only, and never in a cycle:
 each layer stands on the ones below it."""
 
@@ -18,7 +18,6 @@ NO_CALLER_IN_SRC = {
     "reps.char_rep": "named in bench/tracing.py's span list",
     "reps.trivial_rep": "named in bench/tracing.py's span list",
     "nichols.quadratic_cover_presentation": "ROADMAP item 1 wires it",
-    "FiniteRack.from_table": "builds the generic racks the rack tests search",
 }
 
 # qualified parameter -> why no call in src/ passes it
@@ -114,18 +113,51 @@ def test_the_module_import_graph_is_acyclic():
         done |= ready
 
 
+def _is_dataclass(node) -> bool:
+    """Whether the class is decorated with `@dataclass` or `@dataclass(...)`."""
+    return any(
+        getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _dataclass_fields(node, module):
+    """(qualified field, callee names, position) of every field with a
+    default of a dataclass, as for the parameters of its generated
+    `__init__`: the position is the field's index among the fields that
+    are parameters (an `init=False` field is none), and a keyword of a
+    `replace(...)` call passes the field too."""
+    out, position = [], 0
+    names = {node.name, f"cls@{node.name}", "replace"}
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        is_field = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        options = {k.arg: k.value for k in value.keywords} if is_field else {}
+        if getattr(options.get("init"), "value", True) is False:
+            continue
+        if value is not None and (not is_field or {"default", "default_factory"} & options.keys()):
+            out.append((f"{module}.{node.name}.{stmt.target.id}", names, position))
+        position += 1
+    return out
+
+
 def _defaulted(tree, module):
     """(qualified parameter, callee names, position) of every parameter
     with a default: the names a call may reach the function by, and the
     parameter's index among the positional arguments a call passes (None
     for a keyword-only one).  A method is reached through an attribute,
     `__init__` through its class's name or `cls(...)` in its class, and a
-    function through its bare name or an attribute."""
+    function through its bare name or an attribute.  The fields of a
+    dataclass with a default count as parameters (_dataclass_fields)."""
     out = []
 
     def walk(node, owner, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    out.extend(_dataclass_fields(child, module))
                 walk(child, child.name, child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
@@ -151,7 +183,9 @@ def _defaulted(tree, module):
 
 def _calls(tree):
     """(callee name, positional count, keywords, starred) of every call;
-    `cls(...)` inside class C is named `cls@C`."""
+    `cls(...)` inside class C is named `cls@C`.  `replace(obj, ...)`
+    (dataclasses.replace) passes fields by keyword only, so its positional
+    count is 0."""
     out = []
 
     def walk(node, cls):
@@ -164,7 +198,8 @@ def _calls(tree):
                 starred = any(isinstance(a, ast.Starred) for a in child.args) or any(
                     k.arg is None for k in child.keywords
                 )
-                out.append((name, len(child.args), {k.arg for k in child.keywords}, starred))
+                count = 0 if name == "replace" else len(child.args)
+                out.append((name, count, {k.arg for k in child.keywords}, starred))
             walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
 
     walk(tree, None)

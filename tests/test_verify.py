@@ -156,8 +156,9 @@ def test_scan_empties_the_search_cache(capsys):
     assert texts[0] == texts[1] and texts[0].startswith("[")
 
 
-def test_time_budget_yields_inconclusive_rows():
-    rows = scan_classes(5, VerifyConfig(scan_time_budget=0.0))
+def test_time_budget_yields_inconclusive_rows(monkeypatch):
+    monkeypatch.setattr(verify, "SCAN_TIME_BUDGET", 0.0)
+    rows = scan_classes(5)
     assert rows
     assert all(r.outcome in ("inconclusive", "exception-list") for r in rows)
 
