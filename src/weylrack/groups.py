@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from math import lcm
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -136,9 +135,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
@@ -700,6 +696,36 @@ class GroupContext:
 
     def __repr__(self) -> str:
         return f"{'B' if self.signed else 'S'}{self.n}"
+
+
+def prove_from_generators(size: int, image) -> None:
+    """Prove a fact of every index 0..size-1 from greedy generators.  g is
+    the first index that the orbit of the generators so far has not
+    reached; image(g) checks g and gives its map phi_g, an index array
+    over 0..size-1, or None to stop.  The orbit grows under the maps only
+    once a map is given, until it covers every index.  The work is one
+    image call per generator.
+
+    When the indices that pass are closed under phi_g for every g that
+    passes, every index passes once every generator does.  In a rack,
+    phi_{a |> b} = phi_a phi_b phi_a^-1 (Joyce 1982), so the a whose phi_a
+    has a property that phi_{a |> b} inherits form a subrack; in a finite
+    group under left multiplication, they form a subgroup."""
+    reached = np.zeros(size, dtype=bool)
+    maps = []  # phi_g, one row per generator g
+    while not reached.all():
+        g = int(np.argmin(reached))
+        phi = image(g)
+        if phi is None:
+            return
+        maps.append(phi)
+        # the new map acts on all of the orbit, the old maps on g alone
+        reached[g] = True
+        images = np.concatenate([phi[reached]] + [m[g : g + 1] for m in maps[:-1]])
+        while images.size:
+            fresh = np.flatnonzero(np.bincount(images[~reached[images]], minlength=size))
+            reached[fresh] = True
+            images = np.concatenate([m[fresh] for m in maps])
 
 
 def rand_int(rng, a: int, b: int) -> int:

@@ -226,8 +226,8 @@ def nichols_graded_dim(braiding: Braiding, max_degree: int) -> GradedDims:
 
 def _rack_grading(braiding: Braiding) -> tuple:
     """(phi, units) for an invertible c whose scalars q are rational
-    integers and which satisfies the braid equation: with every q_ab
-    non-zero, `check_braid_equation` then finds > a rack,
+    integers and which satisfies the braid equation: `check_braid_equation`
+    refuses any other c, and with every q_ab non-zero it proves > a rack,
     a > (b > c) = (a > b) > (a > c), and q a rack 2-cocycle,
     q(a, b>c) q(b, c) = q(a>b, a>c) q(a, c), on every basis triple; units
     is whether every q_ab is non-zero mod both primes of
@@ -235,7 +235,6 @@ def _rack_grading(braiding: Braiding) -> tuple:
     if braiding.norm is None:
         return None, False
     try:
-        braiding.check_invertible()
         braiding.check_braid_equation()
     except AssertionError:
         return None, False

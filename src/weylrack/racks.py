@@ -35,6 +35,7 @@ from .groups import (
     invert_rows,
     juxtapose_rows,
     perm_keys,
+    prove_from_generators,
     to_arrays,
 )
 
@@ -268,36 +269,6 @@ class CertificateCheck:
         return self.ok
 
 
-def _generators(rack: FiniteRack, U: np.ndarray):
-    """Yield (g, Z) for greedy generators g of the rack indices U, with
-    Z = g |> U from one op_rows call, until the orbit of the generators
-    under their maps phi_g covers U.  g is the first element of U not
-    reached yet; the orbit grows on the index maps only when the caller
-    asks for the next g, having accepted that Z lies in U.  The work is
-    |G| |U| conjugations, at worst |U|^2 on a trivial rack.
-
-    As phi_{a |> b} = phi_a phi_b phi_a^-1 (Joyce 1982), the a whose phi_a
-    has a property that phi_{a |> b} inherits from phi_a and phi_b form a
-    subrack: when every generator has it, so has the orbit, all of U.
-    verify_certificate and RackEpimorphism read their facts off this."""
-    at = np.zeros(rack.size, dtype=np.int64)  # rack index -> position in U
-    at[U] = np.arange(len(U))
-    reached = np.zeros(len(U), dtype=bool)
-    maps = []  # phi_g on U as positions in U, one row per generator g
-    while not reached.all():
-        k = int(np.argmin(reached))
-        ((_, Z),) = rack.op_rows(U[k : k + 1], U)
-        yield int(U[k]), Z[0]
-        maps.append(at[Z[0]])
-        # the new map acts on all of the orbit, the old maps on g alone
-        reached[k] = True
-        images = np.concatenate([maps[-1][reached]] + [m[k : k + 1] for m in maps[:-1]])
-        while images.size:
-            fresh = np.flatnonzero(np.bincount(images[~reached[images]], minlength=len(U)))
-            reached[fresh] = True
-            images = np.concatenate([m[fresh] for m in maps])
-
-
 def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateCheck:
     """Full check: nonemptiness, no repeated index, disjointness, subrack
     closure, cross closure, and sq(r, s) != s.  Once R and S are nonempty
@@ -305,12 +276,12 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
     are proved from generators, and a failure names one pair.
 
     Lemma.  Let H = {a : phi_a(R) = R and phi_a(S) = S}; it is closed
-    under |> (see _generators).  An injective map of a finite set that
-    maps R into R maps it onto R.  So if every generator g of R u S maps
-    R into R and S into S, R u S lies in H, which is all four conditions.
-    The lemma needs the rack axioms, which conjugation satisfies.  The
-    first map with an image on the wrong side, or outside R u S, names its
-    first such u."""
+    under |> (see `prove_from_generators`).  An injective map of a finite
+    set that maps R into R maps it onto R.  So if every generator g of
+    R u S maps R into R and S into S, R u S lies in H, which is all four
+    conditions.  The lemma needs the rack axioms, which conjugation
+    satisfies.  The first map with an image on the wrong side, or outside
+    R u S, names its first such u."""
     failures = []
     m, elems = rack.size, rack.elements
     if not cert.R or not cert.S:
@@ -329,16 +300,23 @@ def verify_certificate(rack: FiniteRack, cert: TypeDCertificate) -> CertificateC
     U = np.array([*cert.R, *cert.S], dtype=np.int64)
     side = np.full(m, -1, dtype=np.int8)
     side[U] = np.repeat([0, 1], [len(cert.R), len(cert.S)])
-    for g, Z in () if failures else _generators(rack, U):
-        bad = np.flatnonzero(side[Z] != side[U])
-        if bad.size:
-            u = int(U[bad[0]])
-            x, y, name = elems[g], elems[u], "RS"[side[u]]
-            if side[g] == side[u]:
-                failures.append(f"{name} not closed: {x} |> {y}")
-            else:
-                failures.append(f"cross closure fails: {x} |> {y} not in {name}")
-            break
+    at = np.zeros(m, dtype=np.int64)  # rack index -> position in U
+    at[U] = np.arange(len(U))
+
+    def image(k):
+        ((_, Z),) = rack.op_rows(U[k : k + 1], U)
+        bad = np.flatnonzero(side[Z[0]] != side[U])
+        if not bad.size:
+            return at[Z[0]]
+        g, u = int(U[k]), int(U[bad[0]])
+        x, y, name = elems[g], elems[u], "RS"[side[u]]
+        if side[g] == side[u]:
+            failures.append(f"{name} not closed: {x} |> {y}")
+        else:
+            failures.append(f"cross closure fails: {x} |> {y} not in {name}")
+
+    if not failures:
+        prove_from_generators(len(U), image)
     if cert.r not in cert.R:
         failures.append("r must lie in R")
     if cert.s not in cert.S:
@@ -752,7 +730,7 @@ class RackEpimorphism:
     `images[i]` is the target index of f of source element i; an array
     of another length, or with an index outside the target, is refused
     first.  Homomorphy, f(g |> y) = f(g) |> f(y), is checked for the
-    generators g of the source (_generators) and every y, as
+    generators g of the source (`prove_from_generators`) and every y, as
     images[g |> .] == f(g) |> images, and the first failing (g, y) is
     named.  That suffices: once a and b pass, f((a |> b) |> y) =
     f(a) |> (f(b) |> (f(a) |>^-1 f(y))) = (f(a) |> f(b)) |> f(y), so the
@@ -769,12 +747,18 @@ class RackEpimorphism:
             raise ValueError(f"image {images[k[0]]} of element {k[0]} is not in 0..{target.size - 1}")
         if not np.bincount(images, minlength=target.size).all():
             raise ValueError("the map is not surjective")
-        for g, Z in _generators(source, np.arange(source.size)):
+        every = np.arange(source.size)
+
+        def image(g):
+            ((_, Z),) = source.op_rows(every[g : g + 1], every)
             ((_, W),) = target.op_rows(images[g : g + 1], images)
-            bad = np.flatnonzero(images[Z] != W[0])
+            bad = np.flatnonzero(images[Z[0]] != W[0])
             if bad.size:
                 x, y = source.elements[g], source.elements[int(bad[0])]
                 raise ValueError(f"not a rack homomorphism at ({x}, {y})")
+            return Z[0]
+
+        prove_from_generators(source.size, image)
 
 
 def pullback_type_d(hom: RackEpimorphism, cert: TypeDCertificate) -> TypeDCertificate:

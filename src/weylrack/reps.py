@@ -10,63 +10,55 @@ the scalar q-values of a tensor-factor pair.
 
 from __future__ import annotations
 
-import random
 from math import gcd
 
 import numpy as np
 
 from .conjugacy import Centralizer
 from .cyclotomic import Cyclo
-from .groups import SignedPermutation, encode, mul_rows, rand_int
-
-FULL_CHECK_LIMIT = 10**4
+from .groups import SignedPermutation, encode, mul_rows, prove_from_generators
 
 
 class Character:
     """A character of the centralizer `cent`: `values[c]` is the Cyclo
     scalar of centralizer element c, in the centralizer's text order.
-    chi(1) = 1 and multiplicativity are checked on construction, on every
-    index pair when there are at most FULL_CHECK_LIMIT of them and on a
-    seeded sample beyond.
+    chi(1) = 1 and multiplicativity are checked on construction.  The g
+    with chi(g h) = chi(g) chi(h) for every h are closed under products,
+    so multiplicativity is proved on the pairs (g, h) with g a generator
+    (groups.prove_from_generators, g's map being h -> g h).
     """
 
-    def __init__(self, cent: Centralizer, values: list, check: bool = True):
+    def __init__(self, cent: Centralizer, values: list):
         self.cent = cent
         self.values = values
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
-        V, k = self.values, self.cent.size
-        if V[self.cent.find(self.cent.group.identity)] != 1:
+        V, cent = self.values, self.cent
+        if V[cent.find(cent.group.identity)] != 1:
             raise ValueError("chi(identity) is not 1")
-        if k * k <= FULL_CHECK_LIMIT:
-            G, H = np.divmod(np.arange(k * k), k)
-        else:
-            rng = random.Random(0)
-            G, H = np.array(
-                [(rand_int(rng, 0, k - 1), rand_int(rng, 0, k - 1)) for _ in range(FULL_CHECK_LIMIT)]
-            ).T
-        P, A = self.cent.P, self.cent.A
-        GH = self.cent.locate(encode(*mul_rows(P[G], A[G], P[H], A[H])))
-        outside = np.flatnonzero(GH < 0)
-        if outside.size:
-            g, h = int(G[outside[0]]), int(H[outside[0]])
-            raise ValueError(
-                f"product outside the centralizer at ({self.cent.element(g)}, {self.cent.element(h)})"
-            )
         # the few distinct values by index, each product of two of them
         # formed once: table[u, v] is the index of u v, -1 if none
         index = {}
         idx = np.array([index.setdefault(v, len(index)) for v in V])
         distinct = list(index)
         table = np.array([[index.get(u * v, -1) for v in distinct] for u in distinct])
-        bad = np.flatnonzero(idx[GH] != table[idx[G], idx[H]])
-        if bad.size:
-            g, h = int(G[bad[0]]), int(H[bad[0]])
-            raise ValueError(
-                f"not multiplicative at ({self.cent.element(g)}, {self.cent.element(h)})"
-            )
+        P, A = cent.P, cent.A
+
+        def image(g):
+            # g h for every h, as centralizer indices
+            GH = cent.locate(encode(*mul_rows(P[g : g + 1], A[g : g + 1], P, A)))
+            outside = np.flatnonzero(GH < 0)
+            if outside.size:
+                raise ValueError(
+                    f"product outside the centralizer at ({cent.element(g)}, {cent.element(int(outside[0]))})"
+                )
+            bad = np.flatnonzero(idx[GH] != table[idx[g], idx])
+            if bad.size:
+                raise ValueError(f"not multiplicative at ({cent.element(g)}, {cent.element(int(bad[0]))})")
+            return GH
+
+        prove_from_generators(cent.size, image)
 
     def __call__(self, g: SignedPermutation) -> Cyclo:
         c = self.cent.find(g)
@@ -75,9 +67,9 @@ class Character:
         return self.values[c]
 
 
-def char_from_function(cent: Centralizer, fn, check: bool = True) -> Character:
+def char_from_function(cent: Centralizer, fn) -> Character:
     """The character with a value function on the centralizer."""
-    return Character(cent, [Cyclo.coerce(fn(g)) for g in cent.elements], check=check)
+    return Character(cent, [Cyclo.coerce(fn(g)) for g in cent.elements])
 
 
 def char_rep(cent: Centralizer, assignment: dict) -> Character:
@@ -119,7 +111,7 @@ def char_rep(cent: Centralizer, assignment: dict) -> Character:
 
 
 def trivial_rep(cent: Centralizer) -> Character:
-    return char_from_function(cent, lambda g: 1, check=False)
+    return char_from_function(cent, lambda g: 1)
 
 
 def chi_sgn_sgn(cent: Centralizer) -> Character:

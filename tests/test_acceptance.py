@@ -101,9 +101,9 @@ def test_criterion_6_structural_suites():
         for char in (chi_sgn_sgn, chi_eps_sgn):
             chi = char(cs.centralizer)
             yd = build_yd_module(cs, chi)
-            yd.check_yd_compatibility(sample=None)
+            yd.check_yd_compatibility()
             braiding = yd.braiding()
-            braiding.check_braid_equation(sample=None)
+            braiding.check_braid_equation()
             braiding.check_invertible()
             arrow = ArrowYDModule(cs, chi)
             assert psi_isomorphism_check(yd, arrow)

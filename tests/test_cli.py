@@ -6,6 +6,7 @@ import time
 import pytest
 
 from weylrack.cli import main
+from weylrack.ydmodule import Braiding, YDModule
 
 
 def run(tmp_path, *argv):
@@ -365,6 +366,23 @@ def test_braiding_output(tmp_path):
     assert payload["monomial"]
     assert payload["braid_equation"] == "verified"
     assert len(payload["terms"]) == 9
+
+
+def test_braiding_refuses_a_wrong_braiding_of_the_b5_three_cycles(tmp_path, monkeypatch):
+    # the B_5 3-cycles (D = 80) with q[0, 3] negated do not braid; the
+    # command must name a failing triple rather than print "verified"
+    braiding = YDModule.braiding
+
+    def flipped(self):
+        c = braiding(self)
+        q = c.q.copy()
+        q[0, 3] *= -1
+        return Braiding(c.phi, q)
+
+    monkeypatch.setattr(YDModule, "braiding", flipped)
+    with pytest.raises(AssertionError, match=r"braid equation fails on basis \(0, 1, 3\)"):
+        run(tmp_path, "braiding", "--group", "bn", "--n", "5", "--element", "00000;(1 2 3)")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -4,13 +4,13 @@ admissibility filter."""
 import random
 import re
 
+import numpy as np
 import pytest
 
 from weylrack.conjugacy import ConjugacyClass, transposition_preset
-from weylrack.cyclotomic import Cyclo
-from weylrack.groups import Bn, Sn, SignedPermutation
+from weylrack.cyclotomic import Cyclo, integer_value
+from weylrack.groups import Bn, Sn, SignedPermutation, encode, mul_rows
 from weylrack.reps import (
-    FULL_CHECK_LIMIT,
     Character,
     char_from_function,
     char_rep,
@@ -20,6 +20,7 @@ from weylrack.reps import (
     tensor_case_admitted,
     trivial_rep,
 )
+from weylrack.verify import _class_representatives
 
 
 def cent_of(text, n, signed=False):
@@ -63,10 +64,8 @@ def test_char_from_function_rejects_non_multiplicative():
     cent = cent_of("000;(1 2 3)", 3)  # cyclic of order 3
     with pytest.raises(ValueError):
         char_from_function(cent, lambda g: -1 if g.perm(0) == 1 else 1)
-    # past FULL_CHECK_LIMIT pairs the check samples: S_5 has 14400 pairs,
-    # and -1 on (1 2) alone breaks 2.5% of them
+    # S_5 has 14400 pairs; -1 on (1 2) alone breaks 2.5% of them
     S5 = cent_of("00000;()", 5)
-    assert S5.size ** 2 > FULL_CHECK_LIMIT
     t12 = SignedPermutation.parse("00000;(1 2)")
     with pytest.raises(ValueError, match="not multiplicative"):
         char_from_function(S5, lambda g: -1 if g == t12 else 1)
@@ -75,28 +74,41 @@ def test_char_from_function_rejects_non_multiplicative():
 
 def first_broken_pair(cent, fn):
     """The pair a character with values fn breaks first, found as the
-    check first found it: pair by pair, every pair in order up to
-    FULL_CHECK_LIMIT and the pairs of randrange draws from Random(0)
-    beyond, each product multiplied out on objects."""
-    k = cent.size
-    if k * k <= FULL_CHECK_LIMIT:
-        pairs = [divmod(p, k) for p in range(k * k)]
-    else:
-        rng = random.Random(0)
-        pairs = [(rng.randrange(k), rng.randrange(k)) for _ in range(FULL_CHECK_LIMIT)]
-    for at, (g, h) in enumerate(pairs):
-        x, y = cent.element(g), cent.element(h)
-        if fn(x * y) != fn(x) * fn(y):
-            return at, x, y
+    check first finds it, each product multiplied out on objects: the
+    pairs (g, h) with h in order and g over the greedy generators, each
+    the first element outside the subgroup that those before it
+    generate; the position of the pair in that order with it."""
+    elements, gens, generated, at = list(cent.elements), [], set(), 0
+    for g in elements:
+        if g in generated:
+            continue
+        for h in elements:
+            if fn(g * h) != fn(g) * fn(h):
+                return at, g, h
+            at += 1
+        # the products of the generators, each multiplied on the left
+        gens.append(g)
+        generated.add(g)
+        grow = list(generated)
+        while grow:
+            v = grow.pop()
+            for w in (x * v for x in gens):
+                if w not in generated:
+                    generated.add(w)
+                    grow.append(w)
     return None
+
+
+def all_pairs_broken(cent, fn):
+    """Whether some pair (g, h) has fn(g h) != fn(g) fn(h), over every pair."""
+    elements = list(cent.elements)
+    return any(fn(g * h) != fn(g) * fn(h) for g in elements for h in elements)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_a_non_multiplicative_character_names_the_first_broken_pair(n):
-    # the centralizer of (1 2) in S_n has 12, 48 and 240 elements: its
-    # pairs are all checked for n = 5 and 6 and sampled for n = 7
+    # the centralizer of (1 2) in S_n has 12, 48 and 240 elements
     cent = cent_of("0" * n + ";(1 2)", n)
-    assert (cent.size**2 > FULL_CHECK_LIMIT) == (n == 7)
 
     def fn(g):  # -1 where 3 goes to 4
         return -1 if g.perm(2) == 3 else 1
@@ -105,6 +117,75 @@ def test_a_non_multiplicative_character_names_the_first_broken_pair(n):
     assert at > 0
     with pytest.raises(ValueError, match=re.escape(f"not multiplicative at ({x}, {y})")):
         char_from_function(cent, fn)
+
+
+def test_a_table_broken_on_a_large_group_is_refused():
+    # B_6 is the centralizer of its identity: 46080 elements, 2.1e9 pairs,
+    # far past any all-pairs check; the sign character with its value at
+    # index 3 negated is not a character
+    cent = cent_of("000000;()", 6, signed=True)
+    values = list(chi_sgn_sgn(cent).values)
+    assert cent.element(3).format() == "000000;(1 2 3 4 6 5)"
+    values[3] = -values[3]
+    pair = "(000000;(1 2 3 4 5 6), 000000;(1 2 3 4 6 5))"
+    with pytest.raises(ValueError, match=re.escape(f"not multiplicative at {pair}")):
+        Character(cent, values)
+
+
+VALUE_FUNCTIONS = {
+    "sgn-sgn": lambda g: g.perm.sign(),
+    "eps-sgn": lambda g: -1 if g.perm(0) == 1 else 1,
+}
+
+
+def every_centralizer():
+    """The centralizer of every class of S_2..S_5 and B_2..B_4."""
+    return [
+        ConjugacyClass(G, rep).centralizer()
+        for n, G in [(n, Sn(n)) for n in range(2, 6)] + [(n, Bn(n)) for n in range(2, 5)]
+        for rep in _class_representatives(n)
+        if G.signed or not any(rep.sign)
+    ]
+
+
+def broken_pairs(cent, values) -> np.ndarray:
+    """The flat index g k + h of every pair (g, h) with
+    chi(g h) != chi(g) chi(h), over all k^2 pairs at once."""
+    k = cent.size
+    G, H = np.divmod(np.arange(k * k), k)
+    GH = cent.locate(encode(*mul_rows(cent.P[G], cent.A[G], cent.P[H], cent.A[H])))
+    assert (GH >= 0).all()
+    V = np.array([integer_value(Cyclo.coerce(v)) for v in values])
+    return np.flatnonzero(V[GH] != V[G] * V[H])
+
+
+@pytest.mark.parametrize("name", list(VALUE_FUNCTIONS))
+def test_the_generator_proof_matches_the_all_pairs_check(name):
+    # each table as it is and with one seeded value negated: accepted
+    # exactly when no pair breaks, and a refusal names a broken pair
+    rng = random.Random(5)
+    verdicts = []
+    for cent in every_centralizer():
+        values = [VALUE_FUNCTIONS[name](g) for g in cent.elements]
+        negated = list(values)
+        negated[rng.randrange(cent.size)] *= -1
+        for V in (values, negated):
+            broken = broken_pairs(cent, V)
+            try:
+                Character(cent, [Cyclo.coerce(v) for v in V])
+            except ValueError as err:
+                verdicts.append(False)
+                found = re.fullmatch(r"not multiplicative at \((.*), (.*)\)", str(err))
+                if found:
+                    g, h = (cent.find(SignedPermutation.parse(x)) for x in found.groups())
+                    assert g * cent.size + h in broken
+                else:
+                    assert str(err) == "chi(identity) is not 1"
+                assert broken.size
+            else:
+                verdicts.append(True)
+                assert not broken.size
+    assert True in verdicts and False in verdicts
 
 
 def test_a_product_outside_the_centralizer_is_refused(monkeypatch):

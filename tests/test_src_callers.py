@@ -5,7 +5,8 @@ that happens to match it.  Likewise every parameter with a default, and
 every dataclass field with one, is passed by some call in `src/`: an
 option that only tests set belongs in the tests.  The few exceptions are listed with their reasons.  The
 modules import one another at module level only, and never in a cycle:
-each layer stands on the ones below it."""
+each layer stands on the ones below it.  Only the modules whose sampled
+checks are argued for import `random`."""
 
 import ast
 import os
@@ -221,3 +222,17 @@ def test_every_default_parameter_is_passed_by_a_call_in_src():
         )
     }
     assert never == set(DEFAULT_NOT_PASSED_IN_SRC)
+
+
+def test_only_the_sampling_modules_import_random():
+    # a seeded sample stands in for a proof only where it is argued for:
+    # the lemma checks, the randomized certificate search and the Yetter-
+    # Drinfeld compatibility check past 2000 group elements
+    importers = {
+        module
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "random"
+    }
+    assert importers == {"racks", "verify", "ydmodule"}

@@ -19,11 +19,11 @@ from weylrack.groups import (
     SignedPermutation,
     encode,
     mul_rows,
-    rand_int,
     to_arrays,
 )
 from weylrack.racks import FiniteRack
 from weylrack.reps import char_rep, chi_eps_sgn, chi_sgn_sgn, trivial_rep
+from weylrack.verify import _class_representatives
 from weylrack.ydmodule import (
     BRAIDING_PAIR_BYTES,
     ArrowYDModule,
@@ -64,14 +64,14 @@ def test_compatibility_and_action_exhaustive_small():
     for n in (3, 4):
         for char in (chi_sgn_sgn, chi_eps_sgn):
             yd, cs, _ = yd_transpositions(n, char)
-            yd.check_yd_compatibility(sample=None)  # exhaustive over the group
+            yd.check_yd_compatibility()  # exhaustive over the group
         check_cocycle_identity(cs, sample=60)
 
 
 def test_compatibility_signed_class():
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
     yd = build_yd_module(cls.coset_system(), trivial_rep(cls.centralizer()))
-    yd.check_yd_compatibility(sample=None)
+    yd.check_yd_compatibility()
     check_cocycle_identity(yd.cosets, sample=40)
 
 
@@ -92,16 +92,8 @@ def test_braid_equation_exhaustive():
         yd, _, _ = yd_transpositions(3, char)
         c = yd.braiding()
         assert c.D == 3
-        c.check_braid_equation(sample=None)  # all 27 basis triples
+        c.check_braid_equation()
         c.check_invertible()
-
-
-def test_braid_equation_sampled_s4():
-    yd, _, _ = yd_transpositions(4, chi_sgn_sgn)
-    c = yd.braiding()
-    assert c.D == 6
-    c.check_braid_equation(sample=40)
-    c.check_invertible()
 
 
 def test_braid_equation_names_the_failing_triple():
@@ -113,8 +105,6 @@ def test_braid_equation_names_the_failing_triple():
     bad = Braiding(c.phi, q)
     with pytest.raises(AssertionError, match=r"fails on basis \(0, 2, 0\)"):
         bad.check_braid_equation()
-    with pytest.raises(AssertionError, match=r"fails on basis \(1, 2, 1\)"):
-        bad.check_braid_equation(sample=200)
     # the same flip written as zeta_2 is not an int: the check runs on objects
     q = c.q.astype(object)
     q[0, 1] *= Cyclo.zeta(2)
@@ -161,7 +151,6 @@ def test_braid_equation_holds_for_diagonal_braidings():
     for q in (lambda a, b: -1, lambda a, b: 2**40 + a, lambda a, b: z ** (a + 2 * b)):
         c = Braiding([[0, 1, 2]] * 3, [[q(a, b) for b in range(3)] for a in range(3)])
         c.check_braid_equation()
-        c.check_braid_equation(sample=50)
 
 
 def braid_oracle(c, triples):
@@ -212,11 +201,12 @@ def preset(n, char=chi_sgn_sgn):
 
 BRAID_CASES = {
     # q_00 = q_01 = 0 kills both sides of every triple where the rack law
-    # fails (q_ab is a factor of each): L = R = 0 there, and c braids
-    "zero-q": (lambda: Braiding(NOT_A_RACK, [[0, 0, 1], [1, 1, 1], [1, 1, 1]]), None),
+    # fails (q_ab is a factor of each), so c braids, but it is not
+    # invertible, which the check asks first
+    "zero-q": (lambda: Braiding(NOT_A_RACK, [[0, 0, 1], [1, 1, 1], [1, 1, 1]]), "not invertible"),
     "not-self-distributive": (lambda: Braiding(NOT_A_RACK, [[1] * 3] * 3), "fails"),
     "off-the-cocycle": (lambda: flipped(preset(4, chi_eps_sgn), (2, 3)), "fails"),
-    # every q times 2^40, whose cube is past the int64 guard: the check
+    # every q times 2^40, whose square is past the int64 guard: the check
     # runs on Python ints
     "big-ints": (lambda: scaled(preset(3)), None),
     "big-ints-off-the-cocycle": (lambda: flipped(scaled(preset(3)), (1, 2)), "fails"),
@@ -227,27 +217,63 @@ BRAID_CASES = {
 }
 
 
-@pytest.mark.parametrize("sample", [None, 30])
 @pytest.mark.parametrize("case", list(BRAID_CASES))
-def test_braid_check_matches_the_per_triple_oracle(case, sample):
+def test_braid_check_matches_the_per_triple_oracle(case):
     # the verdict and the named triple of `check_braid_equation` against
-    # both sides evaluated per triple, over the same triples in the same
-    # order: all of them, or the sampled draws
+    # both sides evaluated per triple, over all triples in order
     make, verdict = BRAID_CASES[case]
     c = make()
-    if sample is None:
-        triples = list(product(range(c.D), repeat=3))
-    else:
-        rng = random.Random(0)
-        triples = [tuple(rand_int(rng, 0, c.D - 1) for _ in range(3)) for _ in range(sample)]
-    first = braid_oracle(c, triples)
-    if sample is None:
-        assert (first is not None) == (verdict == "fails")
+    first = braid_oracle(c, product(range(c.D), repeat=3))
+    if verdict == "not invertible":
+        assert first is None
+        with pytest.raises(AssertionError, match="not invertible"):
+            c.check_braid_equation()
+        return
+    assert (first is not None) == (verdict == "fails")
     if first is None:
-        c.check_braid_equation(sample=sample)
+        c.check_braid_equation()
     else:
         with pytest.raises(AssertionError, match=re.escape(f"fails on basis {first}")):
-            c.check_braid_equation(sample=sample)
+            c.check_braid_equation()
+
+
+def oracle_cases():
+    """(name, braiding) for the S_3 and S_4 transposition presets with
+    both characters and for every class of B_3 with the sign character,
+    each as built, with one q negated at each of three seeded pairs, and
+    with q negated at the least pair (x, y), x > 0, that phi_0 fixes: the
+    slice a = 0 cannot see that one, so only later generators refuse it."""
+    built = [(f"S{n} {char.__name__}", preset(n, char)) for n in (3, 4) for char in (chi_sgn_sgn, chi_eps_sgn)]
+    for rep in _class_representatives(3):
+        cls = ConjugacyClass(Bn(3), rep)
+        built.append((rep.format(), build_yd_module(cls.coset_system(), chi_sgn_sgn(cls.centralizer())).braiding()))
+    rng = random.Random(4)
+    for name, c in built:
+        yield name, c
+        for _ in range(3):
+            pair = (rng.randrange(c.D), rng.randrange(c.D))
+            yield f"{name} q{pair} negated", flipped(c, pair)
+        fixed = np.flatnonzero(c.phi[0] == np.arange(c.D))
+        if fixed[-1] > 0:
+            pair = (int(fixed[fixed > 0][0]), int(fixed[0]))
+            yield f"{name} q{pair} negated", flipped(c, pair)
+
+
+def test_braid_proof_matches_the_oracle_on_all_triples():
+    # the proof from generators against the per-triple oracle on all D^3
+    # triples: the same verdict, and a refusal names a triple that fails
+    verdicts = []
+    for name, c in oracle_cases():
+        first = braid_oracle(c, product(range(c.D), repeat=3))
+        verdicts.append(first is None)
+        if first is None:
+            c.check_braid_equation()
+            continue
+        with pytest.raises(AssertionError, match="braid equation fails") as err:
+            c.check_braid_equation()
+        named = tuple(map(int, re.findall(r"\d+", str(err.value))))
+        assert braid_oracle(c, [named]) == named, name
+    assert True in verdicts and False in verdicts
 
 
 def test_check_invertible_refuses_singular_braidings():
@@ -334,7 +360,7 @@ def test_compatibility_names_the_first_failing_h(monkeypatch):
 
     monkeypatch.setattr(cs, "zeta", corrupted)
     with pytest.raises(AssertionError, match=re.escape(f"fails at h={elems[5]}, class index 2")):
-        yd.check_yd_compatibility(sample=None)
+        yd.check_yd_compatibility()
 
 
 def test_braiding_over_the_memory_budget_is_refused_before_it_is_built(monkeypatch):
