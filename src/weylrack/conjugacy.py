@@ -24,6 +24,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .groups import (
+    MAX_CLASS_SIZE,
     MAX_KEY_DEGREE,
     BudgetExceeded,
     GroupContext,
@@ -44,11 +45,6 @@ from .groups import (
     to_arrays,
 )
 
-
-# The largest class enumerated: the 8-cycle classes of B_8 have
-# 2^8 8! / 16 = 645120 elements.  Larger classes are refused before any
-# allocation.
-MAX_CLASS_SIZE = 645120
 
 # rows per block: the products g_0 c per text_order call in
 # _least_coset_reps, and the rows a class build writes per flat index

@@ -13,8 +13,8 @@ the text format and cycle notation are 1-based.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
+from math import factorial, lcm
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -136,9 +136,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def sign(self) -> int:
-        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -242,12 +239,8 @@ class SignedPermutation:
         return SignedPermutation(c, newperm, check=False)
 
     def order(self) -> int:
-        k, x = 1, self
-        ident = SignedPermutation.identity(len(self.sign))
-        while x != ident:
-            x = x * self
-            k += 1
-        return k
+        """A cycle of length l has order l, or 2l when it is negative."""
+        return lcm(*(length << p for length, p in self.signed_cycle_type()))
 
     def is_identity(self) -> bool:
         return not any(self.sign) and self.perm.is_identity()
@@ -332,6 +325,10 @@ def cycle_lengths(images) -> set:
 # encode() needs n^n * 2^n < 2^63
 MAX_KEY_DEGREE = 13
 
+# the largest class, centralizer or group enumerated, as the 8-cycle classes
+# of B_8 and B_7 itself; larger ones are refused before any allocation
+MAX_CLASS_SIZE = 645120
+
 # rows per key matmul: NumPy casts the block's int8 rows to int64 for it
 KEY_BLOCK = 1 << 12
 
@@ -388,6 +385,15 @@ def compose_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if len(Q) == 1:
         return P[:, Q[0]]
     return np.ravel(P)[Q + _row_offsets(*P.shape)]
+
+
+def sign_rows(P: np.ndarray) -> np.ndarray:
+    """The sign of each row's permutation, 1 or -1: the parity of its
+    inversions, counted a column at a time, in memory linear in the rows."""
+    inversions = np.zeros(len(P), dtype=np.int64)
+    for j in range(1, P.shape[1]):
+        inversions += np.count_nonzero(P[:, :j] > P[:, j : j + 1], axis=1)
+    return 1 - 2 * (inversions & 1)
 
 
 def act_rows(P: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -604,15 +610,11 @@ class GroupContext:
     one of these contexts; mixed-degree operations fail loudly.
     """
 
-    # Hard enumeration cap: 2^10 * 10! elements.
-    MAX_ORDER = (1 << 10) * 3628800
-
     def __init__(self, n: int, signed: bool):
         if n < 1:
             raise ValueError("degree must be positive")
         self.n = n
         self.signed = signed
-        self._elements = None
         # random_row's constants: each Fisher-Yates position with the bit
         # width of its draw, and the points it shuffles
         self._swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
@@ -620,32 +622,33 @@ class GroupContext:
 
     @property
     def order(self) -> int:
-        fact = 1
-        for k in range(2, self.n + 1):
-            fact *= k
-        return (1 << self.n) * fact if self.signed else fact
+        return factorial(self.n) << (self.n if self.signed else 0)
 
     @property
     def identity(self) -> SignedPermutation:
         return SignedPermutation.identity(self.n)
 
+    def rows(self) -> tuple:
+        """(P, A) of every element in closed form: the sign vectors in
+        itertools.product order, each with every permutation in
+        itertools.permutations (lexicographic) order.  A group over
+        MAX_CLASS_SIZE is refused before anything is built."""
+        if self.order > MAX_CLASS_SIZE:
+            raise BudgetExceeded(
+                f"group of order {self.order} exceeds the enumeration cap of {MAX_CLASS_SIZE}"
+            )
+        # the permutations of k points: each first point f, then those of
+        # k - 1 points with the values from f up raised by one
+        perms = np.zeros((1, 0), dtype=np.int8)
+        for k in range(1, self.n + 1):
+            perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, 1) for f in range(k)])
+        bits = np.arange(self.n - 1, -1, -1)  # a_1 most significant
+        signs = (np.arange(1 << self.n if self.signed else 1)[:, None] >> bits & 1).astype(np.int8)
+        return np.tile(perms, (len(signs), 1)), np.repeat(signs, len(perms), axis=0)
+
     def elements(self) -> list:
-        """The full element list (cached).  Refuses beyond the budget cap."""
-        if self._elements is None:
-            if self.order > self.MAX_ORDER:
-                raise BudgetExceeded(
-                    f"group of order {self.order} exceeds the enumeration cap"
-                )
-            perms = [Permutation(p) for p in itertools.permutations(range(self.n))]
-            if self.signed:
-                self._elements = [
-                    SignedPermutation(s, p)
-                    for s in itertools.product((0, 1), repeat=self.n)
-                    for p in perms
-                ]
-            else:
-                self._elements = [SignedPermutation.from_perm(p) for p in perms]
-        return self._elements
+        """Every element as a SignedPermutation, in the order of `rows`."""
+        return from_arrays(*self.rows())
 
     def __contains__(self, x: SignedPermutation) -> bool:
         if not isinstance(x, SignedPermutation) or x.n != self.n:

@@ -278,8 +278,14 @@ def nc_groebner(pres: NCPresentation, cap: int) -> GroebnerBasis:
     relations = defaultdict(list)  # by degree
     for r in pres.relations:
         relations[len(next(iter(r)))].append({_encode(m, bits): v for m, v in r.items()})
+    top = max(relations, default=0)
     index, rules, begins = {}, {}, {}
     for d in range(1, cap + 1):
+        # an overlap w = lf v = u lg has |w| <= |lf| + |lg| - 1, so no pass
+        # past the top relation and twice the longest lead less one adds
+        longest = max((L for L, leads in index.items() if leads), default=0)
+        if d > max(top, 2 * longest - 1):
+            break
         index[d], rules[d], begins[d] = {}, {}, set()
         lengths = [L for L in index if index[L] or L == d]
         plan = [  # `rest` letters from the position to the end

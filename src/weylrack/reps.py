@@ -3,9 +3,9 @@ scalars.
 
 A character is indexed like its centralizer: value c is the scalar of
 centralizer element c (the centralizers that occur here are small).
-Constructors: characters from a value function or a generator
-assignment.  The finiteness filter applies the necessary conditions on
-the scalar q-values of a tensor-factor pair.
+Constructors: characters from the values of the centralizer's rows or
+a generator assignment.  The finiteness filter applies the necessary
+conditions on the scalar q-values of a tensor-factor pair.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .conjugacy import Centralizer
 from .cyclotomic import Cyclo
-from .groups import SignedPermutation, encode, mul_rows, prove_from_generators
+from .groups import SignedPermutation, encode, mul_rows, prove_from_generators, sign_rows
 
 
 class Character:
@@ -68,8 +68,11 @@ class Character:
 
 
 def char_from_function(cent: Centralizer, fn) -> Character:
-    """The character with a value function on the centralizer."""
-    return Character(cent, [Cyclo.coerce(fn(g)) for g in cent.elements])
+    """The character with the values fn(P, A) of the centralizer's rows,
+    one Cyclo for each distinct value."""
+    values = np.asarray(fn(cent.P, cent.A)).tolist()
+    shared = {v: Cyclo.coerce(v) for v in set(values)}
+    return Character(cent, [shared[v] for v in values])
 
 
 def char_rep(cent: Centralizer, assignment: dict) -> Character:
@@ -104,19 +107,17 @@ def char_rep(cent: Centralizer, assignment: dict) -> Character:
                 nxt.append(y)
         frontier = nxt
     if len(values) != cent.order:
-        raise ValueError(
-            f"assignment generates only {len(values)} of {cent.order} elements"
-        )
+        raise ValueError(f"assignment generates only {len(values)} of {cent.order} elements")
     return Character(cent, [values[c] for c in range(cent.size)])
 
 
 def trivial_rep(cent: Centralizer) -> Character:
-    return char_from_function(cent, lambda g: 1)
+    return char_from_function(cent, lambda P, A: np.ones(len(P), dtype=np.int64))
 
 
 def chi_sgn_sgn(cent: Centralizer) -> Character:
     """The global sign character: g maps to sgn of its permutation part."""
-    return char_from_function(cent, lambda g: g.perm.sign())
+    return char_from_function(cent, lambda P, A: sign_rows(P))
 
 
 def chi_eps_sgn(cent: Centralizer) -> Character:
@@ -125,7 +126,7 @@ def chi_eps_sgn(cent: Centralizer) -> Character:
     On the centralizer of (1 2) in S_n, i.e. <(1 2)> x S_{3..n}, this is
     trivial on the second factor and the sign on the first.
     """
-    return char_from_function(cent, lambda g: -1 if g.perm(0) == 1 else 1)
+    return char_from_function(cent, lambda P, A: np.where(P[:, 0] == 1, -1, 1))
 
 
 # -- finiteness necessary conditions --------------------------------------
@@ -160,19 +161,9 @@ def finiteness_filter(
     # known classification of the positive (2,2) class: q = -1 already
     # gives an infinite-dimensional Nichols algebra on that factor alone,
     # so a finite-dimensional restriction (q2 = 1 path) is impossible
-    if (
-        q2 == 1
-        and q1 == -1
-        and not any(x.sign)
-        and x.perm.cycle_type() == (2, 2)
-    ):
+    if q2 == 1 and q1 == -1 and not any(x.sign) and x.perm.cycle_type() == (2, 2):
         fired.append("positive (2,2) factor with q=-1 is classified infinite")
-    if (
-        q1 == 1
-        and q2 == -1
-        and not any(y.sign)
-        and y.perm.cycle_type() == (2, 2)
-    ):
+    if q1 == 1 and q2 == -1 and not any(y.sign) and y.perm.cycle_type() == (2, 2):
         fired.append("positive (2,2) factor with q=-1 is classified infinite")
     return {
         "verdict": "violates" if fired else "consistent",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugacy import (
+    BLOCK_PRODUCTS,
     ConjugacyClass,
     centralizer_factorization,
     check_class_budget,
@@ -233,8 +234,8 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
         fixes[c] = sq_fixes_second(P[c], A[c], Q[c], B[c]) != fixed
         return [_differ(*sq_signed(P, A, Q, B), *direct), commuting, fixes]
 
-    # blocks of 4, 16, 64, ... samples: a failing run, such as the negative
-    # control's, stops soon after its first failure, as a sample loop does
+    # blocks of 4, 16, 64, ... samples, at most BLOCK_PRODUCTS: a failing run,
+    # such as the negative control's, stops soon after its first failure
     signed = {n: Bn(n) for n in range(2, MAX_N + 1)}
     failure, start, block = None, 0, 4
     while failure is None and start < cfg.samples:
@@ -250,7 +251,7 @@ def check_square_closed_forms(cfg: VerifyConfig) -> tuple:
                     mu = [tau[j] for j in mu]
             _record(draws, n, i, tau, a, mu, b)
         failure = _earliest_failure(draws, laws)
-        start, block = start + block, 4 * block
+        start, block = start + block, min(4 * block, BLOCK_PRODUCTS)
     if failure is not None:
         law, row, (P, A, Q, B) = failure
         x, y = _element(P, A, row), _element(Q, B, row)

@@ -25,6 +25,7 @@ from .groups import (
     SignedPermutation,
     conjugate_pairs,
     encode,
+    from_arrays,
     prove_from_generators,
     to_arrays,
 )
@@ -65,17 +66,18 @@ class YDModule:
         cocycle call for all pairs (h, i), failing at the first in order."""
         group, cls = self.cls.group, self.cls
         if sample is None:
-            elems = group.elements()
+            P, A = group.rows()
         else:
             rng = random.Random(0)
-            elems = [group.random_element(rng) for _ in range(sample)]
-        HP, HA = (np.repeat(X, self.m, axis=0) for X in to_arrays(elems, group.n))
-        I = np.tile(np.arange(self.m), len(elems))
+            P, A = to_arrays([group.random_element(rng) for _ in range(sample)], group.n)
+        HP, HA = (np.repeat(X, self.m, axis=0) for X in (P, A))
+        I = np.tile(np.arange(self.m), len(P))
         J, _ = self.cosets.zeta(I, HP, HA)
         bad = np.flatnonzero(cls.keys[J] != encode(*conjugate_pairs(HP, HA, cls.P[I], cls.A[I])))
         if bad.size:
             h, i = divmod(int(bad[0]), self.m)
-            raise AssertionError(f"YD compatibility fails at h={elems[h]}, class index {i}")
+            h = from_arrays(P[h : h + 1], A[h : h + 1])[0]
+            raise AssertionError(f"YD compatibility fails at h={h}, class index {i}")
 
     def braiding(self) -> "Braiding":
         """c(x_i (x) x_j) = chi(gamma) x_{i |> j} (x) x_i, where
@@ -278,7 +280,7 @@ def psi_isomorphism_check(yd: YDModule, arrow: ArrowYDModule) -> PsiCheckResult:
     group = yd.cls.group
     elements = group.elements()
     # one cocycle call for all pairs (h, i), h major
-    HP, HA = (np.repeat(X, yd.m, axis=0) for X in to_arrays(elements, group.n))
+    HP, HA = (np.repeat(X, yd.m, axis=0) for X in group.rows())
     pairs = yd.cosets.zeta(np.tile(np.arange(yd.m), len(elements)), HP, HA)
     J, C = (X.reshape(-1, yd.m).tolist() for X in pairs)
     for k, h in enumerate(elements):

@@ -109,3 +109,21 @@ def test_tracer_counts_the_graded_layers():
     assert json.loads(proc.stdout) == {
         "nichols.symmetrizer_columns": 69, "nichols.symmetrizer_nnz": 166,
         "ncalg.normal_form_calls": 125, "ncalg.basis_size": 25}
+
+
+OBJECTS = SCRIPT + """
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()):
+    assert weylrack.cli.main({argv!r}) == 0
+print(tracer.counts["groups.signed_perm_new"])
+"""
+
+
+def test_a_nichols_command_builds_no_object_per_element():
+    # the class, its centralizer, the characters, the module's check and
+    # the braiding all run on rows: the two objects are the parsed
+    # element and the identity the character check looks up
+    argv = ["nichols-dim", "--group", "bn", "--n", "4", "--element", "0000;(1 2)", "--max-degree", "2"]
+    proc = _run(OBJECTS.format(argv=argv))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 2

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from weylrack.groups import (
     Bn,
     BudgetExceeded,
+    MAX_CLASS_SIZE,
     GroupContext,
     Permutation,
     Sn,
@@ -207,6 +208,30 @@ def test_group_context_enumeration_and_order():
     assert len(Sn(4).elements()) == 24
     with pytest.raises(BudgetExceeded):
         GroupContext(12, signed=True).elements()
+
+
+def object_enumeration(G):
+    """The elements as objects: sign vectors in itertools.product order,
+    each with every permutation in itertools.permutations order."""
+    perms = [Permutation(p) for p in itertools.permutations(range(G.n))]
+    signs = itertools.product((0, 1), repeat=G.n) if G.signed else [(0,) * G.n]
+    return [SignedPermutation(s, p) for s in signs for p in perms]
+
+
+@pytest.mark.parametrize("G", [Sn(n) for n in range(1, 7)] + [Bn(n) for n in range(1, 5)], ids=repr)
+def test_group_rows_match_the_object_enumeration(G):
+    P, A = G.rows()
+    assert P.dtype == A.dtype == np.int8
+    expect = object_enumeration(G)
+    assert from_arrays(P, A) == expect
+    assert G.elements() == expect
+
+
+def test_group_enumeration_is_capped_before_anything_is_built():
+    # B_7 has exactly MAX_CLASS_SIZE elements; B_8 has 10321920
+    assert Bn(7).order == MAX_CLASS_SIZE
+    with pytest.raises(BudgetExceeded, match=f"order 10321920 exceeds the enumeration cap of {MAX_CLASS_SIZE}"):
+        Bn(8).rows()
 
 
 def test_membership_and_parse_validation():

@@ -596,6 +596,28 @@ def test_s_polynomials_read_off_the_rules_are_f_v_minus_u_g(monkeypatch, name):
     assert seen["spolys"] == expected
 
 
+def test_the_completion_ends_once_no_overlap_can_reach_the_next_degree(monkeypatch):
+    # FK_3's basis is complete with leads of length at most L = 3; past
+    # degree 2L - 1 no overlap fits, so a cap of 10^4 makes 2L - 1 passes
+    leads = nc_groebner(fk_presentation(3), 12).leading_words()
+    L = max(map(len, leads))
+    calls = []
+    overlaps = ncalg._overlaps
+
+    def counted(rules, d, bits):
+        calls.append(d)
+        assert len(calls) <= 2 * L - 1, f"pass {d} of a complete basis"
+        return overlaps(rules, d, bits)
+
+    monkeypatch.setattr(ncalg, "_overlaps", counted)
+    gb = nc_groebner(fk_presentation(3), 10**4)
+    assert calls == list(range(1, 2 * L))
+    assert gb.leading_words() == leads
+    monkeypatch.undo()
+    dims = hilbert_series(fk_presentation(3), 10**4).dims
+    assert dims[:6] == [1, 3, 4, 3, 1, 0] and not any(dims[5:])
+
+
 def test_a_pass_over_the_overlap_cap_is_refused_before_its_normal_forms(monkeypatch):
     # FK_4 has 34 overlap ambiguities at pass 3 and 21 at pass 4; with the
     # cap at 33, pass 3 is refused before any of its S-polynomials is

@@ -63,12 +63,12 @@ def test_q_values_at_the_base_point():
 def test_char_from_function_rejects_non_multiplicative():
     cent = cent_of("000;(1 2 3)", 3)  # cyclic of order 3
     with pytest.raises(ValueError):
-        char_from_function(cent, lambda g: -1 if g.perm(0) == 1 else 1)
+        char_from_function(cent, lambda P, A: np.where(P[:, 0] == 1, -1, 1))
     # S_5 has 14400 pairs; -1 on (1 2) alone breaks 2.5% of them
     S5 = cent_of("00000;()", 5)
-    t12 = SignedPermutation.parse("00000;(1 2)")
+    t12 = S5.find(SignedPermutation.parse("00000;(1 2)"))
     with pytest.raises(ValueError, match="not multiplicative"):
-        char_from_function(S5, lambda g: -1 if g == t12 else 1)
+        char_from_function(S5, lambda P, A: np.where(np.arange(len(P)) == t12, -1, 1))
     assert len(chi_sgn_sgn(S5).values) == S5.size
 
 
@@ -116,7 +116,7 @@ def test_a_non_multiplicative_character_names_the_first_broken_pair(n):
     at, x, y = first_broken_pair(cent, fn)
     assert at > 0
     with pytest.raises(ValueError, match=re.escape(f"not multiplicative at ({x}, {y})")):
-        char_from_function(cent, fn)
+        char_from_function(cent, lambda P, A: np.where(P[:, 2] == 3, -1, 1))
 
 
 def test_a_table_broken_on_a_large_group_is_refused():
@@ -132,9 +132,9 @@ def test_a_table_broken_on_a_large_group_is_refused():
         Character(cent, values)
 
 
-VALUE_FUNCTIONS = {
-    "sgn-sgn": lambda g: g.perm.sign(),
-    "eps-sgn": lambda g: -1 if g.perm(0) == 1 else 1,
+VALUE_FUNCTIONS = {  # on the rows (P, A) of a centralizer
+    "sgn-sgn": lambda P, A: [parity(row) for row in P.tolist()],
+    "eps-sgn": lambda P, A: [-1 if row[0] == 1 else 1 for row in P.tolist()],
 }
 
 
@@ -166,7 +166,7 @@ def test_the_generator_proof_matches_the_all_pairs_check(name):
     rng = random.Random(5)
     verdicts = []
     for cent in every_centralizer():
-        values = [VALUE_FUNCTIONS[name](g) for g in cent.elements]
+        values = VALUE_FUNCTIONS[name](cent.P, cent.A)
         negated = list(values)
         negated[rng.randrange(cent.size)] *= -1
         for V in (values, negated):
@@ -241,18 +241,58 @@ def parity(row):
     return (-1) ** (len(row) - cycles)
 
 
-@pytest.mark.parametrize("n, signed", [(3, False), (4, False), (5, False), (6, False), (4, True)])
-def test_constructors_match_the_centralizer_rows(n, signed):
-    # the transposition presets of S_3..S_6, and the centralizer of (1 2)
-    # in B_4, read from the permutation part of each centralizer row
-    if signed:
-        cent = cent_of("0" * n + ";(1 2)", n, signed=True)
+def constructor_centralizers(n, signed):
+    """The transposition preset of S_n for n >= 3; every centralizer of
+    S_2..S_5 and B_2..B_4; and the identity's of B_6, all of B_6."""
+    G = Bn(n) if signed else Sn(n)
+    out = [transposition_preset(n).centralizer] if not signed and n >= 3 else []
+    if n <= (4 if signed else 5):
+        reps = [rep for rep in _class_representatives(n) if signed or not any(rep.sign)]
     else:
-        cent = transposition_preset(n).centralizer
-    rows = cent.P.tolist()
-    assert chi_sgn_sgn(cent).values == [parity(row) for row in rows]
-    assert chi_eps_sgn(cent).values == [-1 if row[0] == 1 else 1 for row in rows]
-    assert trivial_rep(cent).values == [1] * cent.size
+        reps = [G.identity] if signed else []
+    return out + [ConjugacyClass(G, rep).centralizer() for rep in reps]
+
+
+def object_oracle(cent, fn):
+    """The values of fn on each centralizer element as an object, or the
+    message of the refusal of that table."""
+    values = [Cyclo.coerce(fn(g)) for g in cent.elements]
+    try:
+        return Character(cent, values).values
+    except ValueError as err:
+        return str(err)
+
+
+def row_values(constructor, cent):
+    try:
+        return constructor(cent).values
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "n, signed",
+    [(2, False), (3, False), (4, False), (5, False), (6, False), (2, True), (3, True), (4, True), (6, True)],
+)
+def test_constructors_match_the_centralizer_rows(n, signed):
+    # each preset character read from the centralizer rows builds no
+    # element object, and matches the table of its values on objects:
+    # the same values, or the same refusal (chi_eps_sgn is not a
+    # character of every centralizer)
+    for cent in constructor_centralizers(n, signed):
+        assert cent._elements is None
+        got = [row_values(f, cent) for f in (chi_sgn_sgn, chi_eps_sgn, trivial_rep)]
+        assert cent._elements is None
+        rows = cent.P.tolist()
+        assert got[0] == [parity(row) for row in rows]
+        assert got[2] == [1] * cent.size
+        assert got == [
+            object_oracle(cent, lambda g: parity(g.perm.images)),
+            object_oracle(cent, lambda g: -1 if g.perm(0) == 1 else 1),
+            object_oracle(cent, lambda g: 1),
+        ]
+        if isinstance(got[1], list):
+            assert got[1] == [-1 if row[0] == 1 else 1 for row in rows]
 
 
 def test_filter_requires_orthogonality_and_q_product():

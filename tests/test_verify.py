@@ -412,6 +412,23 @@ def test_a_closed_form_broken_in_some_degrees_fails_at_their_first_sample(monkey
     assert len(detail["x"].split(";")[0]) in degrees
 
 
+def test_the_closed_form_blocks_stop_growing_at_the_block_cap(monkeypatch):
+    # blocks of 4, 16, ..., 16384 samples, then 16384 again: the laws of
+    # 40000 samples never see more than BLOCK_PRODUCTS rows at once
+    sizes = []
+    earliest_failure = verify._earliest_failure
+
+    def spy(draws, laws):
+        sizes.append(sum(len(samples) for samples, _, _ in draws.values()))
+        return earliest_failure(draws, laws)
+
+    monkeypatch.setattr(verify, "_earliest_failure", spy)
+    status, _ = check_square_closed_forms(VerifyConfig(samples=40000))
+    assert status == "pass"
+    assert max(sizes) <= verify.BLOCK_PRODUCTS == 16384
+    assert sizes[:-1] == [4, 16, 64, 256, 1024, 4096, 16384, 16384, 1772]
+
+
 def test_the_earliest_failure_is_the_earliest_sample_then_its_first_law():
     # each sample's one row holds its flags, one per law
     def laws(F):
