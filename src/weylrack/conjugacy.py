@@ -9,9 +9,9 @@ build writes its rows a block at a time and keeps one copy of each
 array, so its working memory is a small overhead on the rows it keeps.
 The class element ordering is deterministic: the canonical text-format
 order (groups.text_order), with the defining representative moved to the
-front as t_1.  Coset representatives g_i are the text-format-least conjugators,
-except for the transposition preset which reproduces the explicit g_{kj}
-table for the class of (1 2) in S_n.
+front as t_1.  Coset representatives g_i are the class's conjugator
+words, except for the transposition preset which reproduces the explicit
+g_{kj} table for the class of (1 2) in S_n.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .groups import (
 )
 
 
-# rows per block: the products g_0 c per text_order call in
-# _least_coset_reps, and the rows a class build writes per flat index
+# rows per block: the rows a class build writes per flat index
 BLOCK_PRODUCTS = 1 << 14
 
 
@@ -397,19 +396,16 @@ class CosetSystem(_Rows):
     (see _Rows) in the class numbering.
 
     The g_i form a left transversal of G^s in G.  Default choice: the
-    text-format-least element of each coset g C; `reps` (a list of
-    elements, as `transposition_preset` gives for the class of (1 2) in
-    S_n) replaces it.
+    class's conjugator words (cls.words); `reps` (a list of elements, as
+    `transposition_preset` gives for the class of (1 2) in S_n) replaces
+    them.
     """
 
     def __init__(self, cls: ConjugacyClass, reps: list | None = None):
         self.cls = cls
         self.group = cls.group
         self.centralizer = cls.centralizer()
-        if reps is None:
-            P, A = _least_coset_reps(cls, self.centralizer)
-        else:
-            P, A = to_arrays(reps, self.group.n)
+        P, A = cls.words if reps is None else to_arrays(reps, self.group.n)
         self.size = len(P)
         self._set_rows(P, A)
         self._check()
@@ -450,30 +446,6 @@ class CosetSystem(_Rows):
         if (C < 0).any():
             raise ValueError(f"gamma at row {np.argmax(C < 0)} is outside the centralizer")
         return J, C
-
-
-def _least_coset_reps(cls: ConjugacyClass, cent: Centralizer) -> tuple:
-    """(P, A) of the text-format-least element of the coset g_0 C for
-    each t in cls, where g_0 is the word of t (cls.words) and C is the
-    centralizer; a block of whole cosets is ordered at a time."""
-    WP, WA = cls.words
-    h = cent.size
-    step = max(1, BLOCK_PRODUCTS // h)
-    RP, RA = [], []
-    for start in range(0, cls.size, step):
-        k = min(step, cls.size - start)
-        P, A = mul_rows(
-            np.repeat(WP[start : start + k], h, axis=0),
-            np.repeat(WA[start : start + k], h, axis=0),
-            np.tile(cent.P, (k, 1)),
-            np.tile(cent.A, (k, 1)),
-        )
-        rank = np.empty(len(P), dtype=np.intp)
-        rank[text_order(P, A)] = np.arange(len(P))
-        least = np.arange(k) * h + rank.reshape(k, h).argmin(axis=1)
-        RP.append(P[least])
-        RA.append(A[least])
-    return np.concatenate(RP), np.concatenate(RA)
 
 
 def transposition_preset(n: int) -> CosetSystem:

@@ -83,12 +83,15 @@ class YDModule:
         """c(x_i (x) x_j) = chi(gamma) x_{i |> j} (x) x_i, where
         t_i g_j = g_{i |> j} gamma: one cocycle call for every pair (i, j)
         gives both, phi = i |> j as its class indices (the rack table of
-        the class) and q = chi(gamma) read by centralizer index, each
-        character value a rational integer as an int."""
+        the class) and q = chi(gamma) read by centralizer index.  Only
+        the values at the indices that occur are converted, each rational
+        integer to an int."""
         m, cls = self.m, self.cls
         I, J = np.divmod(np.arange(m * m), m)
         phi, C = self.cosets.zeta(J, cls.P[I], cls.A[I])
-        return Braiding(phi.reshape(m, m), _scalars(self.chi.values)[C.reshape(m, m)])
+        used, at = np.unique(C, return_inverse=True)
+        q = _scalars([self.chi.values[c] for c in used.tolist()])[at]
+        return Braiding(phi.reshape(m, m), q.reshape(m, m))
 
 
 class Braiding:

@@ -125,7 +125,10 @@ def test_scan_report_bytes_are_pinned(tmp_path, n):
 
 
 # SHA-256 of the braiding-path outputs, recorded before the coset systems
-# moved onto class rows: every consumer of the cocycle zeta feeds these
+# moved onto class rows: every consumer of the cocycle zeta feeds these.
+# The B_3 `000;(1 2)` pin was recorded again when a class's coset
+# representatives became its conjugator words: its q values change by the
+# basis change x'_i = chi(h_i) x_i, and its rack does not
 BRAIDING_DIGESTS = {
     ("braiding", "--n", "3", "--preset", "--terms"):
         "f5aa2d60944fdcd239fc02e49eb3c9cb4accad30e820b741baa8e5b2393b83a3",
@@ -134,7 +137,7 @@ BRAIDING_DIGESTS = {
     ("braiding", "--group", "bn", "--n", "3", "--element", "100;(1 2 3)", "--terms"):
         "907f9f758e59d642a0724133a81520e754407bdeccb7651c10086d5240f0532f",
     ("braiding", "--group", "bn", "--n", "3", "--element", "000;(1 2)", "--terms"):
-        "857e22d33ba3a38a3e3fa74a4455281c5ed7e322a2ecab6514dc250d63df2c34",
+        "ab752a8e0192d8a42857b6287abbcafefef200855762e60f578cf732a6e48214",
     ("nichols-dim", "--group", "bn", "--n", "4", "--element", "0000;(1 2)", "--max-degree", "2"):
         "fdc4dbc6c0c42b9105a8f1c6a891bf81c15f2b81ec7646540df044714514c488",
 }
@@ -254,6 +257,10 @@ GRADED_DIGESTS = {
         "880483c0e7ac4e8dc0d46559669bfe42d7e393c38767fcb943e37039a93ace12",
     ("nichols-dim", "--n", "5", "--preset", "--max-degree", "3"):
         "da0df692c88a3d15bb98560019468edfb5f5df7063450603beab87857d24c396",
+    # the B_8 (1^6, 2+) row, D = 56, recorded while its coset
+    # representatives were the text-format-least conjugators
+    ("nichols-dim", "--group", "bn", "--n", "8", "--element", "00000000;(1 2)", "--max-degree", "3"):
+        "a58a1ad206a60c552791727b3a65cd49c80b69b5fe6e416c45cc2c78f87c30a5",
 }
 
 

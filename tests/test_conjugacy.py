@@ -236,6 +236,30 @@ def test_negative_cycle_centralizer_is_cyclic():
         assert set(cent.elements) == set(powers)
 
 
+def test_a_coset_system_reads_the_class_words(monkeypatch):
+    # no text sort and no product: the representatives are cls.words,
+    # checked on their rows by CosetSystem._check
+    calls = []
+
+    def counting(name):
+        original = getattr(conjugacy, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        return counted
+
+    for name in ("text_order", "mul_rows"):
+        monkeypatch.setattr(conjugacy, name, counting(name))
+    cls = ConjugacyClass(Bn(4), SignedPermutation.parse("0000;(1 2)"))
+    cls.centralizer()
+    calls.clear()
+    cs = CosetSystem(cls)
+    assert calls == []
+    assert cs.P is cls.words[0] and cs.A is cls.words[1]
+
+
 def test_coset_system_zeta_recomposition():
     rng = random.Random(11)
     cls = ConjugacyClass(Bn(3), SignedPermutation.parse("000;(1 2)"))
@@ -269,7 +293,7 @@ def test_coset_system_zeta_refuses_an_h_outside_the_group():
 
 
 def test_coset_system_refuses_a_table_that_is_not_a_transversal():
-    # the preset table and the least representatives of a B_3 class
+    # the preset table and the word representatives of a B_3 class
     negative = ConjugacyClass(Bn(3), SignedPermutation.parse("100;(1 2 3)"))
     for cs in (transposition_preset(4), negative.coset_system()):
         cls = cs.cls
@@ -465,14 +489,12 @@ def _one_key(x):
     return (key << n) + sum(a << i for i, a in enumerate(x.sign))
 
 
-def _check_centralizer_and_cosets(cls, oracle):
+def _check_centralizer_and_cosets(cls):
+    # the coset representatives are the class's conjugator words
     cent = cls.centralizer()
     assert cent.elements == sorted(set(cent.elements), key=SignedPermutation.sort_key)
-    least = [
-        min((oracle[t] * c for c in cent), key=SignedPermutation.sort_key)
-        for t in cls.elements
-    ]
-    assert cls.coset_system().elements == least
+    cs = cls.coset_system()
+    assert np.array_equal(cs.P, cls.words[0]) and np.array_equal(cs.A, cls.words[1])
 
 
 def test_class_numbering_matches_the_one_at_a_time_oracle():
@@ -481,7 +503,7 @@ def test_class_numbering_matches_the_one_at_a_time_oracle():
     # conjugate_pairs call per class.  Centralizer and coset
     # representatives are checked on every class up to B_5 and S_7, and
     # on the two B_6 classes with the smallest centralizers: the object
-    # coset oracle takes seconds on each other B_6 class.
+    # centralizer oracle takes seconds on each other B_6 class.
     b6 = []
     for group, rep in _all_classes(6, 7):
         cls = ConjugacyClass(group, rep)
@@ -497,7 +519,7 @@ def test_class_numbering_matches_the_one_at_a_time_oracle():
         if group.order > 5040:
             b6.append(cls)
         else:
-            _check_centralizer_and_cosets(cls, oracle)
+            _check_centralizer_and_cosets(cls)
     assert len(b6) == 65
     for cls in sorted(b6, key=lambda c: -c.size)[:2]:
-        _check_centralizer_and_cosets(cls, _object_orbit(cls.group, cls.rep))
+        _check_centralizer_and_cosets(cls)

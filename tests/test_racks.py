@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from weylrack.conjugacy import ConjugacyClass
 from weylrack.groups import Bn, Permutation, Sn, SignedPermutation, from_arrays, to_arrays
 from weylrack.racks import (
+    EXHAUSTIVE_LIMIT,
     MAX_CLOSURE_SIZE,
     MAX_COMMUTING_PARTNERS,
+    MAX_SEED_PAIRS,
     FiniteRack,
     RackEpimorphism,
     TypeDCertificate,
@@ -30,6 +32,8 @@ from weylrack.racks import (
     _part_witness,
     _perm_parts,
     _strategy_exhaustive,
+    _strategy_randomized,
+    _strategy_seed_closure,
     collapse_lhs,
     collapse_rhs,
     find_type_d_certificate,
@@ -413,6 +417,35 @@ def test_batched_closure_check_matches_the_object_loops():
             assert set(named) <= set(expect)
 
 
+def exhaustive_cases():
+    """(rack, op) for the exhaustive-search checks: two unions of
+    classes, a dihedral rack and a class rack."""
+    return [
+        # the transpositions of S_3 and their negatives: of type D
+        (conjugation_table_rack(["000;(1 2)", "000;(1 3)", "000;(2 3)", "111;(1 2)", "111;(1 3)", "111;(2 3)"]), conjugate),
+        (conjugation_table_rack(["000;(1 2 3)", "001;()", "010;()", "011;(1 2 3)", "100;()", "101;(1 2 3)", "110;(1 2 3)"]), conjugate),
+        dihedral(7),
+        (FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)"))), conjugate),
+    ]
+
+
+def small_class_racks(sn: range, bn: range, fits) -> list:
+    """The rack of every class of S_n, n in sn, and of B_n, n in bn, whose
+    size m passes fits(m)."""
+    racks = []
+    for signed, degrees in ((False, sn), (True, bn)):
+        for n in degrees:
+            G = Bn(n) if signed else Sn(n)
+            reps = _class_representatives(n)
+            if not signed:
+                reps = {rep.perm.cycle_type(): SignedPermutation.from_perm(rep.perm) for rep in reps}.values()
+            for rep in reps:
+                cls = ConjugacyClass(G, rep)
+                if fits(cls.size):
+                    racks.append(FiniteRack.from_class(cls))
+    return racks
+
+
 def test_batched_exhaustive_search_matches_the_assignment_loop():
     def assignment_loop(rack, op):
         # every assignment to {R, S, neither} in product order, one pair at a time
@@ -427,15 +460,8 @@ def test_batched_exhaustive_search_matches_the_assignment_loop():
                         return [index[x] for x in R], [index[x] for x in S], r, s
         return None
 
-    racks = [
-        # the transpositions of S_3 and their negatives: of type D
-        (conjugation_table_rack(["000;(1 2)", "000;(1 3)", "000;(2 3)", "111;(1 2)", "111;(1 3)", "111;(2 3)"]), conjugate),
-        (conjugation_table_rack(["000;(1 2 3)", "001;()", "010;()", "011;(1 2 3)", "100;()", "101;(1 2 3)", "110;(1 2 3)"]), conjugate),
-        dihedral(7),
-        (FiniteRack.from_class(ConjugacyClass(Sn(4), SignedPermutation.parse("0000;(1 2)"))), conjugate),
-    ]
     found = []
-    for rack, op in racks:
+    for rack, op in exhaustive_cases():
         cert = _strategy_exhaustive(rack, 0)
         expect = assignment_loop(rack, op)
         got = None if cert is None else (
@@ -444,6 +470,27 @@ def test_batched_exhaustive_search_matches_the_assignment_loop():
         assert got == (None if expect is None else tuple(expect))
         found.append(cert is not None)
     assert found == [True, True, False, False]
+
+
+def test_exhaustive_search_finds_a_certificate_exactly_when_seed_closure_does():
+    # every certificate (R, S, r, s) contains the two-seed closure of
+    # (r, s), whose sides are disjoint and hold the witness, and no cap of
+    # _grown_witness binds at these sizes
+    racks = small_class_racks(range(2, 7), range(2, 4), lambda m: m <= EXHAUSTIVE_LIMIT)
+    racks += [rack for rack, _ in exhaustive_cases()]
+    found = [(_strategy_exhaustive(rack, 0) is not None, _strategy_seed_closure(rack, 0) is not None) for rack in racks]
+    assert all(exhaustive == seeded for exhaustive, seeded in found)
+    assert len(found) == 32 and 0 < sum(seeded for _, seeded in found) < len(found)
+
+
+def test_randomized_repair_finds_nothing_that_seed_closure_missed():
+    # each restart grows the closure of a seed pair that seed closure has
+    # already tried, when it tries every pair
+    racks = small_class_racks(range(3, 6), range(2, 5), lambda m: m * (m - 1) <= MAX_SEED_PAIRS)
+    missed = [rack for rack in racks if _strategy_seed_closure(rack, 0) is None]
+    assert missed
+    for rack in missed:
+        assert all(_strategy_randomized(rack, seed) is None for seed in range(5))
 
 
 def test_search_finds_certificates_in_symmetric_groups():

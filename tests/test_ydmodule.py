@@ -415,6 +415,39 @@ def test_braiding_phi_is_the_rack_table_of_the_class(case, char):
     assert np.array_equal(yd.braiding().phi, FiniteRack.from_class(cs.cls).table())
 
 
+def test_a_change_of_transversal_is_a_change_of_basis():
+    # g'_i = g_i h_i with h_i in G^s gives the same module in the basis
+    # x'_i = chi(h_i) x_i (Andruskiewitsch-Grana 2003): phi is unchanged
+    # and q'[a, b] = q[a, b] chi(h_b) / chi(h_{a |> b}).  Checked for the
+    # class words against the text-format-least transversal, one object
+    # product at a time, on every class of B_2..B_4 and each preset
+    # character that is multiplicative on its centralizer
+    checked, moved = 0, 0
+    for n in (2, 3, 4):
+        for rep in _class_representatives(n):
+            cs = ConjugacyClass(Bn(n), rep).coset_system()
+            least = [
+                min((cs[i] * c for c in cs.centralizer), key=SignedPermutation.sort_key)
+                for i in range(cs.size)
+            ]
+            h = [cs[i].inverse() * g for i, g in enumerate(least)]
+            least = CosetSystem(cs.cls, reps=least)
+            for char in (chi_sgn_sgn, chi_eps_sgn):
+                try:
+                    chi = char(cs.centralizer)
+                except ValueError:
+                    continue  # not multiplicative
+                c, c_least = YDModule(cs, chi).braiding(), YDModule(least, chi).braiding()
+                assert np.array_equal(c_least.phi, c.phi)
+                scale = [chi(x) for x in h]
+                q, q_least, phi = c.q.tolist(), c_least.q.tolist(), c.phi.tolist()
+                for a, b in product(range(cs.size), repeat=2):
+                    assert q_least[a][b] * scale[phi[a][b]] == q[a][b] * scale[b], (rep, a, b)
+                checked += 1
+                moved += q_least != q
+    assert (checked, moved) == (59, 18)
+
+
 def test_braiding_pair_bytes_bounds_the_measured_peak():
     # the B_5 3-cycles, D = 80: the build peaks at about 107 B a pair
     # under tracemalloc (98 on the B_5 5-cycles, D = 384)
